@@ -30,7 +30,6 @@ from .covariance import (
     build_generator,
     covariance_eigenvalues,
     covariance_series,
-    dump_blocks_csv,
     gain_for_mean_pairs,
     mean_pairs,
     mean_photon_number,

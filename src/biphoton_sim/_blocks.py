@@ -91,20 +91,6 @@ def block_adjoint(a: Block) -> Block:
     return a.conj().T
 
 
-def block_transpose(a: Block) -> Block:
-    if a is None or _ndim(a) == 0:
-        return a
-    if a.ndim == 1:
-        return a
-    return a.T
-
-
-def block_conj(a: Block) -> Block:
-    if a is None:
-        return None
-    return np.conjugate(a)
-
-
 def block_trace(a: Block, n: int) -> complex:
     if a is None:
         return 0.0
@@ -178,10 +164,6 @@ class BlockMatrix:
             tuple(entries[i] if i == j else None for j in range(n)) for i in range(n)
         )
         return BlockMatrix(blocks, tuple(sizes), tuple(sizes))
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[Block]], row_sizes, col_sizes) -> "BlockMatrix":
-        return BlockMatrix(tuple(tuple(r) for r in rows), tuple(row_sizes), tuple(col_sizes))
 
     def __matmul__(self, other: "BlockMatrix") -> "BlockMatrix":
         if self.col_sizes != other.row_sizes:

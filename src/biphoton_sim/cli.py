@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from . import detection as det
 from . import spectral, transforms
 from ._blocks import BlockMatrix
 from .covariance import (
+    Dof,
     ProcessType,
     SqueezingSpectrum,
     build_covariance_exact,
@@ -113,19 +113,23 @@ def _build_source(cfg: dict):
     return jsa, schmidt, gain, process
 
 
-_METHODS = ("exact", "log_series", "poisson", "hermite", "linear", "quadratic")
+_SOURCE_METHODS = ("poisson", "hermite", "linear", "quadratic")
+_METHODS = ("exact", "log_series") + _SOURCE_METHODS
 
 
-def _pipeline_transforms(cfg, source_dofs, mode_names, grid):
-    """Materialize pipeline entries as block transforms over all modes.
+def _source_dofs(schmidt, process: ProcessType) -> tuple:
+    """The source modes, named and ordered as in its covariance."""
+    if process is ProcessType.TYPE_0I:
+        return (Dof("mode", schmidt.grid_signal),)
+    return (Dof("signal", schmidt.grid_signal), Dof("idler", schmidt.grid_idler))
 
-    Also tracks the cumulative per-mode intensity transmission, used to pull
-    the common loss factor out of the determinant-truncation bounds.
-    """
-    m_total = len(mode_names)
+
+def _pipeline_transform(cfg, m_total: int, grid) -> transforms.SymplecticTransform:
+    """Compose the pipeline entries, first applied first, into one transform
+    over all modes; the identity when the pipeline is empty."""
     n = grid.n
+    sizes = (n,) * m_total
     built = []
-    eta2_per_mode = [1.0] * m_total
     current_grids = {i: grid for i in range(m_total)}
     for k, entry in enumerate(cfg.get("pipeline", [])):
         path = f"pipeline[{k}]"
@@ -144,17 +148,16 @@ def _pipeline_transforms(cfg, source_dofs, mode_names, grid):
                     current_grids[dof],
                     dof,
                     m_total,
-                    sizes=[n] * m_total,
+                    sizes=sizes,
                 )
             )
         elif kind == "fourier":
             dof = int(entry.get("dof", 0))
             if not 0 <= dof < m_total:
                 raise ConfigError(f"{path}.dof: out of range")
-            t, time_grid = transforms.fourier(
-                current_grids[dof], dof, m_total, sizes=[n] * m_total
+            t, current_grids[dof] = transforms.fourier(
+                current_grids[dof], dof, m_total, sizes=sizes
             )
-            current_grids[dof] = time_grid
             built.append(t)
         elif kind == "beam_splitter":
             dofs = entry.get("dofs")
@@ -174,27 +177,45 @@ def _pipeline_transforms(cfg, source_dofs, mode_names, grid):
             except ValueError as exc:
                 raise ConfigError(f"{path}: {exc}") from None
         elif kind == "loss":
-            etas_cfg = entry.get("eta", {})
             entries = [1.0] * (2 * m_total)
-            for key, val in etas_cfg.items():
+            for key, val in entry.get("eta", {}).items():
                 idx = int(key)
                 if not 0 <= idx < m_total:
                     raise ConfigError(f"{path}.eta: mode index {idx} out of range")
                 val = float(val)
                 if not 0 <= val <= 1:
                     raise ConfigError(f"{path}.eta: transmittivity outside [0, 1]")
-                entries[idx] = val
-                entries[m_total + idx] = val
-                eta2_per_mode[idx] *= val * val
-            mat = BlockMatrix.diagonal(entries, tuple([n] * m_total) * 2)
+                entries[idx] = entries[m_total + idx] = val
+            mat = BlockMatrix.diagonal(entries, sizes * 2)
             built.append(transforms.SymplecticTransform(mat, m_total, m_total))
         else:
             raise ConfigError(f"{path}.type: unknown transform '{kind}'")
-    return built, eta2_per_mode
+    if not built:
+        identity = BlockMatrix.identity(sizes * 2)
+        return transforms.SymplecticTransform(identity, m_total, m_total)
+    return transforms.compose_all(built)
+
+
+def _sweep_mus(config) -> list:
+    """The swept mean pair numbers, or [None] for a single run."""
+    sweep = config.get("sweep")
+    if sweep is None:
+        return [None]
+    values = sweep.get("values")
+    if not isinstance(values, list) or not values:
+        raise ConfigError("sweep.values: expected a non-empty list")
+    if sweep.get("parameter") != "source.mu":
+        raise ConfigError("sweep.parameter: only 'source.mu' sweeps are supported")
+    return [float(v) for v in values]
 
 
 def run_scenario(config: dict) -> dict:
-    """Execute one scenario; returns columns, rows and optional PND tables."""
+    """Execute one scenario; returns columns, rows and optional PND tables.
+
+    The source, pipeline and detection are planned once; each sweep point
+    then does only the gain-dependent work.  The PND table belongs to the
+    first sweep point.
+    """
     if not isinstance(config, dict):
         raise ConfigError("config: expected a JSON object")
     jsa, schmidt, gain, process = _build_source(config)
@@ -202,48 +223,37 @@ def run_scenario(config: dict) -> dict:
     method = detection_cfg.get("method", "log_series")
     if method not in _METHODS:
         raise ConfigError(f"detection.method: unknown method '{method}'")
-
-    sweep = config.get("sweep")
-    if sweep is not None:
-        values = sweep.get("values")
-        if not isinstance(values, list) or not values:
-            raise ConfigError("sweep.values: expected a non-empty list")
-        if sweep.get("parameter") != "source.mu":
-            raise ConfigError("sweep.parameter: only 'source.mu' sweeps are supported")
-        mus = [float(v) for v in values]
+    mus = _sweep_mus(config)
+    cutoffs = [int(c) for c in detection_cfg.get("pnd_cutoffs") or ()]
+    if method == "exact":
+        step = _exact_step(config, schmidt, cutoffs)
+    elif method == "log_series":
+        step = _log_series_step(config, jsa, schmidt, process, detection_cfg, cutoffs)
     else:
-        mus = [None]
+        step = _source_step(config, jsa, schmidt, process, method, detection_cfg, cutoffs)
 
-    max_workers = int(os.environ.get("BIPHOTON_SIM_THREADS", "0") or 0)
+    results = []
+    for k, mu in enumerate(mus):
+        point_gain = gain if mu is None else gain_for_mean_pairs(schmidt, mu, process)
+        sq = SqueezingSpectrum.from_schmidt(schmidt, point_gain, process)
+        p_vac, bounds, pnd = step(point_gain, sq, with_pnd=k == 0)
+        point_mu = mean_pairs(sq)
+        upper, lower = bounds_mod.vacuum_range(point_mu, process)
+        bounds.update(vacuum_range_upper=upper, vacuum_range_lower=lower)
+        results.append(
+            {"mu": point_mu, "gain": point_gain, "p_vac": p_vac, "bounds": bounds, "pnd": pnd}
+        )
 
-    def solve(mu):
-        cfg_gain = gain if mu is None else gain_for_mean_pairs(schmidt, mu, process)
-        return _run_single(config, jsa, schmidt, cfg_gain, process, detection_cfg, method)
-
-    if len(mus) > 1 and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(solve, mus))
-    else:
-        results = [solve(mu) for mu in mus]
-
-    columns = ["mu", "gain", "method", "p_vac"] + sorted(
-        {k for r in results for k in r["bounds"]}
-    )
-    rows = []
-    for mu, res in zip(mus, results):
-        row = {
-            "mu": _fmt(res["mu"] if mu is None else mu),
-            "gain": _fmt(res["gain"]),
-            "method": method,
-            "p_vac": _fmt(res["p_vac"]),
-        }
-        for name in columns[4:]:
-            row[name] = _fmt(res["bounds"].get(name, 0.0))
-        rows.append([row[c] for c in columns])
+    bound_names = sorted(results[0]["bounds"])
+    rows = [
+        [_fmt(res["mu"] if mu is None else mu), _fmt(res["gain"]), method, _fmt(res["p_vac"])]
+        + [_fmt(res["bounds"][name]) for name in bound_names]
+        for mu, res in zip(mus, results)
+    ]
     return {
-        "columns": columns,
+        "columns": ["mu", "gain", "method", "p_vac"] + bound_names,
         "rows": rows,
-        "pnd": results[0].get("pnd"),
+        "pnd": results[0]["pnd"],
         "raw": results,
     }
 
@@ -273,129 +283,119 @@ def _detection_windows(detection_cfg, n_dofs, path="detection.windows"):
     return transforms.DetectionProjection(tuple(out))
 
 
-def _run_single(config, jsa, schmidt, gain, process, detection_cfg, method):
-    sq = SqueezingSpectrum.from_schmidt(schmidt, gain, process)
-    mu = mean_pairs(sq)
+# Each *_step function plans one detection method and returns
+# step(gain, sq, with_pnd), which evaluates one sweep point as
+# (p_vac, bounds, pnd or None).
+
+
+def _exact_step(config, schmidt, cutoffs):
+    if config.get("pipeline"):
+        raise ConfigError("pipeline: 'exact' supports pipeline-free scenarios")
+
+    def step(gain, sq, with_pnd):
+        pnd = det.pnd(det.ExactProductGf(sq), cutoffs) if with_pnd and cutoffs else None
+        bounds = {"truncation_tail": schmidt.truncation_tail}
+        return det.vacuum_probability(sq, "exact"), bounds, pnd
+
+    return step
+
+
+def _source_step(config, jsa, schmidt, process, method, detection_cfg, cutoffs):
+    """Source-level methods: per-mode transmittivities of a loss-only pipeline."""
+    if any(not isinstance(e, dict) or e.get("type") != "loss" for e in config.get("pipeline", [])):
+        raise ConfigError("pipeline: source-level methods support loss-only pipelines")
+    n_dofs = len(_source_dofs(schmidt, process))
+    diagonal = _pipeline_transform(config, n_dofs, jsa.grid_signal).mat.blocks
+    etas = [float(diagonal[i][i]) for i in range(n_dofs)]
+    if method == "quadratic" and len(set(etas)) > 1:
+        raise ConfigError("pipeline: the quadratic method needs a uniform loss")
+    windows = _detection_windows(detection_cfg, n_dofs)
+    loss = transforms.LossProfile(tuple(etas))
+    eta_best2 = max(e * e for e in etas)
     k_number = spectral.schmidt_number(schmidt)
-    order = int(detection_cfg.get("series_order", 8))
-    result = {"mu": mu, "gain": gain, "bounds": {}, "p_vac": math.nan}
-    upper, lower = bounds_mod.vacuum_range(mu, process)
-    result["bounds"]["vacuum_range_upper"] = upper
-    result["bounds"]["vacuum_range_lower"] = lower
 
-    pipeline_cfg = config.get("pipeline", [])
-    has_pipeline = bool(pipeline_cfg)
-
-    if method in ("poisson", "hermite", "linear", "quadratic"):
-        if any(e.get("type") not in ("loss",) for e in pipeline_cfg):
-            raise ConfigError(
-                "pipeline: source-level methods support loss-only pipelines"
-            )
-        n_dofs = 1 if process is ProcessType.TYPE_0I else 2
-        etas = [1.0] * n_dofs
-        for entry in pipeline_cfg:
-            for key, val in entry.get("eta", {}).items():
-                idx = int(key)
-                if idx >= n_dofs:
-                    raise ConfigError("pipeline.loss: mode index outside source modes")
-                etas[idx] *= float(val)
-        windows = _detection_windows(detection_cfg, n_dofs)
-        loss = transforms.LossProfile(tuple(etas))
+    def step(gain, sq, with_pnd):
         params = det.poisson_params(jsa, loss, windows, gain, process)
-        eta_best2 = max(e * e for e in etas)
+        bounds = {}
+        gf = None
         if method == "poisson":
-            result["p_vac"] = det.vacuum_probability(params, "poisson")
-            result["bounds"]["poisson_vs_n2"] = bounds_mod.poisson_vs_n2_bound(
+            p_vac = det.vacuum_probability(params, "poisson")
+            bounds["poisson_vs_n2"] = bounds_mod.poisson_vs_n2_bound(
                 gain, k_number, etas if n_dofs == 2 else etas[0], process
             ).value
-            result["bounds"]["det_trunc_eigen_n2"] = bounds_mod.det_truncation_bound_eigen(
+            bounds["det_trunc_eigen_n2"] = bounds_mod.det_truncation_bound_eigen(
                 covariance_eigenvalues(sq), eta_best2, 2
             ).value
+            gf = params
         elif method == "linear":
-            result["p_vac"] = det.vacuum_probability(params, "linear")
+            p_vac = det.vacuum_probability(params, "linear")
         elif method == "hermite":
             hp = det.hermite_params(gain, k_number, process)
-            result["p_vac"] = det.vacuum_probability(hp, "hermite")
-            result["bounds"]["det_trunc_eigen_n4"] = bounds_mod.det_truncation_bound_eigen(
+            p_vac = det.vacuum_probability(hp, "hermite")
+            bounds["det_trunc_eigen_n4"] = bounds_mod.det_truncation_bound_eigen(
                 covariance_eigenvalues(sq), eta_best2, 4
             ).value
+            gf = det.hermite_params(gain, k_number, process, etas[0] ** 2, etas[-1] ** 2)
         else:
-            if len(set(etas)) > 1:
-                raise ConfigError(
-                    "pipeline: the quadratic method needs a uniform loss"
-                )
             qp = det.QuadraticParams(schmidt, gain, etas[0], process)
-            result["p_vac"] = det.vacuum_probability(qp, "quadratic")
-        if detection_cfg.get("pnd_cutoffs") and method in ("poisson", "hermite"):
-            cutoffs = [int(c) for c in detection_cfg["pnd_cutoffs"]]
-            gf = (
-                params
-                if method == "poisson"
-                else det.hermite_params(
-                    gain, k_number, process, etas[0] ** 2, etas[-1] ** 2
-                )
-            )
-            result["pnd"] = det.pnd(gf, cutoffs)
-        return result
+            p_vac = det.vacuum_probability(qp, "quadratic")
+        pnd = det.pnd(gf, cutoffs) if with_pnd and cutoffs and gf is not None else None
+        return p_vac, bounds, pnd
 
-    if method == "exact":
-        if has_pipeline:
-            raise ConfigError("pipeline: 'exact' supports pipeline-free scenarios")
-        result["p_vac"] = det.vacuum_probability(sq, "exact")
-        result["bounds"]["truncation_tail"] = schmidt.truncation_tail
-        if detection_cfg.get("pnd_cutoffs"):
-            cutoffs = [int(c) for c in detection_cfg["pnd_cutoffs"]]
-            result["pnd"] = det.pnd(det.ExactProductGf(sq), cutoffs)
-        return result
+    return step
 
-    # log-series detection over an arbitrary pipeline
-    gamma = build_covariance_exact(schmidt, gain, process)
+
+def _log_series_step(config, jsa, schmidt, process, detection_cfg, cutoffs):
+    """Log-series detection over an arbitrary pipeline.
+
+    The pipeline is composed and compressed once, and so is the detected
+    gram s^dag P s; each point multiplies the gram by its covariance.  The
+    gram's largest eigenvalue is the loss factor of both determinant
+    bounds: by Ostrowski's congruence theorem every eigenvalue of
+    s^dag P s Gamma is theta_k lambda_k(Gamma) with
+    0 <= theta_k <= lambda_max(s^dag P s), however the pipeline mixes modes.
+    """
+    source_dofs = _source_dofs(schmidt, process)
+    n_source = len(source_dofs)
     mode_names = config.get("modes")
-    n_source = gamma.n_dofs
     if mode_names is None:
-        mode_names = [d.name for d in gamma.dofs]
+        mode_names = [d.name for d in source_dofs]
     if len(mode_names) < n_source:
         raise ConfigError("modes: must include at least the source modes")
-    grid = jsa.grid_signal
-    built, eta2_per_mode = _pipeline_transforms(config, gamma.dofs, mode_names, grid)
     m_total = len(mode_names)
-    if built:
-        total = transforms.compose_all(built)
-    else:
-        total = transforms.SymplecticTransform(
-            BlockMatrix.identity(tuple([grid.n] * m_total) * 2), m_total, m_total
-        )
-    reduced = transforms.compress(total, n_source)
-    out_dofs = transforms.output_dofs(reduced, gamma.dofs, names=mode_names)
+    reduced = transforms.compress(
+        _pipeline_transform(config, m_total, jsa.grid_signal), n_source
+    )
+    out_dofs = transforms.output_dofs(reduced, source_dofs, names=mode_names)
     windows = _detection_windows(detection_cfg, m_total)
-    # common loss factor of the bound: largest transmission among detected modes
-    detected = [
-        eta2_per_mode[i] for i, w in enumerate(windows.windows) if w is not None
-    ]
-    eta_max2 = max(detected) if detected else 1.0
-    operand = transforms.compressed_determinant_operand(reduced, windows, gamma, out_dofs)
-    result["p_vac"] = det.vacuum_probability(operand, "log_series", order=order)
-    result["bounds"]["det_trunc_eigen"] = bounds_mod.det_truncation_bound_eigen(
-        covariance_eigenvalues(sq), eta_max2, order
-    ).value
-    nrm = norms(sq)
-    try:
-        result["bounds"]["det_trunc_hs"] = bounds_mod.det_truncation_bound_hs(
-            nrm.largest_abs_eigenvalue, nrm.hs_norm**2, eta_max2, order
-        ).value
-    except bounds_mod.OutOfDomainError:
-        pass
-    if detection_cfg.get("pnd_cutoffs"):
-        detectors_cfg = detection_cfg.get("detectors")
-        if detectors_cfg is None:
-            detectors = list(range(min(2, m_total))) + [None] * max(0, m_total - 2)
-        else:
-            detectors = [None if d is None else int(d) for d in detectors_cfg]
-        parts = det.detector_parts_compressed(reduced, windows, gamma, detectors, out_dofs)
-        gf = det.log_series_gf(parts, order)
-        cutoffs = [int(c) for c in detection_cfg["pnd_cutoffs"]]
-        result["pnd"] = det.pnd(gf, cutoffs)
-    return result
+    gram = transforms.detected_gram(reduced, windows, out_dofs)
+    eta2 = float(np.linalg.eigvalsh(gram.to_dense())[-1])
+    order = int(detection_cfg.get("series_order", 8))
+    detectors_cfg = detection_cfg.get("detectors")
+    if detectors_cfg is None:
+        detectors = list(range(min(2, m_total))) + [None] * max(0, m_total - 2)
+    else:
+        detectors = [None if d is None else int(d) for d in detectors_cfg]
+
+    def step(gain, sq, with_pnd):
+        gamma = build_covariance_exact(schmidt, gain, process)
+        p_vac = det.vacuum_probability(gram @ gamma.mat, "log_series", order=order)
+        nrm = norms(sq)
+        bounds = {
+            "det_trunc_eigen": bounds_mod.det_truncation_bound_eigen(
+                covariance_eigenvalues(sq), eta2, order
+            ).value,
+            "det_trunc_hs": bounds_mod.det_truncation_bound_hs(
+                nrm.largest_abs_eigenvalue, nrm.hs_norm**2, eta2, order
+            ).value,
+        }
+        pnd = None
+        if with_pnd and cutoffs:
+            parts = det.detector_parts_compressed(reduced, windows, gamma, detectors, out_dofs)
+            pnd = det.pnd(det.log_series_gf(parts, order), cutoffs)
+        return p_vac, bounds, pnd
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +466,9 @@ def figure_data(name: str, points: int | None = None, overrides: dict | None = N
         rows = []
         for aspect in aspects:
             row = [aspect]
+            nrms = [norms(_gaussian_sq(aspect, mu)[0]) for mu in mus]
             for eta2 in eta2s:
-                for mu in mus:
-                    sq, _, _ = _gaussian_sq(aspect, mu)
-                    nrm = norms(sq)
+                for nrm in nrms:
                     row.append(
                         bounds_mod.det_truncation_bound_hs(
                             nrm.largest_abs_eigenvalue, nrm.hs_norm**2, eta2, order
@@ -497,10 +496,9 @@ def figure_data(name: str, points: int | None = None, overrides: dict | None = N
         rows = []
         for aspect in aspects:
             row = [aspect]
+            sigma1s = [float(_gaussian_sq(aspect, mu)[0].sigmas[0]) for mu in mus]
             for order in orders:
-                for mu in mus:
-                    sq, _, _ = _gaussian_sq(aspect, mu)
-                    sigma1 = float(sq.sigmas[0])
+                for sigma1 in sigma1s:
                     row.append(
                         bounds_mod.covariance_truncation_bound([sigma1], order).value
                     )

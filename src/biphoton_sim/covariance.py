@@ -35,7 +35,6 @@ __all__ = [
     "norms",
     "mean_pairs",
     "gain_for_mean_pairs",
-    "dump_blocks_csv",
 ]
 
 
@@ -271,30 +270,6 @@ def covariance_eigenvalues(spectrum: SqueezingSpectrum) -> np.ndarray:
 def mean_photon_number(gamma: RenormalizedCovariance) -> float:
     """Expected photon number Tr(Gamma)/2 for zero displacement."""
     return float(np.real(gamma.mat.trace())) / 2.0
-
-
-def dump_blocks_csv(gamma: RenormalizedCovariance, path) -> None:
-    """Debug dump: `block_row,block_col,i,j,re,im` for every nonzero block."""
-    import csv
-
-    from ._blocks import block_to_dense
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["block_row", "block_col", "i", "j", "re", "im"])
-        sizes = gamma.mat.row_sizes
-        for bi, row in enumerate(gamma.mat.blocks):
-            for bj, blk in enumerate(row):
-                if blk is None:
-                    continue
-                dense = block_to_dense(blk, sizes[bi], sizes[bj])
-                for i in range(dense.shape[0]):
-                    for j in range(dense.shape[1]):
-                        v = dense[i, j]
-                        if v != 0:
-                            writer.writerow(
-                                [bi, bj, i, j, f"{v.real:.17g}", f"{v.imag:.17g}"]
-                            )
 
 
 class CovarianceNorms(NamedTuple):

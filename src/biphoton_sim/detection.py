@@ -52,7 +52,6 @@ __all__ = [
     "hermite_g2",
     "log_det_series",
     "log_series_gf",
-    "detector_parts_from_covariance",
     "detector_parts_compressed",
     "poisson_params",
     "pnd",
@@ -512,29 +511,6 @@ def pnd(gf, n_max) -> PhotonStatistics:
 # ---------------------------------------------------------------------------
 # trace-moment polynomials for block operands
 # ---------------------------------------------------------------------------
-
-
-def detector_parts_from_covariance(
-    gamma: RenormalizedCovariance, detectors
-) -> list[np.ndarray]:
-    """Dense per-detector pieces K_d of W Gamma = sum_d w_d K_d.
-
-    `detectors` assigns a detector index (or None) to every DOF.
-    """
-    if len(detectors) != gamma.n_dofs:
-        raise ValueError("one detector assignment per DOF required")
-    dense = gamma.mat.to_dense()
-    sizes = gamma.mat.row_sizes
-    n_det = max(d for d in detectors if d is not None) + 1
-    parts = []
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    for d in range(n_det):
-        mask = np.zeros(dense.shape[0])
-        for blk_row in range(len(sizes)):
-            if detectors[blk_row % gamma.n_dofs] == d:
-                mask[offsets[blk_row] : offsets[blk_row + 1]] = 1.0
-        parts.append(mask[:, None] * dense)
-    return parts
 
 
 def detector_parts_compressed(

@@ -20,6 +20,7 @@ __all__ = [
     "dense_covariance_exp",
     "dense_log_det",
     "dense_projection_eigs",
+    "detector_parts_from_covariance",
     "tmsv_statistics",
 ]
 
@@ -100,6 +101,27 @@ def dense_projection_eigs(state, mask) -> np.ndarray:
         raise ValueError("mask indices outside the state dimension")
     sub = m[np.ix_(idx, idx)]
     return np.linalg.eigvalsh(sub)
+
+
+def detector_parts_from_covariance(gamma, detectors) -> list:
+    """Dense per-detector pieces K_d of W Gamma = sum_d w_d K_d.
+
+    `detectors` assigns a detector index (or None) to every DOF.
+    """
+    if len(detectors) != gamma.n_dofs:
+        raise ValueError("one detector assignment per DOF required")
+    sizes = gamma.mat.row_sizes
+    dense = _flatten_blocks(gamma.mat.blocks, sizes, gamma.mat.col_sizes)
+    n_det = max(d for d in detectors if d is not None) + 1
+    parts = []
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    for d in range(n_det):
+        mask = np.zeros(dense.shape[0])
+        for blk_row in range(len(sizes)):
+            if detectors[blk_row % gamma.n_dofs] == d:
+                mask[offsets[blk_row] : offsets[blk_row + 1]] = 1.0
+        parts.append(mask[:, None] * dense)
+    return parts
 
 
 def tmsv_statistics(sigma: float, eta: float, n_max: int) -> np.ndarray:

@@ -35,6 +35,7 @@ __all__ = [
     "compress",
     "apply_projection",
     "projection_masks",
+    "detected_gram",
     "compressed_determinant_operand",
     "output_dofs",
 ]
@@ -349,6 +350,19 @@ def compress(full: SymplecticTransform, nonvacuum_count: int) -> SymplecticTrans
     return SymplecticTransform(mat, full.m_rows, mp, full.dof_updates)
 
 
+def detected_gram(s: SymplecticTransform, p: DetectionProjection, out_dofs) -> BlockMatrix:
+    """Gram operator s^dag P s of the detected output rows over s's columns.
+
+    It does not depend on the covariance, so a sweep over the gain builds it
+    once.  Its largest eigenvalue is the largest share of any input's
+    intensity that reaches the detection windows.
+    """
+    masks = projection_masks(p, out_dofs)
+    entries: list = [None if not m.any() else m for m in masks]
+    d = BlockMatrix.diagonal(entries * 2, s.mat.row_sizes)
+    return (s.mat.adjoint() @ d) @ s.mat
+
+
 def compressed_determinant_operand(
     s: SymplecticTransform,
     p: DetectionProjection,
@@ -359,7 +373,4 @@ def compressed_determinant_operand(
     if s.m_cols != gamma.n_dofs:
         raise ValueError("transform and covariance mode counts do not match")
     dofs = out_dofs if out_dofs is not None else output_dofs(s, gamma.dofs)
-    masks = projection_masks(p, dofs)
-    entries: list = [None if not m.any() else m for m in masks]
-    d = BlockMatrix.diagonal(entries * 2, s.mat.row_sizes)
-    return ((s.mat.adjoint() @ d) @ s.mat) @ gamma.mat
+    return detected_gram(s, p, dofs) @ gamma.mat

@@ -237,15 +237,37 @@ class TestRunScenario:
             bound = float(row_series["det_trunc_eigen"])
             assert abs(p_series - p_exact) / p_exact <= bound + 1e-12
 
-    def test_sweep_deterministic_with_worker_pool(self, monkeypatch):
+    def test_sweep_deterministic(self):
         cfg = base_config()
         cfg["source"].pop("gain")
         cfg["source"]["mu"] = 0.1
         cfg["sweep"] = {"parameter": "source.mu", "values": [0.05, 0.2, 0.4, 0.8]}
-        serial = run_scenario(cfg)
-        monkeypatch.setenv("BIPHOTON_SIM_THREADS", "3")
-        threaded = run_scenario(cfg)
-        assert serial["rows"] == threaded["rows"]
+        assert run_scenario(cfg)["rows"] == run_scenario(cfg)["rows"]
+
+    def test_pnd_evaluated_once_at_first_sweep_point(self, monkeypatch):
+        from biphoton_sim import detection
+
+        cfg = base_config(
+            detection={"method": "log_series", "series_order": 10, "pnd_cutoffs": [2, 2]}
+        )
+        cfg["pipeline"] = [{"type": "loss", "eta": {"0": 0.8, "1": 0.9}}]
+        cfg["source"].pop("gain")
+        cfg["source"]["mu"] = 0.05
+        single = run_scenario(cfg)["pnd"]
+
+        calls = []
+        original = detection.log_series_gf
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(detection, "log_series_gf", counting)
+        cfg["sweep"] = {"parameter": "source.mu", "values": [0.05, 0.1, 0.2]}
+        swept = run_scenario(cfg)["pnd"]
+        assert len(calls) == 1
+        assert np.array_equal(swept.probabilities, single.probabilities)
+        assert swept.normalization_deficit == single.normalization_deficit
 
     def test_pipeline_pnd_matches_exact_gf(self):
         # loss-only pipeline: the log-series joint statistics must agree with
@@ -283,6 +305,124 @@ class TestRunScenario:
         )
         ref = pnd(ExactProductGf(spectrum, 0.64, 0.81), (4, 4))
         assert np.max(np.abs(stats.probabilities - ref.probabilities)) < 1e-9
+
+
+def first_row(result):
+    return dict(zip(result["columns"], result["rows"][0]))
+
+
+def swap_config(mu, loss_first, order):
+    """Type-II source with a vacuum ancilla: loss 0.1 on the ancilla and a
+    full swap 0<->2, in either order, with only mode 2 detected."""
+    loss = {"type": "loss", "eta": {"2": 0.1}}
+    swap = {"type": "beam_splitter", "dofs": [0, 2], "transmittance": 0.0}
+    cfg = base_config(
+        detection={
+            "method": "log_series",
+            "series_order": order,
+            "windows": ["empty", "empty", None],
+        }
+    )
+    cfg["source"].pop("gain")
+    cfg["source"]["mu"] = mu
+    cfg["modes"] = ["signal", "idler", "anc"]
+    cfg["pipeline"] = [loss, swap] if loss_first else [swap, loss]
+    return cfg
+
+
+def swap_source():
+    """Grid size and Schmidt spectrum of the `base_config` source."""
+    from biphoton_sim import (
+        GaussianJsaModel,
+        build_gaussian_jsa,
+        default_grids,
+        schmidt_decompose,
+    )
+
+    model = GaussianJsaModel(1.0, 3.0)
+    grids = default_grids(model, extent_sigmas=5.2, points_per_width=3.0)
+    return grids[0].n, schmidt_decompose(build_gaussian_jsa(model, *grids))
+
+
+def swap_reference(gain, loss_first):
+    """Exact vacuum probability of `swap_config`, from a dense numpy pipeline."""
+    from biphoton_sim import ProcessType, build_covariance_exact
+    from biphoton_sim.oracle import dense_log_det
+
+    n, schmidt = swap_source()
+    gamma = build_covariance_exact(schmidt, gain, ProcessType.TYPE_II).mat.to_dense()
+    big = np.zeros((6 * n, 6 * n), dtype=complex)
+    sel = np.concatenate([np.arange(2 * n), 3 * n + np.arange(2 * n)])
+    big[np.ix_(sel, sel)] = gamma
+    eye = np.eye(n)
+    swap = np.zeros((6 * n, 6 * n))
+    for off in (0, 3 * n):
+        swap[off : off + n, off + 2 * n : off + 3 * n] = eye
+        swap[off + n : off + 2 * n, off + n : off + 2 * n] = eye
+        swap[off + 2 * n : off + 3 * n, off : off + n] = -eye
+    loss = np.diag(np.concatenate([np.ones(2 * n), np.full(n, 0.1)] * 2))
+    s = swap @ loss if loss_first else loss @ swap
+    mask = np.concatenate([np.zeros(2 * n), np.ones(n)] * 2)
+    k = mask[:, None] * (s @ big @ s.T) * mask[None, :]
+    return math.exp(-0.5 * dense_log_det(k))
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_bounds_cover_error_when_swap_moves_light(self, order):
+        # the loss acts on the vacuum ancilla, so the signal reaches the
+        # detector unattenuated; a per-index loss factor of 0.01 would be false
+        row = first_row(run_scenario(swap_config(0.3, True, order)))
+        p_exact = swap_reference(float(row["gain"]), loss_first=True)
+        rel = abs(float(row["p_vac"]) - p_exact) / p_exact
+        assert rel > 1e-4
+        assert rel <= float(row["det_trunc_eigen"])
+        assert rel <= float(row["det_trunc_hs"])
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_loss_after_swap_keeps_per_mode_factor(self, order):
+        from biphoton_sim import (
+            ProcessType,
+            SqueezingSpectrum,
+            covariance_eigenvalues,
+            det_truncation_bound_eigen,
+            det_truncation_bound_hs,
+            norms,
+        )
+
+        row = first_row(run_scenario(swap_config(0.3, False, order)))
+        gain = float(row["gain"])
+        sq = SqueezingSpectrum.from_schmidt(swap_source()[1], gain, ProcessType.TYPE_II)
+        nrm = norms(sq)
+        eta2 = 0.1 * 0.1
+        eigen = det_truncation_bound_eigen(covariance_eigenvalues(sq), eta2, order).value
+        hs = det_truncation_bound_hs(
+            nrm.largest_abs_eigenvalue, nrm.hs_norm**2, eta2, order
+        ).value
+        assert row["det_trunc_eigen"] == f"{eigen:.17g}"
+        assert row["det_trunc_hs"] == f"{hs:.17g}"
+        p_exact = swap_reference(gain, loss_first=False)
+        assert abs(float(row["p_vac"]) - p_exact) / p_exact <= eigen
+
+    def test_out_of_domain_loss_factor_writes_nothing(self, tmp_path):
+        from biphoton_sim import OutOfDomainError
+
+        cfg = swap_config(1.0, True, 1)
+        with pytest.raises(OutOfDomainError):
+            run_scenario(cfg)
+        cfg["output"] = {"csv_path": str(tmp_path / "out.csv")}
+        cfg_path = tmp_path / "swap.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", str(cfg_path)]) == 3
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_source_level_transmittivity_above_one(self, tmp_path, capsys):
+        cfg = base_config(detection={"method": "poisson"})
+        cfg["pipeline"] = [{"type": "loss", "eta": {"0": 1.2}}]
+        cfg_path = tmp_path / "gain.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", str(cfg_path)]) == 2
+        assert "pipeline[0].eta" in capsys.readouterr().err
 
 
 class TestFigures:

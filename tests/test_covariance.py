@@ -227,22 +227,3 @@ class TestNorms:
         assert dense.largest_abs_eigenvalue == pytest.approx(
             closed.largest_abs_eigenvalue, abs=1e-10
         )
-
-
-class TestBlockDump:
-    def test_dump_blocks_csv(self, rng, tmp_path):
-        from biphoton_sim import dump_blocks_csv
-
-        gamma, _, _ = random_covariance(rng, n=6, n_modes=2)
-        path = tmp_path / "blocks.csv"
-        dump_blocks_csv(gamma, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "block_row,block_col,i,j,re,im"
-        assert len(lines) > 1
-        # spot check one entry against the assembled dense matrix
-        bi, bj, i, j, re, im = lines[1].split(",")
-        dense = gamma.mat.to_dense()
-        n = gamma.dofs[0].grid.n
-        row = int(bi) * n + int(i)
-        col = int(bj) * n + int(j)
-        assert dense[row, col] == pytest.approx(float(re) + 1j * float(im))

@@ -35,11 +35,12 @@ from biphoton_sim import (
     vacuum_probability,
 )
 from biphoton_sim.bounds import OutOfDomainError
-from biphoton_sim.detection import (
+from biphoton_sim.detection import save_pnd_csv
+from biphoton_sim.oracle import (
+    dense_log_det,
     detector_parts_from_covariance,
-    save_pnd_csv,
+    tmsv_statistics,
 )
-from biphoton_sim.oracle import dense_log_det, tmsv_statistics
 from conftest import random_covariance
 
 
