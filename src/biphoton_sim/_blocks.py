@@ -117,14 +117,6 @@ def block_to_dense(a: Block, nrow: int, ncol: int) -> np.ndarray:
     return a.astype(complex, copy=False)
 
 
-def block_matvec(a: Block, v: np.ndarray, nrow: int) -> np.ndarray:
-    if a is None:
-        return np.zeros(nrow, dtype=complex)
-    if _ndim(a) <= 1:
-        return a * v
-    return a @ v
-
-
 @dataclass(frozen=True)
 class BlockMatrix:
     """A grid of blocks with per-row and per-column grid sizes."""
@@ -222,20 +214,6 @@ class BlockMatrix:
                 c0 += nc
             r0 += nr
         return out
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        if v.shape[0] != sum(self.col_sizes):
-            raise ValueError("vector length does not match block columns")
-        segs = np.split(v, np.cumsum(self.col_sizes)[:-1])
-        out = []
-        for i, nr in enumerate(self.row_sizes):
-            acc = np.zeros(nr, dtype=complex)
-            for j, seg in enumerate(segs):
-                b = self.blocks[i][j]
-                if b is not None:
-                    acc = acc + block_matvec(b, seg, nr)
-            out.append(acc)
-        return np.concatenate(out)
 
     def hermiticity_defect(self) -> float:
         """Largest elementwise deviation from self-adjointness."""

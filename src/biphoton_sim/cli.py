@@ -28,14 +28,15 @@ from . import detection as det
 from . import spectral, transforms
 from ._blocks import BlockMatrix
 from .covariance import (
-    Dof,
     ProcessType,
     SqueezingSpectrum,
-    build_covariance_exact,
+    covariance_core,
     covariance_eigenvalues,
+    covariance_factor,
     gain_for_mean_pairs,
     mean_pairs,
     norms,
+    source_dofs,
 )
 from .spectral import GaussianJsaModel
 
@@ -115,13 +116,6 @@ def _build_source(cfg: dict):
 
 _SOURCE_METHODS = ("poisson", "hermite", "linear", "quadratic")
 _METHODS = ("exact", "log_series") + _SOURCE_METHODS
-
-
-def _source_dofs(schmidt, process: ProcessType) -> tuple:
-    """The source modes, named and ordered as in its covariance."""
-    if process is ProcessType.TYPE_0I:
-        return (Dof("mode", schmidt.grid_signal),)
-    return (Dof("signal", schmidt.grid_signal), Dof("idler", schmidt.grid_idler))
 
 
 def _pipeline_transform(cfg, m_total: int, grid) -> transforms.SymplecticTransform:
@@ -304,7 +298,7 @@ def _source_step(config, jsa, schmidt, process, method, detection_cfg, cutoffs):
     """Source-level methods: per-mode transmittivities of a loss-only pipeline."""
     if any(not isinstance(e, dict) or e.get("type") != "loss" for e in config.get("pipeline", [])):
         raise ConfigError("pipeline: source-level methods support loss-only pipelines")
-    n_dofs = len(_source_dofs(schmidt, process))
+    n_dofs = len(source_dofs(schmidt, process))
     diagonal = _pipeline_transform(config, n_dofs, jsa.grid_signal).mat.blocks
     etas = [float(diagonal[i][i]) for i in range(n_dofs)]
     if method == "quadratic" and len(set(etas)) > 1:
@@ -346,40 +340,52 @@ def _source_step(config, jsa, schmidt, process, method, detection_cfg, cutoffs):
 
 
 def _log_series_step(config, jsa, schmidt, process, detection_cfg, cutoffs):
-    """Log-series detection over an arbitrary pipeline.
+    """Log-series detection over an arbitrary pipeline, on the Schmidt basis.
 
     The pipeline is composed and compressed once, and so is the detected
-    gram s^dag P s; each point multiplies the gram by its covariance.  The
-    gram's largest eigenvalue is the loss factor of both determinant
-    bounds: by Ostrowski's congruence theorem every eigenvalue of
-    s^dag P s Gamma is theta_k lambda_k(Gamma) with
-    0 <= theta_k <= lambda_max(s^dag P s), however the pipeline mixes modes.
+    gram G = s^dag P s.  With the covariance factored as V M V^dag (V fixed,
+    the r x r core M gain-dependent), Tr[(G Gamma)^n] = Tr[(M V^dag G V)^n],
+    so each point works on r x r matrices only.  The gram's largest
+    eigenvalue is the loss factor of both determinant bounds: by Ostrowski's
+    congruence theorem every eigenvalue of s^dag P s Gamma is
+    theta_k lambda_k(Gamma) with 0 <= theta_k <= lambda_max(s^dag P s),
+    however the pipeline mixes modes.
     """
-    source_dofs = _source_dofs(schmidt, process)
-    n_source = len(source_dofs)
+    in_dofs = source_dofs(schmidt, process)
+    n_source = len(in_dofs)
     mode_names = config.get("modes")
     if mode_names is None:
-        mode_names = [d.name for d in source_dofs]
+        mode_names = [d.name for d in in_dofs]
     if len(mode_names) < n_source:
         raise ConfigError("modes: must include at least the source modes")
     m_total = len(mode_names)
     reduced = transforms.compress(
         _pipeline_transform(config, m_total, jsa.grid_signal), n_source
     )
-    out_dofs = transforms.output_dofs(reduced, source_dofs, names=mode_names)
+    out_dofs = transforms.output_dofs(reduced, in_dofs, names=mode_names)
     windows = _detection_windows(detection_cfg, m_total)
-    gram = transforms.detected_gram(reduced, windows, out_dofs)
-    eta2 = float(np.linalg.eigvalsh(gram.to_dense())[-1])
+    gram = transforms.detected_gram(reduced, windows, out_dofs).to_dense()
+    eta2 = float(np.linalg.eigvalsh(gram)[-1])
+    basis = covariance_factor(schmidt, process)
+    h_total = basis.conj().T @ gram @ basis
     order = int(detection_cfg.get("series_order", 8))
     detectors_cfg = detection_cfg.get("detectors")
     if detectors_cfg is None:
         detectors = list(range(min(2, m_total))) + [None] * max(0, m_total - 2)
     else:
         detectors = [None if d is None else int(d) for d in detectors_cfg]
+    h_parts = []
+    if cutoffs:
+        if len(detectors) != m_total:
+            raise ValueError("one detector assignment per output DOF required")
+        for d in range(max(d for d in detectors if d is not None) + 1):
+            own = tuple(w if k == d else None for w, k in zip(windows.windows, detectors))
+            g_d = transforms.detected_gram(reduced, transforms.DetectionProjection(own), out_dofs)
+            h_parts.append(basis.conj().T @ g_d.to_dense() @ basis)
 
     def step(gain, sq, with_pnd):
-        gamma = build_covariance_exact(schmidt, gain, process)
-        p_vac = det.vacuum_probability(gram @ gamma.mat, "log_series", order=order)
+        core = covariance_core(sq)
+        p_vac = det.vacuum_probability(core @ h_total, "log_series", order=order)
         nrm = norms(sq)
         bounds = {
             "det_trunc_eigen": bounds_mod.det_truncation_bound_eigen(
@@ -391,7 +397,7 @@ def _log_series_step(config, jsa, schmidt, process, detection_cfg, cutoffs):
         }
         pnd = None
         if with_pnd and cutoffs:
-            parts = det.detector_parts_compressed(reduced, windows, gamma, detectors, out_dofs)
+            parts = [core @ h for h in h_parts]
             pnd = det.pnd(det.log_series_gf(parts, order), cutoffs)
         return p_vac, bounds, pnd
 

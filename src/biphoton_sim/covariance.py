@@ -29,6 +29,9 @@ __all__ = [
     "CovarianceNorms",
     "build_generator",
     "build_covariance_exact",
+    "covariance_factor",
+    "covariance_core",
+    "source_dofs",
     "covariance_series",
     "covariance_eigenvalues",
     "mean_photon_number",
@@ -161,6 +164,14 @@ def _grid_sizes(dofs) -> tuple:
     return tuple(d.grid.n for d in dofs) * 2
 
 
+def source_dofs(source, process: ProcessType) -> tuple:
+    """The source modes of a JSA or Schmidt spectrum, named and ordered as in
+    its generator and covariance."""
+    if process is ProcessType.TYPE_0I:
+        return (Dof("mode", source.grid_signal),)
+    return (Dof("signal", source.grid_signal), Dof("idler", source.grid_idler))
+
+
 def build_generator(
     jsa: DiscretizedJsa, gain: float, process: ProcessType
 ) -> GeneratorZ:
@@ -173,20 +184,17 @@ def build_generator(
             raise ValueError("type-0/I requires identical signal and idler grids")
         if np.max(np.abs(psi - psi.T)) > 1e-8:
             raise ValueError("type-0/I requires a symmetric JSA")
-        dofs = (Dof("mode", jsa.grid_signal),)
-        sizes = _grid_sizes(dofs)
-        if gain == 0:
-            return GeneratorZ(BlockMatrix.zeros(sizes), dofs, gain, process)
+    dofs = source_dofs(jsa, process)
+    sizes = _grid_sizes(dofs)
+    if gain == 0:
+        return GeneratorZ(BlockMatrix.zeros(sizes), dofs, gain, process)
+    if process is ProcessType.TYPE_0I:
         blocks = (
             (None, gain * psi),
             (gain * psi.conj().T, None),
         )
         return GeneratorZ(BlockMatrix(blocks, sizes, sizes), dofs, gain, process)
 
-    dofs = (Dof("signal", jsa.grid_signal), Dof("idler", jsa.grid_idler))
-    sizes = _grid_sizes(dofs)
-    if gain == 0:
-        return GeneratorZ(BlockMatrix.zeros(sizes), dofs, gain, process)
     half = gain / 2.0
     blocks = (
         (None, None, None, half * psi),
@@ -197,6 +205,15 @@ def build_generator(
     return GeneratorZ(BlockMatrix(blocks, sizes, sizes), dofs, gain, process)
 
 
+def _weighted_modes(spectrum: SchmidtSpectrum) -> tuple:
+    """Signal and idler Schmidt modes in the weight-symmetrized representation."""
+    if not spectrum.has_modes:
+        raise ValueError("exact covariance assembly needs Schmidt modes")
+    u = spectrum.modes_signal * np.sqrt(spectrum.grid_signal.weights)[:, None]
+    v = spectrum.modes_idler * np.sqrt(spectrum.grid_idler.weights)[:, None]
+    return u, v
+
+
 def build_covariance_exact(
     spectrum: SchmidtSpectrum, gain: float, process: ProcessType
 ) -> RenormalizedCovariance:
@@ -205,12 +222,8 @@ def build_covariance_exact(
     Uses the per-mode hyperbolic form of exp(2 Z); requires the spectrum to
     carry discretized modes.
     """
-    if not spectrum.has_modes:
-        raise ValueError("exact covariance assembly needs Schmidt modes")
-    sq = SqueezingSpectrum.from_schmidt(spectrum, gain, process)
-    sig = sq.sigmas
-    u = spectrum.modes_signal * np.sqrt(spectrum.grid_signal.weights)[:, None]
-    v = spectrum.modes_idler * np.sqrt(spectrum.grid_idler.weights)[:, None]
+    u, v = _weighted_modes(spectrum)
+    sig = SqueezingSpectrum.from_schmidt(spectrum, gain, process).sigmas
     c = (np.cosh(sig) - 1.0) / 2.0
     s = np.sinh(sig) / 2.0
 
@@ -219,17 +232,15 @@ def build_covariance_exact(
             return None
         return (left * diag) @ right.conj().T
 
+    dofs = source_dofs(spectrum, process)
+    sizes = _grid_sizes(dofs)
     if process is ProcessType.TYPE_0I:
-        dofs = (Dof("mode", spectrum.grid_signal),)
-        sizes = _grid_sizes(dofs)
         blocks = (
             (sandwich(u, c, u), sandwich(u, s, v)),
             (sandwich(v, s, u), sandwich(v, c, v)),
         )
         return RenormalizedCovariance(BlockMatrix(blocks, sizes, sizes), dofs)
 
-    dofs = (Dof("signal", spectrum.grid_signal), Dof("idler", spectrum.grid_idler))
-    sizes = _grid_sizes(dofs)
     uc, vc = u.conj(), v.conj()
     blocks = (
         (sandwich(u, c, u), None, None, sandwich(u, s, v)),
@@ -238,6 +249,36 @@ def build_covariance_exact(
         (sandwich(v, s, u), None, None, sandwich(v, c, v)),
     )
     return RenormalizedCovariance(BlockMatrix(blocks, sizes, sizes), dofs)
+
+
+def covariance_factor(spectrum: SchmidtSpectrum, process: ProcessType) -> np.ndarray:
+    """Gain-independent N x r basis V with orthonormal columns such that the
+    covariance of `build_covariance_exact` is V M V^dag, M = covariance_core.
+
+    The columns are the weighted u, v (type-0/I) or u, v, conj(v), conj(u)
+    (type-II) Schmidt modes, each in the block rows where the covariance
+    holds it, so r is 2 or 4 times the number of Schmidt modes.
+    """
+    u, v = _weighted_modes(spectrum)
+    if process is ProcessType.TYPE_0I:
+        placed = ((0, u), (1, v))
+    else:
+        placed = ((0, u), (3, v), (1, v.conj()), (2, u.conj()))
+    offsets = np.cumsum((0,) + _grid_sizes(source_dofs(spectrum, process)))
+    k = u.shape[1]
+    basis = np.zeros((offsets[-1], k * len(placed)), dtype=complex)
+    for j, (row, modes) in enumerate(placed):
+        basis[offsets[row]:offsets[row + 1], j * k:(j + 1) * k] = modes
+    return basis
+
+
+def covariance_core(sq: SqueezingSpectrum) -> np.ndarray:
+    """The r x r core M of `covariance_factor`: [[C, S], [S, C]] per pair of
+    column groups, C = diag(cosh sigma - 1)/2 and S = diag(sinh sigma)/2."""
+    c = np.diag((np.cosh(sq.sigmas) - 1.0) / 2.0)
+    s = np.diag(np.sinh(sq.sigmas) / 2.0)
+    pairs = 2 if sq.process is ProcessType.TYPE_II else 1
+    return np.kron(np.eye(pairs), np.block([[c, s], [s, c]]))
 
 
 def covariance_series(z: GeneratorZ, order: int) -> RenormalizedCovariance:

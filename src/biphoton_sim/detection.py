@@ -20,21 +20,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve
 
 from ._blocks import BlockMatrix
 from .bounds import OutOfDomainError
 from .covariance import ProcessType, RenormalizedCovariance, SqueezingSpectrum
 from .spectral import DiscretizedJsa, SchmidtSpectrum
-from .transforms import (
-    DetectionProjection,
-    LossProfile,
-    SymplecticTransform,
-    _window_mask,
-    fourier,
-    output_dofs,
-    projection_masks,
-)
+from .transforms import DetectionProjection, LossProfile, _window_mask, fourier
 
 __all__ = [
     "SpectralRadiusWarning",
@@ -52,7 +43,6 @@ __all__ = [
     "hermite_g2",
     "log_det_series",
     "log_series_gf",
-    "detector_parts_compressed",
     "poisson_params",
     "pnd",
     "vacuum_probability",
@@ -248,23 +238,25 @@ def hermite_g2(mu: float, eps2: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _operand_matrix(operand) -> BlockMatrix:
+def _operand_matrix(operand) -> np.ndarray:
     if isinstance(operand, RenormalizedCovariance):
-        return operand.mat
+        operand = operand.mat
     if isinstance(operand, BlockMatrix):
+        return operand.to_dense()
+    if isinstance(operand, np.ndarray) and operand.ndim == 2:
         return operand
-    raise TypeError("operand must be a BlockMatrix or RenormalizedCovariance")
+    raise TypeError("operand must be a matrix, BlockMatrix or RenormalizedCovariance")
 
 
-def _radius_estimate(mat: BlockMatrix, steps: int = 20) -> float:
+def _radius_estimate(mat: np.ndarray, steps: int = 20) -> float:
     """Cheap spectral-radius estimate by fixed-seed power iteration."""
-    n = sum(mat.col_sizes)
+    n = mat.shape[1]
     rng = np.random.default_rng(1234)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     rho = 0.0
     for _ in range(steps):
-        w = mat.matvec(v)
+        w = mat @ v
         nrm = np.linalg.norm(w)
         if nrm == 0:
             return 0.0
@@ -294,7 +286,7 @@ def log_det_series(operand, order: int, check_radius: bool = True) -> float:
     for n in range(1, order + 1):
         if n > 1:
             power = power @ mat
-        total += (-1.0) ** (n + 1) * np.real(power.trace()) / n
+        total += (-1.0) ** (n + 1) * np.real(np.trace(power)) / n
     return float(total)
 
 
@@ -304,6 +296,8 @@ def log_det_series(operand, order: int, check_radius: bool = True) -> float:
 
 
 def _poly_mul(a: np.ndarray, b: np.ndarray, shape) -> np.ndarray:
+    from scipy.signal import convolve  # slow to import; only PND runs need it
+
     full = convolve(a, b, method="direct")
     clipped = full[tuple(slice(0, s) for s in shape)]
     if clipped.shape == tuple(shape):
@@ -509,35 +503,8 @@ def pnd(gf, n_max) -> PhotonStatistics:
 
 
 # ---------------------------------------------------------------------------
-# trace-moment polynomials for block operands
+# trace-moment polynomials
 # ---------------------------------------------------------------------------
-
-
-def detector_parts_compressed(
-    s: SymplecticTransform,
-    p: DetectionProjection,
-    gamma: RenormalizedCovariance,
-    detectors,
-    out_dofs=None,
-) -> list[np.ndarray]:
-    """Dense per-detector pieces of the compressed operand s^dag W P s Gamma."""
-    dofs = out_dofs if out_dofs is not None else output_dofs(s, gamma.dofs)
-    if len(detectors) != len(dofs):
-        raise ValueError("one detector assignment per output DOF required")
-    masks = projection_masks(p, dofs)
-    s_dense = s.mat.to_dense()
-    g_dense = gamma.mat.to_dense()
-    sizes = s.mat.row_sizes
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    n_det = max(d for d in detectors if d is not None) + 1
-    parts = []
-    for d in range(n_det):
-        mask = np.zeros(s_dense.shape[0])
-        for blk_row in range(len(sizes)):
-            if detectors[blk_row % len(dofs)] == d:
-                mask[offsets[blk_row] : offsets[blk_row + 1]] = masks[blk_row % len(dofs)]
-        parts.append(s_dense.conj().T @ (mask[:, None] * s_dense) @ g_dense)
-    return parts
 
 
 def log_series_gf(parts, order: int) -> LogSeriesGf:
@@ -708,7 +675,8 @@ def vacuum_probability(params, method: str, order: int | None = None) -> float:
     """Vacuum (no-click) probability for the chosen approximation.
 
     method: 'exact' (SqueezingSpectrum or ExactProductGf), 'log_series'
-    (RenormalizedCovariance or BlockMatrix operand, needs `order`),
+    (LogSeriesGf, or a matrix, BlockMatrix or RenormalizedCovariance operand
+    with `order`),
     'poisson' / 'linear' (PoissonParams), 'hermite' (HermiteParams),
     'quadratic' (QuadraticParams).  The linear value may be negative for
     large mu and is returned raw with a warning.

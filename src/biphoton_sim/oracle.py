@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import GeneratorZ
+from .transforms import output_dofs, projection_masks
 
 __all__ = [
     "DenseState",
@@ -20,6 +21,7 @@ __all__ = [
     "dense_covariance_exp",
     "dense_log_det",
     "dense_projection_eigs",
+    "detector_parts_compressed",
     "detector_parts_from_covariance",
     "tmsv_statistics",
 ]
@@ -121,6 +123,27 @@ def detector_parts_from_covariance(gamma, detectors) -> list:
             if detectors[blk_row % gamma.n_dofs] == d:
                 mask[offsets[blk_row] : offsets[blk_row + 1]] = 1.0
         parts.append(mask[:, None] * dense)
+    return parts
+
+
+def detector_parts_compressed(s, p, gamma, detectors, out_dofs=None) -> list:
+    """Dense per-detector pieces of the compressed operand s^dag W P s Gamma."""
+    dofs = out_dofs if out_dofs is not None else output_dofs(s, gamma.dofs)
+    if len(detectors) != len(dofs):
+        raise ValueError("one detector assignment per output DOF required")
+    masks = projection_masks(p, dofs)
+    s_dense = s.mat.to_dense()
+    g_dense = gamma.mat.to_dense()
+    sizes = s.mat.row_sizes
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    n_det = max(d for d in detectors if d is not None) + 1
+    parts = []
+    for d in range(n_det):
+        mask = np.zeros(s_dense.shape[0])
+        for blk_row in range(len(sizes)):
+            if detectors[blk_row % len(dofs)] == d:
+                mask[offsets[blk_row] : offsets[blk_row + 1]] = masks[blk_row % len(dofs)]
+        parts.append(s_dense.conj().T @ (mask[:, None] * s_dense) @ g_dense)
     return parts
 
 

@@ -97,6 +97,26 @@ class TestExactCovariance:
             assert np.real(gamma.mat.trace()) >= 0
 
 
+class TestFactor:
+    @pytest.mark.parametrize(
+        "process, per_mode", [(ProcessType.TYPE_II, 4), (ProcessType.TYPE_0I, 2)]
+    )
+    def test_factor_reproduces_exact_covariance(self, rng, process, per_mode):
+        from biphoton_sim.covariance import covariance_core, covariance_factor
+
+        schmidt = random_schmidt(rng, n_modes=3)
+        basis = covariance_factor(schmidt, process)
+        r = basis.shape[1]
+        assert r == per_mode * 3
+        assert np.max(np.abs(basis.conj().T @ basis - np.eye(r))) < 1e-13
+        for gain in (0.0, 0.35, 0.9):
+            sq = SqueezingSpectrum.from_schmidt(schmidt, gain, process)
+            core = covariance_core(sq)
+            assert core.shape == (r, r)
+            exact = build_covariance_exact(schmidt, gain, process).mat.to_dense()
+            assert np.max(np.abs(basis @ core @ basis.conj().T - exact)) < 1e-14
+
+
 class TestSeries:
     def test_order_one_is_generator(self):
         jsa = small_jsa()

@@ -467,7 +467,7 @@ class TestPnd:
         # a beam splitter whose second port is discarded acts as a loss
         # channel with intensity transmission T^2 on the detected arm
         from biphoton_sim import beam_splitter, compose_all, compress
-        from biphoton_sim.detection import detector_parts_compressed
+        from biphoton_sim.oracle import detector_parts_compressed
         from biphoton_sim.transforms import output_dofs
 
         gamma, spectrum, _ = random_covariance(
@@ -514,6 +514,148 @@ class TestPnd:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "n1,n2,probability"
         assert len(rows) == 10
+
+
+# ---------------------------------------------------------------------------
+# small-side (Schmidt-basis) engine against the dense N x N oracle
+# ---------------------------------------------------------------------------
+
+
+def _engine_config(process, pipeline, detectors):
+    """A small Gaussian-source scenario, pipeline-free or with a beam splitter
+    into a vacuum ancilla, phase and delay, Fourier, loss and a time window."""
+    names = ["signal", "idler"] if process == "type2" else ["mode"]
+    steps, windows = [], [None] * len(names)
+    if pipeline:
+        anc = len(names)
+        names = names + ["anc"]
+        steps = [
+            {"type": "beam_splitter", "dofs": [0, anc], "transmittance": 0.8},
+            {"type": "phase", "dof": 0, "phi0_rad": 0.3, "tau_s": 1.1, "beta_l_s2": 0.05},
+            {"type": "fourier", "dof": 0},
+            {"type": "loss", "eta": {"0": 0.9, str(anc): 0.85}},
+        ]
+        windows = [[-2.5, 3.0]] + windows[1:] + ["empty" if detectors[anc] is None else None]
+    return {
+        "source": {
+            "process": process,
+            "mu": 0.01,
+            "jsa": {"gaussian": {"delta_plus_rad_s": 1.0, "delta_minus_rad_s": 3.0}},
+        },
+        "grid": {"extent_sigmas": 5.2, "points_per_width": 1.0},
+        "modes": names,
+        "pipeline": steps,
+        "detection": {
+            "method": "log_series",
+            "series_order": 20,
+            "domain": "time",
+            "windows": windows,
+            "detectors": detectors,
+            "pnd_cutoffs": [2] * (max(d for d in detectors if d is not None) + 1),
+        },
+        "sweep": {"parameter": "source.mu", "values": [0.01, 0.02]},
+    }
+
+
+def _dense_reference_transform(config, gamma):
+    """The scenario's compressed pipeline, built step by step with the public
+    transform API, and its output dofs and windows."""
+    from biphoton_sim import (
+        SymplecticTransform,
+        beam_splitter,
+        compose_all,
+        compress,
+        fourier,
+        phase_shift,
+    )
+    from biphoton_sim._blocks import BlockMatrix
+    from biphoton_sim.transforms import output_dofs
+
+    names = config["modes"]
+    m = len(names)
+    grid = gamma.dofs[0].grid
+    sizes = (grid.n,) * m
+    grids = {i: grid for i in range(m)}
+    steps = [SymplecticTransform(BlockMatrix.identity(sizes * 2), m, m)]
+    for e in config["pipeline"]:
+        if e["type"] == "beam_splitter":
+            t = e["transmittance"]
+            steps.append(beam_splitter(t, math.sqrt(1 - t * t), tuple(e["dofs"]), m, n=grid.n))
+        elif e["type"] == "phase":
+            dof = e["dof"]
+            steps.append(
+                phase_shift(e["phi0_rad"], e["tau_s"], e["beta_l_s2"], grids[dof], dof, m,
+                            sizes=sizes)
+            )
+        elif e["type"] == "fourier":
+            step, grids[e["dof"]] = fourier(grids[e["dof"]], e["dof"], m, sizes=sizes)
+            steps.append(step)
+        else:
+            diag = [1.0] * (2 * m)
+            for key, eta in e["eta"].items():
+                diag[int(key)] = diag[m + int(key)] = eta
+            steps.append(SymplecticTransform(BlockMatrix.diagonal(diag, sizes * 2), m, m))
+    s = compress(compose_all(steps), gamma.n_dofs)
+    dofs = output_dofs(s, gamma.dofs, names=names)
+    domain = config["detection"]["domain"]
+    windows = DetectionProjection(
+        tuple(
+            None if w == "empty"
+            else DetectionWindow.unbounded(domain) if w is None
+            else DetectionWindow(w[0], w[1], domain)
+            for w in config["detection"]["windows"]
+        )
+    )
+    return s, dofs, windows
+
+
+class TestSmallSideEngine:
+    """`run` evaluates log_series on the r x r Schmidt-basis operand; it must
+    agree with the dense N x N operand s^dag P s Gamma: p_vac within rtol
+    1e-12 of the dense log-determinant, PND tables within rtol 1e-12 and
+    atol 1e-15 of the dense moment recursion."""
+
+    @pytest.mark.parametrize(
+        "process, pipeline, detectors",
+        [
+            ("type2", False, [0, 1]),
+            ("type2", False, [0, 0]),
+            ("type2", True, [0, 1, None]),
+            ("type2", True, [0, None, 0]),
+            ("type0i", False, [0]),
+            ("type0i", True, [0, None]),
+            ("type0i", True, [0, 1]),
+        ],
+    )
+    def test_matches_dense_oracle(self, process, pipeline, detectors):
+        from biphoton_sim import (
+            build_covariance_exact,
+            compressed_determinant_operand,
+            schmidt_decompose,
+        )
+        from biphoton_sim.cli import run_scenario
+        from biphoton_sim.oracle import detector_parts_compressed
+
+        config = _engine_config(process, pipeline, detectors)
+        result = run_scenario(config)
+        model = GaussianJsaModel(1.0, 3.0)
+        jsa = build_gaussian_jsa(
+            model, *default_grids(model, extent_sigmas=5.2, points_per_width=1.0)
+        )
+        schmidt = schmidt_decompose(jsa)
+        kind = ProcessType(process)
+        order = config["detection"]["series_order"]
+        for k, point in enumerate(result["raw"]):
+            gamma = build_covariance_exact(schmidt, point["gain"], kind)
+            s, dofs, windows = _dense_reference_transform(config, gamma)
+            operand = compressed_determinant_operand(s, windows, gamma, dofs).to_dense()
+            p_dense = math.exp(-0.5 * dense_log_det(operand))
+            assert point["p_vac"] == pytest.approx(p_dense, rel=1e-12, abs=0)
+            if k == 0:
+                parts = detector_parts_compressed(s, windows, gamma, detectors, dofs)
+                ref = pnd(log_series_gf(parts, order), config["detection"]["pnd_cutoffs"])
+                got = point["pnd"].probabilities
+                assert np.allclose(got, ref.probabilities, rtol=1e-12, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
