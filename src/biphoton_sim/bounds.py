@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .covariance import ProcessType
 
@@ -61,6 +61,20 @@ def truncated_cosh_sinh(x: float, order: int) -> tuple[float, float]:
     return float(c), float(s)
 
 
+def _logsumexp(xs) -> float:
+    """log(sum(exp(xs))) by the arithmetic of scipy.special.logsumexp on real
+    input: the maximal entries are split out of the sum, then added back."""
+    a = np.asarray(xs, dtype=float)
+    a_max = a.max()
+    if not math.isfinite(a_max):
+        # all -inf gives -inf; a +inf or NaN entry propagates
+        return float(a_max)
+    top = a == a_max
+    m = np.count_nonzero(top)
+    s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max)) / m
+    return float(np.log1p(s) + np.log(float(m)) + a_max)
+
+
 def _log_exp_tail(x: float, order: int, odd: bool) -> float:
     """log of sum_{n > order, n odd/even} x^n / n!, computed term by term."""
     if x <= 0:
@@ -83,7 +97,7 @@ def _log_exp_tail(x: float, order: int, odd: bool) -> float:
         n += 2
         if n > n0 + 100000:  # pragma: no cover - defensive cap
             break
-    return float(logsumexp(logs))
+    return _logsumexp(logs)
 
 
 def _log_sinh(x: float) -> float:
@@ -107,8 +121,8 @@ def covariance_truncation_bound(sigmas, order: int) -> BoundReport:
     if order < 0:
         raise ValueError("order must be non-negative")
     odd_tail = order % 2 == 0
-    log_num = logsumexp([_log_exp_tail(s, order, odd=odd_tail) for s in sig])
-    log_den = logsumexp([_log_sinh(s) for s in sig])
+    log_num = _logsumexp([_log_exp_tail(s, order, odd=odd_tail) for s in sig])
+    log_den = _logsumexp([_log_sinh(s) for s in sig])
     value = float(np.exp(log_num - log_den))
     return BoundReport(
         value,

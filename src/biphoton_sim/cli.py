@@ -658,7 +658,7 @@ def _cmd_figure(args) -> int:
 
 def _cmd_schmidt(args) -> int:
     jsa = spectral.load_jsa_csv(args.jsa_csv)
-    spectrum = spectral.schmidt_decompose(jsa, rank=args.rank)
+    spectrum = spectral.schmidt_decompose(jsa, rank=args.rank, want_modes=False)
     print("j,coefficient,lambda")
     for j, c in enumerate(spectrum.coefficients, start=1):
         print(f"{j},{_fmt(float(c))},{_fmt(float(c) ** 2)}")

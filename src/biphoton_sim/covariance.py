@@ -107,11 +107,17 @@ def gain_for_mean_pairs(
     if lead == 0:
         raise ValueError("cannot reach a positive mu with an all-zero spectrum")
 
+    type0i = process is ProcessType.TYPE_0I
+
     def mu_of(gain: float) -> float:
-        return mean_pairs(SqueezingSpectrum.from_schmidt(schmidt, gain, process))
+        # the arithmetic of mean_pairs(SqueezingSpectrum.from_schmidt(...)),
+        # without building and validating a spectrum at every step
+        sig = (2.0 * gain if type0i else gain) * coef
+        s = np.sum(np.sinh(sig / 2.0) ** 2)
+        return s / 2.0 if type0i else s
 
     # single-mode gain reaching mu; more modes only add pairs
-    if process is ProcessType.TYPE_0I:
+    if type0i:
         hi = math.asinh(math.sqrt(2.0 * mu)) / lead
     else:
         hi = 2.0 * math.asinh(math.sqrt(mu)) / lead

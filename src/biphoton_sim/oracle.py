@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import GeneratorZ
+from .covariance import GeneratorZ, ProcessType, SqueezingSpectrum, mean_pairs
 from .transforms import output_dofs, projection_masks
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "dense_projection_eigs",
     "detector_parts_compressed",
     "detector_parts_from_covariance",
+    "gain_for_mean_pairs_reference",
     "tmsv_statistics",
 ]
 
@@ -145,6 +146,39 @@ def detector_parts_compressed(s, p, gamma, detectors, out_dofs=None) -> list:
                 mask[offsets[blk_row] : offsets[blk_row + 1]] = masks[blk_row % len(dofs)]
         parts.append(s_dense.conj().T @ (mask[:, None] * s_dense) @ g_dense)
     return parts
+
+
+def gain_for_mean_pairs_reference(schmidt, mu: float, process: ProcessType) -> float:
+    """Bisection for the gain that builds a SqueezingSpectrum at every step.
+
+    The reference for covariance.gain_for_mean_pairs, which evaluates the
+    same mean-pair arithmetic on bare arrays and must agree bit for bit.
+    """
+    if mu < 0:
+        raise ValueError("mu must be non-negative")
+    if mu == 0:
+        return 0.0
+    lead = schmidt.coefficients[0]
+    if lead == 0:
+        raise ValueError("cannot reach a positive mu with an all-zero spectrum")
+
+    def mu_of(gain: float) -> float:
+        return mean_pairs(SqueezingSpectrum.from_schmidt(schmidt, gain, process))
+
+    if process is ProcessType.TYPE_0I:
+        hi = math.asinh(math.sqrt(2.0 * mu)) / lead
+    else:
+        hi = 2.0 * math.asinh(math.sqrt(mu)) / lead
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if mu_of(mid) < mu:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def tmsv_statistics(sigma: float, eta: float, n_max: int) -> np.ndarray:

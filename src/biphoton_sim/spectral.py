@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -360,37 +361,59 @@ def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
     return w
 
 
+def _bad_jsa_csv_line(path) -> str | None:
+    """Describe the first data line of a JSA CSV that is not four numbers."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno == 1 or not line.strip():
+                continue
+            fields = line.split(",")
+            if len(fields) != 4:
+                return f"line {lineno} has {len(fields)} fields, expected 4"
+            try:
+                for f in fields:
+                    float(f)
+            except ValueError:
+                return f"line {lineno} is not four numbers: {line.strip()!r}"
+    return None
+
+
 def load_jsa_csv(path) -> DiscretizedJsa:
     """Read a JSA written by `save_jsa_csv`; the grid is inferred.
 
     The sample set must form a complete rectangle over the unique sorted
-    signal and idler frequencies.
+    signal and idler frequencies.  Malformed files raise ValueError naming
+    the path and, for a bad row, its line.
     """
-    ws, wi, re, im = [], [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header] != ["omega_s", "omega_i", "re_psi", "im_psi"]:
-            raise ValueError("unexpected JSA CSV header")
-        for row in reader:
-            if not row:
-                continue
-            ws.append(float(row[0]))
-            wi.append(float(row[1]))
-            re.append(float(row[2]))
-            im.append(float(row[3]))
-    ws = np.asarray(ws)
-    wi = np.asarray(wi)
+    with open(path) as fh:
+        header = fh.readline()
+        if not header:
+            raise ValueError(f"{path}: empty JSA CSV")
+        names = [h.strip() for h in header.split(",")]
+        if names != ["omega_s", "omega_i", "re_psi", "im_psi"]:
+            raise ValueError(f"{path}: unexpected JSA CSV header")
+        with warnings.catch_warnings():
+            # a header-only file is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {_bad_jsa_csv_line(path) or exc}") from None
+    if data.shape[0] == 0:
+        raise ValueError(f"{path}: JSA CSV has a header but no samples")
+    if data.shape[1] != 4:
+        raise ValueError(f"{path}: {_bad_jsa_csv_line(path)}")
+    ws, wi = data[:, 0], data[:, 1]
     pts_s = np.unique(ws)
     pts_i = np.unique(wi)
     if ws.size != pts_s.size * pts_i.size:
-        raise ValueError("JSA CSV is not a complete rectangular grid")
+        raise ValueError(f"{path}: JSA CSV is not a complete rectangular grid")
     vals = np.full((pts_s.size, pts_i.size), np.nan + 0j)
     idx_s = np.searchsorted(pts_s, ws)
     idx_i = np.searchsorted(pts_i, wi)
-    vals[idx_s, idx_i] = np.asarray(re) + 1j * np.asarray(im)
+    vals[idx_s, idx_i] = data[:, 2] + 1j * data[:, 3]
     if np.any(np.isnan(vals)):
-        raise ValueError("JSA CSV is not a complete rectangular grid")
+        raise ValueError(f"{path}: JSA CSV is not a complete rectangular grid")
     grid_s = FrequencyGrid(pts_s, _trapezoid_weights(pts_s))
     grid_i = FrequencyGrid(pts_i, _trapezoid_weights(pts_i))
     return DiscretizedJsa(grid_s, grid_i, vals)

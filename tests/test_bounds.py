@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton_sim import (
     OutOfDomainError,
@@ -14,6 +17,7 @@ from biphoton_sim import (
     truncated_cosh_sinh,
     vacuum_range,
 )
+from biphoton_sim.bounds import _logsumexp
 from biphoton_sim.covariance import SqueezingSpectrum
 from biphoton_sim.detection import vacuum_probability
 
@@ -32,6 +36,35 @@ class TestTruncatedCoshSinh:
         c, s = truncated_cosh_sinh(x, 60)
         assert c == pytest.approx(np.cosh(x), rel=1e-15)
         assert s == pytest.approx(np.sinh(x), rel=1e-15)
+
+
+@st.composite
+def _log_terms(draw):
+    """1-40 finite floats in +-1e3 with forced ties and some -inf entries."""
+    xs = draw(
+        st.lists(
+            st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    n_ties = draw(st.integers(0, len(xs) - 1))
+    for i in draw(st.lists(st.integers(0, len(xs) - 1), max_size=n_ties)):
+        xs[i] = max(xs)
+    for i in draw(st.lists(st.integers(0, len(xs) - 1), max_size=len(xs) // 3)):
+        xs[i] = -math.inf
+    return xs
+
+
+class TestLogSumExp:
+    @settings(max_examples=500, deadline=None)
+    @given(_log_terms())
+    def test_equals_scipy_exactly(self, xs):
+        assert _logsumexp(xs) == float(scipy.special.logsumexp(xs))
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_all_minus_inf(self, n):
+        assert _logsumexp([-math.inf] * n) == -math.inf
 
 
 class TestCovarianceTruncationBound:

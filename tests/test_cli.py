@@ -536,3 +536,43 @@ class TestCommandLine:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "j,coefficient,lambda"
         assert float(out[1].split(",")[2]) == pytest.approx(0.75, abs=1e-4)
+
+    def test_schmidt_command_values_only_matches_full_svd(self, tmp_path, capsys):
+        from biphoton_sim import (
+            GaussianJsaModel,
+            build_gaussian_jsa,
+            default_grids,
+            load_jsa_csv,
+            save_jsa_csv,
+            schmidt_decompose,
+            schmidt_number,
+        )
+
+        model = GaussianJsaModel(1.0, 3.0)
+        jsa = build_gaussian_jsa(
+            model, *default_grids(model, extent_sigmas=5.2, points_per_width=3.0)
+        )
+        path = tmp_path / "jsa.csv"
+        save_jsa_csv(jsa, path)
+        full = schmidt_decompose(load_jsa_csv(path))
+        assert full.modes_signal is not None
+        assert main(["schmidt", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        rows = [line.split(",") for line in out[1:] if not line.startswith("#")]
+        assert len(rows) == full.coefficients.size
+        scale = 1e-13 * full.coefficients[0]
+        for (_, c, lam), expected in zip(rows, full.coefficients):
+            assert abs(float(c) - expected) <= scale
+            assert abs(float(lam) - expected**2) <= scale
+        footer = dict(line[2:].split(",") for line in out if line.startswith("#"))
+        assert abs(float(footer["truncation_tail"]) - full.truncation_tail) <= 1e-15
+        assert float(footer["schmidt_number"]) == pytest.approx(
+            schmidt_number(full), rel=1e-13
+        )
+
+    def test_schmidt_command_short_row_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("omega_s,omega_i,re_psi,im_psi\n0,0,1,0\n0,1,1\n")
+        assert main(["schmidt", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "short.csv: line 3 has 3 fields" in err

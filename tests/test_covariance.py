@@ -6,6 +6,7 @@ from biphoton_sim import (
     GaussianJsaModel,
     ProcessType,
     SqueezingSpectrum,
+    analytic_gaussian_schmidt,
     build_covariance_exact,
     build_gaussian_jsa,
     build_generator,
@@ -19,6 +20,7 @@ from biphoton_sim import (
     norms,
     schmidt_decompose,
 )
+from biphoton_sim.oracle import gain_for_mean_pairs_reference
 from conftest import random_covariance, random_schmidt
 
 
@@ -225,6 +227,18 @@ class TestEigenvaluesAndMoments:
                 gain = gain_for_mean_pairs(schmidt, mu, process)
                 sq = SqueezingSpectrum.from_schmidt(schmidt, gain, process)
                 assert mean_pairs(sq) == pytest.approx(mu, rel=1e-12)
+
+    @pytest.mark.parametrize("process", list(ProcessType))
+    @pytest.mark.parametrize("mu", [1e-3, 0.1, 1.0, 5.0])
+    def test_gain_inversion_matches_reference_bitwise(self, process, mu):
+        spectra = [
+            analytic_gaussian_schmidt(r, 400) for r in np.geomspace(1.0, 1e3, 13)
+        ]
+        spectra.append(schmidt_decompose(small_jsa(3.0)))
+        for schmidt in spectra:
+            assert gain_for_mean_pairs(schmidt, mu, process) == (
+                gain_for_mean_pairs_reference(schmidt, mu, process)
+            )
 
 
 class TestNorms:

@@ -208,3 +208,33 @@ class TestCsvRoundTrip:
         )
         with pytest.raises(ValueError, match="rectangular"):
             load_jsa_csv(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty.csv"):
+            load_jsa_csv(path)
+
+    def test_header_only_rejected(self, tmp_path, recwarn):
+        path = tmp_path / "header.csv"
+        path.write_text("omega_s,omega_i,re_psi,im_psi\n")
+        with pytest.raises(ValueError, match="header.csv.*no samples"):
+            load_jsa_csv(path)
+        assert not recwarn.list
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,1,1", "line 3 has 3 fields, expected 4"),
+            ("0,1,1,0,0", "line 3 has 5 fields, expected 4"),
+            ("0,x,1,0", "line 3 is not four numbers"),
+        ],
+    )
+    def test_bad_row_rejected_with_its_line(self, tmp_path, row, message):
+        path = tmp_path / "bad_row.csv"
+        path.write_text(
+            f"omega_s,omega_i,re_psi,im_psi\n0,0,1,0\n{row}\n1,0,1,0\n1,1,1,0\n"
+        )
+        with pytest.raises(ValueError, match=f"bad_row.csv: {message}") as err:
+            load_jsa_csv(path)
+        assert "unpack" not in str(err.value)
