@@ -136,7 +136,7 @@ def _log_series_tail(lam: float, order: int) -> float:
     if lam == 0:
         return 0.0
     if abs(lam) >= 1:
-        raise OutOfDomainError(f"|eta^2 lambda| = {abs(lam)!r} >= 1")
+        raise OutOfDomainError(f"|eta^2 lambda| = {float(abs(lam))!r} >= 1")
     total = 0.0
     term = (-lam) ** order
     n = order + 1
@@ -180,22 +180,13 @@ def det_truncation_bound_hs(
         "lambda1": float(lambda1),
         "hs_norm2": float(hs_norm2),
     }
-    if lambda1 == 0:
-        return BoundReport(0.0, "DET_TRUNC_HS", inputs)
     a = eta2 * lambda1
+    if lambda1 == 0 or a == 0:
+        return BoundReport(0.0, "DET_TRUNC_HS", inputs)
     if a >= 1:
-        raise OutOfDomainError(f"eta^2 |Lambda_1| = {a!r} >= 1")
+        raise OutOfDomainError(f"eta^2 |Lambda_1| = {float(a)!r} >= 1")
     # tail of -ln(1-a): all terms positive, no cancellation
-    tail = 0.0
-    term = a**order
-    n = order + 1
-    while True:
-        term *= a
-        inc = term / n
-        tail += inc
-        if inc < 1e-18 * (tail + 1e-300) or n > 100000:
-            break
-        n += 1
+    tail = -_log_series_tail(-a, order)
     value = float(np.expm1(tail * hs_norm2 / (2.0 * lambda1**2)))
     return BoundReport(value, "DET_TRUNC_HS", inputs)
 

@@ -118,13 +118,14 @@ _SOURCE_METHODS = ("poisson", "hermite", "linear", "quadratic")
 _METHODS = ("exact", "log_series") + _SOURCE_METHODS
 
 
-def _pipeline_transform(cfg, m_total: int, grid) -> transforms.SymplecticTransform:
+def _pipeline_transform(cfg, m_total: int, in_dofs) -> transforms.SymplecticTransform:
     """Compose the pipeline entries, first applied first, into one transform
-    over all modes; the identity when the pipeline is empty."""
-    n = grid.n
-    sizes = (n,) * m_total
+    over all modes; the identity when the pipeline is empty.  Ancilla modes
+    beyond the source modes `in_dofs` take the first source mode's grid."""
+    grids = [in_dofs[i].grid if i < len(in_dofs) else in_dofs[0].grid for i in range(m_total)]
+    sizes = tuple(g.n for g in grids)
     built = []
-    current_grids = {i: grid for i in range(m_total)}
+    current_grids = dict(enumerate(grids))
     for k, entry in enumerate(cfg.get("pipeline", [])):
         path = f"pipeline[{k}]"
         if not isinstance(entry, dict) or "type" not in entry:
@@ -162,14 +163,18 @@ def _pipeline_transform(cfg, m_total: int, grid) -> transforms.SymplecticTransfo
                 raise ConfigError(f"{path}.transmittance: missing")
             t_coef = float(t_coef)
             r_coef = float(entry.get("reflectance", math.sqrt(max(0.0, 1.0 - t_coef**2))))
+            d1, d2 = int(dofs[0]), int(dofs[1])
             try:
                 built.append(
-                    transforms.beam_splitter(
-                        t_coef, r_coef, (int(dofs[0]), int(dofs[1])), m_total, n=n
-                    )
+                    transforms.beam_splitter(t_coef, r_coef, (d1, d2), m_total, sizes=sizes)
                 )
             except ValueError as exc:
                 raise ConfigError(f"{path}: {exc}") from None
+            if sizes[d1] != sizes[d2]:
+                raise ConfigError(
+                    f"{path}.dofs: modes {d1} and {d2} have different grid sizes "
+                    f"({sizes[d1]} and {sizes[d2]})"
+                )
         elif kind == "loss":
             entries = [1.0] * (2 * m_total)
             for key, val in entry.get("eta", {}).items():
@@ -218,11 +223,18 @@ def run_scenario(config: dict) -> dict:
     if method not in _METHODS:
         raise ConfigError(f"detection.method: unknown method '{method}'")
     mus = _sweep_mus(config)
-    cutoffs = [int(c) for c in detection_cfg.get("pnd_cutoffs") or ()]
+    try:
+        cutoffs = [int(c) for c in detection_cfg.get("pnd_cutoffs") or ()]
+        if any(c < 0 for c in cutoffs):
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ConfigError(
+            "detection.pnd_cutoffs: expected a list of non-negative integers"
+        ) from None
     if method == "exact":
-        step = _exact_step(config, schmidt, cutoffs)
+        step = _exact_step(config, schmidt, process, cutoffs)
     elif method == "log_series":
-        step = _log_series_step(config, jsa, schmidt, process, detection_cfg, cutoffs)
+        step = _log_series_step(config, schmidt, process, detection_cfg, cutoffs)
     else:
         step = _source_step(config, jsa, schmidt, process, method, detection_cfg, cutoffs)
 
@@ -277,14 +289,23 @@ def _detection_windows(detection_cfg, n_dofs, path="detection.windows"):
     return transforms.DetectionProjection(tuple(out))
 
 
+def _check_cutoffs(cutoffs, detector_count: int):
+    """PND cutoffs give one entry per detector, or a single entry for all."""
+    if len(cutoffs) not in (0, 1, detector_count):
+        raise ConfigError(
+            f"detection.pnd_cutoffs: expected one cutoff per detector ({detector_count})"
+        )
+
+
 # Each *_step function plans one detection method and returns
 # step(gain, sq, with_pnd), which evaluates one sweep point as
 # (p_vac, bounds, pnd or None).
 
 
-def _exact_step(config, schmidt, cutoffs):
+def _exact_step(config, schmidt, process, cutoffs):
     if config.get("pipeline"):
         raise ConfigError("pipeline: 'exact' supports pipeline-free scenarios")
+    _check_cutoffs(cutoffs, 1 if process is ProcessType.TYPE_0I else 2)
 
     def step(gain, sq, with_pnd):
         pnd = det.pnd(det.ExactProductGf(sq), cutoffs) if with_pnd and cutoffs else None
@@ -298,12 +319,15 @@ def _source_step(config, jsa, schmidt, process, method, detection_cfg, cutoffs):
     """Source-level methods: per-mode transmittivities of a loss-only pipeline."""
     if any(not isinstance(e, dict) or e.get("type") != "loss" for e in config.get("pipeline", [])):
         raise ConfigError("pipeline: source-level methods support loss-only pipelines")
-    n_dofs = len(source_dofs(schmidt, process))
-    diagonal = _pipeline_transform(config, n_dofs, jsa.grid_signal).mat.blocks
+    in_dofs = source_dofs(schmidt, process)
+    n_dofs = len(in_dofs)
+    diagonal = _pipeline_transform(config, n_dofs, in_dofs).mat.blocks
     etas = [float(diagonal[i][i]) for i in range(n_dofs)]
     if method == "quadratic" and len(set(etas)) > 1:
         raise ConfigError("pipeline: the quadratic method needs a uniform loss")
     windows = _detection_windows(detection_cfg, n_dofs)
+    if method in ("poisson", "hermite"):
+        _check_cutoffs(cutoffs, 2)
     loss = transforms.LossProfile(tuple(etas))
     eta_best2 = max(e * e for e in etas)
     k_number = spectral.schmidt_number(schmidt)
@@ -339,7 +363,7 @@ def _source_step(config, jsa, schmidt, process, method, detection_cfg, cutoffs):
     return step
 
 
-def _log_series_step(config, jsa, schmidt, process, detection_cfg, cutoffs):
+def _log_series_step(config, schmidt, process, detection_cfg, cutoffs):
     """Log-series detection over an arbitrary pipeline, on the Schmidt basis.
 
     The pipeline is composed and compressed once, and so is the detected
@@ -360,7 +384,7 @@ def _log_series_step(config, jsa, schmidt, process, detection_cfg, cutoffs):
         raise ConfigError("modes: must include at least the source modes")
     m_total = len(mode_names)
     reduced = transforms.compress(
-        _pipeline_transform(config, m_total, jsa.grid_signal), n_source
+        _pipeline_transform(config, m_total, in_dofs), n_source
     )
     out_dofs = transforms.output_dofs(reduced, in_dofs, names=mode_names)
     windows = _detection_windows(detection_cfg, m_total)
@@ -369,16 +393,20 @@ def _log_series_step(config, jsa, schmidt, process, detection_cfg, cutoffs):
     basis = covariance_factor(schmidt, process)
     h_total = basis.conj().T @ gram @ basis
     order = int(detection_cfg.get("series_order", 8))
-    detectors_cfg = detection_cfg.get("detectors")
-    if detectors_cfg is None:
+    detectors = detection_cfg.get("detectors")
+    if detectors is None:
         detectors = list(range(min(2, m_total))) + [None] * max(0, m_total - 2)
-    else:
-        detectors = [None if d is None else int(d) for d in detectors_cfg]
     h_parts = []
     if cutoffs:
-        if len(detectors) != m_total:
-            raise ValueError("one detector assignment per output DOF required")
-        for d in range(max(d for d in detectors if d is not None) + 1):
+        one_per_mode = isinstance(detectors, list) and len(detectors) == m_total
+        indices = [d for d in detectors if d is not None] if one_per_mode else []
+        if not indices or not all(isinstance(d, int) and d >= 0 for d in indices):
+            raise ConfigError(
+                f"detection.detectors: expected one detector index or null per "
+                f"output mode ({m_total}), with at least one detector"
+            )
+        _check_cutoffs(cutoffs, max(indices) + 1)
+        for d in range(max(indices) + 1):
             own = tuple(w if k == d else None for w, k in zip(windows.windows, detectors))
             g_d = transforms.detected_gram(reduced, transforms.DetectionProjection(own), out_dofs)
             h_parts.append(basis.conj().T @ g_d.to_dense() @ basis)

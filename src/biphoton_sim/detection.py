@@ -282,11 +282,8 @@ def log_det_series(operand, order: int, check_radius: bool = True) -> float:
             stacklevel=2,
         )
     total = 0.0
-    power = mat
-    for n in range(1, order + 1):
-        if n > 1:
-            power = power @ mat
-        total += (-1.0) ** (n + 1) * np.real(np.trace(power)) / n
+    for n, t_n in enumerate(_trace_moments([mat], order), start=1):
+        total += (-1.0) ** (n + 1) * t_n[n] / n
     return float(total)
 
 
@@ -381,14 +378,7 @@ def _cutoffs(n_max, d: int) -> tuple:
 def _exponent_poisson(params: PoissonParams, shape) -> np.ndarray:
     mu = params.mu
     e = np.zeros(shape)
-    e[(0,) * len(shape)] = -mu * params.p_union
-    if len(shape) == 1:
-        # indistinguishable arms: both windows coincide
-        if shape[0] > 1:
-            e[1] = 2.0 * mu * (params.p_s - params.p_si)
-        if shape[0] > 2:
-            e[2] = mu * params.p_si
-        return e
+    e[0, 0] = -mu * params.p_union
     if shape[0] > 1:
         e[1, 0] = mu * (params.p_s - params.p_si)
     if shape[1] > 1:
@@ -398,17 +388,21 @@ def _exponent_poisson(params: PoissonParams, shape) -> np.ndarray:
     return e
 
 
+def _lossy_argument(eta2: float, shape, axis: int) -> np.ndarray:
+    """Generating-function argument after loss, (1 - eta2) + eta2 x_axis, as a
+    degree-1 polynomial in the layout of `shape`."""
+    dims = [1] * len(shape)
+    dims[axis] = min(2, shape[axis])
+    y = np.zeros(dims)
+    y.flat[0] = 1.0 - eta2
+    if dims[axis] > 1:
+        y.flat[1] = eta2
+    return y
+
+
 def _exponent_hermite(params: HermiteParams, shape) -> np.ndarray:
-    # y_r = (1 - eta_r^2) + eta_r^2 x_r as degree-1 polynomials
-    y_s = np.zeros((min(2, shape[0]), 1))
-    y_s[0, 0] = 1.0 - params.eta_s2
-    if shape[0] > 1:
-        y_s[1, 0] = params.eta_s2
-    y_i = np.zeros((1, min(2, shape[1])))
-    y_i[0, 0] = 1.0 - params.eta_i2
-    if shape[1] > 1:
-        y_i[0, 1] = params.eta_i2
-    yy = _poly_mul(y_s, y_i, shape)
+    y_s = _lossy_argument(params.eta_s2, shape, 0)
+    yy = _poly_mul(y_s, _lossy_argument(params.eta_i2, shape, 1), shape)
     yy2 = _poly_mul(yy, yy, shape)
     # exponent = -eps2/2 (1 - yy^2) - (mu - eps2)(1 - yy)
     e = 0.5 * params.eps2 * yy2 + (params.mu - params.eps2) * yy
@@ -420,24 +414,13 @@ def _exponent_exact(gf: ExactProductGf, shape) -> np.ndarray:
     sig = gf.spectrum.sigmas
     tanh2 = np.tanh(sig / 2.0) ** 2
     ln_cosh = np.abs(sig) / 2.0 + np.log1p(np.exp(-np.abs(sig))) - math.log(2.0)
+    y_s = _lossy_argument(gf.eta2_s, shape, 0)
     if gf.spectrum.process is ProcessType.TYPE_0I:
         factor_power = 0.5
-        y = np.zeros(min(2, shape[0]))
-        y[0] = 1.0 - gf.eta2_s
-        if shape[0] > 1:
-            y[1] = gf.eta2_s
-        base = _poly_mul(y, y, shape)
+        base = _poly_mul(y_s, y_s, shape)
     else:
         factor_power = 1.0
-        y_s = np.zeros((min(2, shape[0]), 1))
-        y_s[0, 0] = 1.0 - gf.eta2_s
-        if shape[0] > 1:
-            y_s[1, 0] = gf.eta2_s
-        y_i = np.zeros((1, min(2, shape[1])))
-        y_i[0, 0] = 1.0 - gf.eta2_i
-        if shape[1] > 1:
-            y_i[0, 1] = gf.eta2_i
-        base = _poly_mul(y_s, y_i, shape)
+        base = _poly_mul(y_s, _lossy_argument(gf.eta2_i, shape, 1), shape)
     e = np.zeros(shape)
     e[(0,) * len(shape)] = -2.0 * factor_power * float(np.sum(ln_cosh))
     # log G = -2 p sum_j ln cosh_j + p sum_k (sum_j tanh_j^(2k) / k) base^k
@@ -473,31 +456,30 @@ def _exponent_log_series(gf: LogSeriesGf, shape) -> np.ndarray:
     return e
 
 
+# generating-function type -> (exponent builder, detector count)
+_PND_EXPONENTS = {
+    PoissonParams: (_exponent_poisson, lambda gf: 2),
+    HermiteParams: (_exponent_hermite, lambda gf: 2),
+    ExactProductGf: (
+        _exponent_exact,
+        lambda gf: 1 if gf.spectrum.process is ProcessType.TYPE_0I else 2,
+    ),
+    LogSeriesGf: (_exponent_log_series, lambda gf: gf.detector_count),
+}
+
+
 def pnd(gf, n_max) -> PhotonStatistics:
     """Joint photon-number distribution by exact series differentiation.
 
     `gf` is one of PoissonParams, HermiteParams, ExactProductGf or
     LogSeriesGf; `n_max` gives per-detector cutoffs (scalar or sequence).
     """
-    if isinstance(gf, PoissonParams):
-        d = 2
-        shape = tuple(c + 1 for c in _cutoffs(n_max, d))
-        exponent = _exponent_poisson(gf, shape)
-    elif isinstance(gf, HermiteParams):
-        d = 2
-        shape = tuple(c + 1 for c in _cutoffs(n_max, d))
-        exponent = _exponent_hermite(gf, shape)
-    elif isinstance(gf, ExactProductGf):
-        d = 1 if gf.spectrum.process is ProcessType.TYPE_0I else 2
-        shape = tuple(c + 1 for c in _cutoffs(n_max, d))
-        exponent = _exponent_exact(gf, shape)
-    elif isinstance(gf, LogSeriesGf):
-        d = gf.detector_count
-        shape = tuple(c + 1 for c in _cutoffs(n_max, d))
-        exponent = _exponent_log_series(gf, shape)
-    else:
-        raise TypeError(f"unsupported generating-function spec: {type(gf)!r}")
-    probs = _poly_exp(exponent)
+    try:
+        exponent, detector_count = _PND_EXPONENTS[type(gf)]
+    except KeyError:
+        raise TypeError(f"unsupported generating-function spec: {type(gf)!r}") from None
+    shape = tuple(c + 1 for c in _cutoffs(n_max, detector_count(gf)))
+    probs = _poly_exp(exponent(gf, shape))
     total = float(np.sum(probs))
     return PhotonStatistics(probs, 1.0 - total)
 
@@ -526,6 +508,17 @@ def log_series_gf(parts, order: int) -> LogSeriesGf:
             "moment recursion would need more than 2 GiB; reduce the grid, "
             "the order, or the number of detectors"
         )
+    return LogSeriesGf(tuple(_trace_moments(mats, order)), order, d)
+
+
+def _trace_moments(mats, order: int) -> list:
+    """Real parts of Tr[(sum_d w_d K_d)^n], n = 1..order, as coefficient arrays.
+
+    One matrix is kept per weight multidegree; each level multiplies the
+    previous one on the right by every part, so a single part repeats the
+    plain power loop K^n = K^(n-1) @ K.
+    """
+    d = len(mats)
     moments = []
     level = {}
     for i, k in enumerate(mats):
@@ -538,15 +531,15 @@ def log_series_gf(parts, order: int) -> LogSeriesGf:
                 for i, k in enumerate(mats):
                     ndeg = tuple(v + (1 if j == i else 0) for j, v in enumerate(deg))
                     if ndeg in new_level:
-                        new_level[ndeg] += k @ mat
+                        new_level[ndeg] += mat @ k
                     else:
-                        new_level[ndeg] = k @ mat
+                        new_level[ndeg] = mat @ k
             level = new_level
         t_n = np.zeros((n + 1,) * d)
         for deg, mat in level.items():
             t_n[deg] = np.real(np.trace(mat))
         moments.append(t_n)
-    return LogSeriesGf(tuple(moments), order, d)
+    return moments
 
 
 def _log_series_vacuum(gf: LogSeriesGf) -> float:
@@ -561,12 +554,15 @@ def _log_series_vacuum(gf: LogSeriesGf) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _axis_kernel(grid, domain_needed: str):
-    """Identity or Fourier kernel taking one JSA axis to the window's domain."""
-    if domain_needed == "frequency":
-        return None, grid
-    transform, time_grid = fourier(grid, 0, 1)
-    return transform.mat.blocks[0][0], time_grid
+def _arm_operators(window, eta, grid):
+    """Fourier kernel (None in the frequency domain), window mask and sampled
+    transmittivity of one detected arm."""
+    kern, grid_out = None, grid
+    if window is not None and window.domain == "time":
+        transform, grid_out = fourier(grid, 0, 1)
+        kern = transform.mat.blocks[0][0]
+    eta_arr = np.broadcast_to(np.asarray(eta, dtype=float), (grid.n,))
+    return kern, _window_mask(window, grid_out), eta_arr
 
 
 def poisson_params(
@@ -582,49 +578,31 @@ def poisson_params(
     time domain are Fourier-transformed before masking.
     """
     psi = jsa.symmetrized()
-    if process is ProcessType.TYPE_0I:
+    shared = process is ProcessType.TYPE_0I
+    if shared:
         if len(windows.windows) != 1 or len(eta.etas) != 1:
             raise ValueError("type-0/I detection uses a single shared window and loss")
-        window = windows.windows[0]
-        eta_arr = np.broadcast_to(
-            np.asarray(eta.etas[0], dtype=float), (jsa.grid_signal.n,)
-        )
-        domain = window.domain if window is not None else "frequency"
-        kern, grid_out = _axis_kernel(jsa.grid_signal, domain)
-        mask = _window_mask(window, grid_out)
-        # marginal detection: loss only on the detected photon's axis
-        chi_one = eta_arr[:, None] * psi
-        if kern is not None:
-            chi_one = kern @ chi_one
-        p_single = float(mask @ (np.abs(chi_one) ** 2).sum(axis=1))
-        chi_both = eta_arr[:, None] * psi * eta_arr[None, :]
-        if kern is not None:
-            chi_both = kern @ chi_both @ kern.T
-        p_both = float(mask @ (np.abs(chi_both) ** 2) @ mask)
-        mu = gain * gain / 2.0
-        return PoissonParams(mu, p_single, p_single, p_both)
+        # both photons occupy one mode: one window, loss and grid for both axes
+        arms = [(windows.windows[0], eta.etas[0], jsa.grid_signal)] * 2
+    else:
+        if len(windows.windows) != 2 or len(eta.etas) != 2:
+            raise ValueError("type-II detection uses one window and loss per arm")
+        arms = zip(windows.windows, eta.etas, (jsa.grid_signal, jsa.grid_idler))
+    (kern_s, mask_s, eta_s), (kern_i, mask_i, eta_i) = (_arm_operators(*a) for a in arms)
 
-    if len(windows.windows) != 2 or len(eta.etas) != 2:
-        raise ValueError("type-II detection uses one window and loss per arm")
-    w_sig, w_idl = windows.windows
-    eta_s = np.broadcast_to(np.asarray(eta.etas[0], dtype=float), (jsa.grid_signal.n,))
-    eta_i = np.broadcast_to(np.asarray(eta.etas[1], dtype=float), (jsa.grid_idler.n,))
-    dom_s = w_sig.domain if w_sig is not None else "frequency"
-    dom_i = w_idl.domain if w_idl is not None else "frequency"
-    kern_s, grid_s_out = _axis_kernel(jsa.grid_signal, dom_s)
-    kern_i, grid_i_out = _axis_kernel(jsa.grid_idler, dom_i)
-    mask_s = _window_mask(w_sig, grid_s_out)
-    mask_i = _window_mask(w_idl, grid_i_out)
-
+    # marginal detection: loss only on the detected photon's axis
     chi_s = eta_s[:, None] * psi
     if kern_s is not None:
         chi_s = kern_s @ chi_s
     p_s = float(mask_s @ (np.abs(chi_s) ** 2).sum(axis=1))
 
-    chi_i = psi * eta_i[None, :]
-    if kern_i is not None:
-        chi_i = chi_i @ kern_i.T
-    p_i = float(mask_i @ (np.abs(chi_i) ** 2).sum(axis=0))
+    if shared:
+        p_i = p_s
+    else:
+        chi_i = psi * eta_i[None, :]
+        if kern_i is not None:
+            chi_i = chi_i @ kern_i.T
+        p_i = float(mask_i @ (np.abs(chi_i) ** 2).sum(axis=0))
 
     chi_si = eta_s[:, None] * psi * eta_i[None, :]
     if kern_s is not None:
@@ -633,7 +611,7 @@ def poisson_params(
         chi_si = chi_si @ kern_i.T
     p_si = float(mask_s @ (np.abs(chi_si) ** 2) @ mask_i)
 
-    mu = gain * gain / 4.0
+    mu = gain * gain / (2.0 if shared else 4.0)
     return PoissonParams(mu, p_s, p_i, p_si)
 
 
@@ -682,19 +660,14 @@ def vacuum_probability(params, method: str, order: int | None = None) -> float:
     large mu and is returned raw with a warning.
     """
     if method == "exact":
-        if isinstance(params, ExactProductGf):
-            spec = params.spectrum
-            eta2 = (
-                params.eta2_s
-                if spec.process is ProcessType.TYPE_0I
-                else (params.eta2_s, params.eta2_i)
-            )
-            w = 0.0 if spec.process is ProcessType.TYPE_0I else (0.0, 0.0)
-            return gf_exact(spec, w, eta2)
         if isinstance(params, SqueezingSpectrum):
-            w = 0.0 if params.process is ProcessType.TYPE_0I else (0.0, 0.0)
-            return gf_exact(params, w)
-        raise TypeError("'exact' expects a SqueezingSpectrum or ExactProductGf")
+            params = ExactProductGf(params)
+        if not isinstance(params, ExactProductGf):
+            raise TypeError("'exact' expects a SqueezingSpectrum or ExactProductGf")
+        spec = params.spectrum
+        if spec.process is ProcessType.TYPE_0I:
+            return gf_exact(spec, 0.0, params.eta2_s)
+        return gf_exact(spec, (0.0, 0.0), (params.eta2_s, params.eta2_i))
     if method == "log_series":
         if isinstance(params, LogSeriesGf):
             return _log_series_vacuum(params)

@@ -7,7 +7,6 @@ sums to one under the grid quadrature.
 """
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -341,16 +340,18 @@ def schmidt_number(spectrum: SchmidtSpectrum) -> float:
 
 
 def save_jsa_csv(jsa: DiscretizedJsa, path) -> None:
-    """Write `omega_s,omega_i,re_psi,im_psi` rows for the full grid product."""
+    """Write `omega_s,omega_i,re_psi,im_psi` rows for the full grid product.
+
+    The text is what `csv.writer` emits for these fields (CRLF line ends),
+    formatted one JSA row per write.
+    """
+    idler = [f"{wi:.17g}" for wi in jsa.grid_idler.points.tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega_s", "omega_i", "re_psi", "im_psi"])
-        for m, ws in enumerate(jsa.grid_signal.points):
-            for n, wi in enumerate(jsa.grid_idler.points):
-                v = jsa.values[m, n]
-                writer.writerow(
-                    [f"{ws:.17g}", f"{wi:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"]
-                )
+        fh.write("omega_s,omega_i,re_psi,im_psi\r\n")
+        for ws, row in zip(jsa.grid_signal.points.tolist(), jsa.values.tolist()):
+            head = f"{ws:.17g},"
+            lines = [f"{head}{wi},{v.real:.17g},{v.imag:.17g}\r\n" for wi, v in zip(idler, row)]
+            fh.write("".join(lines))
 
 
 def _trapezoid_weights(points: np.ndarray) -> np.ndarray:

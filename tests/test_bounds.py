@@ -138,6 +138,23 @@ class TestDetTruncationBounds:
     def test_hs_zero_limit(self):
         assert det_truncation_bound_hs(0.0, 0.0, 1.0, 2).value == 0.0
 
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            lambda: det_truncation_bound_eigen(np.array([1.25]), np.float64(1.0), 2),
+            lambda: det_truncation_bound_hs(np.float64(1.25), 1.5, np.float64(1.0), 2),
+        ],
+    )
+    def test_domain_message_prints_plain_float(self, bound):
+        with pytest.raises(OutOfDomainError) as err:
+            bound()
+        assert "1.25 >= 1" in str(err.value)
+        assert "np.float64" not in str(err.value)
+
+    def test_hs_zero_transmission_is_positive_zero(self):
+        value = det_truncation_bound_hs(0.5, 0.3, 0.0, 2).value
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     def test_eigen_below_hs(self, rng):
         for _ in range(25):
             lam = rng.uniform(-0.5, 0.5, 8)

@@ -576,3 +576,114 @@ class TestCommandLine:
         assert main(["schmidt", str(path)]) == 3
         err = capsys.readouterr().err
         assert "short.csv: line 3 has 3 fields" in err
+
+
+class TestPlanningErrors:
+    """Config mistakes found while planning exit 2 and name the field."""
+
+    def _run(self, tmp_path, capsys, cfg):
+        cfg_path = tmp_path / "plan.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["run", str(cfg_path)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "process, method, cutoffs",
+        [
+            ("type0i", "log_series", [2, 2]),
+            ("type2", "log_series", [2, 2, 2]),
+            ("type2", "log_series", [2, -1]),
+            ("type0i", "exact", [2, 2]),
+            ("type2", "poisson", [1, 1, 1]),
+        ],
+    )
+    def test_pnd_cutoffs_exit_code(self, tmp_path, capsys, process, method, cutoffs):
+        cfg = base_config(detection={"method": method, "pnd_cutoffs": cutoffs})
+        cfg["source"]["process"] = process
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 2
+        assert "detection.pnd_cutoffs" in err
+
+    @pytest.mark.parametrize("detectors", [[0], [0, 1, 1], [None, None], [0, -1], 3])
+    def test_detectors_exit_code(self, tmp_path, capsys, detectors):
+        cfg = base_config(
+            detection={"method": "log_series", "pnd_cutoffs": [2, 2], "detectors": detectors}
+        )
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 2
+        assert "detection.detectors" in err
+
+
+def _rectangular_csv(tmp_path):
+    """A type-II Gaussian JSA on a 41 x 31 grid, written as CSV."""
+    from biphoton_sim import FrequencyGrid, GaussianJsaModel, build_gaussian_jsa
+    from biphoton_sim.spectral import save_jsa_csv
+
+    model = GaussianJsaModel(0.5, 1.5)
+    jsa = build_gaussian_jsa(
+        model, FrequencyGrid.uniform(-8.0, 8.0, 41), FrequencyGrid.uniform(-7.5, 7.5, 31)
+    )
+    path = tmp_path / "rect.csv"
+    save_jsa_csv(jsa, path)
+    return path
+
+
+class TestRectangularSource:
+    """Signal and idler grids of different sizes on the Schmidt-basis path."""
+
+    @pytest.mark.parametrize("idler_eta", [None, 0.6])
+    def test_log_series_matches_dense_oracle(self, tmp_path, idler_eta):
+        from biphoton_sim import (
+            DetectionProjection,
+            ProcessType,
+            SymplecticTransform,
+            build_covariance_exact,
+            compressed_determinant_operand,
+            load_jsa_csv,
+            schmidt_decompose,
+        )
+        from biphoton_sim._blocks import BlockMatrix
+        from biphoton_sim.oracle import dense_log_det
+
+        path = _rectangular_csv(tmp_path)
+        cfg = {
+            "source": {"process": "type2", "gain": 0.5, "jsa": {"csv": str(path)}},
+            "detection": {"method": "log_series", "series_order": 30},
+        }
+        if idler_eta is not None:
+            cfg["pipeline"] = [{"type": "loss", "eta": {"1": idler_eta}}]
+        result = run_scenario(cfg)
+        row = dict(zip(result["columns"], result["rows"][0]))
+
+        schmidt = schmidt_decompose(load_jsa_csv(path))
+        gamma = build_covariance_exact(schmidt, 0.5, ProcessType.TYPE_II)
+        eta = 1.0 if idler_eta is None else idler_eta
+        loss = BlockMatrix.diagonal([1.0, eta, 1.0, eta], gamma.mat.row_sizes)
+        operand = compressed_determinant_operand(
+            SymplecticTransform(loss, 2, 2), DetectionProjection.full(2), gamma
+        ).to_dense()
+        assert operand.shape == (144, 144)
+        p_dense = math.exp(-0.5 * dense_log_det(operand))
+        assert float(row["p_vac"]) == pytest.approx(p_dense, rel=1e-12, abs=0)
+
+    def test_lossless_within_certificate_of_exact(self, tmp_path):
+        path = _rectangular_csv(tmp_path)
+        source = {"process": "type2", "mu": 0.3, "jsa": {"csv": str(path)}}
+        series = run_scenario(
+            {"source": source, "detection": {"method": "log_series", "series_order": 4}}
+        )
+        exact = run_scenario({"source": source, "detection": {"method": "exact"}})
+        row = dict(zip(series["columns"], series["rows"][0]))
+        p_exact = float(dict(zip(exact["columns"], exact["rows"][0]))["p_vac"])
+        err = abs(float(row["p_vac"]) - p_exact) / p_exact
+        assert 0 < err <= float(row["det_trunc_eigen"])
+
+    def test_beam_splitter_across_grid_sizes_rejected(self, tmp_path):
+        path = _rectangular_csv(tmp_path)
+        cfg = {
+            "source": {"process": "type2", "gain": 0.5, "jsa": {"csv": str(path)}},
+            "pipeline": [{"type": "beam_splitter", "dofs": [0, 1], "transmittance": 0.8}],
+            "detection": {"method": "log_series"},
+        }
+        with pytest.raises(ConfigError, match=r"pipeline\[0\]\.dofs"):
+            run_scenario(cfg)

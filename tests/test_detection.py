@@ -658,6 +658,42 @@ class TestSmallSideEngine:
                 assert np.allclose(got, ref.probabilities, rtol=1e-12, atol=1e-15)
 
 
+def _dispatch_case(kind, rng):
+    """A lossy generating function of each type and its vacuum-probability
+    method."""
+    if kind == "poisson":
+        return PoissonParams(0.4, 0.7, 0.6, 0.5), "poisson"
+    if kind == "hermite":
+        return hermite_params(0.8, 3.0, ProcessType.TYPE_II, 0.6, 0.7), "hermite"
+    if kind == "log_series":
+        gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_II, gain=0.5)
+        lossy = apply_loss(gamma, LossProfile((0.8, 0.7)))
+        return log_series_gf(detector_parts_from_covariance(lossy, (0, 1)), 12), "log_series"
+    process = ProcessType.TYPE_II if kind == "exact_type2" else ProcessType.TYPE_0I
+    _, spectrum, _ = random_covariance(rng, process=process, gain=0.7)
+    return ExactProductGf(spectrum, 0.6, 0.7), "exact"
+
+
+class TestPndDispatch:
+    """pnd picks the exponent and detector count from the generating
+    function's type; its no-click entry is that type's vacuum probability."""
+
+    @pytest.mark.parametrize(
+        "kind", ["poisson", "hermite", "exact_type2", "exact_type0i", "log_series"]
+    )
+    def test_vacuum_entry_matches_vacuum_probability(self, rng, kind):
+        gf, method = _dispatch_case(kind, rng)
+        probs = pnd(gf, 3).probabilities
+        assert probs.ndim == (1 if kind == "exact_type0i" else 2)
+        assert probs[(0,) * probs.ndim] == pytest.approx(
+            vacuum_probability(gf, method), rel=1e-12, abs=0
+        )
+
+    def test_unsupported_type(self):
+        with pytest.raises(TypeError, match="unsupported"):
+            pnd(object(), 2)
+
+
 # ---------------------------------------------------------------------------
 # vacuum probability methods and orderings
 # ---------------------------------------------------------------------------

@@ -201,6 +201,34 @@ class TestCsvRoundTrip:
         assert back.grid_signal.same_points(jsa.grid_signal)
         assert np.max(np.abs(back.values - jsa.values)) < 1e-12
 
+    def test_save_matches_csv_writer_bytes(self, tmp_path):
+        import csv
+
+        values = np.array([[0.5 - 0.25j, 0.0, -1.0 / 3.0 + 2.0j],
+                           [0.0, -7.5e-300 + 3.0e5j, 0.1 - 0.7j]])
+        grid_s = FrequencyGrid.uniform(-1.0, 1.0, 2)
+        grid_i = FrequencyGrid.uniform(-0.3, 0.4, 3)
+        values = values / np.sqrt(
+            np.einsum("m,n,mn->", grid_s.weights, grid_i.weights, np.abs(values) ** 2)
+        )
+        values[0, 1], values[1, 0] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        jsa = DiscretizedJsa(grid_s, grid_i, values)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["omega_s", "omega_i", "re_psi", "im_psi"])
+            for m, ws in enumerate(grid_s.points):
+                for n, wi in enumerate(grid_i.points):
+                    v = jsa.values[m, n]
+                    writer.writerow(
+                        [f"{ws:.17g}", f"{wi:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"]
+                    )
+        path = tmp_path / "jsa.csv"
+        save_jsa_csv(jsa, path)
+        assert path.read_bytes() == ref.read_bytes()
+        text = path.read_bytes()
+        assert b",-0,0\r\n" in text and b",0,-0\r\n" in text
+
     def test_incomplete_rectangle_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
