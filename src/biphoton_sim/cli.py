@@ -232,9 +232,10 @@ def run_scenario(config: dict) -> dict:
             "detection.pnd_cutoffs: expected a list of non-negative integers"
         ) from None
     if method == "exact":
-        step = _exact_step(config, schmidt, process, cutoffs)
+        step = _exact_step(config, schmidt, process, detection_cfg, cutoffs)
     elif method == "log_series":
-        step = _log_series_step(config, schmidt, process, detection_cfg, cutoffs)
+        order = int(detection_cfg.get("series_order", 8))
+        step = _schmidt_step(config, schmidt, process, detection_cfg, cutoffs, order)
     else:
         step = _source_step(config, jsa, schmidt, process, method, detection_cfg, cutoffs)
 
@@ -302,9 +303,11 @@ def _check_cutoffs(cutoffs, detector_count: int):
 # (p_vac, bounds, pnd or None).
 
 
-def _exact_step(config, schmidt, process, cutoffs):
+def _exact_step(config, schmidt, process, detection_cfg, cutoffs):
+    """Closed-form vacuum of the bare source; a pipeline runs on the Schmidt
+    basis with the exact r x r log-determinant in place of the series."""
     if config.get("pipeline"):
-        raise ConfigError("pipeline: 'exact' supports pipeline-free scenarios")
+        return _schmidt_step(config, schmidt, process, detection_cfg, cutoffs, None)
     _check_cutoffs(cutoffs, 1 if process is ProcessType.TYPE_0I else 2)
 
     def step(gain, sq, with_pnd):
@@ -313,6 +316,16 @@ def _exact_step(config, schmidt, process, cutoffs):
         return det.vacuum_probability(sq, "exact"), bounds, pnd
 
     return step
+
+
+def _shared_detector(stats):
+    """One detector seeing both arms of a type-0/I source: the two-arm table
+    on the diagonal x_s = x_i, where n photons are the anti-diagonal
+    n_s + n_i = n of the (c, c) table."""
+    flipped = stats.probabilities[::-1]
+    c = len(flipped) - 1
+    p = np.array([np.trace(flipped, offset=n - c) for n in range(c + 1)])
+    return det.PhotonStatistics(p, 1.0 - float(np.sum(p)))
 
 
 def _source_step(config, jsa, schmidt, process, method, detection_cfg, cutoffs):
@@ -327,7 +340,7 @@ def _source_step(config, jsa, schmidt, process, method, detection_cfg, cutoffs):
         raise ConfigError("pipeline: the quadratic method needs a uniform loss")
     windows = _detection_windows(detection_cfg, n_dofs)
     if method in ("poisson", "hermite"):
-        _check_cutoffs(cutoffs, 2)
+        _check_cutoffs(cutoffs, n_dofs)
     loss = transforms.LossProfile(tuple(etas))
     eta_best2 = max(e * e for e in etas)
     k_number = spectral.schmidt_number(schmidt)
@@ -357,23 +370,29 @@ def _source_step(config, jsa, schmidt, process, method, detection_cfg, cutoffs):
         else:
             qp = det.QuadraticParams(schmidt, gain, etas[0], process)
             p_vac = det.vacuum_probability(qp, "quadratic")
-        pnd = det.pnd(gf, cutoffs) if with_pnd and cutoffs and gf is not None else None
+        pnd = None
+        if with_pnd and cutoffs and gf is not None:
+            pnd = det.pnd(gf, cutoffs * 2 if n_dofs == 1 else cutoffs)
+            if n_dofs == 1:
+                pnd = _shared_detector(pnd)
         return p_vac, bounds, pnd
 
     return step
 
 
-def _log_series_step(config, schmidt, process, detection_cfg, cutoffs):
-    """Log-series detection over an arbitrary pipeline, on the Schmidt basis.
+def _schmidt_step(config, schmidt, process, detection_cfg, cutoffs, order):
+    """Detection over an arbitrary pipeline, on the Schmidt basis.
 
-    The pipeline is composed and compressed once, and so is the detected
-    gram G = s^dag P s.  With the covariance factored as V M V^dag (V fixed,
-    the r x r core M gain-dependent), Tr[(G Gamma)^n] = Tr[(M V^dag G V)^n],
-    so each point works on r x r matrices only.  The gram's largest
-    eigenvalue is the loss factor of both determinant bounds: by Ostrowski's
-    congruence theorem every eigenvalue of s^dag P s Gamma is
-    theta_k lambda_k(Gamma) with 0 <= theta_k <= lambda_max(s^dag P s),
-    however the pipeline mixes modes.
+    The covariance factors as V M V^dag (V fixed, the r x r core M
+    gain-dependent).  The pipeline is composed, compressed and applied to V
+    once; masking the rows of sV to the detection windows gives the r x r
+    detected gram H = (P s V)^dag (P s V), and Tr[(s^dag P s Gamma)^n] =
+    Tr[(M H)^n], so no operator over the grid is ever formed.  With `order`
+    the vacuum is the log series of that order, with None the exact r x r
+    log-determinant.  The loss factor of both determinant bounds is
+    lambda_max(H): the nonzero eigenvalues of s^dag P s Gamma are those of
+    H^1/2 M H^1/2, which by Ostrowski's theorem are theta_k lambda_k(M) with
+    0 <= theta_k <= lambda_max(H), however the pipeline mixes modes.
     """
     in_dofs = source_dofs(schmidt, process)
     n_source = len(in_dofs)
@@ -388,11 +407,17 @@ def _log_series_step(config, schmidt, process, detection_cfg, cutoffs):
     )
     out_dofs = transforms.output_dofs(reduced, in_dofs, names=mode_names)
     windows = _detection_windows(detection_cfg, m_total)
-    gram = transforms.detected_gram(reduced, windows, out_dofs).to_dense()
-    eta2 = float(np.linalg.eigvalsh(gram)[-1])
-    basis = covariance_factor(schmidt, process)
-    h_total = basis.conj().T @ gram @ basis
-    order = int(detection_cfg.get("series_order", 8))
+    masks = transforms.projection_masks(windows, out_dofs)
+    sv = transforms.transform_factor(reduced, covariance_factor(schmidt, process))
+
+    def gram(keep):
+        """H over the detected rows of the output modes k with keep(k)."""
+        rows = np.concatenate([m if keep(k) else 0 * m for k, m in enumerate(masks)] * 2)
+        a = sv[rows > 0]
+        return a.conj().T @ a
+
+    h_total = gram(lambda k: True)
+    eta2 = float(np.linalg.eigvalsh(h_total)[-1])
     detectors = detection_cfg.get("detectors")
     if detectors is None:
         detectors = list(range(min(2, m_total))) + [None] * max(0, m_total - 2)
@@ -406,28 +431,48 @@ def _log_series_step(config, schmidt, process, detection_cfg, cutoffs):
                 f"output mode ({m_total}), with at least one detector"
             )
         _check_cutoffs(cutoffs, max(indices) + 1)
-        for d in range(max(indices) + 1):
-            own = tuple(w if k == d else None for w, k in zip(windows.windows, detectors))
-            g_d = transforms.detected_gram(reduced, transforms.DetectionProjection(own), out_dofs)
-            h_parts.append(basis.conj().T @ g_d.to_dense() @ basis)
+        h_parts = [gram(lambda k: detectors[k] == d) for d in range(max(indices) + 1)]
+        degree = sum(cutoffs) if len(cutoffs) > 1 else cutoffs[0] * len(h_parts)
+        # the PND vacuum is that of the detected modes; it is p_vac's unless
+        # a windowed mode has no detector
+        undetected = [m for m, d in zip(masks, detectors) if d is None]
+        h_detected = sum(h_parts) if any(m.any() for m in undetected) else h_total
+
+    if order is None:
+
+        def log_vacuum(k):
+            sign, logdet = np.linalg.slogdet(np.eye(k.shape[0]) + k)
+            if sign == 0:
+                raise np.linalg.LinAlgError("1 + K is singular")
+            return -0.5 * logdet
+
+    else:
+
+        def log_vacuum(k):
+            return -0.5 * det.log_det_series(k, order)
 
     def step(gain, sq, with_pnd):
         core = covariance_core(sq)
-        p_vac = det.vacuum_probability(core @ h_total, "log_series", order=order)
-        nrm = norms(sq)
-        bounds = {
-            "det_trunc_eigen": bounds_mod.det_truncation_bound_eigen(
-                covariance_eigenvalues(sq), eta2, order
-            ).value,
-            "det_trunc_hs": bounds_mod.det_truncation_bound_hs(
-                nrm.largest_abs_eigenvalue, nrm.hs_norm**2, eta2, order
-            ).value,
-        }
+        log_vac = log_vacuum(core @ h_total)
+        if order is None:
+            bounds = {"truncation_tail": schmidt.truncation_tail}
+        else:
+            nrm = norms(sq)
+            bounds = {
+                "det_trunc_eigen": bounds_mod.det_truncation_bound_eigen(
+                    covariance_eigenvalues(sq), eta2, order
+                ).value,
+                "det_trunc_hs": bounds_mod.det_truncation_bound_hs(
+                    nrm.largest_abs_eigenvalue, nrm.hs_norm**2, eta2, order
+                ).value,
+            }
         pnd = None
         if with_pnd and cutoffs:
-            parts = [core @ h for h in h_parts]
-            pnd = det.pnd(det.log_series_gf(parts, order), cutoffs)
-        return p_vac, bounds, pnd
+            log_pnd = log_vac if h_detected is h_total else log_vacuum(core @ h_detected)
+            gf = det.vacuum_point_gf([core @ h for h in h_parts], log_pnd, degree)
+            pnd = det.pnd(gf, cutoffs)
+        # np.exp, as in `pnd`, so that P[0, ..., 0] is p_vac to the bit
+        return float(np.exp(log_vac)), bounds, pnd
 
     return step
 

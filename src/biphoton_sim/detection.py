@@ -34,6 +34,7 @@ __all__ = [
     "HermiteParams",
     "ExactProductGf",
     "LogSeriesGf",
+    "VacuumPointGf",
     "QuadraticParams",
     "PhotonStatistics",
     "gf_exact",
@@ -43,6 +44,7 @@ __all__ = [
     "hermite_g2",
     "log_det_series",
     "log_series_gf",
+    "vacuum_point_gf",
     "poisson_params",
     "pnd",
     "vacuum_probability",
@@ -129,6 +131,16 @@ class LogSeriesGf:
     moments: tuple  # moments[n-1] is an ndarray of shape (n+1,) * detector_count
     order: int
     detector_count: int
+
+
+@dataclass(frozen=True)
+class VacuumPointGf:
+    """log G = log_vacuum + 1/2 sum_n Tr[(sum_d x_d L_d)^n] / n, the
+    generating function expanded at the vacuum point x = 0; `moments` holds
+    the trace moments of the parts L_d (see `vacuum_point_gf`)."""
+
+    moments: LogSeriesGf
+    log_vacuum: float
 
 
 @dataclass(frozen=True)
@@ -456,6 +468,20 @@ def _exponent_log_series(gf: LogSeriesGf, shape) -> np.ndarray:
     return e
 
 
+def _exponent_vacuum_point(gf: VacuumPointGf, shape) -> np.ndarray:
+    degree = sum(s - 1 for s in shape)
+    if degree > gf.moments.order:
+        raise ValueError(
+            f"total cutoff degree {degree} exceeds the stored moment order {gf.moments.order}"
+        )
+    e = np.zeros(shape)
+    for n, t_n in enumerate(gf.moments.moments, start=1):
+        sl = tuple(slice(0, min(s, n + 1)) for s in shape)
+        e[sl] += t_n[sl] / (2.0 * n)
+    e[(0,) * len(shape)] = gf.log_vacuum
+    return e
+
+
 # generating-function type -> (exponent builder, detector count)
 _PND_EXPONENTS = {
     PoissonParams: (_exponent_poisson, lambda gf: 2),
@@ -465,14 +491,15 @@ _PND_EXPONENTS = {
         lambda gf: 1 if gf.spectrum.process is ProcessType.TYPE_0I else 2,
     ),
     LogSeriesGf: (_exponent_log_series, lambda gf: gf.detector_count),
+    VacuumPointGf: (_exponent_vacuum_point, lambda gf: gf.moments.detector_count),
 }
 
 
 def pnd(gf, n_max) -> PhotonStatistics:
     """Joint photon-number distribution by exact series differentiation.
 
-    `gf` is one of PoissonParams, HermiteParams, ExactProductGf or
-    LogSeriesGf; `n_max` gives per-detector cutoffs (scalar or sequence).
+    `gf` is one of PoissonParams, HermiteParams, ExactProductGf, LogSeriesGf
+    or VacuumPointGf; `n_max` gives per-detector cutoffs (scalar or sequence).
     """
     try:
         exponent, detector_count = _PND_EXPONENTS[type(gf)]
@@ -509,6 +536,23 @@ def log_series_gf(parts, order: int) -> LogSeriesGf:
             "the order, or the number of detectors"
         )
     return LogSeriesGf(tuple(_trace_moments(mats, order)), order, d)
+
+
+def vacuum_point_gf(parts, log_vacuum: float, degree: int) -> VacuumPointGf:
+    """Photon-number generating function of the parts K_d, exact to `degree`.
+
+    det(1 + K - sum_d x_d K_d) = det(1 + K) det(1 - sum_d x_d L_d) with
+    K = sum_d K_d and L_d = (1 + K)^-1 K_d, and every coefficient of total
+    degree n in x comes from Tr[(sum_d x_d L_d)^n] alone.  So the moments up
+    to the table's total degree give every entry exactly; only the constant
+    `log_vacuum` = -1/2 log det(1 + K), supplied by the caller, carries an
+    error, and it scales all entries alike.
+    """
+    mats = [np.asarray(k) for k in parts]
+    total = np.sum(mats, axis=0)
+    solved = np.linalg.solve(np.eye(total.shape[0]) + total, np.hstack(mats))
+    ls = np.hsplit(solved, len(mats))
+    return VacuumPointGf(log_series_gf(ls, max(1, degree)), float(log_vacuum))
 
 
 def _trace_moments(mats, order: int) -> list:

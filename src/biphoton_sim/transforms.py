@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blocks import Block, BlockMatrix, block_scale
+from ._blocks import Block, BlockMatrix, block_add, block_mul, block_scale
 from .covariance import Dof, RenormalizedCovariance
 from .spectral import FrequencyGrid
 
@@ -36,6 +36,7 @@ __all__ = [
     "apply_projection",
     "projection_masks",
     "detected_gram",
+    "transform_factor",
     "compressed_determinant_operand",
     "output_dofs",
 ]
@@ -361,6 +362,29 @@ def detected_gram(s: SymplecticTransform, p: DetectionProjection, out_dofs) -> B
     entries: list = [None if not m.any() else m for m in masks]
     d = BlockMatrix.diagonal(entries * 2, s.mat.row_sizes)
     return (s.mat.adjoint() @ d) @ s.mat
+
+
+def transform_factor(s: SymplecticTransform, factor: np.ndarray) -> np.ndarray:
+    """Dense rows of s @ V for an N x r factor V over s's input space.
+
+    Each block of s multiplies the matching row block of V, so identity and
+    multiplication blocks cost O(n r) and only dense kernels O(n^2 r); no
+    operator over the output space is formed.
+    """
+    offsets = np.cumsum((0,) + s.mat.col_sizes)
+    if factor.shape[0] != offsets[-1]:
+        raise ValueError(f"factor has {factor.shape[0]} rows, transform {offsets[-1]} columns")
+    row_blocks = [factor[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+    out = np.zeros((sum(s.mat.row_sizes), factor.shape[1]), dtype=complex)
+    r0 = 0
+    for row, nr in zip(s.mat.blocks, s.mat.row_sizes):
+        acc: Block = None
+        for blk, v_k in zip(row, row_blocks):
+            acc = block_add(acc, block_mul(blk, v_k))
+        if acc is not None:
+            out[r0:r0 + nr] = acc
+        r0 += nr
+    return out
 
 
 def compressed_determinant_operand(

@@ -399,8 +399,10 @@ class TestCertificates:
         hs = det_truncation_bound_hs(
             nrm.largest_abs_eigenvalue, nrm.hs_norm**2, eta2, order
         ).value
-        assert row["det_trunc_eigen"] == f"{eigen:.17g}"
-        assert row["det_trunc_hs"] == f"{hs:.17g}"
+        # the loss factor is lambda_max of the r x r Schmidt-basis gram, equal
+        # to the per-mode factor 0.01 up to rounding
+        assert float(row["det_trunc_eigen"]) == pytest.approx(eigen, rel=1e-12, abs=0)
+        assert float(row["det_trunc_hs"]) == pytest.approx(hs, rel=1e-12, abs=0)
         p_exact = swap_reference(gain, loss_first=False)
         assert abs(float(row["p_vac"]) - p_exact) / p_exact <= eigen
 
@@ -687,3 +689,138 @@ class TestRectangularSource:
         }
         with pytest.raises(ConfigError, match=r"pipeline\[0\]\.dofs"):
             run_scenario(cfg)
+
+
+def vacuum_point_config(mu, order, eta0=None, mus=None):
+    """Type-II Gaussian source (delta_minus / delta_plus = 3, extent 5.2,
+    `points_per_width` 2.5) with an optional loss on mode 0 and a [3, 3]
+    log-series PND."""
+    cfg = base_config(
+        detection={"method": "log_series", "series_order": order, "pnd_cutoffs": [3, 3]},
+        grid={"extent_sigmas": 5.2, "points_per_width": 2.5},
+    )
+    cfg["source"].pop("gain")
+    cfg["source"]["mu"] = mu
+    if eta0 is not None:
+        cfg["pipeline"] = [{"type": "loss", "eta": {"0": eta0}}]
+    if mus is not None:
+        cfg["sweep"] = {"parameter": "source.mu", "values": mus}
+    return cfg
+
+
+def assert_matches_exact_gf(probabilities, row, eta2_signal):
+    """Every nonzero entry within the written det_trunc_eigen (+ 1e-12) of the
+    closed-form generating function; its exact zeros within 1e-15."""
+    from biphoton_sim import (
+        ExactProductGf,
+        GaussianJsaModel,
+        ProcessType,
+        SqueezingSpectrum,
+        build_gaussian_jsa,
+        default_grids,
+        pnd,
+        schmidt_decompose,
+    )
+
+    model = GaussianJsaModel(1.0, 3.0)
+    jsa = build_gaussian_jsa(
+        model, *default_grids(model, extent_sigmas=5.2, points_per_width=2.5)
+    )
+    sq = SqueezingSpectrum.from_schmidt(
+        schmidt_decompose(jsa), float(row["gain"]), ProcessType.TYPE_II
+    )
+    ref = pnd(ExactProductGf(sq, eta2_signal, 1.0), (3, 3)).probabilities
+    nonzero = ref != 0
+    assert (~nonzero).any()
+    rel = np.abs(probabilities[nonzero] - ref[nonzero]) / ref[nonzero]
+    assert np.max(rel) <= float(row["det_trunc_eigen"]) + 1e-12
+    assert np.max(np.abs(probabilities[~nonzero])) <= 1e-15
+    assert probabilities[0, 0] == float(row["p_vac"])
+
+
+class TestVacuumPointPnd:
+    """The log-series PND is expanded at the vacuum point, so every entry
+    carries p_vac's relative error and no truncated tail."""
+
+    def test_lossy_type2_sweep_exits_zero(self, tmp_path):
+        cfg = vacuum_point_config(0.1, 10, eta0=0.9, mus=[0.1, 0.05, 0.02])
+        cfg["output"] = {
+            "csv_path": str(tmp_path / "lossy.csv"),
+            "pnd_csv_path": str(tmp_path / "lossy_pnd.csv"),
+        }
+        cfg_path = tmp_path / "lossy.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", str(cfg_path)]) == 0
+        columns, rows = read_csv(tmp_path / "lossy.csv")
+        row = dict(zip(columns, rows[0]))
+        header, pnd_rows = read_csv(tmp_path / "lossy_pnd.csv")
+        assert header == ["n1", "n2", "probability"]
+        assert pnd_rows[0][2] == row["p_vac"]
+        probabilities = np.array([float(p) for *_, p in pnd_rows]).reshape(4, 4)
+        assert_matches_exact_gf(probabilities, row, 0.81)
+
+    @pytest.mark.parametrize("mu", [0.05, 0.2])
+    @pytest.mark.parametrize("order", [10, 20])
+    def test_lossless_type2_matches_exact_gf(self, mu, order):
+        result = run_scenario(vacuum_point_config(mu, order))
+        assert_matches_exact_gf(result["pnd"].probabilities, first_row(result), 1.0)
+
+
+class TestSharedDetector:
+    """Type-0/I source-level PNDs have one detector: both photons of a pair
+    land on the same detected mode."""
+
+    @pytest.mark.parametrize("method", ["poisson", "hermite"])
+    def test_type0i_pnd_has_one_column(self, tmp_path, method):
+        cfg = base_config(detection={"method": method, "pnd_cutoffs": [3]})
+        cfg["source"]["process"] = "type0i"
+        cfg["output"] = {
+            "csv_path": str(tmp_path / "shared.csv"),
+            "pnd_csv_path": str(tmp_path / "shared_pnd.csv"),
+        }
+        cfg_path = tmp_path / "shared.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", str(cfg_path)]) == 0
+        columns, rows = read_csv(tmp_path / "shared.csv")
+        header, pnd_rows = read_csv(tmp_path / "shared_pnd.csv")
+        assert header == ["n1", "probability"]
+        assert [r[0] for r in pnd_rows] == ["0", "1", "2", "3"]
+        assert float(pnd_rows[0][1]) == float(dict(zip(columns, rows[0]))["p_vac"])
+
+    def test_type0i_poisson_single_click_rate(self):
+        # on the diagonal x_s = x_i the bivariate Poisson gives
+        # P[1] = P[0] * 2 mu (p_s - p_si)
+        from biphoton_sim import (
+            DetectionProjection,
+            GaussianJsaModel,
+            LossProfile,
+            ProcessType,
+            build_gaussian_jsa,
+            default_grids,
+            poisson_params,
+        )
+
+        model = GaussianJsaModel(1.0, 3.0)
+        jsa = build_gaussian_jsa(
+            model, *default_grids(model, extent_sigmas=5.2, points_per_width=3.0)
+        )
+        cfg = base_config(detection={"method": "poisson", "pnd_cutoffs": [2]})
+        cfg["source"]["process"] = "type0i"
+        cfg["pipeline"] = [{"type": "loss", "eta": {"0": 0.9}}]
+        result = run_scenario(cfg)
+        p = result["pnd"].probabilities
+        params = poisson_params(
+            jsa, LossProfile((0.9,)), DetectionProjection.full(1), 0.4, ProcessType.TYPE_0I
+        )
+        assert p.shape == (3,)
+        assert p[0] == pytest.approx(math.exp(-params.mu * params.p_union), rel=1e-15)
+        assert p[1] == pytest.approx(p[0] * 2.0 * params.mu * (params.p_s - params.p_si),
+                                     rel=1e-14)
+
+    def test_type0i_two_cutoffs_exit_code(self, tmp_path, capsys):
+        cfg = base_config(detection={"method": "poisson", "pnd_cutoffs": [2, 2]})
+        cfg["source"]["process"] = "type0i"
+        cfg_path = tmp_path / "two.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", str(cfg_path)]) == 2
+        assert "detection.pnd_cutoffs" in capsys.readouterr().err

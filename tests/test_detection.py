@@ -658,6 +658,183 @@ class TestSmallSideEngine:
                 assert np.allclose(got, ref.probabilities, rtol=1e-12, atol=1e-15)
 
 
+_ENGINE_CASES = [
+    ("type2", False, [0, 1]),
+    ("type2", False, [0, 0]),
+    ("type2", True, [0, 1, None]),
+    ("type2", True, [0, None, 0]),
+    ("type0i", False, [0]),
+    ("type0i", True, [0, None]),
+    ("type0i", True, [0, 1]),
+]
+
+
+def _gaussian_schmidt(points_per_width=1.0, delta_minus=3.0, extent_sigmas=5.2):
+    """Schmidt spectrum of a Gaussian source with delta_plus = 1."""
+    from biphoton_sim import schmidt_decompose
+
+    model = GaussianJsaModel(1.0, delta_minus)
+    grids = default_grids(model, extent_sigmas=extent_sigmas, points_per_width=points_per_width)
+    return schmidt_decompose(build_gaussian_jsa(model, *grids))
+
+
+class TestSchmidtSideLossFactor:
+    """The bound columns take their loss factor from lambda_max of the r x r
+    Schmidt-basis gram H = V^dag s^dag P s V; they must agree with the same
+    bounds built from lambda_max of the dense N x N gram s^dag P s."""
+
+    @pytest.mark.parametrize("process, pipeline, detectors", _ENGINE_CASES)
+    def test_bounds_match_dense_gram(self, process, pipeline, detectors):
+        from biphoton_sim import (
+            build_covariance_exact,
+            covariance_eigenvalues,
+            det_truncation_bound_eigen,
+            det_truncation_bound_hs,
+            norms,
+        )
+        from biphoton_sim.cli import run_scenario
+        from biphoton_sim.transforms import detected_gram
+
+        config = _engine_config(process, pipeline, detectors)
+        result = run_scenario(config)
+        schmidt = _gaussian_schmidt()
+        kind = ProcessType(process)
+        order = config["detection"]["series_order"]
+        gamma = build_covariance_exact(schmidt, result["raw"][0]["gain"], kind)
+        s, dofs, windows = _dense_reference_transform(config, gamma)
+        eta2 = float(np.linalg.eigvalsh(detected_gram(s, windows, dofs).to_dense())[-1])
+        for point in result["raw"]:
+            sq = SqueezingSpectrum.from_schmidt(schmidt, point["gain"], kind)
+            nrm = norms(sq)
+            eigen = det_truncation_bound_eigen(covariance_eigenvalues(sq), eta2, order)
+            hs = det_truncation_bound_hs(
+                nrm.largest_abs_eigenvalue, nrm.hs_norm**2, eta2, order
+            )
+            written = point["bounds"]
+            assert written["det_trunc_eigen"] == pytest.approx(eigen.value, rel=1e-12, abs=0)
+            assert written["det_trunc_hs"] == pytest.approx(hs.value, rel=1e-12, abs=0)
+
+
+class TestNoGridSizedMatrix:
+    def test_run_forms_only_schmidt_side_operands(self, monkeypatch):
+        # N = 822 output rows against r = 108 Schmidt columns: any dense gram,
+        # densified block operator or eigensolve wider than r fails the run
+        from biphoton_sim import transforms
+        from biphoton_sim._blocks import BlockMatrix
+        from biphoton_sim.cli import run_scenario
+        from biphoton_sim.covariance import covariance_factor
+
+        config = _engine_config("type2", True, [0, 1, None])
+        config["grid"]["points_per_width"] = 4.0
+        config["detection"]["pnd_cutoffs"] = [3, 3]
+        schmidt = _gaussian_schmidt(4.0)
+        r = covariance_factor(schmidt, ProcessType.TYPE_II).shape[1]
+
+        def capped(name, side_of, original):
+            def wrapper(*args, **kwargs):
+                side = side_of(*args)
+                assert side <= r, f"{name} on a side-{side} operand (r = {r})"
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            transforms,
+            "detected_gram",
+            capped("detected_gram", lambda s, *a: max(s.mat.shape), transforms.detected_gram),
+        )
+        monkeypatch.setattr(
+            BlockMatrix,
+            "to_dense",
+            capped("to_dense", lambda self: max(self.shape), BlockMatrix.to_dense),
+        )
+        monkeypatch.setattr(
+            np.linalg,
+            "eigvalsh",
+            capped("eigvalsh", lambda a, *rest: max(np.shape(a)), np.linalg.eigvalsh),
+        )
+        result = run_scenario(config)
+        assert len(result["rows"]) == 2
+        assert result["pnd"].probabilities.shape == (4, 4)
+        assert 6 * schmidt.grid_signal.n > 5 * r
+
+
+class TestExactPipeline:
+    """`exact` over a pipeline: the r x r log-determinant of 1 + M H."""
+
+    def test_readme_pipeline_matches_dense_oracle(self):
+        from biphoton_sim import build_covariance_exact, compressed_determinant_operand
+        from biphoton_sim.cli import run_scenario
+        from biphoton_sim.detection import VacuumPointGf
+        from biphoton_sim.oracle import detector_parts_compressed
+
+        config = {
+            "source": {
+                "process": "type2",
+                "mu": 0.2,
+                "jsa": {"gaussian": {"delta_plus_rad_s": 1.0, "delta_minus_rad_s": 4.0}},
+            },
+            "grid": {"extent_sigmas": 6.0, "points_per_width": 2.0},
+            "modes": ["signal", "idler", "anc"],
+            "pipeline": [
+                {"type": "beam_splitter", "dofs": [0, 2], "transmittance": 0.9},
+                {"type": "phase", "dof": 0, "phi0_rad": 0.0, "tau_s": 1.2, "beta_l_s2": 0.0},
+                {"type": "fourier", "dof": 0},
+                {"type": "loss", "eta": {"1": 0.85}},
+            ],
+            "detection": {
+                "method": "exact",
+                "domain": "time",
+                "windows": [[-3.0, 3.0], None, "empty"],
+                "pnd_cutoffs": [3, 3],
+                "detectors": [0, 1, None],
+            },
+            "sweep": {"parameter": "source.mu", "values": [0.05, 0.1, 0.2]},
+        }
+        result = run_scenario(config)
+        assert result["columns"][:4] == ["mu", "gain", "method", "p_vac"]
+        assert "truncation_tail" in result["columns"]
+        schmidt = _gaussian_schmidt(2.0, delta_minus=4.0, extent_sigmas=6.0)
+        for k, point in enumerate(result["raw"]):
+            gamma = build_covariance_exact(schmidt, point["gain"], ProcessType.TYPE_II)
+            s, dofs, windows = _dense_reference_transform(config, gamma)
+            operand = compressed_determinant_operand(s, windows, gamma, dofs).to_dense()
+            log_vac = -0.5 * dense_log_det(operand)
+            assert point["p_vac"] == pytest.approx(math.exp(log_vac), rel=1e-12, abs=0)
+            if k == 0:
+                parts = detector_parts_compressed(s, windows, gamma, [0, 1, None], dofs)
+                total = sum(parts)
+                ls = [np.linalg.solve(np.eye(total.shape[0]) + total, p) for p in parts]
+                ref = pnd(VacuumPointGf(log_series_gf(ls, 6), log_vac), (3, 3))
+                got = point["pnd"].probabilities
+                assert got[0, 0] == point["p_vac"]
+                assert np.allclose(got, ref.probabilities, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("process", ["type2", "type0i"])
+    def test_loss_pipeline_matches_exact_gf(self, process):
+        from biphoton_sim.cli import run_scenario
+
+        cutoffs = [3, 3] if process == "type2" else [4]
+        config = {
+            "source": {
+                "process": process,
+                "mu": 0.3,
+                "jsa": {"gaussian": {"delta_plus_rad_s": 1.0, "delta_minus_rad_s": 3.0}},
+            },
+            "grid": {"extent_sigmas": 5.2, "points_per_width": 2.0},
+            "pipeline": [{"type": "loss", "eta": {"0": 0.8}}],
+            "detection": {"method": "exact", "pnd_cutoffs": cutoffs},
+        }
+        point = run_scenario(config)["raw"][0]
+        schmidt = _gaussian_schmidt(2.0)
+        sq = SqueezingSpectrum.from_schmidt(schmidt, point["gain"], ProcessType(process))
+        gf = ExactProductGf(sq, 0.64, 1.0 if process == "type2" else 0.64)
+        assert point["p_vac"] == pytest.approx(vacuum_probability(gf, "exact"), rel=1e-12)
+        ref = pnd(gf, cutoffs).probabilities
+        got = point["pnd"].probabilities
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-15)
+
+
 def _dispatch_case(kind, rng):
     """A lossy generating function of each type and its vacuum-probability
     method."""
