@@ -304,9 +304,14 @@ def _check_cutoffs(cutoffs, detector_count: int):
 
 
 def _exact_step(config, schmidt, process, detection_cfg, cutoffs):
-    """Closed-form vacuum of the bare source; a pipeline runs on the Schmidt
-    basis with the exact r x r log-determinant in place of the series."""
-    if config.get("pipeline"):
+    """Closed-form vacuum of the bare source when neither a pipeline step nor
+    a detection window acts on it; otherwise the Schmidt-basis run with the
+    exact r x r log-determinant in place of the series."""
+    windows = detection_cfg.get("windows")
+    restricted = windows is not None and not (
+        isinstance(windows, list) and all(w is None or w == [None, None] for w in windows)
+    )
+    if config.get("pipeline") or restricted:
         return _schmidt_step(config, schmidt, process, detection_cfg, cutoffs, None)
     _check_cutoffs(cutoffs, 1 if process is ProcessType.TYPE_0I else 2)
 
@@ -361,12 +366,11 @@ def _source_step(config, jsa, schmidt, process, method, detection_cfg, cutoffs):
         elif method == "linear":
             p_vac = det.vacuum_probability(params, "linear")
         elif method == "hermite":
-            hp = det.hermite_params(gain, k_number, process)
-            p_vac = det.vacuum_probability(hp, "hermite")
+            gf = det.hermite_params(gain, k_number, process, etas[0] ** 2, etas[-1] ** 2)
+            p_vac = det.vacuum_probability(gf, "hermite")
             bounds["det_trunc_eigen_n4"] = bounds_mod.det_truncation_bound_eigen(
                 covariance_eigenvalues(sq), eta_best2, 4
             ).value
-            gf = det.hermite_params(gain, k_number, process, etas[0] ** 2, etas[-1] ** 2)
         else:
             qp = det.QuadraticParams(schmidt, gain, etas[0], process)
             p_vac = det.vacuum_probability(qp, "quadratic")
@@ -393,6 +397,22 @@ def _schmidt_step(config, schmidt, process, detection_cfg, cutoffs, order):
     lambda_max(H): the nonzero eigenvalues of s^dag P s Gamma are those of
     H^1/2 M H^1/2, which by Ostrowski's theorem are theta_k lambda_k(M) with
     0 <= theta_k <= lambda_max(H), however the pipeline mixes modes.
+
+    A type-II run works on one conjugate sector when it can.  The factor's
+    columns [0, 2K) are u and v (rows a_s and a_i^dag), [2K, 4K) conj v and
+    conj u (rows a_i and a_s^dag), and M = diag(M_1, M_1) with
+    M_1 = [[C, S], [S, C]].  Every pipeline step is passive, T (+) conj(T),
+    and the masks are real and equal on annihilation and creation rows, so
+    the second column half of P s V is the conjugate of the first with its
+    row halves and its u/v column groups (Pi) swapped.  If no detected row
+    is nonzero in both halves, the cross gram is exactly zero: H and every
+    H_d are diag(H_1, Pi conj(H_1) Pi), and M H = diag(M_1 H_1,
+    Pi conj(M_1 H_1) Pi).  Then log det(1 + M H) = 2 log det(1 + M_1 H_1),
+    each real trace moment is twice the half's, and lambda_max(H) =
+    lambda_max(H_1), so the run uses the r/2 columns of the first sector
+    with multiplicity 2.  Otherwise (a beam splitter joining signal and
+    idler, or type-0/I, whose M couples the halves) it uses all r columns
+    with multiplicity 1.
     """
     in_dofs = source_dofs(schmidt, process)
     n_source = len(in_dofs)
@@ -409,6 +429,16 @@ def _schmidt_step(config, schmidt, process, detection_cfg, cutoffs, order):
     windows = _detection_windows(detection_cfg, m_total)
     masks = transforms.projection_masks(windows, out_dofs)
     sv = transforms.transform_factor(reduced, covariance_factor(schmidt, process))
+    # one conjugate sector when no detected row couples the column halves
+    half = sv.shape[1] // 2
+    nonzero = sv[np.concatenate(masks * 2) > 0] != 0
+    if process is ProcessType.TYPE_II and not np.any(
+        nonzero[:, :half].any(axis=1) & nonzero[:, half:].any(axis=1)
+    ):
+        sector, multiplicity = slice(0, half), 2
+    else:
+        sector, multiplicity = slice(None), 1
+    sv = sv[:, sector]
 
     def gram(keep):
         """H over the detected rows of the output modes k with keep(k)."""
@@ -444,15 +474,15 @@ def _schmidt_step(config, schmidt, process, detection_cfg, cutoffs, order):
             sign, logdet = np.linalg.slogdet(np.eye(k.shape[0]) + k)
             if sign == 0:
                 raise np.linalg.LinAlgError("1 + K is singular")
-            return -0.5 * logdet
+            return -0.5 * multiplicity * logdet
 
     else:
 
         def log_vacuum(k):
-            return -0.5 * det.log_det_series(k, order)
+            return -0.5 * multiplicity * det.log_det_series(k, order)
 
     def step(gain, sq, with_pnd):
-        core = covariance_core(sq)
+        core = covariance_core(sq)[sector, sector]
         log_vac = log_vacuum(core @ h_total)
         if order is None:
             bounds = {"truncation_tail": schmidt.truncation_tail}
@@ -469,8 +499,17 @@ def _schmidt_step(config, schmidt, process, detection_cfg, cutoffs, order):
         pnd = None
         if with_pnd and cutoffs:
             log_pnd = log_vac if h_detected is h_total else log_vacuum(core @ h_detected)
-            gf = det.vacuum_point_gf([core @ h for h in h_parts], log_pnd, degree)
-            pnd = det.pnd(gf, cutoffs)
+            gf = det.vacuum_point_gf([core @ h for h in h_parts], log_pnd, degree, multiplicity)
+            try:
+                pnd = det.pnd(gf, cutoffs)
+            except det.InvalidDistributionError as exc:
+                if order is None:
+                    raise
+                raise det.InvalidDistributionError(
+                    f"{exc} at detection.series_order {order}: the series error of "
+                    f"p_vac, which scales every entry, exceeds the probability beyond "
+                    f"the cutoffs; raise detection.series_order or use method 'exact'"
+                ) from None
         # np.exp, as in `pnd`, so that P[0, ..., 0] is p_vac to the bit
         return float(np.exp(log_vac)), bounds, pnd
 

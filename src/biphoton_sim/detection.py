@@ -356,12 +356,12 @@ class PhotonStatistics:
     def __post_init__(self):
         p = np.asarray(self.probabilities)
         if np.min(p) < -1e-12:
-            raise ValueError("probabilities must be non-negative within 1e-12")
+            raise InvalidDistributionError("probabilities must be non-negative within 1e-12")
         clipped = np.clip(p, 0.0, None)
         clipped.setflags(write=False)
         object.__setattr__(self, "probabilities", clipped)
         if float(np.sum(clipped)) > 1.0 + 1e-10:
-            raise ValueError("probabilities sum above 1")
+            raise InvalidDistributionError("probabilities sum above 1")
 
     @property
     def detector_count(self) -> int:
@@ -538,7 +538,9 @@ def log_series_gf(parts, order: int) -> LogSeriesGf:
     return LogSeriesGf(tuple(_trace_moments(mats, order)), order, d)
 
 
-def vacuum_point_gf(parts, log_vacuum: float, degree: int) -> VacuumPointGf:
+def vacuum_point_gf(
+    parts, log_vacuum: float, degree: int, multiplicity: int = 1
+) -> VacuumPointGf:
     """Photon-number generating function of the parts K_d, exact to `degree`.
 
     det(1 + K - sum_d x_d K_d) = det(1 + K) det(1 - sum_d x_d L_d) with
@@ -547,12 +549,24 @@ def vacuum_point_gf(parts, log_vacuum: float, degree: int) -> VacuumPointGf:
     to the table's total degree give every entry exactly; only the constant
     `log_vacuum` = -1/2 log det(1 + K), supplied by the caller, carries an
     error, and it scales all entries alike.
+
+    The parts may be one of `multiplicity` diagonal blocks of the detected
+    operator whose blocks share their real trace moments (the conjugate
+    sectors of a type-II run); each moment is then that many times the
+    parts' own.
     """
     mats = [np.asarray(k) for k in parts]
     total = np.sum(mats, axis=0)
     solved = np.linalg.solve(np.eye(total.shape[0]) + total, np.hstack(mats))
     ls = np.hsplit(solved, len(mats))
-    return VacuumPointGf(log_series_gf(ls, max(1, degree)), float(log_vacuum))
+    moments = log_series_gf(ls, max(1, degree))
+    if multiplicity != 1:
+        moments = LogSeriesGf(
+            tuple(multiplicity * t for t in moments.moments),
+            moments.order,
+            moments.detector_count,
+        )
+    return VacuumPointGf(moments, float(log_vacuum))
 
 
 def _trace_moments(mats, order: int) -> list:

@@ -824,3 +824,89 @@ class TestSharedDetector:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["run", str(cfg_path)]) == 2
         assert "detection.pnd_cutoffs" in capsys.readouterr().err
+
+
+class TestHermiteLoss:
+    """`hermite` evaluates p_vac and the PND from one lossy parameter set."""
+
+    def test_lossy_type0i_vacuum_entry_equals_p_vac(self):
+        cfg = base_config(detection={"method": "hermite", "pnd_cutoffs": [3]})
+        cfg["source"]["process"] = "type0i"
+        cfg["pipeline"] = [{"type": "loss", "eta": {"0": 0.9}}]
+        result = run_scenario(cfg)
+        p_vac = first_row(result)["p_vac"]
+        assert result["pnd"].probabilities[0] == float(p_vac)
+        lossless = first_row(run_scenario(base_config(
+            detection={"method": "hermite"},
+            source=dict(base_config()["source"], process="type0i"),
+        )))["p_vac"]
+        assert float(p_vac) > float(lossless)
+
+    @pytest.mark.parametrize("process", ["type2", "type0i"])
+    def test_lossless_p_vac_unchanged(self, process):
+        from biphoton_sim import (
+            GaussianJsaModel,
+            ProcessType,
+            build_gaussian_jsa,
+            default_grids,
+            hermite_params,
+            schmidt_decompose,
+            schmidt_number,
+            vacuum_probability,
+        )
+
+        cfg = base_config(detection={"method": "hermite"})
+        cfg["source"]["process"] = process
+        model = GaussianJsaModel(1.0, 3.0)
+        jsa = build_gaussian_jsa(
+            model, *default_grids(model, extent_sigmas=5.2, points_per_width=3.0)
+        )
+        k_number = schmidt_number(schmidt_decompose(jsa))
+        hp = hermite_params(0.4, k_number, ProcessType(process))
+        expected = vacuum_probability(hp, "hermite")
+        assert first_row(run_scenario(cfg))["p_vac"] == f"{expected:.17g}"
+
+
+class TestExactWindows:
+    """Pipeline-free `exact` keeps its closed form only when no window
+    restricts detection."""
+
+    WINDOWS = [[-1.0, 1.0], [-1.0, 1.0]]
+
+    def test_windows_restrict_closed_form(self):
+        windowed = run_scenario(
+            base_config(detection={"method": "exact", "windows": self.WINDOWS})
+        )
+        noop = base_config(
+            detection={"method": "exact", "windows": self.WINDOWS},
+            pipeline=[{"type": "phase", "dof": 0}],
+        )
+        bare = run_scenario(base_config())
+        p_windowed = windowed["raw"][0]["p_vac"]
+        assert p_windowed == pytest.approx(run_scenario(noop)["raw"][0]["p_vac"], rel=1e-12, abs=0)
+        assert p_windowed == pytest.approx(0.97768, abs=1e-5)
+        assert bare["raw"][0]["p_vac"] == pytest.approx(0.96094, abs=1e-5)
+
+    def test_unbounded_windows_keep_closed_form(self):
+        bare = run_scenario(base_config())
+        open_windows = run_scenario(
+            base_config(detection={"method": "exact", "windows": [None, [None, None]]})
+        )
+        assert open_windows["rows"] == bare["rows"]
+
+
+class TestLowOrderPnd:
+    def test_sum_above_one_names_series_order(self, tmp_path, capsys):
+        cfg = vacuum_point_config(0.2, 8)
+        cfg["output"] = {
+            "csv_path": str(tmp_path / "low.csv"),
+            "pnd_csv_path": str(tmp_path / "low_pnd.csv"),
+        }
+        cfg_path = tmp_path / "low.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "probabilities sum above 1" in err
+        assert "detection.series_order 8" in err
+        assert "exact" in err
+        assert not (tmp_path / "low_pnd.csv").exists()

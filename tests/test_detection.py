@@ -759,6 +759,35 @@ class TestNoGridSizedMatrix:
         assert 6 * schmidt.grid_signal.n > 5 * r
 
 
+def _readme_config(method):
+    """The README scenario at `points_per_width` 2 with a [3, 3] PND: a
+    type-II source, a beam splitter signal<->ancilla, phase and delay,
+    Fourier, idler loss and a time window."""
+    return {
+        "source": {
+            "process": "type2",
+            "mu": 0.2,
+            "jsa": {"gaussian": {"delta_plus_rad_s": 1.0, "delta_minus_rad_s": 4.0}},
+        },
+        "grid": {"extent_sigmas": 6.0, "points_per_width": 2.0},
+        "modes": ["signal", "idler", "anc"],
+        "pipeline": [
+            {"type": "beam_splitter", "dofs": [0, 2], "transmittance": 0.9},
+            {"type": "phase", "dof": 0, "phi0_rad": 0.0, "tau_s": 1.2, "beta_l_s2": 0.0},
+            {"type": "fourier", "dof": 0},
+            {"type": "loss", "eta": {"1": 0.85}},
+        ],
+        "detection": {
+            "method": method,
+            "domain": "time",
+            "windows": [[-3.0, 3.0], None, "empty"],
+            "pnd_cutoffs": [3, 3],
+            "detectors": [0, 1, None],
+        },
+        "sweep": {"parameter": "source.mu", "values": [0.05, 0.1, 0.2]},
+    }
+
+
 class TestExactPipeline:
     """`exact` over a pipeline: the r x r log-determinant of 1 + M H."""
 
@@ -768,29 +797,7 @@ class TestExactPipeline:
         from biphoton_sim.detection import VacuumPointGf
         from biphoton_sim.oracle import detector_parts_compressed
 
-        config = {
-            "source": {
-                "process": "type2",
-                "mu": 0.2,
-                "jsa": {"gaussian": {"delta_plus_rad_s": 1.0, "delta_minus_rad_s": 4.0}},
-            },
-            "grid": {"extent_sigmas": 6.0, "points_per_width": 2.0},
-            "modes": ["signal", "idler", "anc"],
-            "pipeline": [
-                {"type": "beam_splitter", "dofs": [0, 2], "transmittance": 0.9},
-                {"type": "phase", "dof": 0, "phi0_rad": 0.0, "tau_s": 1.2, "beta_l_s2": 0.0},
-                {"type": "fourier", "dof": 0},
-                {"type": "loss", "eta": {"1": 0.85}},
-            ],
-            "detection": {
-                "method": "exact",
-                "domain": "time",
-                "windows": [[-3.0, 3.0], None, "empty"],
-                "pnd_cutoffs": [3, 3],
-                "detectors": [0, 1, None],
-            },
-            "sweep": {"parameter": "source.mu", "values": [0.05, 0.1, 0.2]},
-        }
+        config = _readme_config("exact")
         result = run_scenario(config)
         assert result["columns"][:4] == ["mu", "gain", "method", "p_vac"]
         assert "truncation_tail" in result["columns"]
@@ -833,6 +840,171 @@ class TestExactPipeline:
         ref = pnd(gf, cutoffs).probabilities
         got = point["pnd"].probabilities
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-15)
+
+
+def _random_passive_config(seed):
+    """A random passive pipeline over signal, idler and a vacuum ancilla:
+    phase, beam splitters signal<->ancilla, idler<->ancilla and
+    signal<->idler, loss and Fourier steps, random windows in each mode's
+    own domain, and one or two detectors."""
+    rng = np.random.default_rng(seed)
+    steps, domains = [], ["frequency"] * 3
+    for _ in range(rng.integers(2, 7)):
+        kind = rng.choice(["phase", "splitter", "splitter", "loss", "fourier"])
+        if kind == "phase":
+            steps.append({"type": "phase", "dof": int(rng.integers(3)),
+                          "phi0_rad": rng.uniform(0, 2 * math.pi),
+                          "tau_s": rng.uniform(-1.5, 1.5), "beta_l_s2": rng.uniform(0, 0.1)})
+        elif kind == "splitter":
+            pair = [[0, 2], [1, 2], [0, 1]][rng.integers(3)]
+            steps.append({"type": "beam_splitter", "dofs": pair,
+                          "transmittance": rng.uniform(0.5, 0.95)})
+        elif kind == "loss":
+            modes = rng.choice(3, size=rng.integers(1, 4), replace=False)
+            steps.append({"type": "loss", "eta": {str(m): rng.uniform(0.5, 1.0) for m in modes}})
+        elif "time" not in domains:
+            dof = int(rng.integers(3))
+            steps.append({"type": "fourier", "dof": dof})
+            domains[dof] = "time"
+    domain = str(rng.choice(domains))
+    windows = []
+    for mode_domain in domains:
+        kinds = [None, "empty"] + (["bounded"] * 2 if mode_domain == domain else [])
+        w = kinds[rng.integers(len(kinds))]
+        windows.append([-rng.uniform(0.5, 2.5), rng.uniform(0.5, 2.5)] if w == "bounded" else w)
+    if all(w == "empty" for w in windows):
+        windows[0] = None
+    n_detectors = int(rng.integers(1, 3))
+    detectors = [None if w == "empty" else int(rng.integers(n_detectors)) for w in windows]
+    return {
+        "source": {
+            "process": "type2",
+            "mu": rng.uniform(0.05, 0.3),
+            "jsa": {"gaussian": {"delta_plus_rad_s": 1.0, "delta_minus_rad_s": 3.0}},
+        },
+        "grid": {"extent_sigmas": 5.2, "points_per_width": 1.0},
+        "modes": ["signal", "idler", "anc"],
+        "pipeline": steps,
+        "detection": {
+            "series_order": int(rng.integers(4, 13)),
+            "domain": domain,
+            "windows": windows,
+            "detectors": detectors,
+            "pnd_cutoffs": [2] * (max(d for d in detectors if d is not None) + 1),
+        },
+    }
+
+
+class TestConjugateSectors:
+    """A type-II pipeline that never brings signal and idler together at a
+    detector runs on one r/2-wide conjugate sector with multiplicity 2; one
+    that does keeps all r columns.  Either way p_vac matches the dense
+    N x N operand s^dag P s Gamma, and the bounds and the PND match the
+    route over all r Schmidt columns."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_pipeline_matches_dense_operand(self, seed):
+        # p_vac against the dense N x N operand; the bound columns against
+        # lambda_max of the full r x r gram V^dag (s^dag P s) V, and the PND
+        # against the vacuum-point route on the full r x r operands
+        from biphoton_sim import (
+            build_covariance_exact,
+            compressed_determinant_operand,
+            covariance_eigenvalues,
+            det_truncation_bound_eigen,
+            det_truncation_bound_hs,
+            norms,
+        )
+        from biphoton_sim.cli import run_scenario
+        from biphoton_sim.covariance import covariance_core, covariance_factor
+        from biphoton_sim.detection import VacuumPointGf
+        from biphoton_sim.transforms import detected_gram
+
+        base = _random_passive_config(seed)
+        order = base["detection"]["series_order"]
+        cutoffs = base["detection"]["pnd_cutoffs"]
+        detectors = base["detection"]["detectors"]
+        schmidt = _gaussian_schmidt()
+        v = covariance_factor(schmidt, ProcessType.TYPE_II)
+        for method in ("log_series", "exact"):
+            config = dict(base, detection=dict(base["detection"], method=method))
+            point = run_scenario(config)["raw"][0]
+            sq = SqueezingSpectrum.from_schmidt(schmidt, point["gain"], ProcessType.TYPE_II)
+            gamma = build_covariance_exact(schmidt, point["gain"], ProcessType.TYPE_II)
+            s, dofs, windows = _dense_reference_transform(config, gamma)
+            operand = compressed_determinant_operand(s, windows, gamma, dofs).to_dense()
+            p_exact = math.exp(-0.5 * dense_log_det(operand))
+
+            def full_r_gram(keep):
+                kept = tuple(w if keep(d) else None for w, d in zip(windows.windows, detectors))
+                gram = detected_gram(s, DetectionProjection(kept), dofs).to_dense()
+                return v.conj().T @ gram @ v
+
+            core = covariance_core(sq)
+            parts = [core @ full_r_gram(lambda d: d == k) for k in range(len(cutoffs))]
+            total = sum(parts)
+            if method == "exact":
+                assert point["p_vac"] == pytest.approx(p_exact, rel=1e-12, abs=0)
+                assert point["bounds"]["truncation_tail"] == schmidt.truncation_tail
+                log_pnd = -0.5 * np.linalg.slogdet(np.eye(total.shape[0]) + total)[1]
+            else:
+                p_series = math.exp(-0.5 * log_det_series(operand, order, check_radius=False))
+                assert point["p_vac"] == pytest.approx(p_series, rel=1e-12, abs=0)
+                log_pnd = -0.5 * log_det_series(total, order, check_radius=False)
+                eta2 = float(np.linalg.eigvalsh(full_r_gram(lambda d: True))[-1])
+                nrm = norms(sq)
+                eigen = det_truncation_bound_eigen(covariance_eigenvalues(sq), eta2, order)
+                hs = det_truncation_bound_hs(
+                    nrm.largest_abs_eigenvalue, nrm.hs_norm**2, eta2, order
+                )
+                written = point["bounds"]
+                assert written["det_trunc_eigen"] == pytest.approx(eigen.value, rel=1e-12, abs=0)
+                assert written["det_trunc_hs"] == pytest.approx(hs.value, rel=1e-12, abs=0)
+                error = abs(point["p_vac"] - p_exact) / p_exact
+                assert error <= min(eigen.value, hs.value) + 1e-12
+            ls = [np.linalg.solve(np.eye(total.shape[0]) + total, p) for p in parts]
+            ref = pnd(VacuumPointGf(log_series_gf(ls, sum(cutoffs)), log_pnd), cutoffs)
+            assert np.allclose(point["pnd"].probabilities, ref.probabilities, rtol=0, atol=1e-15)
+
+    @staticmethod
+    def _operand_widths(monkeypatch):
+        """Record the side of every operand the determinant, series and
+        moment routines see."""
+        from biphoton_sim import detection
+
+        widths = []
+
+        def recorded(module, name):
+            original = getattr(module, name)
+
+            def wrapper(operand, *args, **kwargs):
+                mats = operand if isinstance(operand, list) else [operand]
+                widths.extend(np.shape(m)[0] for m in mats)
+                return original(operand, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        recorded(detection, "log_det_series")
+        recorded(detection, "log_series_gf")
+        recorded(np.linalg, "slogdet")
+        return widths
+
+    @pytest.mark.parametrize("method", ["log_series", "exact"])
+    @pytest.mark.parametrize("pair, sectors", [([0, 2], 2), ([0, 1], 1)])
+    def test_operand_width(self, monkeypatch, method, pair, sectors):
+        from biphoton_sim.cli import run_scenario
+        from biphoton_sim.covariance import covariance_factor
+
+        config = _readme_config(method)
+        config["detection"]["series_order"] = 20
+        config["pipeline"][0]["dofs"] = pair
+        r = covariance_factor(
+            _gaussian_schmidt(2.0, delta_minus=4.0, extent_sigmas=6.0), ProcessType.TYPE_II
+        ).shape[1]
+        widths = self._operand_widths(monkeypatch)
+        result = run_scenario(config)
+        assert result["pnd"].probabilities.shape == (4, 4)
+        assert widths and set(widths) == {r // sectors}
 
 
 def _dispatch_case(kind, rng):
