@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -66,6 +67,42 @@ def _require(cfg: dict, path: str, typ=None):
     return node
 
 
+def _object(node: dict, key: str, path: str | None = None) -> dict:
+    """The optional object `node[key]`; {} when it is absent or null."""
+    value = node.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path or key}: expected an object")
+    return value
+
+
+def _number(value, path: str, kind=float, at_least=None, above=None):
+    """`value` as a finite float, or as an int when `kind` is int, that is
+    at least `at_least` and above `above`; otherwise a ConfigError naming
+    `path`."""
+    try:
+        x = kind(value)
+        ok = not isinstance(value, bool) and math.isfinite(x) and x == float(value)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not (ok and (at_least is None or x >= at_least) and (above is None or x > above)):
+        what = "an integer" if kind is int else "a number"
+        if at_least is not None:
+            what += f" >= {at_least}"
+        elif above is not None:
+            what += f" > {above}"
+        raise ConfigError(f"{path}: expected {what}")
+    return x
+
+
+def _mode_index(value, path: str, m_total: int) -> int:
+    idx = _number(value, path, int)
+    if not 0 <= idx < m_total:
+        raise ConfigError(f"{path}: mode index {idx} out of range")
+    return idx
+
+
 def _process(tag: str, path: str) -> ProcessType:
     try:
         return ProcessType(tag)
@@ -78,7 +115,7 @@ def _build_source(cfg: dict):
     source = _require(cfg, "source", dict)
     process = _process(_require(cfg, "source.process", str), "source.process")
     jsa_cfg = _require(cfg, "source.jsa", dict)
-    grid_cfg = cfg.get("grid", {})
+    grid_cfg = _object(cfg, "grid")
     if "gaussian" in jsa_cfg:
         g = jsa_cfg["gaussian"]
         try:
@@ -92,8 +129,12 @@ def _build_source(cfg: dict):
             raise ConfigError(f"source.jsa.gaussian: {exc}") from None
         grid_s, grid_i = spectral.default_grids(
             model,
-            extent_sigmas=float(grid_cfg.get("extent_sigmas", 6.0)),
-            points_per_width=float(grid_cfg.get("points_per_width", 8.0)),
+            extent_sigmas=_number(
+                grid_cfg.get("extent_sigmas", 6.0), "grid.extent_sigmas", above=0
+            ),
+            points_per_width=_number(
+                grid_cfg.get("points_per_width", 8.0), "grid.points_per_width", above=0
+            ),
         )
         jsa = spectral.build_gaussian_jsa(model, grid_s, grid_i)
     elif "csv" in jsa_cfg:
@@ -104,11 +145,10 @@ def _build_source(cfg: dict):
     if "gain" in source and "mu" in source:
         raise ConfigError("source: give either 'gain' or 'mu', not both")
     if "gain" in source:
-        gain = float(source["gain"])
-        if gain < 0:
-            raise ConfigError("source.gain: must be non-negative")
+        gain = _number(source["gain"], "source.gain", at_least=0)
     elif "mu" in source:
-        gain = gain_for_mean_pairs(schmidt, float(source["mu"]), process)
+        mu = _number(source["mu"], "source.mu", at_least=0)
+        gain = gain_for_mean_pairs(schmidt, mu, process)
     else:
         raise ConfigError("source: missing 'gain' or 'mu'")
     return jsa, schmidt, gain, process
@@ -132,14 +172,13 @@ def _pipeline_transform(cfg, m_total: int, in_dofs) -> transforms.SymplecticTran
             raise ConfigError(f"{path}: each entry needs a 'type'")
         kind = entry["type"]
         if kind == "phase":
-            dof = int(entry.get("dof", 0))
-            if not 0 <= dof < m_total:
-                raise ConfigError(f"{path}.dof: out of range")
+            dof = _mode_index(entry.get("dof", 0), f"{path}.dof", m_total)
             built.append(
                 transforms.phase_shift(
-                    float(entry.get("phi0_rad", 0.0)),
-                    float(entry.get("tau_s", 0.0)),
-                    float(entry.get("beta_l_s2", 0.0)),
+                    *(
+                        _number(entry.get(key, 0.0), f"{path}.{key}")
+                        for key in ("phi0_rad", "tau_s", "beta_l_s2")
+                    ),
                     current_grids[dof],
                     dof,
                     m_total,
@@ -147,9 +186,7 @@ def _pipeline_transform(cfg, m_total: int, in_dofs) -> transforms.SymplecticTran
                 )
             )
         elif kind == "fourier":
-            dof = int(entry.get("dof", 0))
-            if not 0 <= dof < m_total:
-                raise ConfigError(f"{path}.dof: out of range")
+            dof = _mode_index(entry.get("dof", 0), f"{path}.dof", m_total)
             t, current_grids[dof] = transforms.fourier(
                 current_grids[dof], dof, m_total, sizes=sizes
             )
@@ -161,9 +198,12 @@ def _pipeline_transform(cfg, m_total: int, in_dofs) -> transforms.SymplecticTran
             t_coef = entry.get("transmittance")
             if t_coef is None:
                 raise ConfigError(f"{path}.transmittance: missing")
-            t_coef = float(t_coef)
-            r_coef = float(entry.get("reflectance", math.sqrt(max(0.0, 1.0 - t_coef**2))))
-            d1, d2 = int(dofs[0]), int(dofs[1])
+            t_coef = _number(t_coef, f"{path}.transmittance")
+            r_coef = _number(
+                entry.get("reflectance", math.sqrt(max(0.0, 1.0 - t_coef**2))),
+                f"{path}.reflectance",
+            )
+            d1, d2 = (_mode_index(d, f"{path}.dofs", m_total) for d in dofs)
             try:
                 built.append(
                     transforms.beam_splitter(t_coef, r_coef, (d1, d2), m_total, sizes=sizes)
@@ -177,11 +217,9 @@ def _pipeline_transform(cfg, m_total: int, in_dofs) -> transforms.SymplecticTran
                 )
         elif kind == "loss":
             entries = [1.0] * (2 * m_total)
-            for key, val in entry.get("eta", {}).items():
-                idx = int(key)
-                if not 0 <= idx < m_total:
-                    raise ConfigError(f"{path}.eta: mode index {idx} out of range")
-                val = float(val)
+            for key, val in _object(entry, "eta", f"{path}.eta").items():
+                idx = _mode_index(key, f"{path}.eta", m_total)
+                val = _number(val, f"{path}.eta")
                 if not 0 <= val <= 1:
                     raise ConfigError(f"{path}.eta: transmittivity outside [0, 1]")
                 entries[idx] = entries[m_total + idx] = val
@@ -197,15 +235,15 @@ def _pipeline_transform(cfg, m_total: int, in_dofs) -> transforms.SymplecticTran
 
 def _sweep_mus(config) -> list:
     """The swept mean pair numbers, or [None] for a single run."""
-    sweep = config.get("sweep")
-    if sweep is None:
+    if config.get("sweep") is None:
         return [None]
+    sweep = _object(config, "sweep")
     values = sweep.get("values")
     if not isinstance(values, list) or not values:
         raise ConfigError("sweep.values: expected a non-empty list")
     if sweep.get("parameter") != "source.mu":
         raise ConfigError("sweep.parameter: only 'source.mu' sweeps are supported")
-    return [float(v) for v in values]
+    return [_number(v, f"sweep.values[{k}]", at_least=0) for k, v in enumerate(values)]
 
 
 def run_scenario(config: dict) -> dict:
@@ -223,21 +261,13 @@ def run_scenario(config: dict) -> dict:
     if method not in _METHODS:
         raise ConfigError(f"detection.method: unknown method '{method}'")
     mus = _sweep_mus(config)
-    try:
-        cutoffs = [int(c) for c in detection_cfg.get("pnd_cutoffs") or ()]
-        if any(c < 0 for c in cutoffs):
-            raise ValueError
-    except (TypeError, ValueError):
-        raise ConfigError(
-            "detection.pnd_cutoffs: expected a list of non-negative integers"
-        ) from None
-    if method == "exact":
-        step = _exact_step(config, schmidt, process, detection_cfg, cutoffs)
-    elif method == "log_series":
-        order = int(detection_cfg.get("series_order", 8))
-        step = _schmidt_step(config, schmidt, process, detection_cfg, cutoffs, order)
+    if method in _SOURCE_METHODS:
+        step = _source_step(config, jsa, schmidt, process, method, detection_cfg)
     else:
-        step = _source_step(config, jsa, schmidt, process, method, detection_cfg, cutoffs)
+        order = detection_cfg.get("series_order", 8) if method == "log_series" else None
+        if order is not None:
+            order = _number(order, "detection.series_order", int, at_least=1)
+        step = _schmidt_step(config, schmidt, process, detection_cfg, order)
 
     results = []
     for k, mu in enumerate(mus):
@@ -279,8 +309,10 @@ def _detection_windows(detection_cfg, n_dofs, path="detection.windows"):
         elif w == "empty":
             out.append(None)
         elif isinstance(w, list) and len(w) == 2:
-            lo = -math.inf if w[0] is None else float(w[0])
-            hi = math.inf if w[1] is None else float(w[1])
+            lo, hi = (
+                bound if edge is None else _number(edge, f"{path}[{k}]")
+                for edge, bound in zip(w, (-math.inf, math.inf))
+            )
             try:
                 out.append(transforms.DetectionWindow(lo, hi, domain))
             except ValueError as exc:
@@ -290,12 +322,28 @@ def _detection_windows(detection_cfg, n_dofs, path="detection.windows"):
     return transforms.DetectionProjection(tuple(out))
 
 
-def _check_cutoffs(cutoffs, detector_count: int):
-    """PND cutoffs give one entry per detector, or a single entry for all."""
-    if len(cutoffs) not in (0, 1, detector_count):
+def _detectors(detection_cfg, m_total: int):
+    """Each mode's detector index or None (default: the first two modes on
+    detectors 0 and 1), and the PND cutoffs, one per detector or [] for none."""
+    detectors = detection_cfg.get("detectors")
+    if detectors is None:
+        detectors = list(range(min(2, m_total))) + [None] * max(0, m_total - 2)
+    one_per_mode = isinstance(detectors, list) and len(detectors) == m_total
+    indices = [d for d in detectors if d is not None] if one_per_mode else []
+    if not indices or not all(type(d) is int and d >= 0 for d in indices):
         raise ConfigError(
-            f"detection.pnd_cutoffs: expected one cutoff per detector ({detector_count})"
+            f"detection.detectors: expected one detector index or null per "
+            f"output mode ({m_total}), with at least one detector"
         )
+    count = max(indices) + 1
+    cutoffs = detection_cfg.get("pnd_cutoffs") or []
+    if not isinstance(cutoffs, list) or len(cutoffs) not in (0, 1, count):
+        raise ConfigError(
+            f"detection.pnd_cutoffs: expected one cutoff per detector ({count}) "
+            f"or a single one for all"
+        )
+    cutoffs = [_number(c, "detection.pnd_cutoffs", int, at_least=0) for c in cutoffs]
+    return detectors, cutoffs * count if len(cutoffs) == 1 else cutoffs
 
 
 # Each *_step function plans one detection method and returns
@@ -303,38 +351,19 @@ def _check_cutoffs(cutoffs, detector_count: int):
 # (p_vac, bounds, pnd or None).
 
 
-def _exact_step(config, schmidt, process, detection_cfg, cutoffs):
-    """Closed-form vacuum of the bare source when neither a pipeline step nor
-    a detection window acts on it; otherwise the Schmidt-basis run with the
-    exact r x r log-determinant in place of the series."""
-    windows = detection_cfg.get("windows")
-    restricted = windows is not None and not (
-        isinstance(windows, list) and all(w is None or w == [None, None] for w in windows)
-    )
-    if config.get("pipeline") or restricted:
-        return _schmidt_step(config, schmidt, process, detection_cfg, cutoffs, None)
-    _check_cutoffs(cutoffs, 1 if process is ProcessType.TYPE_0I else 2)
-
-    def step(gain, sq, with_pnd):
-        pnd = det.pnd(det.ExactProductGf(sq), cutoffs) if with_pnd and cutoffs else None
-        bounds = {"truncation_tail": schmidt.truncation_tail}
-        return det.vacuum_probability(sq, "exact"), bounds, pnd
-
-    return step
-
-
 def _shared_detector(stats):
-    """One detector seeing both arms of a type-0/I source: the two-arm table
-    on the diagonal x_s = x_i, where n photons are the anti-diagonal
-    n_s + n_i = n of the (c, c) table."""
+    """One detector seeing both arms: the two-arm table on the diagonal
+    x_s = x_i, where n photons are the anti-diagonal n_s + n_i = n of the
+    (c, c) table."""
     flipped = stats.probabilities[::-1]
     c = len(flipped) - 1
     p = np.array([np.trace(flipped, offset=n - c) for n in range(c + 1)])
     return det.PhotonStatistics(p, 1.0 - float(np.sum(p)))
 
 
-def _source_step(config, jsa, schmidt, process, method, detection_cfg, cutoffs):
-    """Source-level methods: per-mode transmittivities of a loss-only pipeline."""
+def _source_step(config, jsa, schmidt, process, method, detection_cfg):
+    """Source-level methods: per-mode transmittivities of a loss-only pipeline,
+    and one detector per source mode or every mode on detector 0."""
     if any(not isinstance(e, dict) or e.get("type") != "loss" for e in config.get("pipeline", [])):
         raise ConfigError("pipeline: source-level methods support loss-only pipelines")
     in_dofs = source_dofs(schmidt, process)
@@ -344,16 +373,29 @@ def _source_step(config, jsa, schmidt, process, method, detection_cfg, cutoffs):
     if method == "quadratic" and len(set(etas)) > 1:
         raise ConfigError("pipeline: the quadratic method needs a uniform loss")
     windows = _detection_windows(detection_cfg, n_dofs)
-    if method in ("poisson", "hermite"):
-        _check_cutoffs(cutoffs, n_dofs)
+    detectors, cutoffs = _detectors(detection_cfg, n_dofs)
+    shared = all(d == 0 for d in detectors)
+    if not shared and detectors != list(range(n_dofs)):
+        raise ConfigError(
+            f"detection.detectors: source-level methods take one detector per source "
+            f"mode {list(range(n_dofs))} or every mode on detector 0"
+        )
+    if cutoffs and method in ("linear", "quadratic"):
+        raise ConfigError(
+            f"detection.pnd_cutoffs: method '{method}' gives no photon-number distribution"
+        )
     loss = transforms.LossProfile(tuple(etas))
     eta_best2 = max(e * e for e in etas)
     k_number = spectral.schmidt_number(schmidt)
+    if method in ("poisson", "linear"):
+        # only mu depends on the gain: the unit-gain mu (1/2 or 1/4) times
+        # gain * gain rounds exactly as gain * gain / 2 or / 4 does
+        unit = det.poisson_params(jsa, loss, windows, 1.0, process)
 
     def step(gain, sq, with_pnd):
-        params = det.poisson_params(jsa, loss, windows, gain, process)
+        if method in ("poisson", "linear"):
+            params = dataclasses.replace(unit, mu=unit.mu * gain * gain)
         bounds = {}
-        gf = None
         if method == "poisson":
             p_vac = det.vacuum_probability(params, "poisson")
             bounds["poisson_vs_n2"] = bounds_mod.poisson_vs_n2_bound(
@@ -375,16 +417,14 @@ def _source_step(config, jsa, schmidt, process, method, detection_cfg, cutoffs):
             qp = det.QuadraticParams(schmidt, gain, etas[0], process)
             p_vac = det.vacuum_probability(qp, "quadratic")
         pnd = None
-        if with_pnd and cutoffs and gf is not None:
-            pnd = det.pnd(gf, cutoffs * 2 if n_dofs == 1 else cutoffs)
-            if n_dofs == 1:
-                pnd = _shared_detector(pnd)
+        if with_pnd and cutoffs:
+            pnd = _shared_detector(det.pnd(gf, cutoffs * 2)) if shared else det.pnd(gf, cutoffs)
         return p_vac, bounds, pnd
 
     return step
 
 
-def _schmidt_step(config, schmidt, process, detection_cfg, cutoffs, order):
+def _schmidt_step(config, schmidt, process, detection_cfg, order):
     """Detection over an arbitrary pipeline, on the Schmidt basis.
 
     The covariance factors as V M V^dag (V fixed, the r x r core M
@@ -448,21 +488,10 @@ def _schmidt_step(config, schmidt, process, detection_cfg, cutoffs, order):
 
     h_total = gram(lambda k: True)
     eta2 = float(np.linalg.eigvalsh(h_total)[-1])
-    detectors = detection_cfg.get("detectors")
-    if detectors is None:
-        detectors = list(range(min(2, m_total))) + [None] * max(0, m_total - 2)
-    h_parts = []
+    detectors, cutoffs = _detectors(detection_cfg, m_total)
     if cutoffs:
-        one_per_mode = isinstance(detectors, list) and len(detectors) == m_total
-        indices = [d for d in detectors if d is not None] if one_per_mode else []
-        if not indices or not all(isinstance(d, int) and d >= 0 for d in indices):
-            raise ConfigError(
-                f"detection.detectors: expected one detector index or null per "
-                f"output mode ({m_total}), with at least one detector"
-            )
-        _check_cutoffs(cutoffs, max(indices) + 1)
-        h_parts = [gram(lambda k: detectors[k] == d) for d in range(max(indices) + 1)]
-        degree = sum(cutoffs) if len(cutoffs) > 1 else cutoffs[0] * len(h_parts)
+        h_parts = [gram(lambda k: detectors[k] == d) for d in range(len(cutoffs))]
+        degree = sum(cutoffs)
         # the PND vacuum is that of the detected modes; it is p_vac's unless
         # a windowed mode has no detector
         undetected = [m for m, d in zip(masks, detectors) if d is None]
@@ -750,7 +779,7 @@ def _cmd_run(args) -> int:
     with open(args.config) as fh:
         config = json.load(fh)
     result = run_scenario(config)
-    out_cfg = config.get("output", {})
+    out_cfg = _object(config, "output")
     csv_path = out_cfg.get("csv_path", "scenario.csv")
     _write_csv(csv_path, result["columns"], result["rows"])
     if result.get("pnd") is not None and out_cfg.get("pnd_csv_path"):

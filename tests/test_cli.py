@@ -580,6 +580,10 @@ class TestCommandLine:
         assert "short.csv: line 3 has 3 fields" in err
 
 
+METHODS = ["exact", "log_series", "poisson", "hermite", "linear", "quadratic"]
+SOURCE_METHODS = METHODS[2:]
+
+
 class TestPlanningErrors:
     """Config mistakes found while planning exit 2 and name the field."""
 
@@ -597,6 +601,8 @@ class TestPlanningErrors:
             ("type2", "log_series", [2, -1]),
             ("type0i", "exact", [2, 2]),
             ("type2", "poisson", [1, 1, 1]),
+            ("type2", "linear", [2]),
+            ("type0i", "quadratic", [2]),
         ],
     )
     def test_pnd_cutoffs_exit_code(self, tmp_path, capsys, process, method, cutoffs):
@@ -614,6 +620,58 @@ class TestPlanningErrors:
         code, err = self._run(tmp_path, capsys, cfg)
         assert code == 2
         assert "detection.detectors" in err
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_non_list_detectors_exit_code(self, tmp_path, capsys, method):
+        cfg = base_config(detection={"method": method, "detectors": "garbage"})
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 2
+        assert "detection.detectors" in err
+
+    @pytest.mark.parametrize("method", SOURCE_METHODS)
+    @pytest.mark.parametrize("detectors", [[1, 0], [0, None]])
+    def test_source_level_layout_exit_code(self, tmp_path, capsys, method, detectors):
+        cfg = base_config(detection={"method": method, "detectors": detectors})
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 2
+        assert "detection.detectors" in err
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("grid.points_per_width", {"grid": {"points_per_width": 0}}),
+            ("grid.points_per_width", {"grid": {"points_per_width": -3}}),
+            ("grid.extent_sigmas", {"grid": {"extent_sigmas": 0}}),
+            ("grid", {"grid": [6.0, 3.0]}),
+            ("sweep", {"sweep": "source.mu"}),
+            ("pipeline[0].eta", {"pipeline": [{"type": "loss", "eta": [0.9]}]}),
+            ("detection.series_order", {"detection": {"method": "log_series", "series_order": 0}}),
+            ("detection.series_order", {"detection": {"method": "log_series", "series_order": -3}}),
+            ("detection.series_order", {"detection": {"method": "log_series", "series_order": "x"}}),
+            ("source.mu", {"source": {"mu": -0.1}}),
+            ("source.mu", {"source": {"mu": "abc"}}),
+            ("source.gain", {"source": {"gain": "abc"}}),
+            ("sweep.values[0]", {"sweep": {"parameter": "source.mu", "values": ["x"]}}),
+            ("sweep.values[1]", {"sweep": {"parameter": "source.mu", "values": [0.1, -1]}}),
+            ("pipeline[0].dof", {"pipeline": [{"type": "phase", "dof": "x"}]}),
+            ("pipeline[0].phi0_rad", {"pipeline": [{"type": "phase", "phi0_rad": "x"}]}),
+            (
+                "pipeline[0].transmittance",
+                {"pipeline": [{"type": "beam_splitter", "dofs": [0, 1], "transmittance": "x"}]},
+            ),
+        ],
+    )
+    def test_malformed_field_exit_code(self, tmp_path, capsys, field, edit):
+        cfg = base_config()
+        for key, value in edit.items():
+            if key == "source":
+                cfg["source"].pop("gain")
+                cfg["source"].update(value)
+            else:
+                cfg[key] = value
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 2
+        assert f"configuration error: {field}:" in err
 
 
 def _rectangular_csv(tmp_path):
@@ -868,8 +926,8 @@ class TestHermiteLoss:
 
 
 class TestExactWindows:
-    """Pipeline-free `exact` keeps its closed form only when no window
-    restricts detection."""
+    """Windows restrict pipeline-free `exact` as they restrict any pipeline;
+    unbounded windows change nothing."""
 
     WINDOWS = [[-1.0, 1.0], [-1.0, 1.0]]
 
@@ -910,3 +968,73 @@ class TestLowOrderPnd:
         assert "detection.series_order 8" in err
         assert "exact" in err
         assert not (tmp_path / "low_pnd.csv").exists()
+
+
+def gaussian_spectrum(process, gain):
+    """The squeezing spectrum of the `base_config` source at `gain`."""
+    from biphoton_sim import (
+        GaussianJsaModel,
+        ProcessType,
+        SqueezingSpectrum,
+        build_gaussian_jsa,
+        default_grids,
+        schmidt_decompose,
+    )
+
+    model = GaussianJsaModel(1.0, 3.0)
+    jsa = build_gaussian_jsa(
+        model, *default_grids(model, extent_sigmas=5.2, points_per_width=3.0)
+    )
+    return SqueezingSpectrum.from_schmidt(schmidt_decompose(jsa), gain, ProcessType(process))
+
+
+class TestExactEngine:
+    """Pipeline-free `exact` runs on the Schmidt side like every pipeline;
+    the per-mode closed form is its reference."""
+
+    @pytest.mark.parametrize("process", ["type0i", "type2"])
+    @pytest.mark.parametrize("mu", [0.01, 1.0, 20.0])
+    def test_matches_closed_form(self, process, mu):
+        from biphoton_sim import ExactProductGf, pnd, vacuum_probability
+
+        cutoffs = [3] if process == "type0i" else [3, 3]
+        cfg = base_config(detection={"method": "exact", "pnd_cutoffs": cutoffs})
+        cfg["source"] = dict(cfg["source"], process=process, mu=mu)
+        cfg["source"].pop("gain")
+        result = run_scenario(cfg)
+        raw = result["raw"][0]
+        sq = gaussian_spectrum(process, raw["gain"])
+        assert raw["p_vac"] == pytest.approx(vacuum_probability(sq, "exact"), rel=1e-12, abs=0)
+        ref = pnd(ExactProductGf(sq), cutoffs).probabilities
+        assert result["pnd"].probabilities.shape == ref.shape
+        np.testing.assert_allclose(result["pnd"].probabilities, ref, rtol=0, atol=1e-15)
+
+
+class TestDetectorLayouts:
+    """`detection.detectors` applies to every method."""
+
+    def test_exact_shared_detector(self):
+        detection = {"method": "exact", "detectors": [0, 0], "pnd_cutoffs": [2]}
+        bare = run_scenario(base_config(detection=detection))
+        noop = run_scenario(
+            base_config(detection=detection, pipeline=[{"type": "phase", "dof": 0}])
+        )
+        assert bare["pnd"].probabilities.shape == (3,)
+        np.testing.assert_allclose(
+            bare["pnd"].probabilities, noop["pnd"].probabilities, rtol=1e-13, atol=0
+        )
+
+    @pytest.mark.parametrize("method", ["poisson", "hermite"])
+    def test_source_level_shared_detector(self, method):
+        two_arm = run_scenario(base_config(detection={"method": method, "pnd_cutoffs": [3]}))
+        shared = run_scenario(
+            base_config(detection={"method": method, "pnd_cutoffs": [3], "detectors": [0, 0]})
+        )
+        table = two_arm["pnd"].probabilities
+        p = shared["pnd"].probabilities
+        assert table.shape == (4, 4) and p.shape == (4,)
+        for n in range(4):
+            antidiagonal = sum(table[k, n - k] for k in range(n + 1))
+            assert p[n] == pytest.approx(antidiagonal, rel=1e-15, abs=0)
+        assert p[0] == pytest.approx(float(first_row(shared)["p_vac"]), rel=1e-15, abs=0)
+        assert shared["rows"] == two_arm["rows"]
