@@ -131,23 +131,32 @@ def covariance_truncation_bound(sigmas, order: int) -> BoundReport:
     )
 
 
-def _log_series_tail(lam: float, order: int) -> float:
-    """Remainder of ln(1 + lam) beyond order N: -sum_{n>N} (-lam)^n / n."""
-    if lam == 0:
-        return 0.0
-    if abs(lam) >= 1:
-        raise OutOfDomainError(f"|eta^2 lambda| = {float(abs(lam))!r} >= 1")
-    total = 0.0
-    term = (-lam) ** order
-    n = order + 1
-    while True:
-        term *= -lam
-        inc = term / n
-        total += inc
-        if abs(inc) < 1e-18 * (abs(total) + 1e-300) or n > 100000:
-            break
-        n += 1
-    return -total
+def _log_series_tail(lams, order: int) -> np.ndarray:
+    """Remainders -sum_{n>N} (-lam)^n / n of ln(1 + lam) beyond order N, for a
+    1-D array of lam.  Terms are added until one falls below 1e-18 of the sum,
+    for all values at once in blocks of 64 orders; accumulate runs in order,
+    so each remainder rounds as a term-by-term loop over that value alone."""
+    lam = np.asarray(lams, dtype=float)
+    big = np.abs(lam) >= 1
+    if big.any():
+        raise OutOfDomainError(f"|eta^2 lambda| = {float(abs(lam[big][0]))!r} >= 1")
+    out = np.zeros(lam.shape)
+    idx = np.flatnonzero(lam)
+    x = -lam[idx]
+    # each value's scalar power, as numpy's array power may round differently
+    term, total = np.array([v**order for v in x]), np.zeros(idx.size)
+    n = order + 1 + np.arange(64)
+    while idx.size:
+        steps = np.column_stack([term, np.repeat(x[:, None], n.size, axis=1)])
+        terms = np.multiply.accumulate(steps, axis=1)[:, 1:]
+        inc = terms / n
+        totals = np.add.accumulate(np.column_stack([total, inc]), axis=1)[:, 1:]
+        done = (np.abs(inc) < 1e-18 * (np.abs(totals) + 1e-300)) | (n > 100000)
+        fin = done.any(axis=1)
+        out[idx[fin]] = -totals[fin, done[fin].argmax(axis=1)]
+        idx, x, term, total = idx[~fin], x[~fin], terms[~fin, -1], totals[~fin, -1]
+        n = n + n.size
+    return out
 
 
 def det_truncation_bound_eigen(lambdas, eta2: float, order: int) -> BoundReport:
@@ -157,8 +166,9 @@ def det_truncation_bound_eigen(lambdas, eta2: float, order: int) -> BoundReport:
         raise ValueError("order must be non-negative")
     if eta2 < 0:
         raise ValueError("eta2 must be non-negative")
-    tails = [abs(_log_series_tail(eta2 * v, order)) for v in lam]
-    value = float(np.expm1(0.5 * sum(tails)))
+    tails = np.abs(_log_series_tail(eta2 * lam, order))
+    # the left-to-right sum, as summed one eigenvalue at a time
+    value = float(np.expm1(0.5 * sum(tails.tolist())))
     return BoundReport(
         value,
         "DET_TRUNC_EIGEN",
@@ -186,7 +196,7 @@ def det_truncation_bound_hs(
     if a >= 1:
         raise OutOfDomainError(f"eta^2 |Lambda_1| = {float(a)!r} >= 1")
     # tail of -ln(1-a): all terms positive, no cancellation
-    tail = -_log_series_tail(-a, order)
+    tail = -_log_series_tail([-a], order)[0]
     value = float(np.expm1(tail * hs_norm2 / (2.0 * lambda1**2)))
     return BoundReport(value, "DET_TRUNC_HS", inputs)
 

@@ -43,8 +43,6 @@ from .spectral import GaussianJsaModel
 
 __all__ = ["ConfigError", "run_scenario", "figure_data", "write_figure", "main"]
 
-FIGURES = ("fig1", "fig2", "fig3", "fig4")
-
 
 class ConfigError(ValueError):
     """Invalid scenario configuration; the message carries the field path."""
@@ -246,6 +244,19 @@ def _sweep_mus(config) -> list:
     return [_number(v, f"sweep.values[{k}]", at_least=0) for k, v in enumerate(values)]
 
 
+def _mode_names(config, in_dofs) -> list:
+    """The names of all modes, source modes first: `modes`, or the source modes'."""
+    names = config.get("modes")
+    if names is None:
+        return [d.name for d in in_dofs]
+    ok = isinstance(names, list) and all(isinstance(n, str) for n in names)
+    if not ok or len(names) < len(in_dofs):
+        raise ConfigError(
+            f"modes: expected a list of mode names, at least the {len(in_dofs)} source modes"
+        )
+    return names
+
+
 def run_scenario(config: dict) -> dict:
     """Execute one scenario; returns columns, rows and optional PND tables.
 
@@ -261,13 +272,14 @@ def run_scenario(config: dict) -> dict:
     if method not in _METHODS:
         raise ConfigError(f"detection.method: unknown method '{method}'")
     mus = _sweep_mus(config)
+    mode_names = _mode_names(config, source_dofs(schmidt, process))
     if method in _SOURCE_METHODS:
         step = _source_step(config, jsa, schmidt, process, method, detection_cfg)
     else:
         order = detection_cfg.get("series_order", 8) if method == "log_series" else None
         if order is not None:
             order = _number(order, "detection.series_order", int, at_least=1)
-        step = _schmidt_step(config, schmidt, process, detection_cfg, order)
+        step = _schmidt_step(config, schmidt, process, detection_cfg, order, mode_names)
 
     results = []
     for k, mu in enumerate(mus):
@@ -363,7 +375,8 @@ def _shared_detector(stats):
 
 def _source_step(config, jsa, schmidt, process, method, detection_cfg):
     """Source-level methods: per-mode transmittivities of a loss-only pipeline,
-    and one detector per source mode or every mode on detector 0."""
+    one detector per source mode or every mode on detector 0, and detection
+    windows for `poisson` and `linear` only."""
     if any(not isinstance(e, dict) or e.get("type") != "loss" for e in config.get("pipeline", [])):
         raise ConfigError("pipeline: source-level methods support loss-only pipelines")
     in_dofs = source_dofs(schmidt, process)
@@ -373,6 +386,9 @@ def _source_step(config, jsa, schmidt, process, method, detection_cfg):
     if method == "quadratic" and len(set(etas)) > 1:
         raise ConfigError("pipeline: the quadratic method needs a uniform loss")
     windows = _detection_windows(detection_cfg, n_dofs)
+    bounded = any(w is None or (w.lo, w.hi) != (-math.inf, math.inf) for w in windows.windows)
+    if method in ("hermite", "quadratic") and bounded:
+        raise ConfigError(f"detection.windows: method '{method}' applies no windows; use 'poisson'")
     detectors, cutoffs = _detectors(detection_cfg, n_dofs)
     shared = all(d == 0 for d in detectors)
     if not shared and detectors != list(range(n_dofs)):
@@ -424,7 +440,7 @@ def _source_step(config, jsa, schmidt, process, method, detection_cfg):
     return step
 
 
-def _schmidt_step(config, schmidt, process, detection_cfg, order):
+def _schmidt_step(config, schmidt, process, detection_cfg, order, mode_names):
     """Detection over an arbitrary pipeline, on the Schmidt basis.
 
     The covariance factors as V M V^dag (V fixed, the r x r core M
@@ -456,11 +472,6 @@ def _schmidt_step(config, schmidt, process, detection_cfg, order):
     """
     in_dofs = source_dofs(schmidt, process)
     n_source = len(in_dofs)
-    mode_names = config.get("modes")
-    if mode_names is None:
-        mode_names = [d.name for d in in_dofs]
-    if len(mode_names) < n_source:
-        raise ConfigError("modes: must include at least the source modes")
     m_total = len(mode_names)
     reduced = transforms.compress(
         _pipeline_transform(config, m_total, in_dofs), n_source
@@ -550,12 +561,6 @@ def _schmidt_step(config, schmidt, process, detection_cfg, order):
 # ---------------------------------------------------------------------------
 
 
-def _fig_mu_to_sigma(mu: float, process: ProcessType) -> float:
-    if process is ProcessType.TYPE_0I:
-        return 2.0 * math.asinh(math.sqrt(2.0 * mu))
-    return 2.0 * math.asinh(math.sqrt(mu))
-
-
 def _gaussian_sq(aspect: float, mu: float, j_max_floor: float = 1e-16):
     """Analytic squeezing spectrum of a type-II Gaussian source at mean mu."""
     zeta = (aspect - 1.0) / (aspect + 1.0)
@@ -569,137 +574,120 @@ def _gaussian_sq(aspect: float, mu: float, j_max_floor: float = 1e-16):
     return SqueezingSpectrum.from_schmidt(schmidt, gain, ProcessType.TYPE_II), schmidt, gain
 
 
-def figure_data(name: str, points: int | None = None, overrides: dict | None = None):
-    """Rows of one reference figure; returns (columns, rows, metadata)."""
-    overrides = dict(overrides or {})
-    if name == "fig3":
-        n = points or 301
-        mus = np.linspace(0.0, float(overrides.get("mu_max", 3.0)), n)
-        columns = ["mu", "poisson", "single_mode_type0i", "single_mode_type2", "linear"]
-        rows = []
-        for mu in mus:
-            params = det.PoissonParams(mu, 1.0, 1.0, 1.0)
-            poisson = det.vacuum_probability(params, "poisson")
-            if mu > 0:
-                sq0 = SqueezingSpectrum(
-                    np.array([_fig_mu_to_sigma(mu, ProcessType.TYPE_0I)]),
-                    ProcessType.TYPE_0I,
-                    gain=1.0,
-                )
-                sq2 = SqueezingSpectrum(
-                    np.array([_fig_mu_to_sigma(mu, ProcessType.TYPE_II)]),
-                    ProcessType.TYPE_II,
-                    gain=1.0,
-                )
-                exact_0i = det.vacuum_probability(sq0, "exact")
-                exact_2 = det.vacuum_probability(sq2, "exact")
-            else:
-                exact_0i = exact_2 = 1.0
-            with np.errstate(all="ignore"):
-                linear = 1.0 - mu
-            rows.append([mu, poisson, exact_0i, exact_2, linear])
-        meta = {"x": "mu", "windows": "unbounded", "eta": 1.0}
-        return columns, rows, meta
+def _aspect_sweep(points, aspect_max, mus, summary, curves, bound):
+    """Rows over the aspect ratios geomspace(1, aspect_max, points): the ratio,
+    then bound(c, s) for each curve parameter c and each s = summary(sq) of
+    the type-II Gaussian source's spectrum sq at a mean pair number of `mus`."""
+    rows = []
+    for aspect in np.geomspace(1.0, aspect_max, points):
+        per_mu = [summary(_gaussian_sq(aspect, mu)[0]) for mu in mus]
+        rows.append([aspect] + [bound(c, s) for c in curves for s in per_mu])
+    return rows
 
-    if name == "fig1":
-        n = points or 121
-        aspects = np.geomspace(1.0, float(overrides.get("aspect_max", 1e3)), n)
-        eta2s = overrides.get("eta2s", [0.1, 1.0])
-        mus = overrides.get("mus", [0.01, 0.1])
-        order = int(overrides.get("order", 2))
-        columns = ["aspect_ratio"] + [
-            f"bound_eta2_{eta2:g}_mu_{mu:g}" for eta2 in eta2s for mu in mus
+
+def _fig1(points, aspect_max, eta2s, mus, order):
+    columns = ["aspect_ratio"] + [f"bound_eta2_{e:g}_mu_{mu:g}" for e in eta2s for mu in mus]
+    return columns, _aspect_sweep(
+        points, aspect_max, mus, norms, eta2s,
+        lambda eta2, nrm: bounds_mod.det_truncation_bound_hs(
+            nrm.largest_abs_eigenvalue, nrm.hs_norm**2, eta2, order
+        ).value,
+    )
+
+
+def _fig2(points, aspect_max, orders, mus):
+    columns = ["aspect_ratio"] + [f"bound_n_{n}_mu_{mu:g}" for n in orders for mu in mus]
+    return columns, _aspect_sweep(
+        points, aspect_max, mus, lambda sq: float(sq.sigmas[0]), orders,
+        lambda order, sigma1: bounds_mod.covariance_truncation_bound([sigma1], order).value,
+    )
+
+
+def _fig3(points, mu_max):
+    columns = ["mu", "poisson", "single_mode_type0i", "single_mode_type2", "linear"]
+    rows = []
+    for mu in np.linspace(0.0, mu_max, points):
+        poisson = det.vacuum_probability(det.PoissonParams(mu, 1.0, 1.0, 1.0), "poisson")
+        # one mode's sigma at mean pairs mu = sinh^2(sigma / 2), halved for type-0/I
+        exact = [
+            det.vacuum_probability(
+                SqueezingSpectrum(np.array([2.0 * math.asinh(math.sqrt(x))]), p, gain=1.0),
+                "exact",
+            )
+            if mu > 0
+            else 1.0
+            for p, x in ((ProcessType.TYPE_0I, 2.0 * mu), (ProcessType.TYPE_II, mu))
         ]
-        rows = []
-        for aspect in aspects:
-            row = [aspect]
-            nrms = [norms(_gaussian_sq(aspect, mu)[0]) for mu in mus]
-            for eta2 in eta2s:
-                for nrm in nrms:
-                    row.append(
-                        bounds_mod.det_truncation_bound_hs(
-                            nrm.largest_abs_eigenvalue, nrm.hs_norm**2, eta2, order
-                        ).value
-                    )
-            rows.append(row)
-        meta = {
-            "x": "aspect_ratio",
-            "order": order,
-            "eta2s": eta2s,
-            "mus": mus,
-            "process": "type2",
-            "mu_inversion": "exact sum of sinh^2(sigma_j/2)",
-        }
-        return columns, rows, meta
+        rows.append([mu, poisson, *exact, 1.0 - mu])
+    return columns, rows
 
-    if name == "fig2":
-        n = points or 121
-        aspects = np.geomspace(1.0, float(overrides.get("aspect_max", 1e3)), n)
-        orders = overrides.get("orders", [1, 2, 3, 4])
-        mus = overrides.get("mus", [0.01, 0.1, 1.0])
-        columns = ["aspect_ratio"] + [
-            f"bound_n_{order}_mu_{mu:g}" for order in orders for mu in mus
-        ]
-        rows = []
-        for aspect in aspects:
-            row = [aspect]
-            sigma1s = [float(_gaussian_sq(aspect, mu)[0].sigmas[0]) for mu in mus]
-            for order in orders:
-                for sigma1 in sigma1s:
-                    row.append(
-                        bounds_mod.covariance_truncation_bound([sigma1], order).value
-                    )
-            rows.append(row)
-        meta = {
-            "x": "aspect_ratio",
-            "orders": orders,
-            "mus": mus,
-            "process": "type2",
-            "m_largest": 1,
-            "mu_inversion": "exact sum of sinh^2(sigma_j/2)",
-        }
-        return columns, rows, meta
 
-    if name == "fig4":
-        n = points or 61
-        mus = np.geomspace(
-            float(overrides.get("mu_min", 0.01)), float(overrides.get("mu_max", 1.0)), n
+def _fig4(points, mu_min, mu_max, aspect_ratio, eta):
+    columns = ["mu", "rel_err_poisson", "rel_err_hermite", "rel_err_quadratic"]
+    eta2 = eta * eta
+    rows = []
+    for mu in np.geomspace(mu_min, mu_max, points):
+        sq, schmidt, gain = _gaussian_sq(aspect_ratio, mu)
+        exact = det.vacuum_probability(det.ExactProductGf(sq, eta2, eta2), "exact")
+        pois = det.PoissonParams(gain * gain / 4.0, eta2, eta2, eta2 * eta2)
+        k_number = spectral.schmidt_number(schmidt)
+        hp = det.hermite_params(gain, k_number, ProcessType.TYPE_II, eta2, eta2)
+        approx = (
+            det.vacuum_probability(pois, "poisson"),
+            det.vacuum_probability(hp, "hermite"),
+            det.quadratic_vacuum(schmidt, gain, eta, ProcessType.TYPE_II),
         )
-        aspect = float(overrides.get("aspect_ratio", 3.0))
-        eta = float(overrides.get("eta", 1.0))
-        columns = ["mu", "rel_err_poisson", "rel_err_hermite", "rel_err_quadratic"]
-        rows = []
-        for mu in mus:
-            sq, schmidt, gain = _gaussian_sq(aspect, mu)
-            k_number = spectral.schmidt_number(schmidt)
-            eta2 = eta * eta
-            exact = det.vacuum_probability(
-                det.ExactProductGf(sq, eta2, eta2), "exact"
-            )
-            pois = det.PoissonParams(gain * gain / 4.0, eta2, eta2, eta2 * eta2)
-            p_poisson = det.vacuum_probability(pois, "poisson")
-            hp = det.hermite_params(gain, k_number, ProcessType.TYPE_II, eta2, eta2)
-            p_hermite = det.vacuum_probability(hp, "hermite")
-            p_quad = det.quadratic_vacuum(schmidt, gain, eta, ProcessType.TYPE_II)
-            rows.append(
-                [
-                    mu,
-                    abs(p_poisson - exact) / exact,
-                    abs(p_hermite - exact) / exact,
-                    abs(p_quad - exact) / exact,
-                ]
-            )
-        meta = {
-            "x": "mu",
-            "aspect_ratio": aspect,
-            "eta": eta,
-            "windows": "unbounded",
-            "process": "type2",
-            "mu_axis": "exact mean pairs of the reference process",
-        }
-        return columns, rows, meta
+        rows.append([mu] + [abs(p - exact) / exact for p in approx])
+    return columns, rows
 
-    raise ValueError(f"unknown figure '{name}'")
+
+_MU_INVERSION = "exact sum of sinh^2(sigma_j/2)"
+
+# name -> (rows function, default point count, overridable parameters with
+# their defaults, fixed metadata).  The type of a default is the kind an
+# override must have: a number, an integer, or a non-empty list of either.
+FIGURES = {
+    "fig1": (_fig1, 121, {"aspect_max": 1e3, "eta2s": [0.1, 1.0], "mus": [0.01, 0.1], "order": 2},
+             {"x": "aspect_ratio", "process": "type2", "mu_inversion": _MU_INVERSION}),
+    "fig2": (_fig2, 121, {"aspect_max": 1e3, "orders": [1, 2, 3, 4], "mus": [0.01, 0.1, 1.0]},
+             {"x": "aspect_ratio", "process": "type2", "m_largest": 1,
+              "mu_inversion": _MU_INVERSION}),
+    "fig3": (_fig3, 301, {"mu_max": 3.0}, {"x": "mu", "windows": "unbounded", "eta": 1.0}),
+    "fig4": (_fig4, 61, {"mu_min": 0.01, "mu_max": 1.0, "aspect_ratio": 3.0, "eta": 1.0},
+             {"x": "mu", "windows": "unbounded", "process": "type2",
+              "mu_axis": "exact mean pairs of the reference process"}),
+}
+
+
+def _parameter(value, default, path: str):
+    """`value` as the kind of `default`: a number, an integer, or a non-empty
+    list of the kind of its first entry."""
+    if not isinstance(default, list):
+        return _number(value, path, type(default))
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a non-empty list")
+    return [_number(v, f"{path}[{k}]", type(default[0])) for k, v in enumerate(value)]
+
+
+def figure_data(name: str, points: int | None = None, overrides: dict | None = None):
+    """Rows of one reference figure: (columns, rows, metadata), the metadata
+    holding the fixed entries and every parameter's value, overridden or not."""
+    if name not in FIGURES:
+        raise ValueError(f"unknown figure '{name}'")
+    rows_of, default_points, defaults, fixed = FIGURES[name]
+    points = _number(default_points if points is None else points, "--points", int, at_least=1)
+    overrides = {} if overrides is None else overrides
+    if not isinstance(overrides, dict):
+        raise ConfigError("--overrides: expected a JSON object")
+    for key in overrides:
+        if key not in defaults:
+            raise ConfigError(f"--overrides.{key}: unknown; {name} takes {', '.join(defaults)}")
+    params = {
+        key: _parameter(overrides.get(key, default), default, f"--overrides.{key}")
+        for key, default in defaults.items()
+    }
+    columns, rows = rows_of(points, **params)
+    return columns, rows, {**fixed, **params}
 
 
 def _write_csv(path, columns, rows):

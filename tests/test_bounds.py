@@ -17,7 +17,7 @@ from biphoton_sim import (
     truncated_cosh_sinh,
     vacuum_range,
 )
-from biphoton_sim.bounds import _logsumexp
+from biphoton_sim.bounds import _log_series_tail, _logsumexp
 from biphoton_sim.covariance import SqueezingSpectrum
 from biphoton_sim.detection import vacuum_probability
 
@@ -150,6 +150,32 @@ class TestDetTruncationBounds:
             bound()
         assert "1.25 >= 1" in str(err.value)
         assert "np.float64" not in str(err.value)
+
+    def test_tail_of_a_spectrum_is_the_one_value_tails(self):
+        """The array tail stops each value at its own order: each entry and
+        the bound equal a term-by-term loop over that value alone."""
+
+        def one_value_loop(lam, order):
+            if lam == 0:
+                return 0.0
+            total, term, n = 0.0, (-lam) ** order, order + 1
+            while True:
+                term *= -lam
+                inc = term / n
+                total += inc
+                if abs(inc) < 1e-18 * (abs(total) + 1e-300):
+                    return -total
+                n += 1
+
+        lam = np.array([0.0, 3e-300, 1e-9, -1e-4, 0.3, -0.6, 0.97, -0.999, 0.5])
+        for order in (0, 1, 2, 7, 20):
+            tails = _log_series_tail(lam, order)
+            singles = [_log_series_tail([v], order)[0] for v in lam]
+            assert tails.tolist() == singles == [one_value_loop(v, order) for v in lam]
+            value = det_truncation_bound_eigen(lam, 1.0, order).value
+            assert value == float(np.expm1(0.5 * sum(abs(t) for t in singles)))
+        with pytest.raises(OutOfDomainError, match=r"= 1.5 >= 1"):
+            _log_series_tail([0.5, 0.0, -1.5, 2.0], 3)
 
     def test_hs_zero_transmission_is_positive_zero(self):
         value = det_truncation_bound_hs(0.5, 0.3, 0.0, 2).value

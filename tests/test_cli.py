@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from biphoton_sim.cli import ConfigError, figure_data, main, run_scenario
+from pathlib import Path
+
+from biphoton_sim.cli import FIGURES, ConfigError, figure_data, main, run_scenario
 
 
 def base_config(**overrides):
@@ -468,6 +470,64 @@ class TestFigures:
         with pytest.raises(ValueError, match="unknown figure"):
             figure_data("fig9")
 
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_meta_records_every_parameter(self, name):
+        _, rows, meta = figure_data(name, points=2)
+        assert len(rows) == 2
+        defaults, fixed = FIGURES[name][2:]
+        assert meta == {**fixed, **defaults}
+
+    def test_meta_records_overrides(self):
+        _, _, meta = figure_data("fig4", points=2, overrides={"mu_max": 2, "eta": 0.9})
+        assert meta["mu_max"] == 2.0 and meta["eta"] == 0.9 and meta["mu_min"] == 0.01
+
+    @pytest.mark.parametrize(
+        "name, argv, key",
+        [
+            ("fig1", ["--overrides", '{"eta2s": 3}'], "--overrides.eta2s:"),
+            ("fig1", ["--overrides", '{"mus": []}'], "--overrides.mus:"),
+            ("fig1", ["--overrides", '{"order": 2.5}'], "--overrides.order:"),
+            ("fig2", ["--overrides", '{"mus": [0.1, "x"]}'], "--overrides.mus[1]:"),
+            ("fig2", ["--overrides", '{"order": 2}'], "--overrides.order:"),
+            ("fig3", ["--overrides", "[1]"], "--overrides:"),
+            ("fig3", ["--points", "0"], "--points:"),
+            ("fig3", ["--points", "-1"], "--points:"),
+            ("fig4", ["--overrides", '{"aspect_ratio": "x"}'], "--overrides.aspect_ratio:"),
+        ],
+    )
+    def test_malformed_figure_arguments_exit_code(self, tmp_path, capsys, name, argv, key):
+        assert main(["figure", name, "--out", str(tmp_path)] + argv) == 2
+        assert f"configuration error: {key}" in capsys.readouterr().err
+        assert not (tmp_path / f"{name}.csv").exists()
+
+    def test_readme_lists_every_parameter(self):
+        """The README's override table holds each figure's parameters, with
+        their defaults and kinds, and its default point counts."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Figures")[1].split("\n### ")[0]
+        listed, points = {}, {}
+        for line in section.splitlines():
+            cells = [c.strip().strip("`") for c in line.strip("|").split("|")]
+            if cells[0] in ("name", "figure"):
+                header = cells[0]
+            elif cells[0] in FIGURES and header == "name":
+                points[cells[0]] = int(cells[2])
+            elif cells[0] in FIGURES:
+                name, key, default, kind = cells
+                listed[name, key] = (json.loads(default), kind)
+        kinds = {float: "number", int: "integer"}
+        declared = {}
+        for name, (_, n, defaults, _) in FIGURES.items():
+            assert points[name] == n
+            for key, value in defaults.items():
+                kind = (
+                    f"list of {kinds[type(value[0])]}s"
+                    if isinstance(value, list)
+                    else kinds[type(value)]
+                )
+                declared[name, key] = (value, kind)
+        assert listed == declared
+
 
 class TestCommandLine:
     def test_figure_command_deterministic(self, tmp_path):
@@ -635,6 +695,36 @@ class TestPlanningErrors:
         code, err = self._run(tmp_path, capsys, cfg)
         assert code == 2
         assert "detection.detectors" in err
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("modes", [3, "abc", ["signal"], [1, 2]])
+    def test_modes_exit_code(self, tmp_path, capsys, method, modes):
+        cfg = base_config(detection={"method": method}, modes=modes)
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 2
+        assert "configuration error: modes:" in err
+
+    @pytest.mark.parametrize("method", ["hermite", "quadratic"])
+    @pytest.mark.parametrize("windows", [[[-1, 1], [-1, 1]], [None, "empty"], [[None, 1], None]])
+    def test_windows_without_window_model_exit_code(self, tmp_path, capsys, method, windows):
+        cfg = base_config(detection={"method": method, "windows": windows})
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 2
+        assert "configuration error: detection.windows:" in err
+
+    def test_windows_reproducer(self):
+        """hermite and quadratic used to write the unwindowed p_vac (0.96094,
+        0.96098) for windows that change poisson's to 0.97765; unbounded
+        windows still run."""
+        windows = [[-1.0, 1.0], [-1.0, 1.0]]
+        poisson = run_scenario(base_config(detection={"method": "poisson", "windows": windows}))
+        assert poisson["raw"][0]["p_vac"] == pytest.approx(0.97765, abs=1e-5)
+        for method in ("hermite", "quadratic"):
+            with pytest.raises(ConfigError, match="detection.windows"):
+                run_scenario(base_config(detection={"method": method, "windows": windows}))
+            bare = run_scenario(base_config(detection={"method": method}))
+            unbounded = {"method": method, "windows": [None, [None, None]]}
+            assert run_scenario(base_config(detection=unbounded))["rows"] == bare["rows"]
 
     @pytest.mark.parametrize(
         "field, edit",
