@@ -44,6 +44,7 @@ from .detection import (
     PoissonParams,
     QuadraticParams,
     SpectralRadiusWarning,
+    VacuumPointGf,
     gf_exact,
     gf_hermite,
     gf_poisson,
@@ -55,6 +56,7 @@ from .detection import (
     poisson_params,
     quadratic_vacuum,
     save_pnd_csv,
+    vacuum_point_gf,
     vacuum_probability,
 )
 from .spectral import (

@@ -75,22 +75,26 @@ def _object(node: dict, key: str, path: str | None = None) -> dict:
     return value
 
 
-def _number(value, path: str, kind=float, at_least=None, above=None):
+def _limits_text(at_least=None, above=None, at_most=None) -> str:
+    """The limits of `_number` as text, e.g. '>= 0 and <= 1'."""
+    pairs = ((">=", at_least), (">", above), ("<=", at_most))
+    return " and ".join(f"{op} {v}" for op, v in pairs if v is not None)
+
+
+def _number(value, path: str, kind=float, at_least=None, above=None, at_most=None):
     """`value` as a finite float, or as an int when `kind` is int, that is
-    at least `at_least` and above `above`; otherwise a ConfigError naming
-    `path`."""
+    at least `at_least`, above `above` and at most `at_most`; otherwise a
+    ConfigError naming `path`."""
     try:
         x = kind(value)
         ok = not isinstance(value, bool) and math.isfinite(x) and x == float(value)
     except (TypeError, ValueError, OverflowError):
         ok = False
-    if not (ok and (at_least is None or x >= at_least) and (above is None or x > above)):
+    if not (ok and (at_least is None or x >= at_least) and (above is None or x > above)
+            and (at_most is None or x <= at_most)):
         what = "an integer" if kind is int else "a number"
-        if at_least is not None:
-            what += f" >= {at_least}"
-        elif above is not None:
-            what += f" > {above}"
-        raise ConfigError(f"{path}: expected {what}")
+        limits = _limits_text(at_least, above, at_most)
+        raise ConfigError(f"{path}: expected {what} {limits}".rstrip())
     return x
 
 
@@ -642,31 +646,39 @@ def _fig4(points, mu_min, mu_max, aspect_ratio, eta):
 
 
 _MU_INVERSION = "exact sum of sinh^2(sigma_j/2)"
+_POSITIVE = {"above": 0}
+_NON_NEGATIVE = {"at_least": 0}
+_UNIT = {"at_least": 0, "at_most": 1}
 
 # name -> (rows function, default point count, overridable parameters with
-# their defaults, fixed metadata).  The type of a default is the kind an
-# override must have: a number, an integer, or a non-empty list of either.
+# their defaults and the `_number` limits of each value, fixed metadata).
+# The type of a default is the kind an override must have: a number, an
+# integer, or a non-empty list of either.
 FIGURES = {
-    "fig1": (_fig1, 121, {"aspect_max": 1e3, "eta2s": [0.1, 1.0], "mus": [0.01, 0.1], "order": 2},
+    "fig1": (_fig1, 121, {"aspect_max": (1e3, _POSITIVE), "eta2s": ([0.1, 1.0], _NON_NEGATIVE),
+                          "mus": ([0.01, 0.1], _NON_NEGATIVE), "order": (2, _NON_NEGATIVE)},
              {"x": "aspect_ratio", "process": "type2", "mu_inversion": _MU_INVERSION}),
-    "fig2": (_fig2, 121, {"aspect_max": 1e3, "orders": [1, 2, 3, 4], "mus": [0.01, 0.1, 1.0]},
+    "fig2": (_fig2, 121, {"aspect_max": (1e3, _POSITIVE), "orders": ([1, 2, 3, 4], _NON_NEGATIVE),
+                          "mus": ([0.01, 0.1, 1.0], _POSITIVE)},
              {"x": "aspect_ratio", "process": "type2", "m_largest": 1,
               "mu_inversion": _MU_INVERSION}),
-    "fig3": (_fig3, 301, {"mu_max": 3.0}, {"x": "mu", "windows": "unbounded", "eta": 1.0}),
-    "fig4": (_fig4, 61, {"mu_min": 0.01, "mu_max": 1.0, "aspect_ratio": 3.0, "eta": 1.0},
+    "fig3": (_fig3, 301, {"mu_max": (3.0, _NON_NEGATIVE)},
+             {"x": "mu", "windows": "unbounded", "eta": 1.0}),
+    "fig4": (_fig4, 61, {"mu_min": (0.01, _POSITIVE), "mu_max": (1.0, _POSITIVE),
+                         "aspect_ratio": (3.0, _POSITIVE), "eta": (1.0, _UNIT)},
              {"x": "mu", "windows": "unbounded", "process": "type2",
               "mu_axis": "exact mean pairs of the reference process"}),
 }
 
 
-def _parameter(value, default, path: str):
-    """`value` as the kind of `default`: a number, an integer, or a non-empty
-    list of the kind of its first entry."""
+def _parameter(value, default, limits, path: str):
+    """`value` as the kind of `default` within `limits`: a number, an
+    integer, or a non-empty list of the kind of its first entry."""
     if not isinstance(default, list):
-        return _number(value, path, type(default))
+        return _number(value, path, type(default), **limits)
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a non-empty list")
-    return [_number(v, f"{path}[{k}]", type(default[0])) for k, v in enumerate(value)]
+    return [_number(v, f"{path}[{k}]", type(default[0]), **limits) for k, v in enumerate(value)]
 
 
 def figure_data(name: str, points: int | None = None, overrides: dict | None = None):
@@ -674,17 +686,17 @@ def figure_data(name: str, points: int | None = None, overrides: dict | None = N
     holding the fixed entries and every parameter's value, overridden or not."""
     if name not in FIGURES:
         raise ValueError(f"unknown figure '{name}'")
-    rows_of, default_points, defaults, fixed = FIGURES[name]
+    rows_of, default_points, parameters, fixed = FIGURES[name]
     points = _number(default_points if points is None else points, "--points", int, at_least=1)
     overrides = {} if overrides is None else overrides
     if not isinstance(overrides, dict):
         raise ConfigError("--overrides: expected a JSON object")
     for key in overrides:
-        if key not in defaults:
-            raise ConfigError(f"--overrides.{key}: unknown; {name} takes {', '.join(defaults)}")
+        if key not in parameters:
+            raise ConfigError(f"--overrides.{key}: unknown; {name} takes {', '.join(parameters)}")
     params = {
-        key: _parameter(overrides.get(key, default), default, f"--overrides.{key}")
-        for key, default in defaults.items()
+        key: _parameter(overrides.get(key, default), default, limits, f"--overrides.{key}")
+        for key, (default, limits) in parameters.items()
     }
     columns, rows = rows_of(points, **params)
     return columns, rows, {**fixed, **params}

@@ -333,19 +333,6 @@ def _poly_exp(exponent: np.ndarray) -> np.ndarray:
     return out * np.exp(const)
 
 
-def _binomial_shift(coeffs: np.ndarray) -> np.ndarray:
-    """Change of variables w -> 1 - x applied to every axis."""
-    out = coeffs.astype(float, copy=True)
-    for axis in range(out.ndim):
-        n = out.shape[axis]
-        b = np.zeros((n, n))
-        for k in range(n):
-            for j in range(k + 1):
-                b[j, k] = math.comb(k, j) * (-1.0) ** j
-        out = np.moveaxis(np.tensordot(b, np.moveaxis(out, axis, 0), axes=(1, 0)), 0, axis)
-    return out
-
-
 @dataclass(frozen=True)
 class PhotonStatistics:
     """Joint click-number probabilities up to per-detector cutoffs."""
@@ -423,48 +410,29 @@ def _exponent_hermite(params: HermiteParams, shape) -> np.ndarray:
 
 
 def _exponent_exact(gf: ExactProductGf, shape) -> np.ndarray:
-    sig = gf.spectrum.sigmas
-    tanh2 = np.tanh(sig / 2.0) ** 2
-    ln_cosh = np.abs(sig) / 2.0 + np.log1p(np.exp(-np.abs(sig))) - math.log(2.0)
+    # log G = -p sum_j ln(c_j - b0 s_j) + p sum_k (sum_j a_j^k / k) D^k, where
+    # B = b0 + D is the argument product, D(0) = 0, a_j = t_j^2 / (1 - b0 t_j^2)
+    # and t_j = tanh(sigma_j/2); D^k starts at total degree k, so the table's
+    # total degree bounds k
+    type0i = gf.spectrum.process is ProcessType.TYPE_0I
+    p = 0.5 if type0i else 1.0
     y_s = _lossy_argument(gf.eta2_s, shape, 0)
-    if gf.spectrum.process is ProcessType.TYPE_0I:
-        factor_power = 0.5
-        base = _poly_mul(y_s, y_s, shape)
-    else:
-        factor_power = 1.0
-        base = _poly_mul(y_s, _lossy_argument(gf.eta2_i, shape, 1), shape)
+    d = _poly_mul(y_s, y_s if type0i else _lossy_argument(gf.eta2_i, shape, 1), shape)
+    zero = (0,) * len(shape)
+    b0, d[zero] = float(d[zero]), 0.0
     e = np.zeros(shape)
-    e[(0,) * len(shape)] = -2.0 * factor_power * float(np.sum(ln_cosh))
-    # log G = -2 p sum_j ln cosh_j + p sum_k (sum_j tanh_j^(2k) / k) base^k
-    power = np.zeros(shape)
-    power[(0,) * len(shape)] = 1.0
-    k = 1
-    k_needed = max(shape)
-    while True:
-        power = _poly_mul(power, base, shape)
-        coef = float(np.sum(tanh2**k)) / k
-        e += factor_power * coef * power
-        converged = coef * float(np.max(np.abs(power))) < 1e-20
-        if (k >= k_needed and converged) or not power.any():
-            break
-        k += 1
-        if k > 100000:  # pragma: no cover - defensive cap
-            break
-    return e
-
-
-def _exponent_log_series(gf: LogSeriesGf, shape) -> np.ndarray:
-    if max(shape) - 1 > gf.order:
-        raise ValueError(
-            f"cutoff {max(shape) - 1} exceeds the stored series order {gf.order}"
-        )
-    e = np.zeros(shape)
-    for n, t_n in enumerate(gf.moments, start=1):
-        coeffs = _binomial_shift(np.asarray(t_n))
-        sl = tuple(slice(0, min(s, t)) for s, t in zip(shape, coeffs.shape))
-        contrib = np.zeros(shape)
-        contrib[sl] = coeffs[sl]
-        e += (-1.0) ** n / (2.0 * n) * contrib
+    if d.any():  # every eta2 = 0 leaves D = 0 and b0 = 1, where a_j may be inf
+        tanh2 = np.tanh(gf.spectrum.sigmas / 2.0) ** 2
+        a = tanh2 / (1.0 - b0 * tanh2)
+        scale = float(a.max()) or 1.0  # keeps every (a_j / scale)^k <= 1
+        d *= scale
+        power = np.zeros(shape)
+        power[zero] = 1.0
+        for k in range(1, sum(s - 1 for s in shape) + 1):
+            power = _poly_mul(power, d, shape)
+            e += p * float(np.sum((a / scale) ** k)) / k * power
+    # the constant of `gf_exact`, so that P[0, ..., 0] is its vacuum value
+    e[zero] = -p * float(np.sum(_ln_gf_factor(gf.spectrum.sigmas, b0)))
     return e
 
 
@@ -490,7 +458,6 @@ _PND_EXPONENTS = {
         _exponent_exact,
         lambda gf: 1 if gf.spectrum.process is ProcessType.TYPE_0I else 2,
     ),
-    LogSeriesGf: (_exponent_log_series, lambda gf: gf.detector_count),
     VacuumPointGf: (_exponent_vacuum_point, lambda gf: gf.moments.detector_count),
 }
 
@@ -498,13 +465,17 @@ _PND_EXPONENTS = {
 def pnd(gf, n_max) -> PhotonStatistics:
     """Joint photon-number distribution by exact series differentiation.
 
-    `gf` is one of PoissonParams, HermiteParams, ExactProductGf, LogSeriesGf
-    or VacuumPointGf; `n_max` gives per-detector cutoffs (scalar or sequence).
+    `gf` is one of PoissonParams, HermiteParams, ExactProductGf or
+    VacuumPointGf; `n_max` gives per-detector cutoffs (scalar or sequence).
+    Every exponent is expanded at the vacuum point x = 0.
     """
     try:
         exponent, detector_count = _PND_EXPONENTS[type(gf)]
     except KeyError:
-        raise TypeError(f"unsupported generating-function spec: {type(gf)!r}") from None
+        supported = ", ".join(t.__name__ for t in _PND_EXPONENTS)
+        raise TypeError(
+            f"unsupported generating-function spec: {type(gf)!r}; expected one of {supported}"
+        ) from None
     shape = tuple(c + 1 for c in _cutoffs(n_max, detector_count(gf)))
     probs = _poly_exp(exponent(gf, shape))
     total = float(np.sum(probs))
@@ -598,13 +569,6 @@ def _trace_moments(mats, order: int) -> list:
             t_n[deg] = np.real(np.trace(mat))
         moments.append(t_n)
     return moments
-
-
-def _log_series_vacuum(gf: LogSeriesGf) -> float:
-    total = 0.0
-    for n, t_n in enumerate(gf.moments, start=1):
-        total += (-1.0) ** n / (2.0 * n) * float(np.sum(t_n))
-    return math.exp(total)
 
 
 # ---------------------------------------------------------------------------
@@ -711,8 +675,7 @@ def vacuum_probability(params, method: str, order: int | None = None) -> float:
     """Vacuum (no-click) probability for the chosen approximation.
 
     method: 'exact' (SqueezingSpectrum or ExactProductGf), 'log_series'
-    (LogSeriesGf, or a matrix, BlockMatrix or RenormalizedCovariance operand
-    with `order`),
+    (a matrix, BlockMatrix or RenormalizedCovariance operand with `order`),
     'poisson' / 'linear' (PoissonParams), 'hermite' (HermiteParams),
     'quadratic' (QuadraticParams).  The linear value may be negative for
     large mu and is returned raw with a warning.
@@ -727,8 +690,6 @@ def vacuum_probability(params, method: str, order: int | None = None) -> float:
             return gf_exact(spec, 0.0, params.eta2_s)
         return gf_exact(spec, (0.0, 0.0), (params.eta2_s, params.eta2_i))
     if method == "log_series":
-        if isinstance(params, LogSeriesGf):
-            return _log_series_vacuum(params)
         if order is None:
             raise ValueError("'log_series' needs a truncation order")
         return math.exp(-0.5 * log_det_series(params, order))

@@ -8,7 +8,7 @@ import pytest
 
 from pathlib import Path
 
-from biphoton_sim.cli import FIGURES, ConfigError, figure_data, main, run_scenario
+from biphoton_sim.cli import FIGURES, ConfigError, _limits_text, figure_data, main, run_scenario
 
 
 def base_config(**overrides):
@@ -474,8 +474,8 @@ class TestFigures:
     def test_meta_records_every_parameter(self, name):
         _, rows, meta = figure_data(name, points=2)
         assert len(rows) == 2
-        defaults, fixed = FIGURES[name][2:]
-        assert meta == {**fixed, **defaults}
+        parameters, fixed = FIGURES[name][2:]
+        assert meta == {**fixed, **{key: default for key, (default, _) in parameters.items()}}
 
     def test_meta_records_overrides(self):
         _, _, meta = figure_data("fig4", points=2, overrides={"mu_max": 2, "eta": 0.9})
@@ -493,6 +493,25 @@ class TestFigures:
             ("fig3", ["--points", "0"], "--points:"),
             ("fig3", ["--points", "-1"], "--points:"),
             ("fig4", ["--overrides", '{"aspect_ratio": "x"}'], "--overrides.aspect_ratio:"),
+            *(
+                (name, ["--overrides", json.dumps(override)], key)
+                for name, override, key in [
+                    ("fig1", {"aspect_max": 0}, "--overrides.aspect_max: expected a number > 0"),
+                    ("fig1", {"eta2s": [0.1, -0.1]}, "--overrides.eta2s[1]: expected a number >= 0"),
+                    ("fig1", {"mus": [-0.1]}, "--overrides.mus[0]: expected a number >= 0"),
+                    ("fig1", {"order": -1}, "--overrides.order: expected an integer >= 0"),
+                    ("fig2", {"aspect_max": -1}, "--overrides.aspect_max: expected a number > 0"),
+                    ("fig2", {"orders": [-1]}, "--overrides.orders[0]: expected an integer >= 0"),
+                    ("fig2", {"mus": [0]}, "--overrides.mus[0]: expected a number > 0"),
+                    ("fig3", {"mu_max": -1}, "--overrides.mu_max: expected a number >= 0"),
+                    ("fig4", {"mu_min": 0}, "--overrides.mu_min: expected a number > 0"),
+                    ("fig4", {"mu_max": -1}, "--overrides.mu_max: expected a number > 0"),
+                    ("fig4", {"aspect_ratio": 0}, "--overrides.aspect_ratio: expected a number > 0"),
+                    ("fig4", {"aspect_ratio": -1}, "--overrides.aspect_ratio: expected a number > 0"),
+                    ("fig4", {"eta": 2}, "--overrides.eta: expected a number >= 0 and <= 1"),
+                    ("fig4", {"eta": -0.5}, "--overrides.eta: expected a number >= 0 and <= 1"),
+                ]
+            ),
         ],
     )
     def test_malformed_figure_arguments_exit_code(self, tmp_path, capsys, name, argv, key):
@@ -500,9 +519,23 @@ class TestFigures:
         assert f"configuration error: {key}" in capsys.readouterr().err
         assert not (tmp_path / f"{name}.csv").exists()
 
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("fig1", {"aspect_max": 0.5, "eta2s": [0], "mus": [0], "order": 0}),
+            ("fig2", {"orders": [0]}),
+            ("fig3", {"mu_max": 0}),
+            ("fig4", {"aspect_ratio": 0.5, "eta": 0}),
+        ],
+    )
+    def test_range_edges_run(self, name, overrides):
+        _, rows, meta = figure_data(name, points=2, overrides=overrides)
+        assert len(rows) == 2
+        assert all(meta[key] == value for key, value in overrides.items())
+
     def test_readme_lists_every_parameter(self):
         """The README's override table holds each figure's parameters, with
-        their defaults and kinds, and its default point counts."""
+        their defaults, kinds and ranges, and its default point counts."""
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         section = readme.split("### Figures")[1].split("\n### ")[0]
         listed, points = {}, {}
@@ -513,19 +546,19 @@ class TestFigures:
             elif cells[0] in FIGURES and header == "name":
                 points[cells[0]] = int(cells[2])
             elif cells[0] in FIGURES:
-                name, key, default, kind = cells
-                listed[name, key] = (json.loads(default), kind)
+                name, key, default, kind, limits = cells
+                listed[name, key] = (json.loads(default), kind, limits)
         kinds = {float: "number", int: "integer"}
         declared = {}
-        for name, (_, n, defaults, _) in FIGURES.items():
+        for name, (_, n, parameters, _) in FIGURES.items():
             assert points[name] == n
-            for key, value in defaults.items():
+            for key, (value, limits) in parameters.items():
                 kind = (
                     f"list of {kinds[type(value[0])]}s"
                     if isinstance(value, list)
                     else kinds[type(value)]
                 )
-                declared[name, key] = (value, kind)
+                declared[name, key] = (value, kind, _limits_text(**limits))
         assert listed == declared
 
 

@@ -1,5 +1,6 @@
 """Tests for generating functions, photon statistics and approximations."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,10 +33,11 @@ from biphoton_sim import (
     poisson_params,
     quadratic_vacuum,
     schmidt_number,
+    vacuum_point_gf,
     vacuum_probability,
 )
 from biphoton_sim.bounds import OutOfDomainError
-from biphoton_sim.detection import save_pnd_csv
+from biphoton_sim.detection import LogSeriesGf, save_pnd_csv
 from biphoton_sim.oracle import (
     dense_log_det,
     detector_parts_from_covariance,
@@ -92,6 +94,39 @@ def hermite_marginal_pmf(mu, eps2, n):
 
 def single_mode_spectrum(sigma, process):
     return SqueezingSpectrum(np.array([sigma]), process, 1.0)
+
+
+def type2_exact_pnd(sigmas, eta2, cutoff):
+    """Taylor coefficients in (x_s, x_i), up to `cutoff` per axis, of
+    prod_j 1 / (C_j - S_j y_s y_i) with y = 1 - eta2 + eta2 x, in exact
+    rational arithmetic from the floats C_j = cosh^2(sigma_j/2) and
+    S_j = sinh^2(sigma_j/2)."""
+    n = cutoff + 1
+
+    def mul(a, b):
+        out = {}
+        for (i, j), u in a.items():
+            for (k, l), v in b.items():
+                if i + k < n and j + l < n:
+                    out[i + k, j + l] = out.get((i + k, j + l), 0) + u * v
+        return out
+
+    e = Fraction(eta2)
+    d = mul({(0, 0): 1 - e, (1, 0): e}, {(0, 0): 1 - e, (0, 1): e})
+    b0 = d.pop((0, 0))
+    total = {(0, 0): Fraction(1)}
+    for sigma in sigmas:
+        c, s = Fraction(math.cosh(sigma / 2) ** 2), Fraction(math.sinh(sigma / 2) ** 2)
+        # 1 / (C - S b0 - S D) = sum_k (S D)^k / (C - S b0)^(k+1); as D(0) = 0,
+        # the terms k > 2 cutoff lie beyond the table
+        ratio = s / (c - s * b0)
+        term, factor = {(0, 0): 1 / (c - s * b0)}, {}
+        for _ in range(2 * cutoff + 1):
+            for key, v in term.items():
+                factor[key] = factor.get(key, 0) + v
+            term = {key: v * ratio for key, v in mul(term, d).items()}
+        total = mul(total, factor)
+    return np.array([[float(total.get((i, j), 0)) for j in range(n)] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +462,20 @@ class TestPnd:
         ref = tmsv_statistics(sigma, eta, 6)
         assert np.max(np.abs(stats.probabilities - ref)) < 1e-10
 
+    def test_exact_matches_rational_reference(self):
+        sigmas = [0.05, 0.01]
+        sq = SqueezingSpectrum(np.array(sigmas), ProcessType.TYPE_II, 1.0)
+        got = pnd(ExactProductGf(sq, 0.05, 0.05), (5, 5)).probabilities
+        ref = type2_exact_pnd(sigmas, 0.05, 5)
+        assert np.all(ref > 0)
+        assert np.max(np.abs(got / ref - 1.0)) < 1e-14
+
+    def test_exact_fully_lost_is_vacuum(self):
+        # every photon lost: the table is the vacuum, whatever the squeezing
+        sq = SqueezingSpectrum(np.array([40.0, 1.0]), ProcessType.TYPE_II, 1.0)
+        got = pnd(ExactProductGf(sq, 0.0, 0.0), (1, 1)).probabilities
+        assert got.ravel() == pytest.approx([1.0, 0.0, 0.0, 0.0], rel=1e-14, abs=0)
+
     def test_type0i_squeezed_vacuum_distribution(self):
         sigma = 0.9
         sq = single_mode_spectrum(sigma, ProcessType.TYPE_0I)
@@ -451,7 +500,7 @@ class TestPnd:
         )
         lossy = apply_loss(schmidt_gamma, LossProfile((eta, eta)))
         parts = detector_parts_from_covariance(lossy, (0, 1))
-        gf = log_series_gf(parts, 25)
+        gf = vacuum_point_gf(parts, -0.5 * dense_log_det(sum(parts)), 10)
         stats = pnd(gf, (5, 5))
         ref = tmsv_statistics(sigma, eta, 5)
         assert np.max(np.abs(stats.probabilities - ref)) < 1e-10
@@ -459,9 +508,10 @@ class TestPnd:
     def test_log_series_cutoff_capped_by_order(self, rng):
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_II, gain=0.3)
         parts = detector_parts_from_covariance(gamma, (0, 1))
-        gf = log_series_gf(parts, 4)
-        with pytest.raises(ValueError, match="series order"):
-            pnd(gf, (6, 6))
+        gf = vacuum_point_gf(parts, -0.5 * dense_log_det(sum(parts)), 4)
+        assert pnd(gf, (2, 2)).probabilities.shape == (3, 3)
+        with pytest.raises(ValueError, match="total cutoff degree 5 exceeds the stored moment order 4"):
+            pnd(gf, (3, 2))
 
     def test_splitter_to_discarded_ancilla_equals_loss(self, rng):
         # a beam splitter whose second port is discarded acts as a loss
@@ -486,7 +536,7 @@ class TestPnd:
         )
         dofs_out = output_dofs(s, gamma.dofs)
         parts = detector_parts_compressed(s, windows, gamma, (0, 1, None), dofs_out)
-        stats = pnd(log_series_gf(parts, 25), (4, 4))
+        stats = pnd(vacuum_point_gf(parts, -0.5 * dense_log_det(sum(parts)), 8), (4, 4))
         ref = pnd(ExactProductGf(spectrum, t_coef**2, 1.0), (4, 4))
         assert np.max(np.abs(stats.probabilities - ref.probabilities)) < 1e-10
 
@@ -613,7 +663,7 @@ class TestSmallSideEngine:
     """`run` evaluates log_series on the r x r Schmidt-basis operand; it must
     agree with the dense N x N operand s^dag P s Gamma: p_vac within rtol
     1e-12 of the dense log-determinant, PND tables within rtol 1e-12 and
-    atol 1e-15 of the dense moment recursion."""
+    atol 1e-15 of the dense vacuum-point route."""
 
     @pytest.mark.parametrize(
         "process, pipeline, detectors",
@@ -652,8 +702,11 @@ class TestSmallSideEngine:
             p_dense = math.exp(-0.5 * dense_log_det(operand))
             assert point["p_vac"] == pytest.approx(p_dense, rel=1e-12, abs=0)
             if k == 0:
+                # the grid-side (N x N) vacuum-point route with the dense series log-vacuum
                 parts = detector_parts_compressed(s, windows, gamma, detectors, dofs)
-                ref = pnd(log_series_gf(parts, order), config["detection"]["pnd_cutoffs"])
+                cutoffs = config["detection"]["pnd_cutoffs"]
+                log_vac = -0.5 * log_det_series(sum(parts), order, check_radius=False)
+                ref = pnd(vacuum_point_gf(parts, log_vac, sum(cutoffs)), cutoffs)
                 got = point["pnd"].probabilities
                 assert np.allclose(got, ref.probabilities, rtol=1e-12, atol=1e-15)
 
@@ -1008,39 +1061,50 @@ class TestConjugateSectors:
 
 
 def _dispatch_case(kind, rng):
-    """A lossy generating function of each type and its vacuum-probability
-    method."""
+    """A lossy generating function of each type and the arguments of
+    `vacuum_probability` for its vacuum value."""
     if kind == "poisson":
-        return PoissonParams(0.4, 0.7, 0.6, 0.5), "poisson"
+        gf = PoissonParams(0.4, 0.7, 0.6, 0.5)
+        return gf, (gf, "poisson")
     if kind == "hermite":
-        return hermite_params(0.8, 3.0, ProcessType.TYPE_II, 0.6, 0.7), "hermite"
+        gf = hermite_params(0.8, 3.0, ProcessType.TYPE_II, 0.6, 0.7)
+        return gf, (gf, "hermite")
     if kind == "log_series":
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_II, gain=0.5)
         lossy = apply_loss(gamma, LossProfile((0.8, 0.7)))
-        return log_series_gf(detector_parts_from_covariance(lossy, (0, 1)), 12), "log_series"
+        parts = detector_parts_from_covariance(lossy, (0, 1))
+        log_vac = -0.5 * log_det_series(sum(parts), 12, check_radius=False)
+        return vacuum_point_gf(parts, log_vac, 6), (sum(parts), "log_series", 12)
     process = ProcessType.TYPE_II if kind == "exact_type2" else ProcessType.TYPE_0I
     _, spectrum, _ = random_covariance(rng, process=process, gain=0.7)
-    return ExactProductGf(spectrum, 0.6, 0.7), "exact"
+    gf = ExactProductGf(spectrum, 0.6, 0.7)
+    return gf, (gf, "exact")
 
 
 class TestPndDispatch:
     """pnd picks the exponent and detector count from the generating
-    function's type; its no-click entry is that type's vacuum probability."""
+    function's type; its no-click entry is that type's vacuum probability,
+    to the bit for the exact generating function."""
 
     @pytest.mark.parametrize(
         "kind", ["poisson", "hermite", "exact_type2", "exact_type0i", "log_series"]
     )
     def test_vacuum_entry_matches_vacuum_probability(self, rng, kind):
-        gf, method = _dispatch_case(kind, rng)
+        gf, vacuum_args = _dispatch_case(kind, rng)
         probs = pnd(gf, 3).probabilities
         assert probs.ndim == (1 if kind == "exact_type0i" else 2)
-        assert probs[(0,) * probs.ndim] == pytest.approx(
-            vacuum_probability(gf, method), rel=1e-12, abs=0
-        )
+        vacuum = vacuum_probability(*vacuum_args)
+        if isinstance(gf, ExactProductGf):
+            assert probs[(0,) * probs.ndim] == vacuum
+        else:
+            assert probs[(0,) * probs.ndim] == pytest.approx(vacuum, rel=1e-12, abs=0)
 
     def test_unsupported_type(self):
-        with pytest.raises(TypeError, match="unsupported"):
-            pnd(object(), 2)
+        # the message names the supported types, so that trace moments
+        # (LogSeriesGf) point to their vacuum-point wrapper
+        for gf in (object(), LogSeriesGf((np.zeros((2, 2)),), 1, 2)):
+            with pytest.raises(TypeError, match="unsupported.*VacuumPointGf"):
+                pnd(gf, 2)
 
 
 # ---------------------------------------------------------------------------
