@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .covariance import ProcessType
 
@@ -45,8 +44,8 @@ class BoundReport:
     inputs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("bound values are non-negative")
+        if not (math.isfinite(self.value) and self.value >= 0):
+            raise ValueError(f"bound value {self.value!r} is not finite and non-negative")
 
 
 def truncated_cosh_sinh(x: float, order: int) -> tuple[float, float]:
@@ -88,7 +87,7 @@ def _log_exp_tail(x: float, order: int, odd: bool) -> float:
     n = n0
     best = -math.inf
     while True:
-        lt = n * logx - gammaln(n + 1)
+        lt = n * logx - math.lgamma(n + 1)
         logs.append(lt)
         best = max(best, lt)
         # terms decay once n > x; stop when far below the running peak
@@ -103,7 +102,7 @@ def _log_exp_tail(x: float, order: int, odd: bool) -> float:
 def _log_sinh(x: float) -> float:
     if x <= 0:
         return -math.inf
-    return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
+    return x + math.log(-math.expm1(-2.0 * x)) - math.log(2.0)
 
 
 def covariance_truncation_bound(sigmas, order: int) -> BoundReport:

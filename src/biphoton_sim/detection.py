@@ -158,11 +158,17 @@ class QuadraticParams:
 # ---------------------------------------------------------------------------
 
 
-def _ln_gf_factor(sigma: np.ndarray, x_prod) -> np.ndarray:
-    """ln(cosh^2(s/2) - x_prod * sinh^2(s/2)) per mode, overflow-safe."""
+def _one_minus_product(u_s, u_i):
+    """1 - X for the argument product X = (1 - u_s)(1 - u_i), where
+    u = eta2 (1 - x), free of cancellation as both u -> 0."""
+    return u_s + (1.0 - u_s) * u_i
+
+
+def _ln_gf_factor(sigma: np.ndarray, one_minus_x) -> np.ndarray:
+    """ln(cosh^2(s/2) - X sinh^2(s/2)) per mode from 1 - X, overflow-safe."""
     # cosh^2(s/2) - X sinh^2(s/2) = [(1 - X) cosh(s) + (1 + X)] / 2
     ln_cosh = np.abs(sigma) + np.log1p(np.exp(-2.0 * np.abs(sigma))) - math.log(2.0)
-    rest = (1.0 - x_prod) + (1.0 + x_prod) * np.exp(-ln_cosh)
+    rest = one_minus_x + (2.0 - one_minus_x) * np.exp(-ln_cosh)
     if np.any(rest <= 0):
         raise OutOfDomainError("generating-function argument outside its domain")
     return ln_cosh + np.log(rest) - math.log(2.0)
@@ -180,17 +186,15 @@ def gf_exact(spectrum: SqueezingSpectrum, w, eta2=None) -> float:
     if spectrum.process is ProcessType.TYPE_0I:
         x = float(np.squeeze(w))
         e2 = 1.0 if eta2 is None else float(np.squeeze(eta2))
-        x_eff = (1.0 - e2) + e2 * x
-        ln_factors = _ln_gf_factor(sig, x_eff * x_eff)
+        u = e2 * (1.0 - x)
+        ln_factors = _ln_gf_factor(sig, _one_minus_product(u, u))
         return float(np.exp(-0.5 * np.sum(ln_factors)))
     x_s, x_i = (float(v) for v in np.atleast_1d(w))
     if eta2 is None:
         e2s = e2i = 1.0
     else:
         e2s, e2i = (float(v) for v in np.atleast_1d(eta2))
-    y_s = (1.0 - e2s) + e2s * x_s
-    y_i = (1.0 - e2i) + e2i * x_i
-    ln_factors = _ln_gf_factor(sig, y_s * y_i)
+    ln_factors = _ln_gf_factor(sig, _one_minus_product(e2s * (1.0 - x_s), e2i * (1.0 - x_i)))
     return float(np.exp(-np.sum(ln_factors)))
 
 
@@ -305,32 +309,35 @@ def log_det_series(operand, order: int, check_radius: bool = True) -> float:
 
 
 def _poly_mul(a: np.ndarray, b: np.ndarray, shape) -> np.ndarray:
-    from scipy.signal import convolve  # slow to import; only PND runs need it
-
-    full = convolve(a, b, method="direct")
-    clipped = full[tuple(slice(0, s) for s in shape)]
-    if clipped.shape == tuple(shape):
-        return clipped
-    out = np.zeros(shape, dtype=clipped.dtype)
-    out[tuple(slice(0, s) for s in clipped.shape)] = clipped
+    """Truncated product a * b below `shape`: each nonzero coefficient of the
+    sparser factor adds the other factor, scaled and shifted to its degree."""
+    if np.count_nonzero(a) > np.count_nonzero(b):
+        a, b = b, a
+    out = np.zeros(shape, dtype=np.result_type(a, b))
+    for idx in map(tuple, np.argwhere(a)):
+        span = tuple(min(n, s - i) for n, s, i in zip(b.shape, shape, idx))
+        if all(n > 0 for n in span):
+            out[tuple(slice(i, i + n) for i, n in zip(idx, span))] += (
+                a[idx] * b[tuple(slice(0, n) for n in span)]
+            )
     return out
 
 
 def _poly_exp(exponent: np.ndarray) -> np.ndarray:
-    """exp of a truncated polynomial; exact for the retained degrees."""
-    shape = exponent.shape
-    zero = (0,) * exponent.ndim
-    const = exponent[zero]
-    h = exponent.copy()
-    h[zero] = 0.0
-    out = np.zeros(shape, dtype=exponent.dtype)
-    out[zero] = 1.0
-    term = out.copy()
-    k_max = sum(s - 1 for s in shape)
-    for k in range(1, k_max + 1):
-        term = _poly_mul(term, h, shape) / k
-        out = out + term
-    return out * np.exp(const)
+    """exp of a truncated polynomial; exact for the retained degrees.
+
+    Graded along axis 0: with exponent = sum_j h_j x^j, the coefficients E_k
+    of exp obey k E_k = sum_{j=1..k} j h_j * E_{k-j}, and E_0 = exp(h_0)
+    recurses on the remaining axes, down to np.exp of the constant term."""
+    if exponent.ndim == 0:
+        return np.exp(exponent)
+    out = np.zeros(exponent.shape, dtype=np.result_type(exponent, float))
+    out[0] = _poly_exp(exponent[0])
+    for k in range(1, exponent.shape[0]):
+        for j in range(1, k + 1):
+            out[k] += _poly_mul(j * exponent[j], out[k - j], out.shape[1:])
+        out[k] /= k
+    return out
 
 
 @dataclass(frozen=True)
@@ -342,6 +349,8 @@ class PhotonStatistics:
 
     def __post_init__(self):
         p = np.asarray(self.probabilities)
+        if not np.all(np.isfinite(p)):
+            raise InvalidDistributionError("probabilities must be finite")
         if np.min(p) < -1e-12:
             raise InvalidDistributionError("probabilities must be non-negative within 1e-12")
         clipped = np.clip(p, 0.0, None)
@@ -416,14 +425,18 @@ def _exponent_exact(gf: ExactProductGf, shape) -> np.ndarray:
     # total degree bounds k
     type0i = gf.spectrum.process is ProcessType.TYPE_0I
     p = 0.5 if type0i else 1.0
+    eta2_i = gf.eta2_s if type0i else gf.eta2_i
     y_s = _lossy_argument(gf.eta2_s, shape, 0)
-    d = _poly_mul(y_s, y_s if type0i else _lossy_argument(gf.eta2_i, shape, 1), shape)
+    d = _poly_mul(y_s, y_s if type0i else _lossy_argument(eta2_i, shape, 1), shape)
     zero = (0,) * len(shape)
-    b0, d[zero] = float(d[zero]), 0.0
+    d[zero] = 0.0
+    one_minus_b0 = _one_minus_product(gf.eta2_s, eta2_i)
     e = np.zeros(shape)
     if d.any():  # every eta2 = 0 leaves D = 0 and b0 = 1, where a_j may be inf
         tanh2 = np.tanh(gf.spectrum.sigmas / 2.0) ** 2
-        a = tanh2 / (1.0 - b0 * tanh2)
+        # 1 - b0 t^2 = sech^2 + (1 - b0) t^2, where sech^2(s/2) = 4 e^-s / (1 + e^-s)^2
+        decay = np.exp(-gf.spectrum.sigmas)
+        a = tanh2 / (4.0 * decay / (1.0 + decay) ** 2 + one_minus_b0 * tanh2)
         scale = float(a.max()) or 1.0  # keeps every (a_j / scale)^k <= 1
         d *= scale
         power = np.zeros(shape)
@@ -432,7 +445,7 @@ def _exponent_exact(gf: ExactProductGf, shape) -> np.ndarray:
             power = _poly_mul(power, d, shape)
             e += p * float(np.sum((a / scale) ** k)) / k * power
     # the constant of `gf_exact`, so that P[0, ..., 0] is its vacuum value
-    e[zero] = -p * float(np.sum(_ln_gf_factor(gf.spectrum.sigmas, b0)))
+    e[zero] = -p * float(np.sum(_ln_gf_factor(gf.spectrum.sigmas, one_minus_b0)))
     return e
 
 

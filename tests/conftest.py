@@ -43,6 +43,18 @@ def random_covariance(rng, process=ProcessType.TYPE_II, gain=0.6, **kwargs):
     return gamma, spectrum, schmidt
 
 
+def reference_covariance_bound(sigma: float, order: int) -> float:
+    """covariance_truncation_bound([sigma], order) from scipy's gammaln and
+    logsumexp: every term sigma^n / n! of the tail's parity from n = order + 1
+    up to past 2 sigma + 200, where the terms have fallen by 2^-200."""
+    from scipy.special import gammaln, logsumexp
+
+    n = np.arange(order + 1, order + 2 * sigma + 202, 2)
+    log_tail = logsumexp(n * np.log(sigma) - gammaln(n + 1))
+    log_sinh = sigma + np.log(-np.expm1(-2.0 * sigma)) - np.log(2.0)
+    return float(np.exp(log_tail - log_sinh))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -17,9 +17,10 @@ from biphoton_sim import (
     truncated_cosh_sinh,
     vacuum_range,
 )
-from biphoton_sim.bounds import _log_series_tail, _logsumexp
+from biphoton_sim.bounds import BoundReport, _log_series_tail, _logsumexp
 from biphoton_sim.covariance import SqueezingSpectrum
 from biphoton_sim.detection import vacuum_probability
+from conftest import reference_covariance_bound
 
 
 class TestTruncatedCoshSinh:
@@ -67,6 +68,13 @@ class TestLogSumExp:
         assert _logsumexp([-math.inf] * n) == -math.inf
 
 
+class TestBoundReport:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_rejects_non_finite_or_negative(self, value):
+        with pytest.raises(ValueError, match="not finite and non-negative"):
+            BoundReport(value, "DET_TRUNC_EIGEN")
+
+
 class TestCovarianceTruncationBound:
     def test_converged_series_floors(self):
         for sigma in (0.5, 2.0):
@@ -109,6 +117,17 @@ class TestCovarianceTruncationBound:
         # leading tail term: sigma^9/9! over sinh(sigma)
         expected = 1e-54 / math.factorial(9) / math.sinh(1e-6)
         assert val == pytest.approx(expected, rel=1e-10)
+
+    def test_matches_gammaln_reference(self):
+        # math.lgamma and scipy's gammaln differ in the last bit, which exp of
+        # a log tail near -700 turns into about 1e-13 relative; below the
+        # smallest normal float the tolerance is 1e-12 of that float
+        tiny = np.finfo(float).tiny
+        for sigma in np.geomspace(1e-6, 800.0, 300):
+            for order in [*range(31), 50, 100]:
+                got = covariance_truncation_bound([sigma], order).value
+                ref = reference_covariance_bound(sigma, order)
+                assert abs(got - ref) <= 1e-12 * max(ref, tiny), (sigma, order, got, ref)
 
     def test_large_sigma_log_space(self):
         val = covariance_truncation_bound([800.0], 2).value

@@ -8,7 +8,16 @@ import pytest
 
 from pathlib import Path
 
-from biphoton_sim.cli import FIGURES, ConfigError, _limits_text, figure_data, main, run_scenario
+from biphoton_sim.cli import (
+    FIGURES,
+    ConfigError,
+    _gaussian_sq,
+    _limits_text,
+    figure_data,
+    main,
+    run_scenario,
+)
+from conftest import reference_covariance_bound
 
 
 def base_config(**overrides):
@@ -460,6 +469,17 @@ class TestFigures:
         vals = np.array(rows)[:, 1]
         assert np.all(vals < 1e-12)
 
+    def test_fig2_csv_matches_gammaln_reference(self, tmp_path):
+        assert main(["figure", "fig2", "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "fig2.csv")
+        parameters = FIGURES["fig2"][2]
+        orders, mus = parameters["orders"][0], parameters["mus"][0]
+        assert header[1:] == [f"bound_n_{n}_mu_{mu:g}" for n in orders for mu in mus]
+        for row in rows:
+            sigmas = [float(_gaussian_sq(float(row[0]), mu)[0].sigmas[0]) for mu in mus]
+            expected = [reference_covariance_bound(s, n) for n in orders for s in sigmas]
+            assert [float(v) for v in row[1:]] == pytest.approx(expected, rel=1e-13, abs=0)
+
     def test_fig4_hermite_dominates_quadratic(self):
         _, rows, meta = figure_data("fig4", points=9)
         data = np.array(rows)
@@ -604,6 +624,31 @@ class TestCommandLine:
         cfg_path = tmp_path / "domain.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["run", str(cfg_path)]) == 3
+
+    def test_run_command_non_finite_pnd_exit_code(self, tmp_path, capsys, monkeypatch):
+        from biphoton_sim import detection
+
+        monkeypatch.setattr(detection, "_poly_exp", lambda e: np.full(e.shape, np.nan))
+        cfg = base_config(detection={"method": "exact", "pnd_cutoffs": [2, 2]})
+        cfg["output"] = {"csv_path": str(tmp_path / "out.csv"),
+                         "pnd_csv_path": str(tmp_path / "pnd.csv")}
+        cfg_path = tmp_path / "nan_pnd.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", str(cfg_path)]) == 3
+        assert "probabilities must be finite" in capsys.readouterr().err
+
+    def test_run_command_non_finite_bound_exit_code(self, tmp_path, capsys, monkeypatch):
+        from biphoton_sim import bounds
+
+        monkeypatch.setattr(
+            bounds, "_log_series_tail", lambda lams, order: np.full(np.shape(lams), np.nan)
+        )
+        cfg = base_config(detection={"method": "log_series", "series_order": 4})
+        cfg["output"] = {"csv_path": str(tmp_path / "out.csv")}
+        cfg_path = tmp_path / "nan_bound.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", str(cfg_path)]) == 3
+        assert "bound value nan is not finite" in capsys.readouterr().err
 
     def test_run_command_window_outside_grid_exit_code(self, tmp_path):
         cfg = base_config(
