@@ -27,8 +27,8 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import detection as det
 from . import spectral, transforms
-from ._blocks import BlockMatrix
 from .covariance import (
+    Dof,
     ProcessType,
     SqueezingSpectrum,
     covariance_core,
@@ -98,6 +98,12 @@ def _number(value, path: str, kind=float, at_least=None, above=None, at_most=Non
     return x
 
 
+# `_number` limits
+_POSITIVE = {"above": 0}
+_NON_NEGATIVE = {"at_least": 0}
+_UNIT = {"at_least": 0, "at_most": 1}
+
+
 def _mode_index(value, path: str, m_total: int) -> int:
     idx = _number(value, path, int)
     if not 0 <= idx < m_total:
@@ -160,79 +166,84 @@ _SOURCE_METHODS = ("poisson", "hermite", "linear", "quadratic")
 _METHODS = ("exact", "log_series") + _SOURCE_METHODS
 
 
-def _pipeline_transform(cfg, m_total: int, in_dofs) -> transforms.SymplecticTransform:
-    """Compose the pipeline entries, first applied first, into one transform
-    over all modes; the identity when the pipeline is empty.  Ancilla modes
-    beyond the source modes `in_dofs` take the first source mode's grid."""
-    grids = [in_dofs[i].grid if i < len(in_dofs) else in_dofs[0].grid for i in range(m_total)]
-    sizes = tuple(g.n for g in grids)
-    built = []
-    current_grids = dict(enumerate(grids))
-    for k, entry in enumerate(cfg.get("pipeline", [])):
+def _apply_pipeline(config, in_dofs, names=(), factor=None):
+    """Parse the pipeline and push `factor` (rows over the source modes
+    `in_dofs`, annihilation rows first) through each entry, first applied first.
+
+    Vacuum ancillas, up to the length of `names`, take the first source
+    mode's grid and start as zero row blocks, which is the column
+    compression of the vacuum modes.  Each step updates row blocks in place:
+    a phase multiplies a mode's rows, a Fourier step applies its kernel and
+    moves the mode to the time domain, a beam splitter mixes two modes' rows
+    and a loss scales them.  Returns the rows over all modes, the output
+    modes and the per-mode product of the loss transmittivities.
+    """
+    dofs = list(in_dofs) + [Dof(name, in_dofs[0].grid) for name in names[len(in_dofs):]]
+    m_total = len(dofs)
+    sizes = [d.grid.n for d in dofs]
+    n_source = sum(sizes[: len(in_dofs)])
+    factor = np.zeros((2 * n_source, 0)) if factor is None else factor
+    out = np.zeros((2 * sum(sizes), factor.shape[1]), dtype=complex)
+    out[:n_source] = factor[:n_source]
+    out[sum(sizes):sum(sizes) + n_source] = factor[n_source:]
+    rows = np.split(out, np.cumsum(sizes * 2)[:-1])  # views: a_0, a_1, ..., c_0, c_1, ...
+    etas = [1.0] * m_total
+    for k, entry in enumerate(config.get("pipeline", [])):
         path = f"pipeline[{k}]"
         if not isinstance(entry, dict) or "type" not in entry:
             raise ConfigError(f"{path}: each entry needs a 'type'")
         kind = entry["type"]
-        if kind == "phase":
+        if kind in ("phase", "fourier"):
             dof = _mode_index(entry.get("dof", 0), f"{path}.dof", m_total)
-            built.append(
-                transforms.phase_shift(
-                    *(
-                        _number(entry.get(key, 0.0), f"{path}.{key}")
-                        for key in ("phi0_rad", "tau_s", "beta_l_s2")
-                    ),
-                    current_grids[dof],
-                    dof,
-                    m_total,
-                    sizes=sizes,
+            a, c = rows[dof], rows[m_total + dof]
+            if kind == "phase":
+                phase = transforms.phase_factor(
+                    *(_number(entry.get(key, 0.0), f"{path}.{key}")
+                      for key in ("phi0_rad", "tau_s", "beta_l_s2")),
+                    dofs[dof].grid,
                 )
-            )
-        elif kind == "fourier":
-            dof = _mode_index(entry.get("dof", 0), f"{path}.dof", m_total)
-            t, current_grids[dof] = transforms.fourier(
-                current_grids[dof], dof, m_total, sizes=sizes
-            )
-            built.append(t)
+                a *= phase[:, None]
+                c *= phase.conj()[:, None]
+            elif dofs[dof].domain == "time":
+                raise ConfigError(f"{path}.dof: mode {dof} is already in the time domain; "
+                                  f"a mode takes at most one 'fourier' step")
+            else:
+                kernel, time_grid = transforms.fourier_kernel(dofs[dof].grid)
+                a[...], c[...] = kernel @ a, kernel.conj() @ c
+                dofs[dof] = Dof(dofs[dof].name, time_grid, "time")
         elif kind == "beam_splitter":
-            dofs = entry.get("dofs")
-            if not isinstance(dofs, (list, tuple)) or len(dofs) != 2:
+            pair = entry.get("dofs")
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ConfigError(f"{path}.dofs: expected a pair of mode indices")
-            t_coef = entry.get("transmittance")
-            if t_coef is None:
-                raise ConfigError(f"{path}.transmittance: missing")
-            t_coef = _number(t_coef, f"{path}.transmittance")
-            r_coef = _number(
-                entry.get("reflectance", math.sqrt(max(0.0, 1.0 - t_coef**2))),
-                f"{path}.reflectance",
-            )
-            d1, d2 = (_mode_index(d, f"{path}.dofs", m_total) for d in dofs)
+            d1, d2 = (_mode_index(d, f"{path}.dofs", m_total) for d in pair)
+            if d1 == d2 or sizes[d1] != sizes[d2]:
+                raise ConfigError(f"{path}.dofs: expected two distinct modes of one grid size, "
+                                  f"got modes {d1} and {d2} of sizes {sizes[d1]} and {sizes[d2]}")
+            t_coef = _number(entry.get("transmittance"), f"{path}.transmittance")
+            r_coef = _number(entry.get("reflectance", math.sqrt(max(0.0, 1.0 - t_coef**2))),
+                             f"{path}.reflectance")
             try:
-                built.append(
-                    transforms.beam_splitter(t_coef, r_coef, (d1, d2), m_total, sizes=sizes)
-                )
+                transforms.check_mixing(t_coef, r_coef)
             except ValueError as exc:
                 raise ConfigError(f"{path}: {exc}") from None
-            if sizes[d1] != sizes[d2]:
-                raise ConfigError(
-                    f"{path}.dofs: modes {d1} and {d2} have different grid sizes "
-                    f"({sizes[d1]} and {sizes[d2]})"
-                )
+            for first, second in ((rows[d1], rows[d2]), (rows[m_total + d1], rows[m_total + d2])):
+                kept = first.copy()
+                first *= t_coef
+                first += r_coef * second
+                second *= t_coef
+                second -= r_coef * kept
         elif kind == "loss":
-            entries = [1.0] * (2 * m_total)
-            for key, val in _object(entry, "eta", f"{path}.eta").items():
-                idx = _mode_index(key, f"{path}.eta", m_total)
-                val = _number(val, f"{path}.eta")
-                if not 0 <= val <= 1:
-                    raise ConfigError(f"{path}.eta: transmittivity outside [0, 1]")
-                entries[idx] = entries[m_total + idx] = val
-            mat = BlockMatrix.diagonal(entries, sizes * 2)
-            built.append(transforms.SymplecticTransform(mat, m_total, m_total))
+            scale = {  # one factor per mode, the last given
+                _mode_index(key, f"{path}.eta", m_total): _number(val, f"{path}.eta", **_UNIT)
+                for key, val in _object(entry, "eta", f"{path}.eta").items()
+            }
+            for idx, val in scale.items():
+                etas[idx] = val * etas[idx]
+                rows[idx] *= val
+                rows[m_total + idx] *= val
         else:
             raise ConfigError(f"{path}.type: unknown transform '{kind}'")
-    if not built:
-        identity = BlockMatrix.identity(sizes * 2)
-        return transforms.SymplecticTransform(identity, m_total, m_total)
-    return transforms.compose_all(built)
+    return out, tuple(dofs), etas
 
 
 def _sweep_mus(config) -> list:
@@ -383,10 +394,8 @@ def _source_step(config, jsa, schmidt, process, method, detection_cfg):
     windows for `poisson` and `linear` only."""
     if any(not isinstance(e, dict) or e.get("type") != "loss" for e in config.get("pipeline", [])):
         raise ConfigError("pipeline: source-level methods support loss-only pipelines")
-    in_dofs = source_dofs(schmidt, process)
-    n_dofs = len(in_dofs)
-    diagonal = _pipeline_transform(config, n_dofs, in_dofs).mat.blocks
-    etas = [float(diagonal[i][i]) for i in range(n_dofs)]
+    _, out_dofs, etas = _apply_pipeline(config, source_dofs(schmidt, process))
+    n_dofs = len(out_dofs)
     if method == "quadratic" and len(set(etas)) > 1:
         raise ConfigError("pipeline: the quadratic method needs a uniform loss")
     windows = _detection_windows(detection_cfg, n_dofs)
@@ -448,10 +457,12 @@ def _schmidt_step(config, schmidt, process, detection_cfg, order, mode_names):
     """Detection over an arbitrary pipeline, on the Schmidt basis.
 
     The covariance factors as V M V^dag (V fixed, the r x r core M
-    gain-dependent).  The pipeline is composed, compressed and applied to V
-    once; masking the rows of sV to the detection windows gives the r x r
-    detected gram H = (P s V)^dag (P s V), and Tr[(s^dag P s Gamma)^n] =
-    Tr[(M H)^n], so no operator over the grid is ever formed.  With `order`
+    gain-dependent).  The pipeline steps act once, one by one, on the row
+    blocks of V (`_apply_pipeline`), vacuum ancillas starting as zero
+    blocks, which gives s V for the whole pipeline s; masking its rows to
+    the detection windows gives the r x r detected gram
+    H = (P s V)^dag (P s V), and Tr[(s^dag P s Gamma)^n] = Tr[(M H)^n], so
+    no operator over the grid is ever formed.  With `order`
     the vacuum is the log series of that order, with None the exact r x r
     log-determinant.  The loss factor of both determinant bounds is
     lambda_max(H): the nonzero eigenvalues of s^dag P s Gamma are those of
@@ -474,16 +485,18 @@ def _schmidt_step(config, schmidt, process, detection_cfg, order, mode_names):
     idler, or type-0/I, whose M couples the halves) it uses all r columns
     with multiplicity 1.
     """
-    in_dofs = source_dofs(schmidt, process)
-    n_source = len(in_dofs)
-    m_total = len(mode_names)
-    reduced = transforms.compress(
-        _pipeline_transform(config, m_total, in_dofs), n_source
+    sv, out_dofs, _ = _apply_pipeline(
+        config, source_dofs(schmidt, process), mode_names, covariance_factor(schmidt, process)
     )
-    out_dofs = transforms.output_dofs(reduced, in_dofs, names=mode_names)
-    windows = _detection_windows(detection_cfg, m_total)
-    masks = transforms.projection_masks(windows, out_dofs)
-    sv = transforms.transform_factor(reduced, covariance_factor(schmidt, process))
+    m_total = len(out_dofs)
+    masks = []
+    for k, window in enumerate(_detection_windows(detection_cfg, m_total).windows):
+        try:
+            masks += transforms.projection_masks(
+                transforms.DetectionProjection((window,)), out_dofs[k:k + 1]
+            )
+        except ValueError as exc:
+            raise type(exc)(f"detection.windows[{k}]: {exc}") from None
     # one conjugate sector when no detected row couples the column halves
     half = sv.shape[1] // 2
     nonzero = sv[np.concatenate(masks * 2) > 0] != 0
@@ -646,9 +659,6 @@ def _fig4(points, mu_min, mu_max, aspect_ratio, eta):
 
 
 _MU_INVERSION = "exact sum of sinh^2(sigma_j/2)"
-_POSITIVE = {"above": 0}
-_NON_NEGATIVE = {"at_least": 0}
-_UNIT = {"at_least": 0, "at_most": 1}
 
 # name -> (rows function, default point count, overridable parameters with
 # their defaults and the `_number` limits of each value, fixed metadata).

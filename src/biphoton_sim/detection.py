@@ -25,7 +25,7 @@ from ._blocks import BlockMatrix
 from .bounds import OutOfDomainError
 from .covariance import ProcessType, RenormalizedCovariance, SqueezingSpectrum
 from .spectral import DiscretizedJsa, SchmidtSpectrum
-from .transforms import DetectionProjection, LossProfile, _window_mask, fourier
+from .transforms import DetectionProjection, LossProfile, _window_mask, fourier_kernel
 
 __all__ = [
     "SpectralRadiusWarning",
@@ -594,8 +594,7 @@ def _arm_operators(window, eta, grid):
     transmittivity of one detected arm."""
     kern, grid_out = None, grid
     if window is not None and window.domain == "time":
-        transform, grid_out = fourier(grid, 0, 1)
-        kern = transform.mat.blocks[0][0]
+        kern, grid_out = fourier_kernel(grid)
     eta_arr = np.broadcast_to(np.asarray(eta, dtype=float), (grid.n,))
     return kern, _window_mask(window, grid_out), eta_arr
 
@@ -684,6 +683,9 @@ def quadratic_vacuum(
     return num / den
 
 
+_VACUUM_TYPES = {"exact": ExactProductGf, "poisson": PoissonParams, "hermite": HermiteParams}
+
+
 def vacuum_probability(params, method: str, order: int | None = None) -> float:
     """Vacuum (no-click) probability for the chosen approximation.
 
@@ -693,23 +695,19 @@ def vacuum_probability(params, method: str, order: int | None = None) -> float:
     'quadratic' (QuadraticParams).  The linear value may be negative for
     large mu and is returned raw with a warning.
     """
-    if method == "exact":
-        if isinstance(params, SqueezingSpectrum):
-            params = ExactProductGf(params)
-        if not isinstance(params, ExactProductGf):
-            raise TypeError("'exact' expects a SqueezingSpectrum or ExactProductGf")
-        spec = params.spectrum
-        if spec.process is ProcessType.TYPE_0I:
-            return gf_exact(spec, 0.0, params.eta2_s)
-        return gf_exact(spec, (0.0, 0.0), (params.eta2_s, params.eta2_i))
+    if method == "exact" and isinstance(params, SqueezingSpectrum):
+        params = ExactProductGf(params)
+    if method in _VACUUM_TYPES:
+        gf_type = _VACUUM_TYPES[method]
+        if not isinstance(params, gf_type):
+            raise TypeError(f"{method!r} expects {gf_type.__name__}")
+        # exp of the constant that `pnd` expands, so that P[0, ..., 0] is this value
+        exponent, detector_count = _PND_EXPONENTS[gf_type]
+        return float(np.exp(exponent(params, (1,) * detector_count(params)).flat[0]))
     if method == "log_series":
         if order is None:
             raise ValueError("'log_series' needs a truncation order")
         return math.exp(-0.5 * log_det_series(params, order))
-    if method == "poisson":
-        if not isinstance(params, PoissonParams):
-            raise TypeError("'poisson' expects PoissonParams")
-        return math.exp(-params.mu * params.p_union)
     if method == "linear":
         if not isinstance(params, PoissonParams):
             raise TypeError("'linear' expects PoissonParams")
@@ -721,12 +719,6 @@ def vacuum_probability(params, method: str, order: int | None = None) -> float:
                 stacklevel=2,
             )
         return value
-    if method == "hermite":
-        if not isinstance(params, HermiteParams):
-            raise TypeError("'hermite' expects HermiteParams")
-        return gf_hermite(
-            params.mu, params.eps2, params.eta_s2, params.eta_i2, 1.0, 1.0
-        )
     if method == "quadratic":
         if not isinstance(params, QuadraticParams):
             raise TypeError("'quadratic' expects QuadraticParams")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blocks import Block, BlockMatrix, block_add, block_mul, block_scale
+from ._blocks import Block, BlockMatrix, block_scale
 from .covariance import Dof, RenormalizedCovariance
 from .spectral import FrequencyGrid
 
@@ -28,6 +28,9 @@ __all__ = [
     "phase_shift",
     "fourier",
     "beam_splitter",
+    "phase_factor",
+    "fourier_kernel",
+    "check_mixing",
     "apply_loss",
     "apply_transform",
     "compose",
@@ -36,7 +39,6 @@ __all__ = [
     "apply_projection",
     "projection_masks",
     "detected_gram",
-    "transform_factor",
     "compressed_determinant_operand",
     "output_dofs",
 ]
@@ -126,6 +128,13 @@ def _dof_sizes(m_total: int, default_n: int, sizes) -> tuple:
     return tuple(per_dof) * 2
 
 
+def phase_factor(phi0: float, tau: float, beta_l: float, grid: FrequencyGrid) -> np.ndarray:
+    """exp(i phi(w)) on the grid, phi = phi0 + tau w + beta_l w^2 / 2: the
+    factor of a mode's annihilation rows; its creation rows take the conjugate."""
+    w = grid.points
+    return np.exp(1j * (phi0 + tau * w + 0.5 * beta_l * w**2))
+
+
 def phase_shift(
     phi0: float,
     tau: float,
@@ -141,42 +150,55 @@ def phase_shift(
     """
     if not 0 <= dof < m_total:
         raise ValueError("dof index out of range")
-    w = grid.points
-    phi = phi0 + tau * w + 0.5 * beta_l * w**2
+    factor = phase_factor(phi0, tau, beta_l, grid)
     entries: list = [1.0] * (2 * m_total)
-    entries[dof] = np.exp(1j * phi)
-    entries[m_total + dof] = np.exp(-1j * phi)
+    entries[dof] = factor
+    entries[m_total + dof] = factor.conj()
     block_sizes = _dof_sizes(m_total, grid.n, sizes)
     return SymplecticTransform(BlockMatrix.diagonal(entries, block_sizes), m_total, m_total)
+
+
+def fourier_kernel(grid: FrequencyGrid) -> tuple[np.ndarray, FrequencyGrid]:
+    """Unitary Fourier kernel exp(-i w t)/sqrt(2 pi) of a uniform grid and the
+    induced time grid (spacing 2 pi / (N dw), uniform weights).
+
+    The discretized kernel is exactly unitary, which assumes the state
+    carries negligible mass at the grid edges.  A mode's annihilation rows
+    take the kernel, its creation rows the conjugate.
+    """
+    dw = grid.spacing  # raises on non-uniform grids
+    n = grid.n
+    dt = 2.0 * math.pi / (n * dw)
+    t = (np.arange(n) - (n - 1) / 2.0) * dt
+    kernel = np.exp(-1j * np.outer(t, grid.points)) * math.sqrt(dt * dw / (2.0 * math.pi))
+    return kernel, FrequencyGrid(t, np.full(n, dt))
 
 
 def fourier(
     grid: FrequencyGrid, dof: int, m_total: int, sizes=None
 ) -> tuple[SymplecticTransform, FrequencyGrid]:
-    """Unitary Fourier block exp(-i w t)/sqrt(2 pi) on one mode.
-
-    Requires a uniform grid; returns the transform together with the induced
-    time grid (spacing 2 pi / (N dw), uniform weights).  The discretized
-    kernel is exactly unitary, which assumes the state carries negligible
-    mass at the grid edges.
-    """
+    """The `fourier_kernel` block on one mode, with the induced time grid."""
     if not 0 <= dof < m_total:
         raise ValueError("dof index out of range")
-    dw = grid.spacing  # raises on non-uniform grids
-    n = grid.n
-    dt = 2.0 * math.pi / (n * dw)
-    t = (np.arange(n) - (n - 1) / 2.0) * dt
-    time_grid = FrequencyGrid(t, np.full(n, dt))
-    kernel = np.exp(-1j * np.outer(t, grid.points)) * math.sqrt(dt * dw / (2.0 * math.pi))
+    kernel, time_grid = fourier_kernel(grid)
     entries: list = [1.0] * (2 * m_total)
     entries[dof] = kernel
     entries[m_total + dof] = kernel.conj()
-    block_sizes = _dof_sizes(m_total, n, sizes)
+    block_sizes = _dof_sizes(m_total, grid.n, sizes)
     mat = BlockMatrix.diagonal(entries, block_sizes)
     return (
         SymplecticTransform(mat, m_total, m_total, dof_updates=((dof, time_grid, "time"),)),
         time_grid,
     )
+
+
+def check_mixing(transmittance, reflectance) -> tuple[np.ndarray, np.ndarray]:
+    """T and R of a beam splitter as float arrays; raises unless T^2 + R^2 = 1."""
+    t = np.asarray(transmittance, dtype=float)
+    r = np.asarray(reflectance, dtype=float)
+    if np.max(np.abs(t**2 + r**2 - 1.0)) > 1e-12:
+        raise ValueError("transmittance and reflectance must satisfy T^2 + R^2 = 1")
+    return t, r
 
 
 def beam_splitter(
@@ -187,10 +209,7 @@ def beam_splitter(
     d1, d2 = dofs
     if d1 == d2 or not (0 <= d1 < m_total and 0 <= d2 < m_total):
         raise ValueError("beam splitter needs two distinct in-range dof indices")
-    t = np.asarray(transmittance, dtype=float)
-    r = np.asarray(reflectance, dtype=float)
-    if np.max(np.abs(t**2 + r**2 - 1.0)) > 1e-12:
-        raise ValueError("transmittance and reflectance must satisfy T^2 + R^2 = 1")
+    t, r = check_mixing(transmittance, reflectance)
     t_blk: Block = float(t) if t.ndim == 0 else t
     r_blk: Block = float(r) if r.ndim == 0 else r
     default_n = t.shape[0] if t.ndim else n
@@ -362,29 +381,6 @@ def detected_gram(s: SymplecticTransform, p: DetectionProjection, out_dofs) -> B
     entries: list = [None if not m.any() else m for m in masks]
     d = BlockMatrix.diagonal(entries * 2, s.mat.row_sizes)
     return (s.mat.adjoint() @ d) @ s.mat
-
-
-def transform_factor(s: SymplecticTransform, factor: np.ndarray) -> np.ndarray:
-    """Dense rows of s @ V for an N x r factor V over s's input space.
-
-    Each block of s multiplies the matching row block of V, so identity and
-    multiplication blocks cost O(n r) and only dense kernels O(n^2 r); no
-    operator over the output space is formed.
-    """
-    offsets = np.cumsum((0,) + s.mat.col_sizes)
-    if factor.shape[0] != offsets[-1]:
-        raise ValueError(f"factor has {factor.shape[0]} rows, transform {offsets[-1]} columns")
-    row_blocks = [factor[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
-    out = np.zeros((sum(s.mat.row_sizes), factor.shape[1]), dtype=complex)
-    r0 = 0
-    for row, nr in zip(s.mat.blocks, s.mat.row_sizes):
-        acc: Block = None
-        for blk, v_k in zip(row, row_blocks):
-            acc = block_add(acc, block_mul(blk, v_k))
-        if acc is not None:
-            out[r0:r0 + nr] = acc
-        r0 += nr
-    return out
 
 
 def compressed_determinant_operand(

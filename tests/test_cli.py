@@ -1206,3 +1206,238 @@ class TestDetectorLayouts:
             assert p[n] == pytest.approx(antidiagonal, rel=1e-15, abs=0)
         assert p[0] == pytest.approx(float(first_row(shared)["p_vac"]), rel=1e-15, abs=0)
         assert shared["rows"] == two_arm["rows"]
+
+
+def random_pipeline(rng, m_total, process):
+    """2-5 pipeline entries drawn from phase, fourier (once per mode), beam
+    splitter and loss over `m_total` modes, with a signal-idler beam
+    splitter for type-II and at least one fourier; also the modes that end
+    in the time domain."""
+    steps, fourier_done = [], set()
+    for _ in range(rng.integers(2, 6)):
+        kind = rng.choice(["phase", "fourier", "beam_splitter", "loss"])
+        if kind == "fourier" and len(fourier_done) == m_total:
+            kind = "loss"
+        if kind == "phase":
+            steps.append({"type": "phase", "dof": int(rng.integers(m_total)),
+                          "phi0_rad": float(rng.uniform(-3, 3)),
+                          "tau_s": float(rng.uniform(-1, 1)),
+                          "beta_l_s2": float(rng.uniform(-0.5, 0.5))})
+        elif kind == "fourier":
+            dof = int(rng.choice(sorted(set(range(m_total)) - fourier_done)))
+            fourier_done.add(dof)
+            steps.append({"type": "fourier", "dof": dof})
+        elif kind == "beam_splitter":
+            pair = [int(d) for d in rng.choice(m_total, 2, replace=False)]
+            steps.append({"type": "beam_splitter", "dofs": pair,
+                          "transmittance": float(rng.uniform(0.1, 0.95))})
+        else:
+            modes = rng.choice(m_total, int(rng.integers(1, m_total + 1)), replace=False)
+            steps.append({"type": "loss",
+                          "eta": {str(d): float(rng.uniform(0.3, 1.0)) for d in modes}})
+    if process == "type2" and not any(s["type"] == "beam_splitter" and sorted(s["dofs"]) == [0, 1]
+                                      for s in steps):
+        steps.append({"type": "beam_splitter", "dofs": [1, 0], "transmittance": 0.8})
+    if not fourier_done:
+        fourier_done.add(int(rng.integers(m_total)))
+        steps.append({"type": "fourier", "dof": min(fourier_done)})
+    return steps, fourier_done
+
+
+def block_reference(cfg):
+    """The pipeline of `cfg` as `transforms` block constructors, composed and
+    compressed, with the source's covariance, output modes and projection."""
+    from biphoton_sim import (
+        BlockMatrix,
+        DetectionProjection,
+        DetectionWindow,
+        SymplecticTransform,
+        beam_splitter,
+        build_covariance_exact,
+        compose_all,
+        compress,
+        fourier,
+        phase_shift,
+    )
+    from biphoton_sim.cli import _build_source
+    from biphoton_sim.transforms import output_dofs
+
+    _, schmidt, gain, process = _build_source(cfg)
+    gamma = build_covariance_exact(schmidt, gain, process)
+    m_total = len(cfg["modes"])
+    grids = [d.grid for d in gamma.dofs] + [gamma.dofs[0].grid] * (m_total - gamma.n_dofs)
+    sizes = tuple(g.n for g in grids)
+    built = []
+    for step in cfg["pipeline"]:
+        if step["type"] == "phase":
+            built.append(phase_shift(step["phi0_rad"], step["tau_s"], step["beta_l_s2"],
+                                     grids[step["dof"]], step["dof"], m_total, sizes=sizes))
+        elif step["type"] == "fourier":
+            t, grids[step["dof"]] = fourier(grids[step["dof"]], step["dof"], m_total, sizes=sizes)
+            built.append(t)
+        elif step["type"] == "beam_splitter":
+            t_coef = step["transmittance"]
+            built.append(beam_splitter(t_coef, math.sqrt(1.0 - t_coef**2), tuple(step["dofs"]),
+                                       m_total, sizes=sizes))
+        else:
+            entries = [1.0] * m_total
+            for key, val in step["eta"].items():
+                entries[int(key)] = val
+            built.append(SymplecticTransform(BlockMatrix.diagonal(entries * 2, sizes * 2),
+                                             m_total, m_total))
+    s = compress(compose_all(built), gamma.n_dofs)
+    windows = [DetectionWindow.unbounded() if w is None else DetectionWindow(*w, "time")
+               for w in cfg["detection"]["windows"]]
+    return s, gamma, output_dofs(s, gamma.dofs, names=cfg["modes"]), \
+        DetectionProjection(windows)
+
+
+class TestFactorPath:
+    """`run` pushes the Schmidt factor through each step; the block
+    constructors, composed and compressed, are the reference."""
+
+    @pytest.mark.parametrize("process", ["type2", "type0i"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_block_reference(self, process, seed):
+        from biphoton_sim import (
+            SqueezingSpectrum,
+            compressed_determinant_operand,
+            covariance_eigenvalues,
+            det_truncation_bound_eigen,
+        )
+        from biphoton_sim.cli import _build_source
+        from biphoton_sim.covariance import covariance_factor
+        from biphoton_sim.oracle import dense_log_det
+        from biphoton_sim.transforms import detected_gram
+
+        rng = np.random.default_rng(seed)
+        modes = (["signal", "idler"] if process == "type2" else ["mode"]) + ["anc"]
+        pipeline, in_time = random_pipeline(rng, len(modes), process)
+        # asymmetric time windows, which see the sign of every phase and kernel
+        windows = [[-rng.uniform(0.5, 2.0), rng.uniform(0.2, 3.0)] if k in in_time else None
+                   for k in range(len(modes))]
+        detection = {"domain": "time", "windows": windows}
+        cfg = base_config(detection={"method": "exact", **detection}, modes=modes,
+                          pipeline=pipeline)
+        cfg["grid"]["points_per_width"] = 2.0
+        cfg["source"]["process"] = process
+        s, gamma, out_dofs, proj = block_reference(cfg)
+
+        p_vac = first_row(run_scenario(cfg))["p_vac"]
+        operand = compressed_determinant_operand(s, proj, gamma, out_dofs).to_dense()
+        p_ref = math.exp(-0.5 * dense_log_det(operand))
+        assert float(p_vac) == pytest.approx(p_ref, rel=1e-12, abs=0)
+
+        # the loss factor lambda_max(V^dag s^dag P s V), read through the
+        # det_trunc_eigen column of a log-series run
+        order = 3
+        cfg["detection"] = {"method": "log_series", "series_order": order, **detection}
+        row = first_row(run_scenario(cfg))
+        _, schmidt, gain, proc = _build_source(cfg)
+        v = covariance_factor(schmidt, proc)
+        gram = detected_gram(s, proj, out_dofs).to_dense()
+        eta2 = float(np.linalg.eigvalsh(v.conj().T @ gram @ v)[-1])
+        sq = SqueezingSpectrum.from_schmidt(schmidt, gain, proc)
+        expected = det_truncation_bound_eigen(covariance_eigenvalues(sq), eta2, order).value
+        assert float(row["det_trunc_eigen"]) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+class TestNoBlockAlgebra:
+    """`run` builds no BlockMatrix, whatever the method."""
+
+    @pytest.mark.parametrize(
+        "method, pipeline, detection",
+        [
+            ("exact", "full", {"pnd_cutoffs": [2, 2], "domain": "time",
+                               "windows": [[-2.0, 2.0], None, "empty"]}),
+            ("log_series", "full", {"series_order": 6, "pnd_cutoffs": [2, 2]}),
+            ("poisson", "loss", {"pnd_cutoffs": [2, 2], "domain": "time",
+                                 "windows": [[-1.0, 1.0], None]}),
+            ("hermite", "loss", {"pnd_cutoffs": [2]}),
+            ("linear", "loss", {}),
+            ("quadratic", "uniform", {}),
+        ],
+    )
+    def test_run_succeeds_without_blocks(self, monkeypatch, method, pipeline, detection):
+        from biphoton_sim._blocks import BlockMatrix
+
+        def forbidden(self):
+            raise AssertionError("run built a BlockMatrix")
+
+        monkeypatch.setattr(BlockMatrix, "__post_init__", forbidden)
+        cfg = base_config(detection={"method": method, **detection})
+        cfg["sweep"] = {"parameter": "source.mu", "values": [0.05, 0.1]}
+        cfg["source"].pop("gain")
+        cfg["source"]["mu"] = 0.05
+        if pipeline == "full":
+            cfg["modes"] = ["signal", "idler", "anc"]
+            cfg["pipeline"] = [
+                {"type": "beam_splitter", "dofs": [0, 2], "transmittance": 0.9},
+                {"type": "phase", "dof": 0, "tau_s": 1.2},
+                {"type": "fourier", "dof": 0},
+                {"type": "loss", "eta": {"1": 0.85}},
+            ]
+        else:
+            eta = {"0": 0.9, "1": 0.9} if pipeline == "uniform" else {"1": 0.85}
+            cfg["pipeline"] = [{"type": "loss", "eta": eta}]
+        assert len(run_scenario(cfg)["rows"]) == 2
+
+
+class TestPipelineDomains:
+    """A mode takes one Fourier step, and window errors on the Schmidt side
+    name their `detection.windows` entry."""
+
+    def _run(self, tmp_path, capsys, cfg):
+        cfg_path = tmp_path / "domains.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["run", str(cfg_path)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["exact", "log_series"])
+    def test_second_fourier_exit_code(self, tmp_path, capsys, method):
+        # the kernel applied twice returns the mode to frequency, mirrored,
+        # so the second step used to leave a mode labelled 'time' that was not
+        cfg = base_config(detection={"method": method, "domain": "time",
+                                     "windows": [[-1, 1], None]})
+        cfg["pipeline"] = [{"type": "fourier", "dof": 0}, {"type": "fourier", "dof": 0}]
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 2
+        assert "pipeline[1].dof" in err
+
+    @pytest.mark.parametrize("method", ["exact", "log_series"])
+    @pytest.mark.parametrize(
+        "domain, windows, message",
+        [
+            ("time", [None, [-1.0, 1.0]], "detection.windows[1]: window domain 'time'"),
+            ("frequency", [[500.0, 600.0], None],
+             "detection.windows[0]: detection window lies outside the grid"),
+        ],
+    )
+    def test_window_error_names_field(self, tmp_path, capsys, method, domain, windows, message):
+        cfg = base_config(detection={"method": method, "domain": domain, "windows": windows})
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 3
+        assert message in err
+
+
+class TestSourceVacuumEntry:
+    """A source-level run writes one vacuum value: P[0, ..., 0] of its table
+    is its p_vac, bit for bit."""
+
+    @pytest.mark.parametrize("method", ["poisson", "hermite"])
+    @pytest.mark.parametrize("detection", [{"pnd_cutoffs": [3, 2]},
+                                           {"pnd_cutoffs": [3], "detectors": [0, 0]}])
+    @pytest.mark.parametrize("gain", [0.2, 0.54, 0.86])  # 0.54, 0.86 used to differ
+    def test_vacuum_entry_is_p_vac(self, tmp_path, method, detection, gain):
+        cfg = base_config(detection={"method": method, **detection})
+        cfg["source"]["gain"] = gain
+        cfg["pipeline"] = [{"type": "loss", "eta": {"0": 0.83}}]
+        cfg["output"] = {"csv_path": str(tmp_path / "out.csv"),
+                         "pnd_csv_path": str(tmp_path / "pnd.csv")}
+        cfg_path = tmp_path / "vacuum.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", str(cfg_path)]) == 0
+        header, rows = read_csv(tmp_path / "out.csv")
+        _, table = read_csv(tmp_path / "pnd.csv")
+        assert all(n == "0" for n in table[0][:-1])
+        assert table[0][-1] == rows[0][header.index("p_vac")]

@@ -1206,7 +1206,7 @@ def _dispatch_case(kind, rng):
 class TestPndDispatch:
     """pnd picks the exponent and detector count from the generating
     function's type; its no-click entry is that type's vacuum probability,
-    to the bit for the exact generating function."""
+    to the bit for the exact, Poisson and Hermite generating functions."""
 
     @pytest.mark.parametrize(
         "kind", ["poisson", "hermite", "exact_type2", "exact_type0i", "log_series"]
@@ -1216,10 +1216,22 @@ class TestPndDispatch:
         probs = pnd(gf, 3).probabilities
         assert probs.ndim == (1 if kind == "exact_type0i" else 2)
         vacuum = vacuum_probability(*vacuum_args)
-        if isinstance(gf, ExactProductGf):
-            assert probs[(0,) * probs.ndim] == vacuum
-        else:
+        if kind == "log_series":
             assert probs[(0,) * probs.ndim] == pytest.approx(vacuum, rel=1e-12, abs=0)
+        else:
+            assert probs[(0,) * probs.ndim] == vacuum
+
+    @pytest.mark.parametrize("kind", ["poisson", "hermite"])
+    def test_vacuum_entry_bitwise_over_random_parameters(self, rng, kind):
+        for _ in range(300):
+            eta_s2, eta_i2 = rng.uniform(0.0, 1.0, 2)
+            if kind == "poisson":
+                p_s, p_i = rng.uniform(0.1, 0.5, 2)
+                gf = PoissonParams(rng.uniform(0.0, 3.0), p_s, p_i, rng.uniform(0.0, min(p_s, p_i)))
+            else:
+                gf = hermite_params(rng.uniform(0.0, 1.5), rng.uniform(1.0, 30.0),
+                                    ProcessType.TYPE_II, eta_s2, eta_i2)
+            assert pnd(gf, 1).probabilities[0, 0] == vacuum_probability(gf, kind)
 
     def test_unsupported_type(self):
         # the message names the supported types, so that trace moments
