@@ -208,7 +208,10 @@ def _apply_pipeline(config, in_dofs, names=(), factor=None):
                 raise ConfigError(f"{path}.dof: mode {dof} is already in the time domain; "
                                   f"a mode takes at most one 'fourier' step")
             else:
-                kernel, time_grid = transforms.fourier_kernel(dofs[dof].grid)
+                try:
+                    kernel, time_grid = transforms.fourier_kernel(dofs[dof].grid)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: mode {dof} ('{dofs[dof].name}'): {exc}") from None
                 a[...], c[...] = kernel @ a, kernel.conj() @ c
                 dofs[dof] = Dof(dofs[dof].name, time_grid, "time")
         elif kind == "beam_splitter":
@@ -419,7 +422,10 @@ def _source_step(config, jsa, schmidt, process, method, detection_cfg):
     if method in ("poisson", "linear"):
         # only mu depends on the gain: the unit-gain mu (1/2 or 1/4) times
         # gain * gain rounds exactly as gain * gain / 2 or / 4 does
-        unit = det.poisson_params(jsa, loss, windows, 1.0, process)
+        try:
+            unit = det.poisson_params(jsa, loss, windows, 1.0, process)
+        except ValueError as exc:  # poisson_params names windows[k]
+            raise type(exc)(f"detection.{exc}") from None
 
     def step(gain, sq, with_pnd):
         if method in ("poisson", "linear"):
@@ -808,8 +814,9 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_schmidt(args) -> int:
+    rank = None if args.rank is None else _number(args.rank, "--rank", int, at_least=1)
     jsa = spectral.load_jsa_csv(args.jsa_csv)
-    spectrum = spectral.schmidt_decompose(jsa, rank=args.rank, want_modes=False)
+    spectrum = spectral.schmidt_decompose(jsa, rank=rank, want_modes=False)
     print("j,coefficient,lambda")
     for j, c in enumerate(spectrum.coefficients, start=1):
         print(f"{j},{_fmt(float(c))},{_fmt(float(c) ** 2)}")

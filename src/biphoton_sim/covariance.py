@@ -263,7 +263,8 @@ def covariance_factor(spectrum: SchmidtSpectrum, process: ProcessType) -> np.nda
 
     The columns are the weighted u, v (type-0/I) or u, v, conj(v), conj(u)
     (type-II) Schmidt modes, each in the block rows where the covariance
-    holds it, so r is 2 or 4 times the number of Schmidt modes.
+    holds it, so r is 2 or 4 times the number of Schmidt modes.  V is real
+    when the modes are.
     """
     u, v = _weighted_modes(spectrum)
     if process is ProcessType.TYPE_0I:
@@ -272,7 +273,7 @@ def covariance_factor(spectrum: SchmidtSpectrum, process: ProcessType) -> np.nda
         placed = ((0, u), (3, v), (1, v.conj()), (2, u.conj()))
     offsets = np.cumsum((0,) + _grid_sizes(source_dofs(spectrum, process)))
     k = u.shape[1]
-    basis = np.zeros((offsets[-1], k * len(placed)), dtype=complex)
+    basis = np.zeros((offsets[-1], k * len(placed)), dtype=u.dtype)
     for j, (row, modes) in enumerate(placed):
         basis[offsets[row]:offsets[row + 1], j * k:(j + 1) * k] = modes
     return basis

@@ -609,7 +609,8 @@ def poisson_params(
     """Single-pair detection probabilities integrated over the windows.
 
     Loss acts on the spectral kernel first; axes whose window lives in the
-    time domain are Fourier-transformed before masking.
+    time domain are Fourier-transformed before masking.  A window that does
+    not fit its arm's grid raises ValueError naming `windows[k]`.
     """
     psi = jsa.symmetrized()
     shared = process is ProcessType.TYPE_0I
@@ -622,7 +623,13 @@ def poisson_params(
         if len(windows.windows) != 2 or len(eta.etas) != 2:
             raise ValueError("type-II detection uses one window and loss per arm")
         arms = zip(windows.windows, eta.etas, (jsa.grid_signal, jsa.grid_idler))
-    (kern_s, mask_s, eta_s), (kern_i, mask_i, eta_i) = (_arm_operators(*a) for a in arms)
+    operators = []
+    for k, arm in enumerate(arms):
+        try:
+            operators.append(_arm_operators(*arm))
+        except ValueError as exc:
+            raise type(exc)(f"windows[{k}]: {exc}") from None
+    (kern_s, mask_s, eta_s), (kern_i, mask_i, eta_i) = operators
 
     # marginal detection: loss only on the detected photon's axis
     chi_s = eta_s[:, None] * psi

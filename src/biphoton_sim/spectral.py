@@ -119,6 +119,8 @@ class GaussianJsaModel:
 class DiscretizedJsa:
     """JSA samples psi(w_s, w_i) on a rectangular grid.
 
+    The samples are stored as float unless they are given complex, so a
+    real JSA keeps real arithmetic (and LAPACK's real SVD) downstream.
     The quadrature-weighted squared norm is one:
     sum_mn w_m w_n |psi_mn|^2 = 1 (within 1e-10).
     """
@@ -128,7 +130,8 @@ class DiscretizedJsa:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values, dtype=complex))
+        dtype = complex if np.iscomplexobj(self.values) else float
+        object.__setattr__(self, "values", _frozen_array(self.values, dtype=dtype))
         if self.values.shape != (self.grid_signal.n, self.grid_idler.n):
             raise ValueError("values shape must be (n_signal, n_idler)")
         norm = self.quadrature_norm()
@@ -136,17 +139,16 @@ class DiscretizedJsa:
             raise ValueError(f"JSA not normalized: quadrature norm {norm!r}")
 
     def quadrature_norm(self) -> float:
-        w_s = self.grid_signal.weights
-        w_i = self.grid_idler.weights
-        return float(np.einsum("m,n,mn->", w_s, w_i, np.abs(self.values) ** 2))
+        v = self.values
+        parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+        w_s, w_i = self.grid_signal.weights, self.grid_idler.weights
+        return float(sum(np.einsum("m,n,mn,mn->", w_s, w_i, p, p) for p in parts))
 
     def symmetrized(self) -> np.ndarray:
         """Weight-symmetrized kernel matrix sqrt(w_s) psi sqrt(w_i)."""
-        return (
-            np.sqrt(self.grid_signal.weights)[:, None]
-            * self.values
-            * np.sqrt(self.grid_idler.weights)[None, :]
-        )
+        out = np.sqrt(self.grid_signal.weights)[:, None] * self.values
+        out *= np.sqrt(self.grid_idler.weights)
+        return out
 
 
 @dataclass(frozen=True)
@@ -251,9 +253,9 @@ def build_gaussian_jsa(
     wm = (ws[:, None] - wi[None, :]) / math.sqrt(2.0)
     vals = np.exp(
         -(wp**2) / (4.0 * model.delta_plus**2) - (wm**2) / (4.0 * model.delta_minus**2)
-    ).astype(complex)
-    norm = np.einsum("m,n,mn->", grid_s.weights, grid_i.weights, np.abs(vals) ** 2)
-    vals /= math.sqrt(float(norm.real))
+    )
+    norm = np.einsum("m,n,mn->", grid_s.weights, grid_i.weights, vals**2)
+    vals /= math.sqrt(float(norm))
     return DiscretizedJsa(grid_s, grid_i, vals)
 
 
@@ -363,28 +365,35 @@ def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
 
 
 def _bad_jsa_csv_line(path) -> str | None:
-    """Describe the first data line of a JSA CSV that is not four numbers."""
+    """Describe the first data line of a JSA CSV that is not four finite
+    numbers; like `np.loadtxt`, skip `#` comments and blank lines."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0]
             if lineno == 1 or not line.strip():
                 continue
             fields = line.split(",")
             if len(fields) != 4:
                 return f"line {lineno} has {len(fields)} fields, expected 4"
             try:
-                for f in fields:
-                    float(f)
+                numbers = [float(f) for f in fields]
             except ValueError:
                 return f"line {lineno} is not four numbers: {line.strip()!r}"
+            if not all(map(math.isfinite, numbers)):
+                return f"line {lineno}: non-finite value"
     return None
+
+
+_SCATTER_ROWS = 1 << 16  # rows per block when placing CSV samples on the grid
 
 
 def load_jsa_csv(path) -> DiscretizedJsa:
     """Read a JSA written by `save_jsa_csv`; the grid is inferred.
 
     The sample set must form a complete rectangle over the unique sorted
-    signal and idler frequencies.  Malformed files raise ValueError naming
-    the path and, for a bad row, its line.
+    signal and idler frequencies.  The values are real when every im_psi is
+    zero and complex otherwise.  Malformed files, non-finite fields
+    included, raise ValueError naming the path and, for a bad row, its line.
     """
     with open(path) as fh:
         header = fh.readline()
@@ -402,19 +411,27 @@ def load_jsa_csv(path) -> DiscretizedJsa:
                 raise ValueError(f"{path}: {_bad_jsa_csv_line(path) or exc}") from None
     if data.shape[0] == 0:
         raise ValueError(f"{path}: JSA CSV has a header but no samples")
-    if data.shape[1] != 4:
+    if data.shape[1] != 4 or not np.isfinite(data).all():
         raise ValueError(f"{path}: {_bad_jsa_csv_line(path)}")
-    ws, wi = data[:, 0], data[:, 1]
-    pts_s = np.unique(ws)
-    pts_i = np.unique(wi)
-    if ws.size != pts_s.size * pts_i.size:
+    pts_s = np.unique(data[:, 0])
+    pts_i = np.unique(data[:, 1])
+    if data.shape[0] != pts_s.size * pts_i.size:
         raise ValueError(f"{path}: JSA CSV is not a complete rectangular grid")
-    vals = np.full((pts_s.size, pts_i.size), np.nan + 0j)
-    idx_s = np.searchsorted(pts_s, ws)
-    idx_i = np.searchsorted(pts_i, wi)
-    vals[idx_s, idx_i] = data[:, 2] + 1j * data[:, 3]
-    if np.any(np.isnan(vals)):
+    # Scatter into one preallocated array, a block of rows at a time: each
+    # block's flat index is built in place, so beside the parsed table only
+    # the values and block-sized temporaries exist.
+    is_complex = bool(np.any(data[:, 3]))
+    vals = np.full(data.shape[0], np.nan, dtype=complex if is_complex else float)
+    for start in range(0, data.shape[0], _SCATTER_ROWS):
+        rows = data[start:start + _SCATTER_ROWS]
+        idx = np.searchsorted(pts_s, rows[:, 0])
+        idx *= pts_i.size
+        idx += np.searchsorted(pts_i, rows[:, 1])
+        vals[idx] = rows[:, 2] + 1j * rows[:, 3] if is_complex else rows[:, 2]
+    del data, rows  # free the parsed table (rows is a view of it) before the JSA copies vals
+    # every sample is finite, so a NaN left is a grid point no row reached
+    if np.isnan(vals).any():
         raise ValueError(f"{path}: JSA CSV is not a complete rectangular grid")
     grid_s = FrequencyGrid(pts_s, _trapezoid_weights(pts_s))
     grid_i = FrequencyGrid(pts_i, _trapezoid_weights(pts_i))
-    return DiscretizedJsa(grid_s, grid_i, vals)
+    return DiscretizedJsa(grid_s, grid_i, vals.reshape(pts_s.size, pts_i.size))

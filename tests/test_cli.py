@@ -18,6 +18,7 @@ from biphoton_sim.cli import (
     run_scenario,
 )
 from conftest import reference_covariance_bound
+from test_detection import _readme_config
 
 
 def base_config(**overrides):
@@ -717,6 +718,20 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert "short.csv: line 3 has 3 fields" in err
 
+    def test_schmidt_command_non_finite_exit_code(self, tmp_path, capsys, recwarn):
+        path = tmp_path / "inf.csv"
+        path.write_text("omega_s,omega_i,re_psi,im_psi\n0,0,1,0\n0,1,1,inf\n1,0,1,0\n1,1,1,0\n")
+        assert main(["schmidt", str(path)]) == 3
+        assert "inf.csv: line 3: non-finite value" in capsys.readouterr().err
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("rank", ["0", "-2"])
+    def test_schmidt_command_bad_rank_exit_code(self, tmp_path, capsys, rank):
+        path = tmp_path / "jsa.csv"
+        path.write_text("omega_s,omega_i,re_psi,im_psi\n0,0,1,0\n0,1,1,0\n1,0,1,0\n1,1,1,0\n")
+        assert main(["schmidt", str(path), "--rank", rank]) == 2
+        assert "--rank: expected an integer >= 1" in capsys.readouterr().err
+
 
 METHODS = ["exact", "log_series", "poisson", "hermite", "linear", "quadratic"]
 SOURCE_METHODS = METHODS[2:]
@@ -1384,7 +1399,7 @@ class TestNoBlockAlgebra:
 
 
 class TestPipelineDomains:
-    """A mode takes one Fourier step, and window errors on the Schmidt side
+    """A mode takes one Fourier step on a uniform grid, and window errors
     name their `detection.windows` entry."""
 
     def _run(self, tmp_path, capsys, cfg):
@@ -1418,6 +1433,69 @@ class TestPipelineDomains:
         code, err = self._run(tmp_path, capsys, cfg)
         assert code == 3
         assert message in err
+
+    @pytest.mark.parametrize("method", ["poisson", "linear"])
+    @pytest.mark.parametrize("windows, k", [([[500.0, 600.0], None], 0),
+                                            ([None, [500.0, 600.0]], 1)])
+    def test_source_level_window_error_names_field(self, tmp_path, capsys, method, windows, k):
+        cfg = base_config(detection={"method": method, "windows": windows})
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 3
+        assert f"detection.windows[{k}]: detection window lies outside the grid" in err
+
+    def test_fourier_on_non_uniform_grid_names_step(self, tmp_path, capsys):
+        from biphoton_sim import DiscretizedJsa, FrequencyGrid
+        from biphoton_sim.spectral import _trapezoid_weights, save_jsa_csv
+
+        pts = np.array([-9.0, -6.0, -3.5, -1.5, 0.0, 1.0, 3.0, 5.5, 9.0])
+        w = _trapezoid_weights(pts)
+        vals = np.exp(-np.add.outer(pts**2, (pts - 0.5) ** 2) / 4.0)
+        vals /= math.sqrt(np.einsum("m,n,mn->", w, w, vals**2))
+        grid = FrequencyGrid(pts, w)
+        path = tmp_path / "uneven.csv"
+        save_jsa_csv(DiscretizedJsa(grid, grid, vals), path)
+        cfg = {"source": {"process": "type2", "gain": 0.3, "jsa": {"csv": str(path)}},
+               "pipeline": [{"type": "loss", "eta": {"1": 0.9}}, {"type": "fourier", "dof": 0}],
+               "detection": {"method": "exact"}}
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 3
+        assert "pipeline[1]: mode 0 ('signal'): grid is not uniform" in err
+
+
+class TestRealJsa:
+    """A real JSA runs on real Schmidt modes; its complex twin (the same
+    samples stored complex) gives the same vacuum probabilities."""
+
+    @staticmethod
+    def _complex_twins(monkeypatch):
+        from biphoton_sim import DiscretizedJsa, spectral
+
+        for name in ("build_gaussian_jsa", "load_jsa_csv"):
+            def twin(*args, _make=getattr(spectral, name)):
+                jsa = _make(*args)
+                assert jsa.values.dtype == np.float64
+                return DiscretizedJsa(jsa.grid_signal, jsa.grid_idler, jsa.values.astype(complex))
+
+            monkeypatch.setattr(spectral, name, twin)
+
+    @pytest.mark.parametrize("method", ["exact", "log_series"])
+    @pytest.mark.parametrize("source", ["readme", "csv"])
+    def test_p_vac_matches_complex_twin(self, tmp_path, monkeypatch, method, source):
+        if source == "readme":
+            cfg = _readme_config(method)
+            del cfg["detection"]["pnd_cutoffs"]
+        else:
+            cfg = {"source": {"process": "type2", "mu": 0.3,
+                              "jsa": {"csv": str(_rectangular_csv(tmp_path))}},
+                   "pipeline": [{"type": "loss", "eta": {"1": 0.7}}],
+                   "detection": {"method": method}}
+        cfg["detection"]["series_order"] = 12
+        real = run_scenario(cfg)["raw"]
+        self._complex_twins(monkeypatch)
+        twin = run_scenario(cfg)["raw"]
+        assert len(real) == len(twin)
+        for a, b in zip(real, twin):
+            assert a["p_vac"] == pytest.approx(b["p_vac"], rel=1e-14, abs=0)
 
 
 class TestSourceVacuumEntry:

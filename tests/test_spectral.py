@@ -256,9 +256,12 @@ class TestCsvRoundTrip:
             ("0,1,1", "line 3 has 3 fields, expected 4"),
             ("0,1,1,0,0", "line 3 has 5 fields, expected 4"),
             ("0,x,1,0", "line 3 is not four numbers"),
+            ("0,1,nan,0", "line 3: non-finite value"),
+            ("0,1,1,inf", "line 3: non-finite value"),
+            ("0,-inf,1,0", "line 3: non-finite value"),
         ],
     )
-    def test_bad_row_rejected_with_its_line(self, tmp_path, row, message):
+    def test_bad_row_rejected_with_its_line(self, tmp_path, recwarn, row, message):
         path = tmp_path / "bad_row.csv"
         path.write_text(
             f"omega_s,omega_i,re_psi,im_psi\n0,0,1,0\n{row}\n1,0,1,0\n1,1,1,0\n"
@@ -266,3 +269,125 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=f"bad_row.csv: {message}") as err:
             load_jsa_csv(path)
         assert "unpack" not in str(err.value)
+        assert not recwarn.list
+
+    def test_bad_row_after_comment_named_by_its_line(self, tmp_path):
+        path = tmp_path / "commented.csv"
+        path.write_text(
+            "omega_s,omega_i,re_psi,im_psi\n# by hand\n0,0,1,0 # first\n0,1,nan,0\n1,0,1,0\n"
+            "1,1,1,0\n"
+        )
+        with pytest.raises(ValueError, match="commented.csv: line 4: non-finite value"):
+            load_jsa_csv(path)
+
+
+def _complex_route_spectrum(path):
+    """Schmidt spectrum of a JSA CSV through the always-complex route: the
+    values as re + 1j * im, the kernel as sqrt(w_s) * psi * sqrt(w_i)."""
+    with open(path) as fh:
+        fh.readline()
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    pts_s, pts_i = np.unique(data[:, 0]), np.unique(data[:, 1])
+    vals = np.full((pts_s.size, pts_i.size), np.nan + 0j)
+    vals[np.searchsorted(pts_s, data[:, 0]), np.searchsorted(pts_i, data[:, 1])] = (
+        data[:, 2] + 1j * data[:, 3]
+    )
+    back = load_jsa_csv(path)
+    kernel = (
+        np.sqrt(back.grid_signal.weights)[:, None]
+        * vals
+        * np.sqrt(back.grid_idler.weights)[None, :]
+    )
+    return np.linalg.svd(kernel, full_matrices=False)
+
+
+class TestDtypeRule:
+    """A JSA is real unless it has an imaginary part."""
+
+    def test_gaussian_and_zero_imaginary_csv_are_real(self, tmp_path):
+        jsa = make_jsa(2.0, points_per_width=4.0)
+        assert jsa.values.dtype == np.float64
+        path = tmp_path / "real.csv"
+        save_jsa_csv(jsa, path)
+        assert load_jsa_csv(path).values.dtype == np.float64
+
+    def test_real_round_trip_is_byte_identical(self, tmp_path):
+        jsa = make_jsa(2.0, points_per_width=4.0)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        save_jsa_csv(jsa, first)
+        save_jsa_csv(load_jsa_csv(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("block_rows", [None, 97])
+    def test_complex_csv_stays_complex_bit_for_bit(self, tmp_path, monkeypatch, block_rows):
+        from biphoton_sim import spectral
+
+        if block_rows is not None:  # many scatter blocks, one ending mid-row
+            monkeypatch.setattr(spectral, "_SCATTER_ROWS", block_rows)
+        jsa = make_jsa(2.0, points_per_width=4.0)
+        grid = jsa.grid_signal
+        chirp = np.exp(0.3j * np.add.outer(grid.points**2, -(jsa.grid_idler.points**3) / 7.0))
+        path = tmp_path / "complex.csv"
+        save_jsa_csv(DiscretizedJsa(grid, jsa.grid_idler, jsa.values * chirp), path)
+        back = load_jsa_csv(path)
+        assert back.values.dtype == np.complex128
+        spec = schmidt_decompose(back, lambda_floor=0.0)
+        u, s, vh = _complex_route_spectrum(path)
+        assert np.array_equal(spec.coefficients, s)
+        assert np.array_equal(spec.modes_signal, u / np.sqrt(grid.weights)[:, None])
+
+    def test_real_matches_complex_twin(self, tmp_path):
+        from biphoton_sim import FrequencyGrid
+
+        model = GaussianJsaModel(1.0, 4.0)  # the README source
+        path = tmp_path / "rect.csv"
+        save_jsa_csv(
+            build_gaussian_jsa(
+                GaussianJsaModel(0.5, 1.5),
+                FrequencyGrid.uniform(-8.0, 8.0, 41),
+                FrequencyGrid.uniform(-7.5, 7.5, 31),
+            ),
+            path,
+        )
+        for jsa in (build_gaussian_jsa(model, *default_grids(model)), load_jsa_csv(path)):
+            twin = DiscretizedJsa(jsa.grid_signal, jsa.grid_idler, jsa.values.astype(complex))
+            real, cplx = schmidt_decompose(jsa), schmidt_decompose(twin)
+            assert real.coefficients.size == cplx.coefficients.size
+            assert np.max(np.abs(real.lambdas - cplx.lambdas)) <= 1e-15
+            assert abs(real.truncation_tail - cplx.truncation_tail) <= 1e-15
+
+
+class TestLoadMemory:
+    """A real JSA is parsed and decomposed without full-size complex copies."""
+
+    N = 301
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        from biphoton_sim import FrequencyGrid
+
+        grid = FrequencyGrid.uniform(-12.0, 12.0, self.N)
+        path = tmp_path_factory.mktemp("memory") / "jsa.csv"
+        save_jsa_csv(build_gaussian_jsa(GaussianJsaModel(1.0, 1.5), grid, grid), path)
+        return path
+
+    @staticmethod
+    def _traced_peak(call):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_load_peak_within_two_and_a_half_tables(self, path):
+        jsa, peak = self._traced_peak(lambda: load_jsa_csv(path))
+        assert jsa.values.dtype == np.float64
+        assert peak <= 2.5 * self.N**2 * 32  # the parsed table is N^2 rows of 4 floats
+
+    def test_decomposition_peak_within_two_real_kernels(self, path):
+        jsa = load_jsa_csv(path)
+        _, peak = self._traced_peak(lambda: schmidt_decompose(jsa, want_modes=False))
+        assert peak <= 2.0 * self.N**2 * 8
