@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -119,7 +120,7 @@ def _process(tag: str, path: str) -> ProcessType:
 
 
 def _build_source(cfg: dict):
-    """Source construction: JSA, Schmidt spectrum, gain and exact covariance."""
+    """Source construction: JSA, Schmidt spectrum, and the gain or the mean pair number."""
     source = _require(cfg, "source", dict)
     process = _process(_require(cfg, "source.process", str), "source.process")
     jsa_cfg = _require(cfg, "source.jsa", dict)
@@ -153,13 +154,12 @@ def _build_source(cfg: dict):
     if "gain" in source and "mu" in source:
         raise ConfigError("source: give either 'gain' or 'mu', not both")
     if "gain" in source:
-        gain = _number(source["gain"], "source.gain", at_least=0)
+        gain, mu = _number(source["gain"], "source.gain", at_least=0), None
     elif "mu" in source:
-        mu = _number(source["mu"], "source.mu", at_least=0)
-        gain = gain_for_mean_pairs(schmidt, mu, process)
+        gain, mu = None, _number(source["mu"], "source.mu", at_least=0)
     else:
         raise ConfigError("source: missing 'gain' or 'mu'")
-    return jsa, schmidt, gain, process
+    return jsa, schmidt, gain, mu, process
 
 
 _SOURCE_METHODS = ("poisson", "hermite", "linear", "quadratic")
@@ -175,20 +175,23 @@ def _apply_pipeline(config, in_dofs, names=(), factor=None):
     compression of the vacuum modes.  Each step updates row blocks in place:
     a phase multiplies a mode's rows, a Fourier step applies its kernel and
     moves the mode to the time domain, a beam splitter mixes two modes' rows
-    and a loss scales them.  Returns the rows over all modes, the output
-    modes and the per-mode product of the loss transmittivities.
+    and a loss scales them.  Returns the rows over all modes (complex if a
+    step is a phase or Fourier step, else of the dtype of `factor`), the
+    output modes and the per-mode product of the loss transmittivities.
     """
     dofs = list(in_dofs) + [Dof(name, in_dofs[0].grid) for name in names[len(in_dofs):]]
     m_total = len(dofs)
     sizes = [d.grid.n for d in dofs]
     n_source = sum(sizes[: len(in_dofs)])
     factor = np.zeros((2 * n_source, 0)) if factor is None else factor
-    out = np.zeros((2 * sum(sizes), factor.shape[1]), dtype=complex)
+    steps = config.get("pipeline", [])
+    phased = any(isinstance(e, dict) and e.get("type") in ("phase", "fourier") for e in steps)
+    out = np.zeros((2 * sum(sizes), factor.shape[1]), dtype=complex if phased else factor.dtype)
     out[:n_source] = factor[:n_source]
     out[sum(sizes):sum(sizes) + n_source] = factor[n_source:]
     rows = np.split(out, np.cumsum(sizes * 2)[:-1])  # views: a_0, a_1, ..., c_0, c_1, ...
     etas = [1.0] * m_total
-    for k, entry in enumerate(config.get("pipeline", [])):
+    for k, entry in enumerate(steps):
         path = f"pipeline[{k}]"
         if not isinstance(entry, dict) or "type" not in entry:
             raise ConfigError(f"{path}: each entry needs a 'type'")
@@ -278,13 +281,13 @@ def _mode_names(config, in_dofs) -> list:
 def run_scenario(config: dict) -> dict:
     """Execute one scenario; returns columns, rows and optional PND tables.
 
-    The source, pipeline and detection are planned once; each sweep point
-    then does only the gain-dependent work.  The PND table belongs to the
-    first sweep point.
+    The source, pipeline and detection are planned once and the gains come
+    from one bisection; each sweep point then does only the gain-dependent
+    work.  The PND table belongs to the first sweep point.
     """
     if not isinstance(config, dict):
         raise ConfigError("config: expected a JSON object")
-    jsa, schmidt, gain, process = _build_source(config)
+    jsa, schmidt, gain, source_mu, process = _build_source(config)
     detection_cfg = _require(config, "detection", dict)
     method = detection_cfg.get("method", "log_series")
     if method not in _METHODS:
@@ -299,9 +302,10 @@ def run_scenario(config: dict) -> dict:
             order = _number(order, "detection.series_order", int, at_least=1)
         step = _schmidt_step(config, schmidt, process, detection_cfg, order, mode_names)
 
+    targets = [source_mu] if mus == [None] else mus
+    gains = [gain] if targets == [None] else gain_for_mean_pairs(schmidt, targets, process).tolist()
     results = []
-    for k, mu in enumerate(mus):
-        point_gain = gain if mu is None else gain_for_mean_pairs(schmidt, mu, process)
+    for k, point_gain in enumerate(gains):
         sq = SqueezingSpectrum.from_schmidt(schmidt, point_gain, process)
         p_vac, bounds, pnd = step(point_gain, sq, with_pnd=k == 0)
         point_mu = mean_pairs(sq)
@@ -520,8 +524,43 @@ def _schmidt_step(config, schmidt, process, detection_cfg, order, mode_names):
         a = sv[rows > 0]
         return a.conj().T @ a
 
+    def vacuum(h):
+        """sq -> -1/2 multiplicity log det(1 + M h): exact, or the series of
+        `order` from the eigenvalues of the Hermitian B diag(lam) B^dag with
+        B = h^1/2 P, since every core is M = P diag(lam) P^T, P the fixed
+        rotation of each (C, S) column pair and lam = (e^+-sigma - 1)/2."""
+        if order is None:
+
+            def exact(sq):
+                k = covariance_core(sq)[sector, sector] @ h
+                sign, logdet = np.linalg.slogdet(np.eye(k.shape[0]) + k)
+                if sign == 0:
+                    raise np.linalg.LinAlgError("1 + K is singular")
+                return -0.5 * multiplicity * logdet
+
+            return exact
+        modes = schmidt.coefficients.size
+        pairs = h.shape[0] // (2 * modes)
+        vals, vecs = np.linalg.eigh(h)
+        rotation = np.kron(np.eye(pairs), np.kron([[1, 1], [1, -1]], np.eye(modes)))
+        root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T @ rotation / math.sqrt(2)
+        n = np.arange(1, order + 1)
+        signs_over_n = (-1.0) ** (n + 1) / n
+
+        def series(sq):
+            lam = np.tile(np.concatenate([np.expm1(sq.sigmas), np.expm1(-sq.sigmas)]) / 2, pairs)
+            mu = np.linalg.eigvalsh((root * lam) @ root.conj().T)
+            radius = np.max(np.abs(mu))
+            if radius > 0.95:
+                warnings.warn(f"operand spectral radius {radius:.6g} exceeds 0.95; the log series "
+                              "may converge slowly or diverge", det.SpectralRadiusWarning)
+            return -0.5 * multiplicity * float(np.sum(mu[:, None] ** n, axis=0) @ signs_over_n)
+
+        return series
+
     h_total = gram(lambda k: True)
     eta2 = float(np.linalg.eigvalsh(h_total)[-1])
+    log_vacuum = vacuum(h_total)
     detectors, cutoffs = _detectors(detection_cfg, m_total)
     if cutoffs:
         h_parts = [gram(lambda k: detectors[k] == d) for d in range(len(cutoffs))]
@@ -529,24 +568,10 @@ def _schmidt_step(config, schmidt, process, detection_cfg, order, mode_names):
         # the PND vacuum is that of the detected modes; it is p_vac's unless
         # a windowed mode has no detector
         undetected = [m for m, d in zip(masks, detectors) if d is None]
-        h_detected = sum(h_parts) if any(m.any() for m in undetected) else h_total
-
-    if order is None:
-
-        def log_vacuum(k):
-            sign, logdet = np.linalg.slogdet(np.eye(k.shape[0]) + k)
-            if sign == 0:
-                raise np.linalg.LinAlgError("1 + K is singular")
-            return -0.5 * multiplicity * logdet
-
-    else:
-
-        def log_vacuum(k):
-            return -0.5 * multiplicity * det.log_det_series(k, order)
+        pnd_vacuum = vacuum(sum(h_parts)) if any(m.any() for m in undetected) else log_vacuum
 
     def step(gain, sq, with_pnd):
-        core = covariance_core(sq)[sector, sector]
-        log_vac = log_vacuum(core @ h_total)
+        log_vac = log_vacuum(sq)
         if order is None:
             bounds = {"truncation_tail": schmidt.truncation_tail}
         else:
@@ -561,7 +586,8 @@ def _schmidt_step(config, schmidt, process, detection_cfg, order, mode_names):
             }
         pnd = None
         if with_pnd and cutoffs:
-            log_pnd = log_vac if h_detected is h_total else log_vacuum(core @ h_detected)
+            log_pnd = log_vac if pnd_vacuum is log_vacuum else pnd_vacuum(sq)
+            core = covariance_core(sq)[sector, sector]
             gf = det.vacuum_point_gf([core @ h for h in h_parts], log_pnd, degree, multiplicity)
             try:
                 pnd = det.pnd(gf, cutoffs)
@@ -584,17 +610,17 @@ def _schmidt_step(config, schmidt, process, detection_cfg, order, mode_names):
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_sq(aspect: float, mu: float, j_max_floor: float = 1e-16):
-    """Analytic squeezing spectrum of a type-II Gaussian source at mean mu."""
+def _gaussian_spectra(aspect: float, mus, j_max_floor: float = 1e-16):
+    """Analytic Schmidt spectrum of a type-II Gaussian source, and its gains
+    and squeezing spectra at the mean pair numbers `mus`."""
     zeta = (aspect - 1.0) / (aspect + 1.0)
     z = zeta * zeta
-    if z == 0:
-        j_max = 1
-    else:
-        j_max = max(1, int(math.ceil(math.log(j_max_floor) / math.log(z))) + 1)
+    j_max = 1 if z == 0 else max(1, int(math.ceil(math.log(j_max_floor) / math.log(z))) + 1)
     schmidt = spectral.analytic_gaussian_schmidt(aspect, j_max)
-    gain = gain_for_mean_pairs(schmidt, mu, ProcessType.TYPE_II)
-    return SqueezingSpectrum.from_schmidt(schmidt, gain, ProcessType.TYPE_II), schmidt, gain
+    gains = gain_for_mean_pairs(schmidt, mus, ProcessType.TYPE_II).tolist()
+    return schmidt, gains, [
+        SqueezingSpectrum.from_schmidt(schmidt, g, ProcessType.TYPE_II) for g in gains
+    ]
 
 
 def _aspect_sweep(points, aspect_max, mus, summary, curves, bound):
@@ -603,7 +629,7 @@ def _aspect_sweep(points, aspect_max, mus, summary, curves, bound):
     the type-II Gaussian source's spectrum sq at a mean pair number of `mus`."""
     rows = []
     for aspect in np.geomspace(1.0, aspect_max, points):
-        per_mu = [summary(_gaussian_sq(aspect, mu)[0]) for mu in mus]
+        per_mu = [summary(sq) for sq in _gaussian_spectra(aspect, mus)[2]]
         rows.append([aspect] + [bound(c, s) for c in curves for s in per_mu])
     return rows
 
@@ -648,12 +674,13 @@ def _fig3(points, mu_max):
 def _fig4(points, mu_min, mu_max, aspect_ratio, eta):
     columns = ["mu", "rel_err_poisson", "rel_err_hermite", "rel_err_quadratic"]
     eta2 = eta * eta
+    mus = np.geomspace(mu_min, mu_max, points)
+    schmidt, gains, sqs = _gaussian_spectra(aspect_ratio, mus)
+    k_number = spectral.schmidt_number(schmidt)
     rows = []
-    for mu in np.geomspace(mu_min, mu_max, points):
-        sq, schmidt, gain = _gaussian_sq(aspect_ratio, mu)
+    for mu, gain, sq in zip(mus, gains, sqs):
         exact = det.vacuum_probability(det.ExactProductGf(sq, eta2, eta2), "exact")
         pois = det.PoissonParams(gain * gain / 4.0, eta2, eta2, eta2 * eta2)
-        k_number = spectral.schmidt_number(schmidt)
         hp = det.hermite_params(gain, k_number, ProcessType.TYPE_II, eta2, eta2)
         approx = (
             det.vacuum_probability(pois, "poisson"),

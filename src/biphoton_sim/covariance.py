@@ -94,43 +94,35 @@ def mean_pairs(spectrum: SqueezingSpectrum) -> float:
     return float(s / 2.0 if spectrum.process is ProcessType.TYPE_0I else s)
 
 
-def gain_for_mean_pairs(
-    schmidt: SchmidtSpectrum, mu: float, process: ProcessType
-) -> float:
-    """Invert the exact mean-pair relation for the gain by bisection."""
-    if mu < 0:
+def gain_for_mean_pairs(schmidt: SchmidtSpectrum, mu, process: ProcessType):
+    """Invert the exact mean-pair relation for the gain by bisection: one
+    value gives a float, a sequence an array from one bisection, in which
+    each value stops on its own, so its gain does not depend on the others."""
+    mus = np.atleast_1d(np.asarray(mu, dtype=float))
+    if np.any(mus < 0):
         raise ValueError("mu must be non-negative")
-    if mu == 0:
-        return 0.0
     coef = schmidt.coefficients
-    lead = coef[0]
-    if lead == 0:
+    if coef[0] == 0 and np.any(mus > 0):
         raise ValueError("cannot reach a positive mu with an all-zero spectrum")
-
     type0i = process is ProcessType.TYPE_0I
-
-    def mu_of(gain: float) -> float:
-        # the arithmetic of mean_pairs(SqueezingSpectrum.from_schmidt(...)),
-        # without building and validating a spectrum at every step
-        sig = (2.0 * gain if type0i else gain) * coef
-        s = np.sum(np.sinh(sig / 2.0) ** 2)
-        return s / 2.0 if type0i else s
-
-    # single-mode gain reaching mu; more modes only add pairs
-    if type0i:
-        hi = math.asinh(math.sqrt(2.0 * mu)) / lead
-    else:
-        hi = 2.0 * math.asinh(math.sqrt(mu)) / lead
-    lo = 0.0
+    # single-mode gain reaching mu; more modes only add pairs (mu = 0: gain 0)
+    hi = np.array([(math.asinh(math.sqrt(2.0 * m)) if type0i else 2.0 * math.asinh(math.sqrt(m)))
+                   / coef[0] if m > 0 else 0.0 for m in mus])
+    lo = np.zeros_like(hi)
+    active = np.ones(hi.shape, dtype=bool)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        active &= (mid != lo) & (mid != hi)
+        if not active.any():
             break
-        if mu_of(mid) < mu:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        # the arithmetic of mean_pairs(SqueezingSpectrum.from_schmidt(...)),
+        # without building and validating a spectrum at every step
+        sig = (2.0 * mid if type0i else mid)[:, None] * coef
+        s = np.sum(np.sinh(sig / 2.0) ** 2, axis=1)
+        below = (s / 2.0 if type0i else s) < mus
+        lo, hi = np.where(active & below, mid, lo), np.where(active & ~below, mid, hi)
+    gains = 0.5 * (lo + hi)
+    return float(gains[0]) if np.ndim(mu) == 0 else gains
 
 
 @dataclass(frozen=True)

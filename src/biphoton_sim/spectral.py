@@ -397,18 +397,18 @@ def load_jsa_csv(path) -> DiscretizedJsa:
     """
     with open(path) as fh:
         header = fh.readline()
-        if not header:
-            raise ValueError(f"{path}: empty JSA CSV")
-        names = [h.strip() for h in header.split(",")]
-        if names != ["omega_s", "omega_i", "re_psi", "im_psi"]:
-            raise ValueError(f"{path}: unexpected JSA CSV header")
-        with warnings.catch_warnings():
-            # a header-only file is reported below
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {_bad_jsa_csv_line(path) or exc}") from None
+    if not header:
+        raise ValueError(f"{path}: empty JSA CSV")
+    names = [h.strip() for h in header.split(",")]
+    if names != ["omega_s", "omega_i", "re_psi", "im_psi"]:
+        raise ValueError(f"{path}: unexpected JSA CSV header")
+    with warnings.catch_warnings():
+        # a header-only file is reported below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {_bad_jsa_csv_line(path) or exc}") from None
     if data.shape[0] == 0:
         raise ValueError(f"{path}: JSA CSV has a header but no samples")
     if data.shape[1] != 4 or not np.isfinite(data).all():

@@ -11,7 +11,7 @@ from pathlib import Path
 from biphoton_sim.cli import (
     FIGURES,
     ConfigError,
-    _gaussian_sq,
+    _gaussian_spectra,
     _limits_text,
     figure_data,
     main,
@@ -477,7 +477,7 @@ class TestFigures:
         orders, mus = parameters["orders"][0], parameters["mus"][0]
         assert header[1:] == [f"bound_n_{n}_mu_{mu:g}" for n in orders for mu in mus]
         for row in rows:
-            sigmas = [float(_gaussian_sq(float(row[0]), mu)[0].sigmas[0]) for mu in mus]
+            sigmas = [float(sq.sigmas[0]) for sq in _gaussian_spectra(float(row[0]), mus)[2]]
             expected = [reference_covariance_bound(s, n) for n in orders for s in sigmas]
             assert [float(v) for v in row[1:]] == pytest.approx(expected, rel=1e-13, abs=0)
 
@@ -1277,7 +1277,7 @@ def block_reference(cfg):
     from biphoton_sim.cli import _build_source
     from biphoton_sim.transforms import output_dofs
 
-    _, schmidt, gain, process = _build_source(cfg)
+    _, schmidt, gain, _, process = _build_source(cfg)
     gamma = build_covariance_exact(schmidt, gain, process)
     m_total = len(cfg["modes"])
     grids = [d.grid for d in gamma.dofs] + [gamma.dofs[0].grid] * (m_total - gamma.n_dofs)
@@ -1348,7 +1348,7 @@ class TestFactorPath:
         order = 3
         cfg["detection"] = {"method": "log_series", "series_order": order, **detection}
         row = first_row(run_scenario(cfg))
-        _, schmidt, gain, proc = _build_source(cfg)
+        _, schmidt, gain, _, proc = _build_source(cfg)
         v = covariance_factor(schmidt, proc)
         gram = detected_gram(s, proj, out_dofs).to_dense()
         eta2 = float(np.linalg.eigvalsh(v.conj().T @ gram @ v)[-1])
@@ -1496,6 +1496,37 @@ class TestRealJsa:
         assert len(real) == len(twin)
         for a, b in zip(real, twin):
             assert a["p_vac"] == pytest.approx(b["p_vac"], rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("method", ["exact", "log_series"])
+    @pytest.mark.parametrize("steps, dtype", [([0, 3], np.float64), ([0, 1, 3], np.complex128)])
+    def test_factor_real_until_phase(self, monkeypatch, method, steps, dtype):
+        # a beam splitter and a loss keep a real factor real, so the grams,
+        # eigvalsh and slogdet are real; a phase makes it complex
+        from biphoton_sim import cli
+
+        cfg = _readme_config(method)
+        cfg["pipeline"] = [cfg["pipeline"][k] for k in steps]
+        cfg["detection"].update(domain="frequency", series_order=12)
+        dtypes = []
+
+        def recorded(*args, _apply=cli._apply_pipeline):
+            out = _apply(*args)
+            dtypes.append(out[0].dtype)
+            return out
+
+        monkeypatch.setattr(cli, "_apply_pipeline", recorded)
+        real = run_scenario(cfg)
+        assert dtypes == [dtype]
+        self._complex_twins(monkeypatch)
+        twin = run_scenario(cfg)
+        assert dtypes[1] == np.complex128
+        for a, b in zip(real["raw"], twin["raw"]):
+            assert a["p_vac"] == pytest.approx(b["p_vac"], rel=1e-14, abs=0)
+            for name in ("det_trunc_eigen", "det_trunc_hs"):  # log_series only
+                if name in b["bounds"]:
+                    assert a["bounds"][name] == pytest.approx(b["bounds"][name], rel=1e-13, abs=0)
+        assert np.allclose(real["pnd"].probabilities, twin["pnd"].probabilities,
+                           rtol=1e-13, atol=1e-18)
 
 
 class TestSourceVacuumEntry:

@@ -5,6 +5,7 @@ import pytest
 from biphoton_sim import (
     GaussianJsaModel,
     ProcessType,
+    SchmidtSpectrum,
     SqueezingSpectrum,
     analytic_gaussian_schmidt,
     build_covariance_exact,
@@ -239,6 +240,29 @@ class TestEigenvaluesAndMoments:
             assert gain_for_mean_pairs(schmidt, mu, process) == (
                 gain_for_mean_pairs_reference(schmidt, mu, process)
             )
+
+    @pytest.mark.parametrize("process", list(ProcessType))
+    def test_sequence_inversion_matches_reference_bitwise(self, process):
+        # one bisection for every value: mu = 0, repeated values, and values
+        # whose bisections stop after different step counts
+        mus = [0.0, 0.1, 1e-3, 0.1, 5.0, 0.0, 1e-9, 1.0, 1.0, 2.5]
+        spectra = [analytic_gaussian_schmidt(r, 400) for r in (1.0, 3.0, 30.0, 1e3)]
+        spectra.append(schmidt_decompose(small_jsa(3.0)))
+        for schmidt in spectra:
+            gains = gain_for_mean_pairs(schmidt, mus, process)
+            assert isinstance(gains, np.ndarray) and gains.shape == (len(mus),)
+            for mu, gain in zip(mus, gains):
+                assert gain == gain_for_mean_pairs_reference(schmidt, mu, process)
+            assert gain_for_mean_pairs(schmidt, np.array(mus[4:5]), process) == gains[4:5]
+
+    def test_sequence_inversion_checks(self):
+        zero = SchmidtSpectrum(np.zeros(3), truncation_tail=1.0)
+        assert gain_for_mean_pairs(zero, [0.0, 0.0], ProcessType.TYPE_II).tolist() == [0.0, 0.0]
+        with pytest.raises(ValueError, match="all-zero spectrum"):
+            gain_for_mean_pairs(zero, [0.0, 0.1], ProcessType.TYPE_II)
+        with pytest.raises(ValueError, match="non-negative"):
+            gain_for_mean_pairs(analytic_gaussian_schmidt(3.0, 4), [0.1, -1e-3],
+                                ProcessType.TYPE_II)
 
 
 class TestNorms:

@@ -1182,6 +1182,136 @@ class TestConjugateSectors:
         assert widths and set(widths) == {r // sectors}
 
 
+def _spectral_config(process, pipeline, order):
+    """A log-series run of the README source on `pipeline`: 'none', 'loss',
+    'readme' (signal<->ancilla, one type-II sector, a time window),
+    'joined' (signal<->idler, all r columns) or 'undetected' (the README
+    pipeline with a windowed ancilla that has no detector)."""
+    config = _readme_config("log_series")
+    config["source"]["process"] = process
+    config["detection"]["series_order"] = order
+    source = ["signal", "idler"] if process == "type2" else ["mode"]
+    if pipeline in ("none", "loss"):
+        config["modes"] = source
+        config["pipeline"] = [] if pipeline == "none" else [
+            {"type": "loss", "eta": {str(k): 0.9 - 0.1 * k for k in range(len(source))}}
+        ]
+        config["detection"].update(domain="frequency", windows=[None] * len(source),
+                                   detectors=list(range(len(source))))
+        del config["detection"]["pnd_cutoffs"]
+        return config
+    if process == "type0i":
+        config["modes"] = ["mode", "anc"]
+        config["pipeline"][0]["dofs"] = [0, 1]
+        config["pipeline"][-1]["eta"] = {"1": 0.85}
+        config["detection"].update(windows=[[-3.0, 3.0], None], detectors=[0, None])
+    if pipeline != "undetected":
+        del config["detection"]["pnd_cutoffs"]
+    if pipeline == "joined":
+        config["pipeline"][0]["dofs"] = [0, 1]
+    if pipeline == "undetected":
+        config["pipeline"].append({"type": "fourier", "dof": 2})
+        config["detection"]["windows"][2] = [-2.0, 2.0]
+        config["detection"]["pnd_cutoffs"] = [1, 1]  # low orders overshoot [3, 3]
+    return config
+
+
+def _schmidt_side_gram(config, schmidt, sector, keep=lambda k: True):
+    """The r x r gram H of `run`: the covariance factor through the
+    pipeline, masked to the windows of the modes k with keep(k), and
+    restricted to the columns `sector`."""
+    from biphoton_sim.cli import _apply_pipeline, _detection_windows
+    from biphoton_sim.covariance import covariance_factor, source_dofs
+    from biphoton_sim.transforms import projection_masks
+
+    kind = ProcessType(config["source"]["process"])
+    sv, dofs, _ = _apply_pipeline(config, source_dofs(schmidt, kind), config["modes"],
+                                  covariance_factor(schmidt, kind))
+    windows = _detection_windows(config["detection"], len(dofs))
+    masks = [m if keep(k) else 0 * m for k, m in enumerate(projection_masks(windows, dofs))]
+    a = sv[:, sector][np.concatenate(masks * 2) > 0]
+    return a.conj().T @ a
+
+
+class TestSpectralLogSeries:
+    """`run` takes the log series of each sweep point from the eigenvalues of
+    the r x r Hermitian H^1/2 M H^1/2: it must match the trace-moment series
+    of M H within 1e-14 relative, keep the bound columns' loss factor
+    lambda_max(H) from eigvalsh, and warn from the exact spectral radius."""
+
+    CASES = [
+        ("type2", "none", 2), ("type2", "loss", 2), ("type2", "readme", 2),
+        ("type2", "joined", 1), ("type2", "undetected", 2),
+        ("type0i", "none", 1), ("type0i", "loss", 1), ("type0i", "readme", 1),
+    ]
+
+    @pytest.mark.parametrize("order", [1, 2, 8, 20])
+    @pytest.mark.parametrize("process, pipeline, multiplicity", CASES)
+    def test_matches_trace_moment_series(self, process, pipeline, multiplicity, order):
+        from biphoton_sim import (
+            covariance_eigenvalues,
+            det_truncation_bound_eigen,
+            det_truncation_bound_hs,
+            norms,
+        )
+        from biphoton_sim.cli import run_scenario
+        from biphoton_sim.covariance import covariance_core
+
+        config = _spectral_config(process, pipeline, order)
+        config["sweep"]["values"] = [0.02, 0.05] if process == "type0i" else [0.05, 0.2]
+        result = run_scenario(config)
+        schmidt = _gaussian_schmidt(2.0, delta_minus=4.0, extent_sigmas=6.0)
+        kind = ProcessType(process)
+        r = 4 * schmidt.coefficients.size if process == "type2" else 2 * schmidt.coefficients.size
+        sector = slice(0, r // multiplicity)
+        h = _schmidt_side_gram(config, schmidt, sector)
+        eta2 = float(np.linalg.eigvalsh(h)[-1])
+        for point in result["raw"]:
+            sq = SqueezingSpectrum.from_schmidt(schmidt, point["gain"], kind)
+            core = covariance_core(sq)[sector, sector]
+            series = log_det_series(core @ h, order, check_radius=False)
+            expected = math.exp(-0.5 * multiplicity * series)
+            assert point["p_vac"] == pytest.approx(expected, rel=1e-14, abs=0)
+            nrm = norms(sq)
+            assert point["bounds"]["det_trunc_eigen"] == det_truncation_bound_eigen(
+                covariance_eigenvalues(sq), eta2, order).value
+            assert point["bounds"]["det_trunc_hs"] == det_truncation_bound_hs(
+                nrm.largest_abs_eigenvalue, nrm.hs_norm**2, eta2, order).value
+        if pipeline == "undetected":
+            # the PND's vacuum is that of the detected modes alone
+            detectors = config["detection"]["detectors"]
+            h_detected = _schmidt_side_gram(config, schmidt, sector,
+                                            lambda k: detectors[k] is not None)
+            sq = SqueezingSpectrum.from_schmidt(schmidt, result["raw"][0]["gain"], kind)
+            core = covariance_core(sq)[sector, sector]
+            series = log_det_series(core @ h_detected, order, check_radius=False)
+            p_none = result["pnd"].probabilities[0, 0]
+            assert p_none == pytest.approx(math.exp(-0.5 * multiplicity * series), rel=1e-14)
+            assert p_none > result["raw"][0]["p_vac"]
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_radius_warning_at_exact_radius(self, above):
+        # no pipeline and every row detected: H is the identity, so the
+        # spectral radius of M H is the largest covariance eigenvalue
+        # (e^sigma_1 - 1)/2, which is 0.95 at sigma_1 = ln 2.9
+        import warnings
+
+        from biphoton_sim.cli import run_scenario
+
+        config = _spectral_config("type2", "none", 8)
+        del config["sweep"], config["source"]["mu"]
+        schmidt = _gaussian_schmidt(2.0, delta_minus=4.0, extent_sigmas=6.0)
+        gain = math.log(2.9) / schmidt.coefficients[0] * (1.0 + (1e-9 if above else -1e-9))
+        config["source"]["gain"] = gain
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_scenario(config)
+        radius = [w for w in caught if issubclass(w.category, SpectralRadiusWarning)]
+        assert len(radius) == (1 if above else 0)
+        if above:
+            assert "spectral radius 0.95" in str(radius[0].message)
+
+
 def _dispatch_case(kind, rng):
     """A lossy generating function of each type and the arguments of
     `vacuum_probability` for its vacuum value."""

@@ -19,8 +19,9 @@ def test_no_scipy_import_in_source():
     assert found == []
 
 
-def test_cli_run_with_pnd_and_figure_leave_scipy_unloaded(tmp_path):
-    # the README scenario on a coarse grid and one sweep point, with its PND
+def _readme_scenario(tmp_path):
+    """The README scenario on a coarse grid and one sweep point, with its
+    PND, written to tmp_path/scenario.json."""
     config = {
         "source": {
             "process": "type2",
@@ -46,13 +47,10 @@ def test_cli_run_with_pnd_and_figure_leave_scipy_unloaded(tmp_path):
         "output": {"csv_path": "demo.csv", "pnd_csv_path": "demo_pnd.csv"},
     }
     (tmp_path / "scenario.json").write_text(json.dumps(config))
-    script = (
-        "import json, sys\n"
-        "import biphoton_sim.cli as cli\n"
-        "assert cli.main(['run', 'scenario.json']) == 0\n"
-        "assert cli.main(['figure', 'fig2', '--out', 'figs']) == 0\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
-    )
+
+
+def _run_script(tmp_path, script):
+    """Run `script` in a fresh interpreter in tmp_path; its last stdout line."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", script],
@@ -63,5 +61,37 @@ def test_cli_run_with_pnd_and_figure_leave_scipy_unloaded(tmp_path):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1]
+
+
+def test_cli_run_with_pnd_and_figure_leave_scipy_unloaded(tmp_path):
+    _readme_scenario(tmp_path)
+    script = (
+        "import json, sys\n"
+        "import biphoton_sim.cli as cli\n"
+        "assert cli.main(['run', 'scenario.json']) == 0\n"
+        "assert cli.main(['figure', 'fig2', '--out', 'figs']) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    loaded = _run_script(tmp_path, script)
     assert (tmp_path / "demo_pnd.csv").exists()
-    assert json.loads(result.stdout.splitlines()[-1]) == []
+    assert json.loads(loaded) == []
+
+
+def test_log_series_run_takes_no_random_power_iteration(tmp_path):
+    # the radius check of `run` is exact, from the eigenvalues of each
+    # sweep point: no power iteration, so numpy.random is never imported
+    _readme_scenario(tmp_path)
+    script = (
+        "import json, sys\n"
+        "import biphoton_sim.cli as cli\n"
+        "from biphoton_sim import detection\n"
+        "def forbidden(*args, **kwargs):\n"
+        "    raise AssertionError('power iteration called')\n"
+        "detection._radius_estimate = forbidden\n"
+        "assert cli.main(['run', 'scenario.json']) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('numpy.random'))))\n"
+    )
+    loaded = _run_script(tmp_path, script)
+    assert (tmp_path / "demo_pnd.csv").exists()
+    assert json.loads(loaded) == []
