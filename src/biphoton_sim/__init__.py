@@ -39,10 +39,8 @@ from .detection import (
     ExactProductGf,
     HermiteParams,
     InvalidDistributionError,
-    LogSeriesGf,
     PhotonStatistics,
     PoissonParams,
-    QuadraticParams,
     SpectralRadiusWarning,
     VacuumPointGf,
     gf_exact,

@@ -99,6 +99,13 @@ def _number(value, path: str, kind=float, at_least=None, above=None, at_most=Non
     return x
 
 
+def _path(value, path: str) -> str:
+    """`value` as a file path: a non-empty string, else a ConfigError naming `path`."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{path}: expected a non-empty string")
+    return value
+
+
 # `_number` limits
 _POSITIVE = {"above": 0}
 _NON_NEGATIVE = {"at_least": 0}
@@ -126,16 +133,17 @@ def _build_source(cfg: dict):
     jsa_cfg = _require(cfg, "source.jsa", dict)
     grid_cfg = _object(cfg, "grid")
     if "gaussian" in jsa_cfg:
-        g = jsa_cfg["gaussian"]
-        try:
-            model = GaussianJsaModel(
-                delta_plus=float(g["delta_plus_rad_s"]),
-                delta_minus=float(g["delta_minus_rad_s"]),
-                center_signal=float(g.get("center_signal_rad_s", 0.0)),
-                center_idler=float(g.get("center_idler_rad_s", 0.0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"source.jsa.gaussian: {exc}") from None
+        g = _object(jsa_cfg, "gaussian", "source.jsa.gaussian")
+
+        def field(key, default=None, **limits):
+            return _number(g.get(key, default), f"source.jsa.gaussian.{key}", **limits)
+
+        model = GaussianJsaModel(
+            field("delta_plus_rad_s", **_POSITIVE),
+            field("delta_minus_rad_s", **_POSITIVE),
+            field("center_signal_rad_s", 0.0),
+            field("center_idler_rad_s", 0.0),
+        )
         grid_s, grid_i = spectral.default_grids(
             model,
             extent_sigmas=_number(
@@ -147,7 +155,7 @@ def _build_source(cfg: dict):
         )
         jsa = spectral.build_gaussian_jsa(model, grid_s, grid_i)
     elif "csv" in jsa_cfg:
-        jsa = spectral.load_jsa_csv(jsa_cfg["csv"])
+        jsa = spectral.load_jsa_csv(_path(jsa_cfg["csv"], "source.jsa.csv"))
     else:
         raise ConfigError("source.jsa: provide either 'gaussian' or 'csv'")
     schmidt = spectral.schmidt_decompose(jsa)
@@ -330,12 +338,14 @@ def run_scenario(config: dict) -> dict:
 
 
 def _detection_windows(detection_cfg, n_dofs, path="detection.windows"):
+    domain = detection_cfg.get("domain", "frequency")
+    if domain not in ("frequency", "time"):
+        raise ConfigError("detection.domain: must be 'frequency' or 'time'")
     windows_cfg = detection_cfg.get("windows")
     if windows_cfg is None:
         return transforms.DetectionProjection.full(n_dofs)
     if not isinstance(windows_cfg, list) or len(windows_cfg) != n_dofs:
         raise ConfigError(f"{path}: expected one entry per detected mode ({n_dofs})")
-    domain = detection_cfg.get("domain", "frequency")
     out = []
     for k, w in enumerate(windows_cfg):
         if w is None:
@@ -370,7 +380,8 @@ def _detectors(detection_cfg, m_total: int):
             f"output mode ({m_total}), with at least one detector"
         )
     count = max(indices) + 1
-    cutoffs = detection_cfg.get("pnd_cutoffs") or []
+    cutoffs = detection_cfg.get("pnd_cutoffs")
+    cutoffs = [] if cutoffs is None else cutoffs
     if not isinstance(cutoffs, list) or len(cutoffs) not in (0, 1, count):
         raise ConfigError(
             f"detection.pnd_cutoffs: expected one cutoff per detector ({count}) "
@@ -453,8 +464,7 @@ def _source_step(config, jsa, schmidt, process, method, detection_cfg):
                 covariance_eigenvalues(sq), eta_best2, 4
             ).value
         else:
-            qp = det.QuadraticParams(schmidt, gain, etas[0], process)
-            p_vac = det.vacuum_probability(qp, "quadratic")
+            p_vac = det.quadratic_vacuum(schmidt, gain, etas[0], process)
         pnd = None
         if with_pnd and cutoffs:
             pnd = _shared_detector(det.pnd(gf, cutoffs * 2)) if shared else det.pnd(gf, cutoffs)
@@ -823,10 +833,12 @@ def _cmd_run(args) -> int:
         config = json.load(fh)
     result = run_scenario(config)
     out_cfg = _object(config, "output")
-    csv_path = out_cfg.get("csv_path", "scenario.csv")
+    csv_path = _path(out_cfg.get("csv_path", "scenario.csv"), "output.csv_path")
+    pnd_path = out_cfg.get("pnd_csv_path")
+    pnd_path = None if pnd_path is None else _path(pnd_path, "output.pnd_csv_path")
     _write_csv(csv_path, result["columns"], result["rows"])
-    if result.get("pnd") is not None and out_cfg.get("pnd_csv_path"):
-        det.save_pnd_csv(result["pnd"], out_cfg["pnd_csv_path"])
+    if result.get("pnd") is not None and pnd_path is not None:
+        det.save_pnd_csv(result["pnd"], pnd_path)
     print(csv_path)
     return 0
 

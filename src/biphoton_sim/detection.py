@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blocks import BlockMatrix
 from .bounds import OutOfDomainError
-from .covariance import ProcessType, RenormalizedCovariance, SqueezingSpectrum
+from .covariance import ProcessType, SqueezingSpectrum
 from .spectral import DiscretizedJsa, SchmidtSpectrum
 from .transforms import DetectionProjection, LossProfile, _window_mask, fourier_kernel
 
@@ -33,9 +32,7 @@ __all__ = [
     "PoissonParams",
     "HermiteParams",
     "ExactProductGf",
-    "LogSeriesGf",
     "VacuumPointGf",
-    "QuadraticParams",
     "PhotonStatistics",
     "gf_exact",
     "gf_poisson",
@@ -125,32 +122,14 @@ class ExactProductGf:
 
 
 @dataclass(frozen=True)
-class LogSeriesGf:
-    """Trace moments Tr[(W Gamma)^n] as polynomials in the detector weights."""
-
-    moments: tuple  # moments[n-1] is an ndarray of shape (n+1,) * detector_count
-    order: int
-    detector_count: int
-
-
-@dataclass(frozen=True)
 class VacuumPointGf:
     """log G = log_vacuum + 1/2 sum_n Tr[(sum_d x_d L_d)^n] / n, the
-    generating function expanded at the vacuum point x = 0; `moments` holds
-    the trace moments of the parts L_d (see `vacuum_point_gf`)."""
+    generating function expanded at the vacuum point x = 0; `moments[n-1]`
+    holds the coefficients of Tr[(sum_d x_d L_d)^n], an array of shape
+    (n+1,) * detector count (see `vacuum_point_gf`)."""
 
-    moments: LogSeriesGf
+    moments: tuple
     log_vacuum: float
-
-
-@dataclass(frozen=True)
-class QuadraticParams:
-    """Two-pair state truncation: spectrum, gain, uniform loss and process."""
-
-    spectrum: SchmidtSpectrum
-    gain: float
-    eta: float
-    process: ProcessType
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +233,6 @@ def hermite_g2(mu: float, eps2: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _operand_matrix(operand) -> np.ndarray:
-    if isinstance(operand, RenormalizedCovariance):
-        operand = operand.mat
-    if isinstance(operand, BlockMatrix):
-        return operand.to_dense()
-    if isinstance(operand, np.ndarray) and operand.ndim == 2:
-        return operand
-    raise TypeError("operand must be a matrix, BlockMatrix or RenormalizedCovariance")
-
-
 def _radius_estimate(mat: np.ndarray, steps: int = 20) -> float:
     """Cheap spectral-radius estimate by fixed-seed power iteration."""
     n = mat.shape[1]
@@ -281,16 +250,17 @@ def _radius_estimate(mat: np.ndarray, steps: int = 20) -> float:
     return float(rho)
 
 
-def log_det_series(operand, order: int, check_radius: bool = True) -> float:
-    """Truncated log det(1 + K) = sum_{n=1..N} (-1)^(n+1) Tr(K^n) / n.
+def log_det_series(mat: np.ndarray, order: int) -> float:
+    """Truncated log det(1 + K) = sum_{n=1..N} (-1)^(n+1) Tr(K^n) / n, K square.
 
     Emits a SpectralRadiusWarning when a 20-step power iteration estimates
     the spectral radius of K above 0.95.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    mat = _operand_matrix(operand)
-    if check_radius and _radius_estimate(mat) > 0.95:
+    if not (isinstance(mat, np.ndarray) and mat.ndim == 2 and mat.shape[0] == mat.shape[1]):
+        raise TypeError("operand must be a square 2-D array")
+    if _radius_estimate(mat) > 0.95:
         warnings.warn(
             "operand spectral radius estimate exceeds 0.95; the log series "
             "may converge slowly or diverge",
@@ -358,10 +328,6 @@ class PhotonStatistics:
         object.__setattr__(self, "probabilities", clipped)
         if float(np.sum(clipped)) > 1.0 + 1e-10:
             raise InvalidDistributionError("probabilities sum above 1")
-
-    @property
-    def detector_count(self) -> int:
-        return self.probabilities.ndim
 
 
 def save_pnd_csv(stats: PhotonStatistics, path) -> None:
@@ -451,12 +417,12 @@ def _exponent_exact(gf: ExactProductGf, shape) -> np.ndarray:
 
 def _exponent_vacuum_point(gf: VacuumPointGf, shape) -> np.ndarray:
     degree = sum(s - 1 for s in shape)
-    if degree > gf.moments.order:
+    if degree > len(gf.moments):
         raise ValueError(
-            f"total cutoff degree {degree} exceeds the stored moment order {gf.moments.order}"
+            f"total cutoff degree {degree} exceeds the stored moment order {len(gf.moments)}"
         )
     e = np.zeros(shape)
-    for n, t_n in enumerate(gf.moments.moments, start=1):
+    for n, t_n in enumerate(gf.moments, start=1):
         sl = tuple(slice(0, min(s, n + 1)) for s in shape)
         e[sl] += t_n[sl] / (2.0 * n)
     e[(0,) * len(shape)] = gf.log_vacuum
@@ -471,7 +437,7 @@ _PND_EXPONENTS = {
         _exponent_exact,
         lambda gf: 1 if gf.spectrum.process is ProcessType.TYPE_0I else 2,
     ),
-    VacuumPointGf: (_exponent_vacuum_point, lambda gf: gf.moments.detector_count),
+    VacuumPointGf: (_exponent_vacuum_point, lambda gf: gf.moments[0].ndim),
 }
 
 
@@ -500,8 +466,9 @@ def pnd(gf, n_max) -> PhotonStatistics:
 # ---------------------------------------------------------------------------
 
 
-def log_series_gf(parts, order: int) -> LogSeriesGf:
-    """Trace-moment polynomials t_n(w) = Tr[(sum_d w_d K_d)^n] up to order N.
+def log_series_gf(parts, order: int) -> tuple:
+    """Trace-moment polynomials t_n(w) = Tr[(sum_d w_d K_d)^n] up to order N,
+    as a tuple whose entry n-1 has shape (n+1,) * len(parts).
 
     The recursion keeps one matrix per weight multidegree, so memory grows
     with order^(D-1) times the operand size; oversized requests fail early.
@@ -519,7 +486,7 @@ def log_series_gf(parts, order: int) -> LogSeriesGf:
             "moment recursion would need more than 2 GiB; reduce the grid, "
             "the order, or the number of detectors"
         )
-    return LogSeriesGf(tuple(_trace_moments(mats, order)), order, d)
+    return tuple(_trace_moments(mats, order))
 
 
 def vacuum_point_gf(
@@ -544,13 +511,7 @@ def vacuum_point_gf(
     solved = np.linalg.solve(np.eye(total.shape[0]) + total, np.hstack(mats))
     ls = np.hsplit(solved, len(mats))
     moments = log_series_gf(ls, max(1, degree))
-    if multiplicity != 1:
-        moments = LogSeriesGf(
-            tuple(multiplicity * t for t in moments.moments),
-            moments.order,
-            moments.detector_count,
-        )
-    return VacuumPointGf(moments, float(log_vacuum))
+    return VacuumPointGf(tuple(multiplicity * t for t in moments), float(log_vacuum))
 
 
 def _trace_moments(mats, order: int) -> list:
@@ -690,17 +651,18 @@ def quadratic_vacuum(
     return num / den
 
 
-_VACUUM_TYPES = {"exact": ExactProductGf, "poisson": PoissonParams, "hermite": HermiteParams}
+_VACUUM_TYPES = {"exact": ExactProductGf, "poisson": PoissonParams, "linear": PoissonParams,
+                 "hermite": HermiteParams}
 
 
 def vacuum_probability(params, method: str, order: int | None = None) -> float:
     """Vacuum (no-click) probability for the chosen approximation.
 
     method: 'exact' (SqueezingSpectrum or ExactProductGf), 'log_series'
-    (a matrix, BlockMatrix or RenormalizedCovariance operand with `order`),
-    'poisson' / 'linear' (PoissonParams), 'hermite' (HermiteParams),
-    'quadratic' (QuadraticParams).  The linear value may be negative for
-    large mu and is returned raw with a warning.
+    (a square matrix K with `order`), 'poisson' / 'linear' (PoissonParams)
+    or 'hermite' (HermiteParams); the two-pair truncation is
+    `quadratic_vacuum`.  The linear value may be negative for large mu and
+    is returned raw with a warning.
     """
     if method == "exact" and isinstance(params, SqueezingSpectrum):
         params = ExactProductGf(params)
@@ -708,6 +670,15 @@ def vacuum_probability(params, method: str, order: int | None = None) -> float:
         gf_type = _VACUUM_TYPES[method]
         if not isinstance(params, gf_type):
             raise TypeError(f"{method!r} expects {gf_type.__name__}")
+        if method == "linear":
+            value = 1.0 - params.mu * params.p_union
+            if value < 0:
+                warnings.warn(
+                    "single-pair vacuum probability is negative at this mu",
+                    UserWarning,
+                    stacklevel=2,
+                )
+            return value
         # exp of the constant that `pnd` expands, so that P[0, ..., 0] is this value
         exponent, detector_count = _PND_EXPONENTS[gf_type]
         return float(np.exp(exponent(params, (1,) * detector_count(params)).flat[0]))
@@ -715,19 +686,4 @@ def vacuum_probability(params, method: str, order: int | None = None) -> float:
         if order is None:
             raise ValueError("'log_series' needs a truncation order")
         return math.exp(-0.5 * log_det_series(params, order))
-    if method == "linear":
-        if not isinstance(params, PoissonParams):
-            raise TypeError("'linear' expects PoissonParams")
-        value = 1.0 - params.mu * params.p_union
-        if value < 0:
-            warnings.warn(
-                "single-pair vacuum probability is negative at this mu",
-                UserWarning,
-                stacklevel=2,
-            )
-        return value
-    if method == "quadratic":
-        if not isinstance(params, QuadraticParams):
-            raise TypeError("'quadratic' expects QuadraticParams")
-        return quadratic_vacuum(params.spectrum, params.gain, params.eta, params.process)
     raise ValueError(f"unknown method {method!r}")

@@ -107,12 +107,9 @@ class GaussianJsaModel:
     center_idler: float = 0.0
 
     def __post_init__(self):
-        if self.delta_plus <= 0 or self.delta_minus <= 0:
-            raise ValueError("delta_plus and delta_minus must be positive")
-
-    @property
-    def aspect_ratio(self) -> float:
-        return self.delta_minus / self.delta_plus
+        if not (0 < self.delta_plus < math.inf and 0 < self.delta_minus < math.inf
+                and math.isfinite(self.center_signal) and math.isfinite(self.center_idler)):
+            raise ValueError("widths must be positive and finite, and centres finite")
 
 
 @dataclass(frozen=True)

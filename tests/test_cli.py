@@ -856,6 +856,86 @@ class TestPlanningErrors:
         assert code == 2
         assert f"configuration error: {field}:" in err
 
+    # path, enum and number fields that used to reach `open`, `np.loadtxt`
+    # or the numerics unchecked
+
+    @pytest.mark.parametrize(
+        "field, output",
+        [
+            # null raised a TypeError; 1 wrote the CSV to stdout and closed it
+            ("output.csv_path", {"csv_path": None}),
+            ("output.csv_path", {"csv_path": 1}),
+            ("output.csv_path", {"csv_path": ""}),
+            # 2 wrote the PND table to stderr and closed it
+            ("output.pnd_csv_path", {"csv_path": "out.csv", "pnd_csv_path": 2}),
+            ("output.pnd_csv_path", {"csv_path": "out.csv", "pnd_csv_path": ""}),
+        ],
+    )
+    def test_output_path_exit_code(self, tmp_path, capsys, monkeypatch, field, output):
+        monkeypatch.chdir(tmp_path)
+        cfg = base_config(detection={"method": "exact", "pnd_cutoffs": [1, 1]}, output=output)
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 2
+        assert f"configuration error: {field}: expected a non-empty string" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_jsa_csv_path_exit_code(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["source"]["jsa"] = {"csv": 5}
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 2
+        assert "configuration error: source.jsa.csv: expected a non-empty string" in err
+
+    @pytest.mark.parametrize("method", ["log_series", "poisson"])
+    @pytest.mark.parametrize("windows", [None, [None, None]])
+    def test_domain_exit_code(self, tmp_path, capsys, method, windows):
+        # with a null window this exited 3 naming no field; without windows
+        # the unknown domain was accepted
+        detection = {"method": method, "domain": "spectral"}
+        if windows is not None:
+            detection["windows"] = windows
+        code, err = self._run(tmp_path, capsys, base_config(detection=detection))
+        assert code == 2
+        assert "configuration error: detection.domain: must be 'frequency' or 'time'" in err
+
+    @pytest.mark.parametrize("cutoffs", [0, "", False, {}])
+    def test_falsy_pnd_cutoffs_exit_code(self, tmp_path, capsys, cutoffs):
+        # these used to mean "no PND table"
+        cfg = base_config(detection={"method": "exact", "pnd_cutoffs": cutoffs})
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 2
+        assert "configuration error: detection.pnd_cutoffs:" in err
+
+    @pytest.mark.parametrize("cutoffs", [None, []])
+    def test_absent_pnd_cutoffs(self, cutoffs):
+        cfg = base_config(detection={"method": "exact", "pnd_cutoffs": cutoffs})
+        assert run_scenario(cfg)["pnd"] is None
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("delta_plus_rad_s", float("nan")),  # exited 3: NaN to integer
+            ("delta_minus_rad_s", float("inf")),  # exited 1: OverflowError
+            ("delta_minus_rad_s", 0.0),
+            ("center_signal_rad_s", float("nan")),  # exited 3: grid not increasing
+            ("center_idler_rad_s", float("-inf")),
+            ("center_idler_rad_s", "x"),
+        ],
+    )
+    def test_gaussian_field_exit_code(self, tmp_path, capsys, key, value):
+        cfg = base_config()
+        cfg["source"]["jsa"]["gaussian"][key] = value
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 2
+        assert f"configuration error: source.jsa.gaussian.{key}: expected a number" in err
+
+    def test_gaussian_missing_width_exit_code(self, tmp_path, capsys):
+        cfg = base_config()
+        del cfg["source"]["jsa"]["gaussian"]["delta_minus_rad_s"]
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 2
+        assert "configuration error: source.jsa.gaussian.delta_minus_rad_s:" in err
+
 
 def _rectangular_csv(tmp_path):
     """A type-II Gaussian JSA on a 41 x 31 grid, written as CSV."""

@@ -1,6 +1,7 @@
 """Tests for generating functions, photon statistics and approximations."""
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from biphoton_sim import (
     LossProfile,
     PoissonParams,
     ProcessType,
-    QuadraticParams,
     SpectralRadiusWarning,
     SqueezingSpectrum,
     analytic_gaussian_schmidt,
@@ -42,7 +42,6 @@ from biphoton_sim import (
 from biphoton_sim.bounds import OutOfDomainError
 from biphoton_sim.detection import (
     InvalidDistributionError,
-    LogSeriesGf,
     PhotonStatistics,
     _poly_exp,
     _poly_mul,
@@ -253,7 +252,7 @@ class TestGfExact:
 class TestLogDetSeries:
     def test_zero_operand(self, rng):
         gamma, _, _ = random_covariance(rng, gain=0.0)
-        assert log_det_series(gamma, 5) == 0.0
+        assert log_det_series(gamma.mat.to_dense(), 5) == 0.0
 
     def test_second_order_matches_hs_form(self, rng):
         # pair source with loss: exponent -Tr(K)/2 + Tr(K^2)/4 with
@@ -261,14 +260,14 @@ class TestLogDetSeries:
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_II, gain=0.4)
         lossy = apply_loss(gamma, LossProfile((0.8, 0.9)))
         d = lossy.mat.to_dense()
-        exponent = -0.5 * log_det_series(lossy, 2, check_radius=False)
+        exponent = -0.5 * log_det_series(d, 2)
         expected = -np.trace(d).real / 2.0 + np.linalg.norm(d) ** 2 / 4.0
         assert exponent == pytest.approx(expected, abs=1e-12)
 
     def test_converges_to_dense(self, rng):
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_0I, gain=0.4)
         dense = dense_log_det(gamma.mat.to_dense())
-        approx = log_det_series(gamma, 40)
+        approx = log_det_series(gamma.mat.to_dense(), 40)
         assert approx == pytest.approx(dense, abs=1e-10)
 
     def test_monotone_convergence(self, rng):
@@ -276,7 +275,7 @@ class TestLogDetSeries:
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_0I, gain=0.35)
         dense = dense_log_det(gamma.mat.to_dense())
         errs = [
-            abs(log_det_series(gamma, order, check_radius=False) - dense)
+            abs(log_det_series(gamma.mat.to_dense(), order) - dense)
             for order in range(1, 26)
         ]
         for a, b in zip(errs, errs[1:]):
@@ -288,7 +287,24 @@ class TestLogDetSeries:
             rng, process=ProcessType.TYPE_0I, gain=sigma / 2.0, n_modes=1
         )
         with pytest.warns(SpectralRadiusWarning):
-            log_det_series(schmidt_like, 3)
+            log_det_series(schmidt_like.mat.to_dense(), 3)
+
+    def test_plain_matrices_only(self, rng):
+        # a block operand is passed as `.mat.to_dense()`
+        gamma, _, _ = random_covariance(rng, gain=0.3)
+        for operand in (gamma, gamma.mat, np.ones(4), np.ones((2, 3))):
+            with pytest.raises(TypeError, match="square 2-D array"):
+                log_det_series(operand, 4)
+            with pytest.raises(TypeError, match="square 2-D array"):
+                vacuum_probability(operand, "log_series", order=4)
+
+
+def test_detection_source_names_no_block_algebra():
+    # detection takes plain matrices; the block algebra stays out of it
+    source = (Path(__file__).parents[1] / "src" / "biphoton_sim" / "detection.py").read_text()
+    names = ("_blocks", "BlockMatrix", "RenormalizedCovariance", "LogSeriesGf",
+             "QuadraticParams", "check_radius")
+    assert [name for name in names if name in source] == []
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +594,8 @@ class TestPnd:
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_II, gain=0.3)
         parts = detector_parts_from_covariance(gamma, (0, 1))
         gf = vacuum_point_gf(parts, -0.5 * dense_log_det(sum(parts)), 4)
+        assert isinstance(gf.moments, tuple) and len(gf.moments) == 4
+        assert [t.shape for t in gf.moments] == [(n + 1, n + 1) for n in range(1, 5)]
         assert pnd(gf, (2, 2)).probabilities.shape == (3, 3)
         with pytest.raises(ValueError, match="total cutoff degree 5 exceeds the stored moment order 4"):
             pnd(gf, (3, 2))
@@ -827,7 +845,7 @@ class TestSmallSideEngine:
                 # the grid-side (N x N) vacuum-point route with the dense series log-vacuum
                 parts = detector_parts_compressed(s, windows, gamma, detectors, dofs)
                 cutoffs = config["detection"]["pnd_cutoffs"]
-                log_vac = -0.5 * log_det_series(sum(parts), order, check_radius=False)
+                log_vac = -0.5 * log_det_series(sum(parts), order)
                 ref = pnd(vacuum_point_gf(parts, log_vac, sum(cutoffs)), cutoffs)
                 got = point["pnd"].probabilities
                 assert np.allclose(got, ref.probabilities, rtol=1e-12, atol=1e-15)
@@ -1123,9 +1141,9 @@ class TestConjugateSectors:
                 assert point["bounds"]["truncation_tail"] == schmidt.truncation_tail
                 log_pnd = -0.5 * np.linalg.slogdet(np.eye(total.shape[0]) + total)[1]
             else:
-                p_series = math.exp(-0.5 * log_det_series(operand, order, check_radius=False))
+                p_series = math.exp(-0.5 * log_det_series(operand, order))
                 assert point["p_vac"] == pytest.approx(p_series, rel=1e-12, abs=0)
-                log_pnd = -0.5 * log_det_series(total, order, check_radius=False)
+                log_pnd = -0.5 * log_det_series(total, order)
                 eta2 = float(np.linalg.eigvalsh(full_r_gram(lambda d: True))[-1])
                 nrm = norms(sq)
                 eigen = det_truncation_bound_eigen(covariance_eigenvalues(sq), eta2, order)
@@ -1269,7 +1287,7 @@ class TestSpectralLogSeries:
         for point in result["raw"]:
             sq = SqueezingSpectrum.from_schmidt(schmidt, point["gain"], kind)
             core = covariance_core(sq)[sector, sector]
-            series = log_det_series(core @ h, order, check_radius=False)
+            series = log_det_series(core @ h, order)
             expected = math.exp(-0.5 * multiplicity * series)
             assert point["p_vac"] == pytest.approx(expected, rel=1e-14, abs=0)
             nrm = norms(sq)
@@ -1284,7 +1302,7 @@ class TestSpectralLogSeries:
                                             lambda k: detectors[k] is not None)
             sq = SqueezingSpectrum.from_schmidt(schmidt, result["raw"][0]["gain"], kind)
             core = covariance_core(sq)[sector, sector]
-            series = log_det_series(core @ h_detected, order, check_radius=False)
+            series = log_det_series(core @ h_detected, order)
             p_none = result["pnd"].probabilities[0, 0]
             assert p_none == pytest.approx(math.exp(-0.5 * multiplicity * series), rel=1e-14)
             assert p_none > result["raw"][0]["p_vac"]
@@ -1325,7 +1343,7 @@ def _dispatch_case(kind, rng):
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_II, gain=0.5)
         lossy = apply_loss(gamma, LossProfile((0.8, 0.7)))
         parts = detector_parts_from_covariance(lossy, (0, 1))
-        log_vac = -0.5 * log_det_series(sum(parts), 12, check_radius=False)
+        log_vac = -0.5 * log_det_series(sum(parts), 12)
         return vacuum_point_gf(parts, log_vac, 6), (sum(parts), "log_series", 12)
     process = ProcessType.TYPE_II if kind == "exact_type2" else ProcessType.TYPE_0I
     _, spectrum, _ = random_covariance(rng, process=process, gain=0.7)
@@ -1364,9 +1382,9 @@ class TestPndDispatch:
             assert pnd(gf, 1).probabilities[0, 0] == vacuum_probability(gf, kind)
 
     def test_unsupported_type(self):
-        # the message names the supported types, so that trace moments
-        # (LogSeriesGf) point to their vacuum-point wrapper
-        for gf in (object(), LogSeriesGf((np.zeros((2, 2)),), 1, 2)):
+        # the message names the supported types, so that bare trace moments
+        # point to their vacuum-point wrapper
+        for gf in (object(), log_series_gf([np.zeros((2, 2))] * 2, 1)):
             with pytest.raises(TypeError, match="unsupported.*VacuumPointGf"):
                 pnd(gf, 2)
 
@@ -1391,7 +1409,7 @@ class TestVacuumProbability:
     def test_log_series_dispatch(self, rng):
         gamma, spectrum, _ = random_covariance(rng, process=ProcessType.TYPE_II,
                                                gain=0.3)
-        p_series = vacuum_probability(gamma, "log_series", order=30)
+        p_series = vacuum_probability(gamma.mat.to_dense(), "log_series", order=30)
         p_exact = vacuum_probability(spectrum, "exact")
         assert p_series == pytest.approx(p_exact, rel=1e-12)
 
@@ -1447,11 +1465,10 @@ class TestQuadraticVacuum:
         assert diffs[2] / diffs[1] == pytest.approx(8.0, rel=0.25)
 
     def test_dispatch(self):
+        # the two-pair truncation is called directly, not through vacuum_probability
         schmidt = analytic_gaussian_schmidt(2.0, 40)
-        qp = QuadraticParams(schmidt, 0.4, 0.9, ProcessType.TYPE_II)
-        assert vacuum_probability(qp, "quadratic") == pytest.approx(
-            quadratic_vacuum(schmidt, 0.4, 0.9, ProcessType.TYPE_II)
-        )
+        with pytest.raises(ValueError, match="unknown method 'quadratic'"):
+            vacuum_probability(schmidt, "quadratic")
 
 
 class TestHermiteOrdering:

@@ -1,4 +1,6 @@
 """Tests for grids, Gaussian JSA construction and Schmidt analysis."""
+import math
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,17 @@ class TestGaussianJsa:
         bad = np.ones((16, 16), dtype=complex)
         with pytest.raises(ValueError, match="not normalized"):
             DiscretizedJsa(grid, grid, bad)
+
+
+class TestGaussianJsaModel:
+    @pytest.mark.parametrize(
+        "args",
+        [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.inf),
+         (1.0, 1.0, math.nan, 0.0), (1.0, 1.0, 0.0, -math.inf)],
+    )
+    def test_rejects_non_positive_or_non_finite(self, args):
+        with pytest.raises(ValueError):
+            GaussianJsaModel(*args)
 
 
 class TestAnalyticSchmidt:
