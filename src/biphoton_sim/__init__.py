@@ -2,10 +2,10 @@
 
 The package models photon-pair sources as continuous-mode Gaussian states:
 the joint spectral amplitude fixes a renormalized covariance, transformations
-act blockwise on it, and detection probabilities follow from Fredholm
-determinants.  Series expansions (bivariate Poisson and Hermite) make highly
-entangled sources cheap to evaluate, and every truncation comes with a
-closed-form error bound.
+act on its low-rank Schmidt factor, and detection probabilities follow from
+Fredholm determinants.  Series expansions (bivariate Poisson and Hermite)
+make highly entangled sources cheap to evaluate, and every truncation comes
+with a closed-form error bound.
 """
 
 from ._blocks import BlockMatrix
@@ -22,17 +22,13 @@ from .bounds import (
 from .covariance import (
     CovarianceNorms,
     Dof,
-    GeneratorZ,
     ProcessType,
     RenormalizedCovariance,
     SqueezingSpectrum,
     build_covariance_exact,
-    build_generator,
     covariance_eigenvalues,
-    covariance_series,
     gain_for_mean_pairs,
     mean_pairs,
-    mean_photon_number,
     norms,
 )
 from .detection import (
@@ -77,11 +73,7 @@ from .transforms import (
     DetectionProjection,
     DetectionWindow,
     DomainMismatchError,
-    LossProfile,
     SymplecticTransform,
-    apply_loss,
-    apply_projection,
-    apply_transform,
     beam_splitter,
     compose,
     compose_all,

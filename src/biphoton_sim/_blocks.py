@@ -13,7 +13,8 @@ A block is one of
 * a 2-D ndarray   -- a dense kernel matrix.
 
 Products and sums short-circuit on the symbolic variants, so compositions of
-many transforms only do dense work where dense kernels actually meet.
+many transforms only do dense work where dense kernels actually meet.  `run`
+works on the Schmidt factor and never forms a block matrix.
 """
 from __future__ import annotations
 
@@ -60,18 +61,16 @@ def block_add(a: Block, b: Block) -> Block:
     if b is None:
         return a
     na, nb = _ndim(a), _ndim(b)
-    if na == 0 and nb == 0:
+    if na == nb:
         return a + b
-    if na == 2 and nb == 2:
-        return a + b
-    if {na, nb} == {1, 2} or {na, nb} == {0, 2}:
+    if 2 in (na, nb):
         dense = a if na == 2 else b
         other = b if na == 2 else a
         out = dense.astype(complex, copy=True)
         idx = np.arange(min(out.shape[0], out.shape[1]))
         out[idx, idx] += other if _ndim(other) == 0 else np.asarray(other)[idx]
         return out
-    # scalar + diag or diag + diag
+    # scalar + diag
     return a + b
 
 
@@ -84,21 +83,9 @@ def block_scale(a: Block, c: complex) -> Block:
 def block_adjoint(a: Block) -> Block:
     if a is None:
         return None
-    if _ndim(a) == 0:
-        return np.conjugate(a)
-    if a.ndim == 1:
+    if _ndim(a) < 2:
         return np.conjugate(a)
     return a.conj().T
-
-
-def block_trace(a: Block, n: int) -> complex:
-    if a is None:
-        return 0.0
-    if _ndim(a) == 0:
-        return a * n
-    if a.ndim == 1:
-        return complex(np.sum(a))
-    return complex(np.trace(a))
 
 
 def block_to_dense(a: Block, nrow: int, ncol: int) -> np.ndarray:
@@ -135,16 +122,6 @@ class BlockMatrix:
     @property
     def shape(self) -> tuple:
         return (sum(self.row_sizes), sum(self.col_sizes))
-
-    @staticmethod
-    def zeros(row_sizes: Sequence[int], col_sizes: Sequence[int] | None = None) -> "BlockMatrix":
-        col_sizes = row_sizes if col_sizes is None else col_sizes
-        blocks = tuple(tuple(None for _ in col_sizes) for _ in row_sizes)
-        return BlockMatrix(blocks, tuple(row_sizes), tuple(col_sizes))
-
-    @staticmethod
-    def identity(sizes: Sequence[int]) -> "BlockMatrix":
-        return BlockMatrix.diagonal([1.0] * len(sizes), sizes)
 
     @staticmethod
     def diagonal(entries: Sequence[Block], sizes: Sequence[int]) -> "BlockMatrix":
@@ -193,14 +170,6 @@ class BlockMatrix:
             tuple(block_adjoint(self.blocks[i][j]) for i in range(nr)) for j in range(nc)
         )
         return BlockMatrix(blocks, self.col_sizes, self.row_sizes)
-
-    def trace(self) -> complex:
-        if self.row_sizes != self.col_sizes:
-            raise ValueError("trace of a non-square block matrix")
-        return sum(
-            block_trace(self.blocks[i][i], self.row_sizes[i])
-            for i in range(len(self.row_sizes))
-        )
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=complex)

@@ -112,6 +112,32 @@ _NON_NEGATIVE = {"at_least": 0}
 _UNIT = {"at_least": 0, "at_most": 1}
 
 
+# the fields `run` reads: per object of the config, keyed by the prefix of
+# its field paths, and per pipeline step type
+_FIELDS = {
+    "": ("source", "grid", "modes", "pipeline", "detection", "sweep", "output"),
+    "source.": ("process", "gain", "mu", "jsa"),
+    "source.jsa.": ("gaussian", "csv"),
+    "source.jsa.gaussian.": ("delta_plus_rad_s", "delta_minus_rad_s", "center_signal_rad_s",
+                             "center_idler_rad_s"),
+    "grid.": ("extent_sigmas", "points_per_width"),
+    "detection.": ("method", "series_order", "domain", "windows", "pnd_cutoffs", "detectors"),
+    "sweep.": ("parameter", "values"),
+    "output.": ("csv_path", "pnd_csv_path"),
+}
+_STEP_FIELDS = {"phase": ("type", "dof", "phi0_rad", "tau_s", "beta_l_s2"),
+                "fourier": ("type", "dof"), "loss": ("type", "eta"),
+                "beam_splitter": ("type", "dofs", "transmittance", "reflectance")}
+
+
+def _unknown_fields(node, prefix: str, fields):
+    """A ConfigError naming the first key of the object `node` not in `fields`;
+    anything but an object is left to its own checks."""
+    for key in node if isinstance(node, dict) else ():
+        if key not in fields:
+            raise ConfigError(f"{prefix}{key}: unknown field")
+
+
 def _mode_index(value, path: str, m_total: int) -> int:
     idx = _number(value, path, int)
     if not 0 <= idx < m_total:
@@ -132,6 +158,8 @@ def _build_source(cfg: dict):
     process = _process(_require(cfg, "source.process", str), "source.process")
     jsa_cfg = _require(cfg, "source.jsa", dict)
     grid_cfg = _object(cfg, "grid")
+    if "gaussian" in jsa_cfg and "csv" in jsa_cfg:
+        raise ConfigError("source.jsa: give either 'gaussian' or 'csv', not both")
     if "gaussian" in jsa_cfg:
         g = _object(jsa_cfg, "gaussian", "source.jsa.gaussian")
 
@@ -204,6 +232,9 @@ def _apply_pipeline(config, in_dofs, names=(), factor=None):
         if not isinstance(entry, dict) or "type" not in entry:
             raise ConfigError(f"{path}: each entry needs a 'type'")
         kind = entry["type"]
+        if not isinstance(kind, str) or kind not in _STEP_FIELDS:
+            raise ConfigError(f"{path}.type: unknown transform '{kind}'")
+        _unknown_fields(entry, f"{path}.", _STEP_FIELDS[kind])
         if kind in ("phase", "fourier"):
             dof = _mode_index(entry.get("dof", 0), f"{path}.dof", m_total)
             a, c = rows[dof], rows[m_total + dof]
@@ -246,7 +277,7 @@ def _apply_pipeline(config, in_dofs, names=(), factor=None):
                 first += r_coef * second
                 second *= t_coef
                 second -= r_coef * kept
-        elif kind == "loss":
+        else:  # loss
             scale = {  # one factor per mode, the last given
                 _mode_index(key, f"{path}.eta", m_total): _number(val, f"{path}.eta", **_UNIT)
                 for key, val in _object(entry, "eta", f"{path}.eta").items()
@@ -255,8 +286,6 @@ def _apply_pipeline(config, in_dofs, names=(), factor=None):
                 etas[idx] = val * etas[idx]
                 rows[idx] *= val
                 rows[m_total + idx] *= val
-        else:
-            raise ConfigError(f"{path}.type: unknown transform '{kind}'")
     return out, tuple(dofs), etas
 
 
@@ -295,6 +324,11 @@ def run_scenario(config: dict) -> dict:
     """
     if not isinstance(config, dict):
         raise ConfigError("config: expected a JSON object")
+    for prefix, fields in _FIELDS.items():  # outer objects first
+        node = config
+        for key in prefix.split(".")[:-1]:
+            node = node.get(key) if isinstance(node, dict) else None
+        _unknown_fields(node, prefix, fields)
     jsa, schmidt, gain, source_mu, process = _build_source(config)
     detection_cfg = _require(config, "detection", dict)
     method = detection_cfg.get("method", "log_series")
@@ -431,14 +465,13 @@ def _source_step(config, jsa, schmidt, process, method, detection_cfg):
         raise ConfigError(
             f"detection.pnd_cutoffs: method '{method}' gives no photon-number distribution"
         )
-    loss = transforms.LossProfile(tuple(etas))
     eta_best2 = max(e * e for e in etas)
     k_number = spectral.schmidt_number(schmidt)
     if method in ("poisson", "linear"):
         # only mu depends on the gain: the unit-gain mu (1/2 or 1/4) times
         # gain * gain rounds exactly as gain * gain / 2 or / 4 does
         try:
-            unit = det.poisson_params(jsa, loss, windows, 1.0, process)
+            unit = det.poisson_params(jsa, tuple(etas), windows, 1.0, process)
         except ValueError as exc:  # poisson_params names windows[k]
             raise type(exc)(f"detection.{exc}") from None
 

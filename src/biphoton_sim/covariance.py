@@ -1,12 +1,13 @@
-"""Renormalized covariance of photon-pair sources and its series truncation.
+"""Renormalized covariance of photon-pair sources, exact and in factored form.
 
 The covariance of the generated state is exp(2 Z) with the pair-creation
-generator Z built from the JSA kernel; the renormalized covariance is
-(exp(2 Z) - 1)/2.  Internally all operators use the standard mode ordering
-(annihilation rows for every discrete mode first, then the creation rows),
-where the type-II generator occupies the anti-diagonal block positions.
-Nonzero eigenvalues are (exp(+-sigma_j) - 1)/2 with the per-mode squeezing
-parameters sigma_j; for type-II sources every eigenvalue comes twice.
+generator Z built from the JSA kernel; the renormalized covariance
+(exp(2 Z) - 1)/2 is assembled from the Schmidt modes, or factored as
+V M V^dag with a gain-independent basis V and an r x r core M, which `run`
+uses.  Rows follow the standard mode ordering (annihilation rows for every
+discrete mode first, then the creation rows).  Nonzero eigenvalues are
+(exp(+-sigma_j) - 1)/2 with the per-mode squeezing parameters sigma_j; for
+type-II sources every eigenvalue comes twice.
 """
 from __future__ import annotations
 
@@ -18,23 +19,19 @@ from typing import NamedTuple
 import numpy as np
 
 from ._blocks import BlockMatrix
-from .spectral import DiscretizedJsa, FrequencyGrid, SchmidtSpectrum
+from .spectral import FrequencyGrid, SchmidtSpectrum
 
 __all__ = [
     "ProcessType",
     "Dof",
     "SqueezingSpectrum",
-    "GeneratorZ",
     "RenormalizedCovariance",
     "CovarianceNorms",
-    "build_generator",
     "build_covariance_exact",
     "covariance_factor",
     "covariance_core",
     "source_dofs",
-    "covariance_series",
     "covariance_eigenvalues",
-    "mean_photon_number",
     "norms",
     "mean_pairs",
     "gain_for_mean_pairs",
@@ -126,20 +123,6 @@ def gain_for_mean_pairs(schmidt: SchmidtSpectrum, mu, process: ProcessType):
 
 
 @dataclass(frozen=True)
-class GeneratorZ:
-    """Pair-creation generator blocks; the covariance is exp(2 Z)."""
-
-    mat: BlockMatrix
-    dofs: tuple
-    gain: float
-    process: ProcessType
-
-    def __post_init__(self):
-        if self.mat.hermiticity_defect() > 1e-10:
-            raise ValueError("generator must be Hermitian")
-
-
-@dataclass(frozen=True)
 class RenormalizedCovariance:
     """Hermitian block operator over 2M rows (annihilation then creation)."""
 
@@ -164,43 +147,10 @@ def _grid_sizes(dofs) -> tuple:
 
 def source_dofs(source, process: ProcessType) -> tuple:
     """The source modes of a JSA or Schmidt spectrum, named and ordered as in
-    its generator and covariance."""
+    its covariance."""
     if process is ProcessType.TYPE_0I:
         return (Dof("mode", source.grid_signal),)
     return (Dof("signal", source.grid_signal), Dof("idler", source.grid_idler))
-
-
-def build_generator(
-    jsa: DiscretizedJsa, gain: float, process: ProcessType
-) -> GeneratorZ:
-    """Discretize the pair-creation generator for the given process type."""
-    if gain < 0:
-        raise ValueError("gain must be non-negative")
-    psi = jsa.symmetrized()
-    if process is ProcessType.TYPE_0I:
-        if not jsa.grid_signal.same_points(jsa.grid_idler):
-            raise ValueError("type-0/I requires identical signal and idler grids")
-        if np.max(np.abs(psi - psi.T)) > 1e-8:
-            raise ValueError("type-0/I requires a symmetric JSA")
-    dofs = source_dofs(jsa, process)
-    sizes = _grid_sizes(dofs)
-    if gain == 0:
-        return GeneratorZ(BlockMatrix.zeros(sizes), dofs, gain, process)
-    if process is ProcessType.TYPE_0I:
-        blocks = (
-            (None, gain * psi),
-            (gain * psi.conj().T, None),
-        )
-        return GeneratorZ(BlockMatrix(blocks, sizes, sizes), dofs, gain, process)
-
-    half = gain / 2.0
-    blocks = (
-        (None, None, None, half * psi),
-        (None, None, half * psi.T, None),
-        (None, half * psi.conj(), None, None),
-        (half * psi.conj().T, None, None, None),
-    )
-    return GeneratorZ(BlockMatrix(blocks, sizes, sizes), dofs, gain, process)
 
 
 def _weighted_modes(spectrum: SchmidtSpectrum) -> tuple:
@@ -280,21 +230,6 @@ def covariance_core(sq: SqueezingSpectrum) -> np.ndarray:
     return np.kron(np.eye(pairs), np.block([[c, s], [s, c]]))
 
 
-def covariance_series(z: GeneratorZ, order: int) -> RenormalizedCovariance:
-    """Truncated series sum_{n=1..N} (2 Z)^n / (2 n!) of the covariance."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    two_z = z.mat.scale(2.0)
-    term = two_z
-    acc = term.scale(0.5)
-    fact = 1.0
-    for n in range(2, order + 1):
-        term = term @ two_z
-        fact *= n
-        acc = acc.add(term.scale(1.0 / (2.0 * fact)))
-    return RenormalizedCovariance(acc, z.dofs)
-
-
 def covariance_eigenvalues(spectrum: SqueezingSpectrum) -> np.ndarray:
     """Nonzero covariance eigenvalues (exp(+-sigma) - 1)/2, descending.
 
@@ -307,34 +242,20 @@ def covariance_eigenvalues(spectrum: SqueezingSpectrum) -> np.ndarray:
     return np.sort(vals)[::-1]
 
 
-def mean_photon_number(gamma: RenormalizedCovariance) -> float:
-    """Expected photon number Tr(Gamma)/2 for zero displacement."""
-    return float(np.real(gamma.mat.trace())) / 2.0
-
-
 class CovarianceNorms(NamedTuple):
     trace_norm: float
     hs_norm: float
     largest_abs_eigenvalue: float
 
 
-def norms(x: RenormalizedCovariance | SqueezingSpectrum) -> CovarianceNorms:
-    """Trace norm, Hilbert-Schmidt norm and spectral radius of the covariance.
-
-    Closed form from a squeezing spectrum, dense eigendecomposition otherwise.
-    """
-    if isinstance(x, SqueezingSpectrum):
-        mult = 2.0 if x.process is ProcessType.TYPE_II else 1.0
-        sig = x.sigmas
-        lp = np.expm1(sig) / 2.0
-        lm = np.expm1(-sig) / 2.0
-        trace_norm = mult * float(np.sum(lp) - np.sum(lm))
-        hs2 = mult * float(np.sum(lp**2) + np.sum(lm**2))
-        lam1 = float(lp[0]) if sig.size else 0.0
-        return CovarianceNorms(trace_norm, math.sqrt(hs2), lam1)
-    evals = np.linalg.eigvalsh(x.mat.to_dense())
-    return CovarianceNorms(
-        float(np.sum(np.abs(evals))),
-        float(np.sqrt(np.sum(evals**2))),
-        float(np.max(np.abs(evals))) if evals.size else 0.0,
-    )
+def norms(x: SqueezingSpectrum) -> CovarianceNorms:
+    """Trace norm, Hilbert-Schmidt norm and spectral radius of the covariance,
+    in closed form from its squeezing spectrum."""
+    mult = 2.0 if x.process is ProcessType.TYPE_II else 1.0
+    sig = x.sigmas
+    lp = np.expm1(sig) / 2.0
+    lm = np.expm1(-sig) / 2.0
+    trace_norm = mult * float(np.sum(lp) - np.sum(lm))
+    hs2 = mult * float(np.sum(lp**2) + np.sum(lm**2))
+    lam1 = float(lp[0]) if sig.size else 0.0
+    return CovarianceNorms(trace_norm, math.sqrt(hs2), lam1)

@@ -24,7 +24,7 @@ import numpy as np
 from .bounds import OutOfDomainError
 from .covariance import ProcessType, SqueezingSpectrum
 from .spectral import DiscretizedJsa, SchmidtSpectrum
-from .transforms import DetectionProjection, LossProfile, _window_mask, fourier_kernel
+from .transforms import DetectionProjection, _window_mask, fourier_kernel
 
 __all__ = [
     "SpectralRadiusWarning",
@@ -562,28 +562,33 @@ def _arm_operators(window, eta, grid):
 
 def poisson_params(
     jsa: DiscretizedJsa,
-    eta: LossProfile,
+    etas: tuple,
     windows: DetectionProjection,
     gain: float,
     process: ProcessType,
 ) -> PoissonParams:
     """Single-pair detection probabilities integrated over the windows.
 
-    Loss acts on the spectral kernel first; axes whose window lives in the
-    time domain are Fourier-transformed before masking.  A window that does
-    not fit its arm's grid raises ValueError naming `windows[k]`.
+    `etas` holds each arm's field transmittivity in [0, 1], a scalar or
+    sampled on its grid.  Loss acts on the spectral kernel first; axes whose
+    window lives in the time domain are Fourier-transformed before masking.
+    A window that does not fit its arm's grid raises ValueError naming
+    `windows[k]`.
     """
+    arrays = [np.asarray(eta, dtype=float) for eta in etas]
+    if not all(np.all((a >= 0) & (a <= 1)) for a in arrays):
+        raise ValueError("field transmittivity must lie in [0, 1]")
     psi = jsa.symmetrized()
     shared = process is ProcessType.TYPE_0I
     if shared:
-        if len(windows.windows) != 1 or len(eta.etas) != 1:
+        if len(windows.windows) != 1 or len(etas) != 1:
             raise ValueError("type-0/I detection uses a single shared window and loss")
         # both photons occupy one mode: one window, loss and grid for both axes
-        arms = [(windows.windows[0], eta.etas[0], jsa.grid_signal)] * 2
+        arms = [(windows.windows[0], etas[0], jsa.grid_signal)] * 2
     else:
-        if len(windows.windows) != 2 or len(eta.etas) != 2:
+        if len(windows.windows) != 2 or len(etas) != 2:
             raise ValueError("type-II detection uses one window and loss per arm")
-        arms = zip(windows.windows, eta.etas, (jsa.grid_signal, jsa.grid_idler))
+        arms = zip(windows.windows, etas, (jsa.grid_signal, jsa.grid_idler))
     operators = []
     for k, arm in enumerate(arms):
         try:

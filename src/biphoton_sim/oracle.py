@@ -1,9 +1,12 @@
 """Dense brute-force reference implementations for tests and acceptance checks.
 
 Everything here materializes full matrices and is capped in size; nothing on
-the production path may call into this module.  Agreement between these
-oracles and the block/series machinery is the package's main line of
-evidence.
+the production path may call into this module.  The pair-creation generator
+Z of a JSA, its exponential (exp(2 Z) - 1)/2 and its truncated series are
+built here from the JSA samples with plain numpy, as are the sandwich
+s Gamma s^dag of a transform and the detector parts of an operand.
+Agreement between these oracles and the Schmidt-factor and series machinery
+is the package's main line of evidence.
 """
 from __future__ import annotations
 
@@ -12,13 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import GeneratorZ, ProcessType, SqueezingSpectrum, mean_pairs
+from .covariance import ProcessType, SqueezingSpectrum, mean_pairs, source_dofs
 from .transforms import output_dofs, projection_masks
 
 __all__ = [
     "DenseState",
     "MAX_DENSE_DIM",
+    "dense_generator",
     "dense_covariance_exp",
+    "dense_covariance_series",
+    "dense_sandwich",
     "dense_log_det",
     "dense_projection_eigs",
     "detector_parts_compressed",
@@ -47,47 +53,81 @@ class DenseState:
             raise ValueError("weights must match the flattened dimension")
 
 
-def _flatten_blocks(blocks, row_sizes, col_sizes) -> np.ndarray:
-    """Materialize a block grid; independent of the block-algebra code paths."""
-    out = np.zeros((sum(row_sizes), sum(col_sizes)), dtype=complex)
-    r0 = 0
-    for i, nr in enumerate(row_sizes):
-        c0 = 0
-        for j, nc in enumerate(col_sizes):
-            b = blocks[i][j]
-            if b is None:
-                pass
-            elif isinstance(b, np.ndarray) and b.ndim == 2:
-                out[r0:r0 + nr, c0:c0 + nc] = b
-            elif isinstance(b, np.ndarray) and b.ndim == 1:
-                out[r0:r0 + nr, c0:c0 + nc] = np.diag(b.astype(complex))
-            else:
-                out[r0:r0 + nr, c0:c0 + nc] = b * np.eye(nr)
-            c0 += nc
-        r0 += nr
-    return out
-
-
-def dense_covariance_exp(z: GeneratorZ) -> DenseState:
-    """Renormalized covariance (exp(2 Z) - 1)/2 by Hermitian eigendecomposition."""
-    mat = z.mat
-    dim = sum(mat.row_sizes)
+def _check_dim(dim: int) -> None:
     if dim > MAX_DENSE_DIM:
         raise ValueError(f"dense oracle capped at dimension {MAX_DENSE_DIM}, got {dim}")
-    zd = _flatten_blocks(mat.blocks, mat.row_sizes, mat.col_sizes)
-    zd = (zd + zd.conj().T) / 2.0
+
+
+def dense_generator(jsa, gain: float, process: ProcessType) -> DenseState:
+    """Pair-creation generator Z of a JSA over the rows of its source modes
+    (annihilation rows first, then creation rows); the covariance is exp(2 Z).
+
+    Type-0/I pairs the one mode with itself, gain psi between its
+    annihilation and creation rows; type-II pairs signal with idler, gain/2
+    psi in the anti-diagonal blocks.
+    """
+    if gain < 0:
+        raise ValueError("gain must be non-negative")
+    psi = jsa.symmetrized()
+    if process is ProcessType.TYPE_0I:
+        if not jsa.grid_signal.same_points(jsa.grid_idler):
+            raise ValueError("type-0/I requires identical signal and idler grids")
+        if np.max(np.abs(psi - psi.T)) > 1e-8:
+            raise ValueError("type-0/I requires a symmetric JSA")
+        placed = {(0, 1): gain * psi, (1, 0): gain * psi.conj().T}
+    else:
+        half = gain / 2.0
+        placed = {(0, 3): half * psi, (1, 2): half * psi.T,
+                  (2, 1): half * psi.conj(), (3, 0): half * psi.conj().T}
+    dofs = source_dofs(jsa, process)
+    offsets = np.cumsum([0] + [d.grid.n for d in dofs] * 2)
+    _check_dim(offsets[-1])
+    z = np.zeros((offsets[-1], offsets[-1]), dtype=complex)
+    for (i, j), block in placed.items():
+        z[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = block
+    return DenseState(z, np.concatenate([d.grid.weights for d in dofs] * 2))
+
+
+def dense_covariance_exp(z: DenseState) -> DenseState:
+    """Renormalized covariance (exp(2 Z) - 1)/2 by Hermitian eigendecomposition."""
+    _check_dim(z.matrix.shape[0])
+    zd = (z.matrix + z.matrix.conj().T) / 2.0
     evals, evecs = np.linalg.eigh(zd)
     gamma = (evecs * np.expm1(2.0 * evals)) @ evecs.conj().T / 2.0
     gamma = (gamma + gamma.conj().T) / 2.0
-    weights = np.concatenate([d.grid.weights for d in z.dofs] * 2)
-    return DenseState(gamma, weights)
+    return DenseState(gamma, z.weights)
+
+
+def dense_covariance_series(z: DenseState, order: int) -> np.ndarray:
+    """Truncated series sum_{n=1..order} (2 Z)^n / (2 n!) of the covariance."""
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    _check_dim(z.matrix.shape[0])
+    two_z = 2.0 * z.matrix
+    term = two_z
+    acc = term / 2.0
+    fact = 1.0
+    for n in range(2, order + 1):
+        term = term @ two_z
+        fact *= n
+        acc = acc + term / (2.0 * fact)
+    return acc
+
+
+def dense_sandwich(s, gamma) -> np.ndarray:
+    """s Gamma s^dag; a 1-D `s` is the diagonal of a diagonal transform (a
+    loss or a window mask)."""
+    s, gamma = np.asarray(s), np.asarray(gamma)
+    _check_dim(max(s.shape[0], gamma.shape[0]))
+    if s.ndim == 1:
+        return s[:, None] * gamma * s.conj()[None, :]
+    return s @ gamma @ s.conj().T
 
 
 def dense_log_det(operand) -> float:
     """log|det(1 + K)| via LU factorization."""
     k = operand.matrix if isinstance(operand, DenseState) else np.asarray(operand)
-    if k.shape[0] > MAX_DENSE_DIM:
-        raise ValueError(f"dense oracle capped at dimension {MAX_DENSE_DIM}")
+    _check_dim(k.shape[0])
     sign, logdet = np.linalg.slogdet(np.eye(k.shape[0]) + k)
     if sign == 0:
         raise np.linalg.LinAlgError("1 + K is singular")
@@ -106,25 +146,19 @@ def dense_projection_eigs(state, mask) -> np.ndarray:
     return np.linalg.eigvalsh(sub)
 
 
-def detector_parts_from_covariance(gamma, detectors) -> list:
+def detector_parts_from_covariance(gamma, sizes, detectors) -> list:
     """Dense per-detector pieces K_d of W Gamma = sum_d w_d K_d.
 
-    `detectors` assigns a detector index (or None) to every DOF.
+    `gamma` is a dense covariance over the annihilation then creation rows of
+    modes with grid sizes `sizes`; `detectors` assigns a detector index (or
+    None) to every mode.
     """
-    if len(detectors) != gamma.n_dofs:
+    if len(detectors) != len(sizes):
         raise ValueError("one detector assignment per DOF required")
-    sizes = gamma.mat.row_sizes
-    dense = _flatten_blocks(gamma.mat.blocks, sizes, gamma.mat.col_sizes)
+    dense = np.asarray(gamma)
     n_det = max(d for d in detectors if d is not None) + 1
-    parts = []
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    for d in range(n_det):
-        mask = np.zeros(dense.shape[0])
-        for blk_row in range(len(sizes)):
-            if detectors[blk_row % gamma.n_dofs] == d:
-                mask[offsets[blk_row] : offsets[blk_row + 1]] = 1.0
-        parts.append(mask[:, None] * dense)
-    return parts
+    row_detector = np.repeat(list(detectors) * 2, list(sizes) * 2)
+    return [(row_detector == d)[:, None] * dense for d in range(n_det)]
 
 
 def detector_parts_compressed(s, p, gamma, detectors, out_dofs=None) -> list:

@@ -1,12 +1,13 @@
-"""Continuous-mode Gaussian transformations and their block composition.
+"""Continuous-mode Gaussian transformations: step physics and block form.
 
-Transforms act on covariances as Gamma -> s Gamma s^dag, with the standard
-row layout (annihilation rows for all discrete modes, then creation rows).
-Composition happens symbolically at the block level, so identity, zero and
-multiplication blocks never trigger dense matrix work.  Vacuum ancilla modes
-ordered last can be dropped from the column space ("compression"), after
-which the detection determinant is evaluated on the small side of the
-Sylvester identity det(1 + P s Gamma s^dag P) = det(1 + s^dag P s Gamma).
+`phase_factor`, `fourier_kernel`, `check_mixing` and `projection_masks` are
+what `run` applies to the rows of the Schmidt factor.  The block
+constructors build the dense reference Gamma -> s Gamma s^dag (annihilation
+rows for all discrete modes, then creation rows): identity, zero and
+multiplication blocks never trigger dense work, vacuum ancilla modes ordered
+last are dropped from the column space ("compression"), and the detection
+determinant takes the small side of the Sylvester identity
+det(1 + P s Gamma s^dag P) = det(1 + s^dag P s Gamma).
 """
 from __future__ import annotations
 
@@ -24,19 +25,15 @@ __all__ = [
     "SymplecticTransform",
     "DetectionWindow",
     "DetectionProjection",
-    "LossProfile",
     "phase_shift",
     "fourier",
     "beam_splitter",
     "phase_factor",
     "fourier_kernel",
     "check_mixing",
-    "apply_loss",
-    "apply_transform",
     "compose",
     "compose_all",
     "compress",
-    "apply_projection",
     "projection_masks",
     "detected_gram",
     "compressed_determinant_operand",
@@ -99,20 +96,6 @@ class DetectionProjection:
     @classmethod
     def full(cls, n_dofs: int, domain: str = "frequency") -> "DetectionProjection":
         return cls(tuple(DetectionWindow.unbounded(domain) for _ in range(n_dofs)))
-
-
-@dataclass(frozen=True)
-class LossProfile:
-    """Per-DOF field transmittivity, a scalar or a sampled eta(omega)."""
-
-    etas: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "etas", tuple(self.etas))
-        for eta in self.etas:
-            arr = np.atleast_1d(np.asarray(eta, dtype=float))
-            if np.any(arr < 0) or np.any(arr > 1):
-                raise ValueError("field transmittivity must lie in [0, 1]")
 
 
 def _dof_sizes(m_total: int, default_n: int, sizes) -> tuple:
@@ -276,32 +259,6 @@ def output_dofs(s: SymplecticTransform, in_dofs, names=None) -> tuple:
     return tuple(dofs)
 
 
-def apply_transform(
-    s: SymplecticTransform, gamma: RenormalizedCovariance
-) -> RenormalizedCovariance:
-    """Map the covariance through s: Gamma -> s Gamma s^dag."""
-    if s.m_cols != gamma.n_dofs:
-        raise ValueError(
-            f"transform expects {s.m_cols} modes, covariance has {gamma.n_dofs}"
-        )
-    mat = (s.mat @ gamma.mat) @ s.mat.adjoint()
-    return RenormalizedCovariance(mat, output_dofs(s, gamma.dofs))
-
-
-def apply_loss(gamma: RenormalizedCovariance, eta: LossProfile) -> RenormalizedCovariance:
-    """Frequency-dependent loss Gamma -> eta Gamma eta."""
-    if len(eta.etas) != gamma.n_dofs:
-        raise ValueError("loss profile must provide one entry per DOF")
-    entries: list = []
-    for dof, e in zip(gamma.dofs, eta.etas):
-        arr = np.asarray(e, dtype=float)
-        if arr.ndim == 1 and arr.shape[0] != dof.grid.n:
-            raise ValueError(f"loss samples for '{dof.name}' do not match its grid")
-        entries.append(float(arr) if arr.ndim == 0 else arr)
-    d = BlockMatrix.diagonal(entries * 2, gamma.mat.row_sizes)
-    return RenormalizedCovariance((d @ gamma.mat) @ d, gamma.dofs)
-
-
 def _window_mask(window: DetectionWindow | None, grid: FrequencyGrid) -> np.ndarray:
     """0/1 mask realizing the window with endpoints rounded outward."""
     pts = grid.points
@@ -342,16 +299,6 @@ def projection_masks(p: DetectionProjection, dofs) -> list:
             )
         masks.append(_window_mask(window, dof.grid))
     return masks
-
-
-def apply_projection(
-    p: DetectionProjection, gamma: RenormalizedCovariance
-) -> RenormalizedCovariance:
-    """Restrict the covariance to the detection windows (index masks)."""
-    masks = projection_masks(p, gamma.dofs)
-    entries: list = [None if not m.any() else m for m in masks]
-    d = BlockMatrix.diagonal(entries * 2, gamma.mat.row_sizes)
-    return RenormalizedCovariance((d @ gamma.mat) @ d, gamma.dofs)
 
 
 def compress(full: SymplecticTransform, nonvacuum_count: int) -> SymplecticTransform:

@@ -256,11 +256,11 @@ class TestPoissonVsN2:
         from biphoton_sim import (
             GaussianJsaModel,
             build_gaussian_jsa,
-            build_generator,
             default_grids,
             schmidt_decompose,
             schmidt_number,
         )
+        from biphoton_sim.oracle import dense_generator
 
         model = GaussianJsaModel(1.0, 3.0)
         jsa = build_gaussian_jsa(
@@ -270,7 +270,7 @@ class TestPoissonVsN2:
         n = jsa.grid_signal.n
         for gain in (0.3, 0.8):
             for eta_s, eta_i in ((1.0, 1.0), (0.9, 0.6)):
-                z = build_generator(jsa, gain, ProcessType.TYPE_II).mat.to_dense()
+                z = dense_generator(jsa, gain, ProcessType.TYPE_II).matrix
                 eta = np.concatenate(
                     [np.full(n, eta_s), np.full(n, eta_i)] * 2
                 )

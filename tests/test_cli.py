@@ -936,6 +936,67 @@ class TestPlanningErrors:
         assert code == 2
         assert "configuration error: source.jsa.gaussian.delta_minus_rad_s:" in err
 
+    def test_gaussian_and_csv_exit_code(self, tmp_path, capsys):
+        # the Gaussian source used to run, ignoring the (missing) CSV
+        cfg = base_config()
+        cfg["source"]["jsa"]["csv"] = str(tmp_path / "missing.csv")
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 2
+        assert "configuration error: source.jsa: give either 'gaussian' or 'csv', not both" in err
+
+    @pytest.mark.parametrize(
+        "where, field",
+        [
+            ((), "pnd_cutoffs"),
+            (("source",), "mean_pairs"),
+            (("source", "jsa"), "file"),
+            (("source", "jsa", "gaussian"), "delta_plus"),
+            (("grid",), "points"),
+            (("detection",), "pnd_cutofs"),
+            (("sweep",), "value"),
+            (("output",), "pnd_path"),
+        ],
+    )
+    def test_unknown_field_exit_code(self, tmp_path, capsys, where, field):
+        # a misspelt field used to be ignored: `pnd_cutofs` ran and wrote no table
+        cfg = base_config(sweep={"parameter": "source.mu", "values": [0.1]},
+                          output={"csv_path": str(tmp_path / "out.csv")})
+        node = cfg
+        for key in where:
+            node = node[key]
+        node[field] = [3, 3]
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 2
+        assert f"configuration error: {'.'.join(where + (field,))}: unknown field" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "step, field",
+        [
+            ({"type": "phase", "dof": 0, "tau_s": 1.0}, "tau"),
+            ({"type": "fourier", "dof": 0}, "phi0_rad"),
+            ({"type": "beam_splitter", "dofs": [0, 1], "transmittance": 0.8}, "eta"),
+            ({"type": "loss", "eta": {"0": 0.9}}, "dof"),
+        ],
+    )
+    def test_unknown_step_field_exit_code(self, tmp_path, capsys, step, field):
+        # each step type takes its own fields: `phi0_rad` means nothing to `fourier`
+        cfg = base_config(pipeline=[{"type": "loss", "eta": {"1": 0.9}}, {**step, field: 0.5}])
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 2
+        assert f"configuration error: pipeline[1].{field}: unknown field" in err
+
+    def test_first_unknown_field_is_named(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["detection"].update(zeta=1, alpha=2)
+        cfg["note"] = "top level first"
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 2
+        assert "configuration error: note: unknown field" in err
+        del cfg["note"]
+        assert self._run(tmp_path, capsys, cfg) == (2, "configuration error: detection.zeta: "
+                                                       "unknown field\n")
+
 
 def _rectangular_csv(tmp_path):
     """A type-II Gaussian JSA on a 41 x 31 grid, written as CSV."""
@@ -1114,7 +1175,6 @@ class TestSharedDetector:
         from biphoton_sim import (
             DetectionProjection,
             GaussianJsaModel,
-            LossProfile,
             ProcessType,
             build_gaussian_jsa,
             default_grids,
@@ -1131,7 +1191,7 @@ class TestSharedDetector:
         result = run_scenario(cfg)
         p = result["pnd"].probabilities
         params = poisson_params(
-            jsa, LossProfile((0.9,)), DetectionProjection.full(1), 0.4, ProcessType.TYPE_0I
+            jsa, (0.9,), DetectionProjection.full(1), 0.4, ProcessType.TYPE_0I
         )
         assert p.shape == (3,)
         assert p[0] == pytest.approx(math.exp(-params.mu * params.p_union), rel=1e-15)

@@ -1,4 +1,5 @@
-"""Tests for the generator, exact covariance, series truncation and norms."""
+"""Tests for the exact covariance, its factor, eigenvalues and norms, and for
+the dense generator and series references that the bounds are checked against."""
 import numpy as np
 import pytest
 
@@ -10,18 +11,19 @@ from biphoton_sim import (
     analytic_gaussian_schmidt,
     build_covariance_exact,
     build_gaussian_jsa,
-    build_generator,
     covariance_eigenvalues,
-    covariance_series,
     covariance_truncation_bound,
     default_grids,
     gain_for_mean_pairs,
     mean_pairs,
-    mean_photon_number,
     norms,
     schmidt_decompose,
 )
-from biphoton_sim.oracle import gain_for_mean_pairs_reference
+from biphoton_sim.oracle import (
+    dense_covariance_series,
+    dense_generator,
+    gain_for_mean_pairs_reference,
+)
 from conftest import random_covariance, random_schmidt
 
 
@@ -32,23 +34,25 @@ def small_jsa(aspect=3.0):
 
 
 class TestGenerator:
+    """The dense generator reference of `oracle`."""
+
     def test_zero_gain(self):
-        z = build_generator(small_jsa(), 0.0, ProcessType.TYPE_II)
-        assert all(b is None for row in z.mat.blocks for b in row)
+        z = dense_generator(small_jsa(), 0.0, ProcessType.TYPE_II)
+        assert np.max(np.abs(z.matrix)) == 0.0
 
     def test_type0i_hermitian(self):
-        z = build_generator(small_jsa(), 0.8, ProcessType.TYPE_0I)
-        assert z.mat.hermiticity_defect() < 1e-12
+        zd = dense_generator(small_jsa(), 0.8, ProcessType.TYPE_0I).matrix
+        assert np.max(np.abs(zd - zd.conj().T)) < 1e-12
 
     def test_type2_antidiagonal_layout(self):
-        z = build_generator(small_jsa(), 0.8, ProcessType.TYPE_II)
-        blocks = z.mat.blocks
+        jsa = small_jsa()
+        zd = dense_generator(jsa, 0.8, ProcessType.TYPE_II).matrix
+        n = jsa.grid_signal.n
+        assert zd.shape == (4 * n, 4 * n)
         for i in range(4):
             for j in range(4):
-                if i + j == 3:
-                    assert blocks[i][j] is not None
-                else:
-                    assert blocks[i][j] is None
+                block = zd[i * n:(i + 1) * n, j * n:(j + 1) * n]
+                assert np.any(block != 0) == (i + j == 3)
 
     def test_type0i_rejects_asymmetric_jsa(self):
         from biphoton_sim import DiscretizedJsa, FrequencyGrid
@@ -60,7 +64,7 @@ class TestGenerator:
         norm = np.einsum("m,n,mn->", grid.weights, grid.weights, np.abs(vals) ** 2)
         jsa = DiscretizedJsa(grid, grid, vals / np.sqrt(norm))
         with pytest.raises(ValueError, match="symmetric"):
-            build_generator(jsa, 0.5, ProcessType.TYPE_0I)
+            dense_generator(jsa, 0.5, ProcessType.TYPE_0I)
 
 
 class TestExactCovariance:
@@ -97,7 +101,7 @@ class TestExactCovariance:
         for process in ProcessType:
             gamma, _, _ = random_covariance(rng, process=process)
             assert gamma.mat.hermiticity_defect() < 1e-10
-            assert np.real(gamma.mat.trace()) >= 0
+            assert np.real(np.trace(gamma.mat.to_dense())) >= 0
 
 
 class TestFactor:
@@ -121,29 +125,29 @@ class TestFactor:
 
 
 class TestSeries:
+    """The dense series reference of `oracle` against the exact covariance."""
+
     def test_order_one_is_generator(self):
         jsa = small_jsa()
-        z = build_generator(jsa, 0.6, ProcessType.TYPE_II)
-        g1 = covariance_series(z, 1)
-        assert np.max(np.abs(g1.mat.to_dense() - z.mat.to_dense())) < 1e-14
+        z = dense_generator(jsa, 0.6, ProcessType.TYPE_II)
+        g1 = dense_covariance_series(z, 1)
+        assert np.max(np.abs(g1 - z.matrix)) < 1e-14
 
     def test_order_two_is_z_plus_z_squared(self):
         jsa = small_jsa()
-        z = build_generator(jsa, 0.6, ProcessType.TYPE_II)
-        g2 = covariance_series(z, 2)
-        zd = z.mat.to_dense()
-        assert np.max(np.abs(g2.mat.to_dense() - (zd + zd @ zd))) < 1e-12
+        z = dense_generator(jsa, 0.6, ProcessType.TYPE_II)
+        g2 = dense_covariance_series(z, 2)
+        zd = z.matrix
+        assert np.max(np.abs(g2 - (zd + zd @ zd))) < 1e-12
 
     def test_converges_to_exact(self):
         jsa = small_jsa()
         gain = 0.7
-        z = build_generator(jsa, gain, ProcessType.TYPE_II)
+        z = dense_generator(jsa, gain, ProcessType.TYPE_II)
         schmidt = schmidt_decompose(jsa, lambda_floor=0.0)
         exact = build_covariance_exact(schmidt, gain, ProcessType.TYPE_II)
-        g30 = covariance_series(z, 30)
-        diff = np.linalg.svd(
-            g30.mat.to_dense() - exact.mat.to_dense(), compute_uv=False
-        ).sum()
+        g30 = dense_covariance_series(z, 30)
+        diff = np.linalg.svd(g30 - exact.mat.to_dense(), compute_uv=False).sum()
         assert diff < 1e-12
 
     @pytest.mark.parametrize("process", list(ProcessType))
@@ -173,12 +177,10 @@ class TestSeries:
             * schmidt.coefficients
         ) @ schmidt.modes_idler.conj().T
         jsa = DiscretizedJsa(schmidt.grid_signal, schmidt.grid_idler, psi)
-        z = build_generator(jsa, gain, process)
+        z = dense_generator(jsa, gain, process)
         for order in (1, 2, 3, 4):
-            g_n = covariance_series(z, order)
-            num = np.linalg.svd(
-                exact.mat.to_dense() - g_n.mat.to_dense(), compute_uv=False
-            ).sum()
+            g_n = dense_covariance_series(z, order)
+            num = np.linalg.svd(exact.mat.to_dense() - g_n, compute_uv=False).sum()
             den = np.linalg.svd(exact.mat.to_dense(), compute_uv=False).sum()
             closed = covariance_truncation_bound(spectrum.sigmas, order).value
             assert num / den == pytest.approx(closed, abs=1e-9)
@@ -202,23 +204,27 @@ class TestEigenvaluesAndMoments:
         assert vals[0] == vals[1]
         assert vals[2] == vals[3]
 
+    # the mean photon number is Tr(Gamma)/2 for zero displacement
+
     def test_mean_photon_zero(self, rng):
         gamma, _, _ = random_covariance(rng, gain=0.0)
-        assert mean_photon_number(gamma) == 0.0
+        assert np.trace(gamma.mat.to_dense()).real / 2.0 == 0.0
 
     def test_mean_photon_exact_type0i(self, rng):
         gamma, spectrum, _ = random_covariance(
             rng, process=ProcessType.TYPE_0I, gain=0.5
         )
         expected = np.sum(np.cosh(spectrum.sigmas) - 1.0) / 2.0
-        assert mean_photon_number(gamma) == pytest.approx(expected, abs=1e-12)
+        mean_photons = np.trace(gamma.mat.to_dense()).real / 2.0
+        assert mean_photons == pytest.approx(expected, abs=1e-12)
 
     def test_mean_photon_low_gain_type2(self, rng):
         gain = 1e-3
         gamma, spectrum, _ = random_covariance(
             rng, process=ProcessType.TYPE_II, gain=gain
         )
-        assert mean_photon_number(gamma) == pytest.approx(gain**2 / 2.0, rel=1e-5)
+        mean_photons = np.trace(gamma.mat.to_dense()).real / 2.0
+        assert mean_photons == pytest.approx(gain**2 / 2.0, rel=1e-5)
         assert mean_pairs(spectrum) == pytest.approx(gain**2 / 4.0, rel=1e-5)
 
     def test_gain_inversion(self, rng):
@@ -267,9 +273,10 @@ class TestEigenvaluesAndMoments:
 
 class TestNorms:
     def test_zero(self, rng):
-        gamma, _, _ = random_covariance(rng, gain=0.0)
-        res = norms(gamma)
+        _, spectrum, _ = random_covariance(rng, gain=0.0)
+        res = norms(spectrum)
         assert res.trace_norm == 0.0 and res.hs_norm == 0.0
+        assert res.largest_abs_eigenvalue == 0.0
 
     def test_single_sigma_trace_norm(self):
         sigma = 0.9
@@ -279,9 +286,9 @@ class TestNorms:
     def test_matches_dense(self, rng):
         gamma, spectrum, _ = random_covariance(rng, gain=0.6)
         closed = norms(spectrum)
-        dense = norms(gamma)
-        assert dense.trace_norm == pytest.approx(closed.trace_norm, abs=1e-10)
-        assert dense.hs_norm == pytest.approx(closed.hs_norm, abs=1e-10)
-        assert dense.largest_abs_eigenvalue == pytest.approx(
+        evals = np.linalg.eigvalsh(gamma.mat.to_dense())
+        assert np.sum(np.abs(evals)) == pytest.approx(closed.trace_norm, abs=1e-10)
+        assert np.sqrt(np.sum(evals**2)) == pytest.approx(closed.hs_norm, abs=1e-10)
+        assert np.max(np.abs(evals)) == pytest.approx(
             closed.largest_abs_eigenvalue, abs=1e-10
         )

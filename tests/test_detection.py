@@ -15,13 +15,11 @@ from biphoton_sim import (
     ExactProductGf,
     GaussianJsaModel,
     HermiteParams,
-    LossProfile,
     PoissonParams,
     ProcessType,
     SpectralRadiusWarning,
     SqueezingSpectrum,
     analytic_gaussian_schmidt,
-    apply_loss,
     build_gaussian_jsa,
     default_grids,
     gain_for_mean_pairs,
@@ -49,10 +47,24 @@ from biphoton_sim.detection import (
 )
 from biphoton_sim.oracle import (
     dense_log_det,
+    dense_sandwich,
     detector_parts_from_covariance,
     tmsv_statistics,
 )
 from conftest import random_covariance
+
+
+def with_loss(gamma, etas):
+    """eta Gamma eta for per-mode field transmittivities `etas`, dense."""
+    diag = np.concatenate([np.full(d.grid.n, e) for d, e in zip(gamma.dofs, etas)] * 2)
+    return dense_sandwich(diag, gamma.mat.to_dense())
+
+
+def detector_parts(dense_gamma, gamma, detectors):
+    """Per-detector parts of a dense covariance over the modes of `gamma`."""
+    return detector_parts_from_covariance(
+        dense_gamma, [d.grid.n for d in gamma.dofs], detectors
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +232,8 @@ class TestGfExact:
     def test_loss_matches_dense(self, rng):
         gamma, spectrum, _ = random_covariance(rng, process=ProcessType.TYPE_II)
         eta2_s, eta2_i = 0.49, 0.81
-        lossy = apply_loss(
-            gamma, LossProfile((math.sqrt(eta2_s), math.sqrt(eta2_i)))
-        )
-        g_dense = math.exp(-0.5 * dense_log_det(lossy.mat.to_dense()))
+        lossy = with_loss(gamma, (math.sqrt(eta2_s), math.sqrt(eta2_i)))
+        g_dense = math.exp(-0.5 * dense_log_det(lossy))
         assert gf_exact(spectrum, (0.0, 0.0), (eta2_s, eta2_i)) == pytest.approx(
             g_dense, rel=1e-12
         )
@@ -258,8 +268,7 @@ class TestLogDetSeries:
         # pair source with loss: exponent -Tr(K)/2 + Tr(K^2)/4 with
         # Tr(K^2) the squared HS norm of the symmetrized operand
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_II, gain=0.4)
-        lossy = apply_loss(gamma, LossProfile((0.8, 0.9)))
-        d = lossy.mat.to_dense()
+        d = with_loss(gamma, (0.8, 0.9))
         exponent = -0.5 * log_det_series(d, 2)
         expected = -np.trace(d).real / 2.0 + np.linalg.norm(d) ** 2 / 4.0
         assert exponent == pytest.approx(expected, abs=1e-12)
@@ -322,7 +331,7 @@ class TestPoissonParams:
     def test_unbounded_lossless(self):
         jsa = gaussian_jsa()
         params = poisson_params(
-            jsa, LossProfile((1.0, 1.0)), DetectionProjection.full(2), 0.4,
+            jsa, (1.0, 1.0), DetectionProjection.full(2), 0.4,
             ProcessType.TYPE_II,
         )
         assert params.p_s == pytest.approx(1.0, abs=1e-10)
@@ -334,7 +343,7 @@ class TestPoissonParams:
         jsa = gaussian_jsa()
         eta = math.sqrt(0.5)
         params = poisson_params(
-            jsa, LossProfile((eta, eta)), DetectionProjection.full(2), 0.4,
+            jsa, (eta, eta), DetectionProjection.full(2), 0.4,
             ProcessType.TYPE_II,
         )
         assert params.p_s == pytest.approx(0.5, abs=1e-10)
@@ -347,7 +356,7 @@ class TestPoissonParams:
             (DetectionWindow(-math.inf, 0.0), DetectionWindow(0.0, math.inf))
         )
         params = poisson_params(
-            jsa, LossProfile((1.0, 1.0)), windows, 0.4, ProcessType.TYPE_II
+            jsa, (1.0, 1.0), windows, 0.4, ProcessType.TYPE_II
         )
         assert params.p_si == pytest.approx(params.p_s * params.p_i, abs=1e-10)
 
@@ -357,20 +366,20 @@ class TestPoissonParams:
             (DetectionWindow(1e4, 2e4), DetectionWindow.unbounded())
         )
         with pytest.raises(ValueError, match="outside"):
-            poisson_params(jsa, LossProfile((1.0, 1.0)), windows, 0.4,
+            poisson_params(jsa, (1.0, 1.0), windows, 0.4,
                            ProcessType.TYPE_II)
 
     def test_time_domain_unbounded_equals_frequency(self):
         jsa = gaussian_jsa()
         freq = poisson_params(
-            jsa, LossProfile((0.9, 0.8)), DetectionProjection.full(2), 0.4,
+            jsa, (0.9, 0.8), DetectionProjection.full(2), 0.4,
             ProcessType.TYPE_II,
         )
         windows = DetectionProjection(
             (DetectionWindow.unbounded("time"), DetectionWindow.unbounded("time"))
         )
         time = poisson_params(
-            jsa, LossProfile((0.9, 0.8)), windows, 0.4, ProcessType.TYPE_II
+            jsa, (0.9, 0.8), windows, 0.4, ProcessType.TYPE_II
         )
         # unitary change of axis: unbounded probabilities are unchanged
         assert time.p_s == pytest.approx(freq.p_s, abs=1e-12)
@@ -381,7 +390,7 @@ class TestPoissonParams:
         jsa = gaussian_jsa()
         windows = DetectionProjection((DetectionWindow(-2.0, 2.0),))
         params = poisson_params(
-            jsa, LossProfile((1.0,)), windows, 0.4, ProcessType.TYPE_0I
+            jsa, (1.0,), windows, 0.4, ProcessType.TYPE_0I
         )
         assert params.p_s == params.p_i
         assert params.mu == pytest.approx(0.08)
@@ -394,7 +403,7 @@ class TestPoissonParams:
         eta = math.sqrt(0.6)
         full = DetectionProjection.full(1)
         params = poisson_params(
-            jsa, LossProfile((eta,)), full, 0.4, ProcessType.TYPE_0I
+            jsa, (eta,), full, 0.4, ProcessType.TYPE_0I
         )
         assert params.p_s == pytest.approx(0.6, abs=1e-10)
         assert params.p_si == pytest.approx(0.36, abs=1e-10)
@@ -583,8 +592,8 @@ class TestPnd:
         schmidt_gamma, spectrum, _ = random_covariance(
             rng, process=ProcessType.TYPE_II, gain=sigma, n_modes=1
         )
-        lossy = apply_loss(schmidt_gamma, LossProfile((eta, eta)))
-        parts = detector_parts_from_covariance(lossy, (0, 1))
+        lossy = with_loss(schmidt_gamma, (eta, eta))
+        parts = detector_parts(lossy, schmidt_gamma, (0, 1))
         gf = vacuum_point_gf(parts, -0.5 * dense_log_det(sum(parts)), 10)
         stats = pnd(gf, (5, 5))
         ref = tmsv_statistics(sigma, eta, 5)
@@ -592,7 +601,7 @@ class TestPnd:
 
     def test_log_series_cutoff_capped_by_order(self, rng):
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_II, gain=0.3)
-        parts = detector_parts_from_covariance(gamma, (0, 1))
+        parts = detector_parts(gamma.mat.to_dense(), gamma, (0, 1))
         gf = vacuum_point_gf(parts, -0.5 * dense_log_det(sum(parts)), 4)
         assert isinstance(gf.moments, tuple) and len(gf.moments) == 4
         assert [t.shape for t in gf.moments] == [(n + 1, n + 1) for n in range(1, 5)]
@@ -766,7 +775,7 @@ def _dense_reference_transform(config, gamma):
     grid = gamma.dofs[0].grid
     sizes = (grid.n,) * m
     grids = {i: grid for i in range(m)}
-    steps = [SymplecticTransform(BlockMatrix.identity(sizes * 2), m, m)]
+    steps = [SymplecticTransform(BlockMatrix.diagonal([1.0] * (2 * m), sizes * 2), m, m)]
     for e in config["pipeline"]:
         if e["type"] == "beam_splitter":
             t = e["transmittance"]
@@ -1341,8 +1350,7 @@ def _dispatch_case(kind, rng):
         return gf, (gf, "hermite")
     if kind == "log_series":
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_II, gain=0.5)
-        lossy = apply_loss(gamma, LossProfile((0.8, 0.7)))
-        parts = detector_parts_from_covariance(lossy, (0, 1))
+        parts = detector_parts(with_loss(gamma, (0.8, 0.7)), gamma, (0, 1))
         log_vac = -0.5 * log_det_series(sum(parts), 12)
         return vacuum_point_gf(parts, log_vac, 6), (sum(parts), "log_series", 12)
     process = ProcessType.TYPE_II if kind == "exact_type2" else ProcessType.TYPE_0I

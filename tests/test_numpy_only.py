@@ -71,11 +71,14 @@ def test_cli_run_with_pnd_and_figure_leave_scipy_unloaded(tmp_path):
         "import biphoton_sim.cli as cli\n"
         "assert cli.main(['run', 'scenario.json']) == 0\n"
         "assert cli.main(['figure', 'fig2', '--out', 'figs']) == 0\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+        "                  'biphoton_sim.oracle' in sys.modules]))\n"
     )
-    loaded = _run_script(tmp_path, script)
+    scipy_modules, oracle_loaded = json.loads(_run_script(tmp_path, script))
     assert (tmp_path / "demo_pnd.csv").exists()
-    assert json.loads(loaded) == []
+    assert scipy_modules == []
+    # the dense references are for tests only: no production path imports them
+    assert not oracle_loaded
 
 
 def test_log_series_run_takes_no_random_power_iteration(tmp_path):

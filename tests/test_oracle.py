@@ -7,7 +7,6 @@ from biphoton_sim import (
     ProcessType,
     build_covariance_exact,
     build_gaussian_jsa,
-    build_generator,
     default_grids,
     schmidt_decompose,
 )
@@ -15,8 +14,10 @@ from biphoton_sim.oracle import (
     MAX_DENSE_DIM,
     DenseState,
     dense_covariance_exp,
+    dense_generator,
     dense_log_det,
     dense_projection_eigs,
+    dense_sandwich,
     tmsv_statistics,
 )
 
@@ -29,7 +30,7 @@ def small_jsa():
 
 class TestDenseCovarianceExp:
     def test_zero_generator(self):
-        z = build_generator(small_jsa(), 0.0, ProcessType.TYPE_II)
+        z = dense_generator(small_jsa(), 0.0, ProcessType.TYPE_II)
         state = dense_covariance_exp(z)
         assert np.max(np.abs(state.matrix)) == 0.0
 
@@ -41,7 +42,7 @@ class TestDenseCovarianceExp:
         psi = (schmidt.modes_signal * schmidt.coefficients) @ schmidt.modes_idler.conj().T
         jsa = DiscretizedJsa(schmidt.grid_signal, schmidt.grid_idler, psi)
         gain = 0.6
-        z = build_generator(jsa, gain, ProcessType.TYPE_II)
+        z = dense_generator(jsa, gain, ProcessType.TYPE_II)
         state = dense_covariance_exp(z)
         evals = np.sort(np.linalg.eigvalsh(state.matrix))
         sigma = gain  # single Schmidt mode, type-II
@@ -51,7 +52,7 @@ class TestDenseCovarianceExp:
     def test_agrees_with_mode_assembly(self):
         jsa = small_jsa()
         gain = 0.8
-        z = build_generator(jsa, gain, ProcessType.TYPE_II)
+        z = dense_generator(jsa, gain, ProcessType.TYPE_II)
         schmidt = schmidt_decompose(jsa, lambda_floor=0.0)
         exact = build_covariance_exact(schmidt, gain, ProcessType.TYPE_II)
         state = dense_covariance_exp(z)
@@ -61,6 +62,15 @@ class TestDenseCovarianceExp:
         big = np.zeros((MAX_DENSE_DIM + 2, MAX_DENSE_DIM + 2))
         with pytest.raises(ValueError, match="capped"):
             dense_log_det(big)
+
+
+class TestDenseSandwich:
+    def test_diagonal_matches_matrix(self, rng):
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        d = np.array([1.0, 0.5, 0.0, 0.9, 1.0])
+        assert np.array_equal(dense_sandwich(d, a), np.diag(d) @ a @ np.diag(d))
+        s = rng.standard_normal((3, 5))
+        assert np.allclose(dense_sandwich(s, a), s @ a @ s.T, rtol=0, atol=1e-14)
 
 
 class TestDenseLogDet:

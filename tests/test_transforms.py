@@ -4,26 +4,24 @@ import numpy as np
 import pytest
 
 from biphoton_sim import (
+    BlockMatrix,
     DetectionProjection,
     DetectionWindow,
     DomainMismatchError,
     FrequencyGrid,
-    LossProfile,
     ProcessType,
-    apply_loss,
-    apply_projection,
-    apply_transform,
+    SymplecticTransform,
     beam_splitter,
     compose,
     compose_all,
     compress,
     compressed_determinant_operand,
     fourier,
-    mean_photon_number,
     phase_shift,
+    poisson_params,
 )
-from biphoton_sim.oracle import dense_log_det
-from biphoton_sim.transforms import output_dofs
+from biphoton_sim.oracle import dense_log_det, dense_sandwich
+from biphoton_sim.transforms import output_dofs, projection_masks
 from conftest import random_covariance
 
 
@@ -38,6 +36,28 @@ def dense_j(sizes):
     return np.diag(d)
 
 
+def transformed(s, gamma):
+    """s Gamma s^dag of a transform and a covariance, dense."""
+    return dense_sandwich(s.mat.to_dense(), gamma.mat.to_dense())
+
+
+def mean_photons(dense_gamma):
+    """Tr(Gamma)/2, the mean photon number at zero displacement."""
+    return np.trace(dense_gamma).real / 2.0
+
+
+def loss(etas, gamma):
+    """The field transmittivities `etas`, one per mode, as a diagonal transform."""
+    sizes = gamma.mat.row_sizes
+    return SymplecticTransform(BlockMatrix.diagonal(list(etas) * 2, sizes), len(etas), len(etas))
+
+
+def masked(p, gamma):
+    """The covariance restricted to the detection windows of `p`, dense."""
+    return dense_sandwich(np.concatenate(projection_masks(p, gamma.dofs) * 2),
+                          gamma.mat.to_dense())
+
+
 def check_symplectic(s):
     sd = s.mat.to_dense()
     j = dense_j(s.mat.row_sizes)
@@ -48,8 +68,8 @@ class TestPhaseShift:
     def test_identity(self, rng):
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_0I)
         s = phase_shift(0.0, 0.0, 0.0, gamma.dofs[0].grid, 0, 1)
-        out = apply_transform(s, gamma)
-        assert np.max(np.abs(out.mat.to_dense() - gamma.mat.to_dense())) < 1e-14
+        out = transformed(s, gamma)
+        assert np.max(np.abs(out - gamma.mat.to_dense())) < 1e-14
 
     def test_delay_inverse(self, rng):
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_0I)
@@ -63,10 +83,10 @@ class TestPhaseShift:
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_0I)
         s = phase_shift(0.2, 1.3, 0.4, gamma.dofs[0].grid, 0, 1)
         check_symplectic(s)
-        out = apply_transform(s, gamma)
+        out = transformed(s, gamma)
         # unbounded-window detection probability is phase-insensitive
         before = dense_log_det(gamma.mat.to_dense())
-        after = dense_log_det(out.mat.to_dense())
+        after = dense_log_det(out)
         assert after == pytest.approx(before, abs=1e-12)
 
     def test_dof_out_of_range(self):
@@ -84,11 +104,11 @@ class TestFourier:
     def test_trace_invariant(self, rng):
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_0I)
         s, _ = fourier(gamma.dofs[0].grid, 0, 1)
-        out = apply_transform(s, gamma)
-        assert mean_photon_number(out) == pytest.approx(
-            mean_photon_number(gamma), abs=1e-10
+        out = transformed(s, gamma)
+        assert mean_photons(out) == pytest.approx(
+            mean_photons(gamma.mat.to_dense()), abs=1e-10
         )
-        assert out.dofs[0].domain == "time"
+        assert output_dofs(s, gamma.dofs)[0].domain == "time"
 
     def test_rejects_nonuniform(self):
         pts = np.array([0.0, 1.0, 3.0])
@@ -101,15 +121,14 @@ class TestFourier:
                                         process=ProcessType.TYPE_0I)
         grid = gamma.dofs[0].grid
         s_f, time_grid = fourier(grid, 0, 1)
-        base = apply_transform(s_f, gamma)
+        base = transformed(s_f, gamma)
         dt = time_grid.spacing
         shift = 5
         tau = shift * dt  # delay snapped to the time grid
-        delayed = apply_transform(
-            compose(s_f, phase_shift(0.0, tau, 0.0, grid, 0, 1)), gamma
-        )
-        diag_base = np.real(np.diag(base.mat.blocks[0][0]))
-        diag_delay = np.real(np.diag(delayed.mat.blocks[0][0]))
+        delayed = transformed(compose(s_f, phase_shift(0.0, tau, 0.0, grid, 0, 1)), gamma)
+        n = grid.n
+        diag_base = np.real(np.diag(base[:n, :n]))
+        diag_delay = np.real(np.diag(delayed[:n, :n]))
         # a delay by tau moves the temporal intensity profile by `shift` bins
         assert np.allclose(diag_delay[shift:], diag_base[:-shift], atol=1e-10)
 
@@ -119,8 +138,8 @@ class TestBeamSplitter:
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_II)
         n = gamma.dofs[0].grid.n
         s = beam_splitter(1.0, 0.0, (0, 1), 2, n=n)
-        out = apply_transform(s, gamma)
-        assert np.max(np.abs(out.mat.to_dense() - gamma.mat.to_dense())) < 1e-14
+        out = transformed(s, gamma)
+        assert np.max(np.abs(out - gamma.mat.to_dense())) < 1e-14
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError, match="T\\^2 \\+ R\\^2"):
@@ -131,9 +150,9 @@ class TestBeamSplitter:
         n = gamma.dofs[0].grid.n
         s = beam_splitter(np.sqrt(0.5), np.sqrt(0.5), (0, 1), 2, n=n)
         check_symplectic(s)
-        out = apply_transform(s, gamma)
-        assert mean_photon_number(out) == pytest.approx(
-            mean_photon_number(gamma), abs=1e-12
+        out = transformed(s, gamma)
+        assert mean_photons(out) == pytest.approx(
+            mean_photons(gamma.mat.to_dense()), abs=1e-12
         )
 
     def test_two_fifty_fifty_swap_like(self):
@@ -151,28 +170,40 @@ class TestBeamSplitter:
 
 
 class TestLoss:
+    """Loss as a diagonal transform: Gamma -> eta Gamma eta."""
+
     def test_unit_transmission(self, rng):
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_II)
-        out = apply_loss(gamma, LossProfile((1.0, 1.0)))
-        assert np.max(np.abs(out.mat.to_dense() - gamma.mat.to_dense())) < 1e-14
+        out = transformed(loss((1.0, 1.0), gamma), gamma)
+        assert np.max(np.abs(out - gamma.mat.to_dense())) < 1e-14
 
     def test_constant_scaling(self, rng):
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_II)
         c = 0.6
-        out = apply_loss(gamma, LossProfile((c, c)))
+        out = transformed(loss((c, c), gamma), gamma)
         ev_in = np.sort(np.linalg.eigvalsh(gamma.mat.to_dense()))
-        ev_out = np.sort(np.linalg.eigvalsh(out.mat.to_dense()))
+        ev_out = np.sort(np.linalg.eigvalsh(out))
         assert np.max(np.abs(ev_out - c * c * ev_in)) < 1e-10
 
     def test_blackout_gives_vacuum(self, rng):
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_II)
-        out = apply_loss(gamma, LossProfile((0.0, 0.0)))
-        assert np.max(np.abs(out.mat.to_dense())) == 0.0
-        assert np.exp(-0.5 * dense_log_det(out.mat.to_dense())) == pytest.approx(1.0)
+        out = transformed(loss((0.0, 0.0), gamma), gamma)
+        assert np.max(np.abs(out)) == 0.0
+        assert np.exp(-0.5 * dense_log_det(out)) == pytest.approx(1.0)
 
     def test_bounds_validated(self):
-        with pytest.raises(ValueError):
-            LossProfile((1.2,))
+        # the source-level loss: per-arm field transmittivities in [0, 1]
+        from biphoton_sim import GaussianJsaModel, build_gaussian_jsa, default_grids
+
+        model = GaussianJsaModel(1.0, 3.0)
+        jsa = build_gaussian_jsa(model, *default_grids(model, points_per_width=2.0))
+        full = DetectionProjection.full(2)
+        sampled = np.full(jsa.grid_idler.n, 0.5)
+        for etas in ((1.2, 1.0), (1.0, -0.1), (1.0, np.nan), (1.0, np.append(sampled[1:], 1.5))):
+            with pytest.raises(ValueError, match="field transmittivity"):
+                poisson_params(jsa, etas, full, 0.4, ProcessType.TYPE_II)
+        assert poisson_params(jsa, (1.0, sampled), full, 0.4, ProcessType.TYPE_II).p_i == (
+            pytest.approx(0.25, abs=1e-10))
 
 
 class TestApplyTransform:
@@ -183,16 +214,16 @@ class TestApplyTransform:
             beam_splitter(0.8, 0.6, (0, 1), 2, n=n),
             phase_shift(0.1, 0.5, 0.0, gamma.dofs[0].grid, 0, 2, sizes=[n, n]),
         )
-        out = apply_transform(s, gamma)
+        out = transformed(s, gamma)
         ev_in = np.sort(np.linalg.eigvalsh(gamma.mat.to_dense()))
-        ev_out = np.sort(np.linalg.eigvalsh(out.mat.to_dense()))
+        ev_out = np.sort(np.linalg.eigvalsh(out))
         assert np.max(np.abs(ev_in - ev_out)) < 1e-9
 
     def test_shape_mismatch(self, rng):
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_0I)
         s = beam_splitter(1.0, 0.0, (0, 1), 2, n=gamma.dofs[0].grid.n)
-        with pytest.raises(ValueError):
-            apply_transform(s, gamma)
+        with pytest.raises(ValueError, match="mode counts do not match"):
+            compressed_determinant_operand(s, DetectionProjection.full(2), gamma)
 
 
 class TestCompress:
@@ -226,7 +257,7 @@ class TestCompress:
         m_total = 3
         s = self.network(n, m_total)
         reduced = compress(s, 2)
-        out = apply_transform(reduced, gamma)
+        out = transformed(reduced, gamma)
         # dense reference: embed Gamma in the full space, transform, compare
         sd = s.mat.to_dense()
         big = np.zeros((2 * m_total * n, 2 * m_total * n), dtype=complex)
@@ -236,21 +267,21 @@ class TestCompress:
         sel = np.concatenate([np.arange(2 * n), 3 * n + np.arange(2 * n)])
         big[np.ix_(sel, sel)] = gd
         expected = sd @ big @ sd.conj().T
-        assert np.max(np.abs(out.mat.to_dense() - expected)) < 1e-10
+        assert np.max(np.abs(out - expected)) < 1e-10
 
 
 class TestProjection:
     def test_full_space_unchanged(self, rng):
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_II)
         p = DetectionProjection.full(2)
-        out = apply_projection(p, gamma)
-        assert np.max(np.abs(out.mat.to_dense() - gamma.mat.to_dense())) < 1e-14
+        assert all(np.all(m == 1.0) for m in projection_masks(p, gamma.dofs))
+        assert np.max(np.abs(masked(p, gamma) - gamma.mat.to_dense())) < 1e-14
 
     def test_empty_gives_zero(self, rng):
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_II)
         p = DetectionProjection((None, None))
-        out = apply_projection(p, gamma)
-        assert np.max(np.abs(out.mat.to_dense())) == 0.0
+        assert all(np.all(m == 0.0) for m in projection_masks(p, gamma.dofs))
+        assert np.max(np.abs(masked(p, gamma))) == 0.0
 
     def test_domain_mismatch(self, rng):
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_II)
@@ -258,15 +289,14 @@ class TestProjection:
             (DetectionWindow(-1.0, 1.0, "time"), DetectionWindow.unbounded())
         )
         with pytest.raises(DomainMismatchError):
-            apply_projection(p, gamma)
+            projection_masks(p, gamma.dofs)
 
     def test_unbounded_window_is_domain_agnostic(self, rng):
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_II)
         p = DetectionProjection(
             (DetectionWindow.unbounded("time"), DetectionWindow.unbounded())
         )
-        out = apply_projection(p, gamma)
-        assert np.max(np.abs(out.mat.to_dense() - gamma.mat.to_dense())) < 1e-14
+        assert np.max(np.abs(masked(p, gamma) - gamma.mat.to_dense())) < 1e-14
 
     def test_outward_rounding(self):
         grid = FrequencyGrid.uniform(0.0, 10.0, 11)
@@ -285,9 +315,8 @@ class TestProjection:
     def test_interlacing_half_space(self, rng):
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_0I)
         p = DetectionProjection((DetectionWindow(-10.0, 0.0),))
-        out = apply_projection(p, gamma)
         ev = np.linalg.eigvalsh(gamma.mat.to_dense())
-        evp = np.linalg.eigvalsh(out.mat.to_dense())
+        evp = np.linalg.eigvalsh(masked(p, gamma))
         pos = np.sort(ev[ev > 0])[::-1]
         pos_p = np.sort(evp[evp > 1e-14])[::-1]
         for k in range(pos_p.size):
@@ -328,8 +357,6 @@ class TestSylvester:
             operand = compressed_determinant_operand(s, p, gamma, dofs_out)
             small = dense_log_det(operand.to_dense())
             # big side: P s Gamma s^dag P
-            from biphoton_sim.transforms import projection_masks
-
             masks = projection_masks(p, dofs_out)
             pd = np.diag(np.concatenate(masks * 2))
             sd = s.mat.to_dense()
