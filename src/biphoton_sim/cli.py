@@ -183,7 +183,10 @@ def _build_source(cfg: dict):
         )
         jsa = spectral.build_gaussian_jsa(model, grid_s, grid_i)
     elif "csv" in jsa_cfg:
-        jsa = spectral.load_jsa_csv(_path(jsa_cfg["csv"], "source.jsa.csv"))
+        csv_path = _path(jsa_cfg["csv"], "source.jsa.csv")
+        if "grid" in cfg:
+            raise ConfigError("grid: a CSV JSA brings its own grid; only the Gaussian model takes one")
+        jsa = spectral.load_jsa_csv(csv_path)
     else:
         raise ConfigError("source.jsa: provide either 'gaussian' or 'csv'")
     schmidt = spectral.schmidt_decompose(jsa)
@@ -319,8 +322,8 @@ def run_scenario(config: dict) -> dict:
     """Execute one scenario; returns columns, rows and optional PND tables.
 
     The source, pipeline and detection are planned once and the gains come
-    from one bisection; each sweep point then does only the gain-dependent
-    work.  The PND table belongs to the first sweep point.
+    from one Newton inversion; each sweep point then does only the
+    gain-dependent work.  The PND table belongs to the first sweep point.
     """
     if not isinstance(config, dict):
         raise ConfigError("config: expected a JSON object")
@@ -335,6 +338,8 @@ def run_scenario(config: dict) -> dict:
     if method not in _METHODS:
         raise ConfigError(f"detection.method: unknown method '{method}'")
     mus = _sweep_mus(config)
+    if gain is not None and mus != [None]:
+        raise ConfigError("source.gain: a source.mu sweep sets every point's gain; give source.mu")
     mode_names = _mode_names(config, source_dofs(schmidt, process))
     if method in _SOURCE_METHODS:
         step = _source_step(config, jsa, schmidt, process, method, detection_cfg)

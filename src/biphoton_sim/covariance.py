@@ -92,9 +92,10 @@ def mean_pairs(spectrum: SqueezingSpectrum) -> float:
 
 
 def gain_for_mean_pairs(schmidt: SchmidtSpectrum, mu, process: ProcessType):
-    """Invert the exact mean-pair relation for the gain by bisection: one
-    value gives a float, a sequence an array from one bisection, in which
-    each value stops on its own, so its gain does not depend on the others."""
+    """Invert the exact mean-pair relation for the gain by Newton's method,
+    within 4 ulp of the bisection `oracle.gain_for_mean_pairs_reference`: one
+    value gives a float, a sequence an array, in which each value stops on its
+    own, so its gain does not depend on the others."""
     mus = np.atleast_1d(np.asarray(mu, dtype=float))
     if np.any(mus < 0):
         raise ValueError("mu must be non-negative")
@@ -103,22 +104,21 @@ def gain_for_mean_pairs(schmidt: SchmidtSpectrum, mu, process: ProcessType):
         raise ValueError("cannot reach a positive mu with an all-zero spectrum")
     type0i = process is ProcessType.TYPE_0I
     # single-mode gain reaching mu; more modes only add pairs (mu = 0: gain 0)
-    hi = np.array([(math.asinh(math.sqrt(2.0 * m)) if type0i else 2.0 * math.asinh(math.sqrt(m)))
-                   / coef[0] if m > 0 else 0.0 for m in mus])
-    lo = np.zeros_like(hi)
-    active = np.ones(hi.shape, dtype=bool)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        active &= (mid != lo) & (mid != hi)
-        if not active.any():
-            break
-        # the arithmetic of mean_pairs(SqueezingSpectrum.from_schmidt(...)),
-        # without building and validating a spectrum at every step
-        sig = (2.0 * mid if type0i else mid)[:, None] * coef
-        s = np.sum(np.sinh(sig / 2.0) ** 2, axis=1)
-        below = (s / 2.0 if type0i else s) < mus
-        lo, hi = np.where(active & below, mid, lo), np.where(active & ~below, mid, hi)
-    gains = 0.5 * (lo + hi)
+    gains = np.array([(math.asinh(math.sqrt(2.0 * m)) if type0i else 2.0 * math.asinh(math.sqrt(m)))
+                      / coef[0] if m > 0 else 0.0 for m in mus])
+    # Newton on mu(g) = half sum sinh^2(x), x = g c'/2, in the arithmetic of
+    # mean_pairs(SqueezingSpectrum.from_schmidt(...)); mu(g) is increasing and
+    # convex, so from the right the iterates fall onto the root
+    scaled, half = (2.0 * coef, 0.5) if type0i else (coef, 1.0)
+    active = np.flatnonzero(mus > 0)
+    while active.size:  # a value stops when its iterate no longer falls
+        x = gains[active, None] * scaled / 2.0
+        sh = np.sinh(x)
+        excess = half * np.sum(sh**2, axis=1) - mus[active]
+        step = gains[active] - excess / (half * np.sum(scaled * sh * np.cosh(x), axis=1))
+        falls = step < gains[active]
+        gains[active[falls]] = step[falls]
+        active = active[falls]
     return float(gains[0]) if np.ndim(mu) == 0 else gains
 
 

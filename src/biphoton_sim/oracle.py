@@ -185,8 +185,8 @@ def detector_parts_compressed(s, p, gamma, detectors, out_dofs=None) -> list:
 def gain_for_mean_pairs_reference(schmidt, mu: float, process: ProcessType) -> float:
     """Bisection for the gain that builds a SqueezingSpectrum at every step.
 
-    The reference for covariance.gain_for_mean_pairs, which evaluates the
-    same mean-pair arithmetic on bare arrays and must agree bit for bit.
+    The independent reference for covariance.gain_for_mean_pairs, whose
+    Newton iteration must agree with it within 4 ulp.
     """
     if mu < 0:
         raise ValueError("mu must be non-negative")

@@ -410,16 +410,17 @@ def load_jsa_csv(path) -> DiscretizedJsa:
         raise ValueError(f"{path}: JSA CSV has a header but no samples")
     if data.shape[1] != 4 or not np.isfinite(data).all():
         raise ValueError(f"{path}: {_bad_jsa_csv_line(path)}")
-    pts_s = np.unique(data[:, 0])
-    pts_i = np.unique(data[:, 1])
+    # Axes and values are built a block of rows at a time (each axis from the
+    # blocks' unique values, each block's flat index in place), so beside the
+    # parsed table only the values and block-sized temporaries exist.
+    blocks = range(0, data.shape[0], _SCATTER_ROWS)
+    pts_s, pts_i = (np.unique(np.concatenate([np.unique(data[b:b + _SCATTER_ROWS, col])
+                                              for b in blocks])) for col in (0, 1))
     if data.shape[0] != pts_s.size * pts_i.size:
         raise ValueError(f"{path}: JSA CSV is not a complete rectangular grid")
-    # Scatter into one preallocated array, a block of rows at a time: each
-    # block's flat index is built in place, so beside the parsed table only
-    # the values and block-sized temporaries exist.
     is_complex = bool(np.any(data[:, 3]))
     vals = np.full(data.shape[0], np.nan, dtype=complex if is_complex else float)
-    for start in range(0, data.shape[0], _SCATTER_ROWS):
+    for start in blocks:
         rows = data[start:start + _SCATTER_ROWS]
         idx = np.searchsorted(pts_s, rows[:, 0])
         idx *= pts_i.size

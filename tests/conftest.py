@@ -1,6 +1,7 @@
 """Shared builders for randomized test instances."""
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from biphoton_sim import (
     FrequencyGrid,
@@ -34,6 +35,17 @@ def random_schmidt(rng, n=14, n_modes=4, grid_span=4.0):
         grid_signal=grid,
         grid_idler=grid,
     )
+
+
+@st.composite
+def dirichlet_schmidt(draw, max_modes=60):
+    """A Schmidt spectrum of 1 to `max_modes` modes whose weights lambda_j
+    (the squared coefficients) are a Dirichlet draw, sorted descending."""
+    n = draw(st.integers(1, max_modes))
+    alpha = draw(st.floats(0.1, 5.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = np.sort(rng.dirichlet(np.full(n, alpha)))[::-1]
+    return SchmidtSpectrum(np.sqrt(lam))
 
 
 def random_covariance(rng, process=ProcessType.TYPE_II, gain=0.6, **kwargs):

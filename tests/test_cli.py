@@ -886,6 +886,27 @@ class TestPlanningErrors:
         assert code == 2
         assert "configuration error: source.jsa.csv: expected a non-empty string" in err
 
+    def test_gain_with_sweep_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the sweep used to drop the gain without a word
+        monkeypatch.chdir(tmp_path)
+        cfg = base_config(sweep={"parameter": "source.mu", "values": [0.05, 0.1]})
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 2
+        assert "configuration error: source.gain:" in err
+        cfg["source"]["mu"] = cfg["source"].pop("gain")
+        assert self._run(tmp_path, capsys, cfg)[0] == 0
+
+    def test_grid_with_csv_jsa_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the grid used to be ignored: a CSV JSA is sampled on its own grid
+        monkeypatch.chdir(tmp_path)
+        cfg = base_config()
+        cfg["source"]["jsa"] = {"csv": str(_rectangular_csv(tmp_path))}
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 2
+        assert "configuration error: grid:" in err
+        del cfg["grid"]
+        assert self._run(tmp_path, capsys, cfg)[0] == 0
+
     @pytest.mark.parametrize("method", ["log_series", "poisson"])
     @pytest.mark.parametrize("windows", [None, [None, None]])
     def test_domain_exit_code(self, tmp_path, capsys, method, windows):

@@ -51,7 +51,7 @@ from biphoton_sim.oracle import (
     detector_parts_from_covariance,
     tmsv_statistics,
 )
-from conftest import random_covariance
+from conftest import dirichlet_schmidt, random_covariance
 
 
 def with_loss(gamma, etas):
@@ -1441,6 +1441,27 @@ class TestVacuumProbability:
                 # infinite-entanglement limit is always the better approximation
                 assert abs(p_exact - p_poisson) <= abs(p_exact - p_linear) + 1e-12
                 assert p_linear <= p_poisson <= p_exact + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dirichlet_schmidt(),
+        st.sampled_from(list(ProcessType)),
+        st.floats(0.0, 3.0, exclude_min=True),
+    )
+    def test_poisson_beats_single_pair_on_random_spectra(self, schmidt, process, mu):
+        """The paper's claim that its lowest order, the Poisson limit at the
+        exact mean pair number, is always closer to the lossless vacuum
+        probability than the single-pair approximation.
+
+        The three values lie near 1 for small mu, where the two distances
+        differ by about mu^2 / 2 and their rounding by up to a few eps: at
+        mu = 1e-8 the single mode's rounded p_exact equals 1 - mu and
+        exp(-mu) is one eps above both.  So the distances are compared to
+        within 4 eps."""
+        gain = gain_for_mean_pairs(schmidt, mu, process)
+        p_exact = vacuum_probability(SqueezingSpectrum.from_schmidt(schmidt, gain, process), "exact")
+        rounding = 4 * np.finfo(float).eps
+        assert abs(p_exact - math.exp(-mu)) <= abs(p_exact - (1.0 - mu)) + rounding
 
 
 class TestQuadraticVacuum:

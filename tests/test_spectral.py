@@ -242,6 +242,25 @@ class TestCsvRoundTrip:
         text = path.read_bytes()
         assert b",-0,0\r\n" in text and b",0,-0\r\n" in text
 
+    @pytest.mark.parametrize("block_rows", [None, 97])
+    def test_axes_of_shuffled_csv_match_full_column_unique(self, tmp_path, monkeypatch,
+                                                           block_rows):
+        from biphoton_sim import spectral
+
+        if block_rows is not None:  # many blocks, the last one short
+            monkeypatch.setattr(spectral, "_SCATTER_ROWS", block_rows)
+        path = tmp_path / "jsa.csv"
+        save_jsa_csv(make_jsa(2.0, points_per_width=4.0), path)
+        header, *rows = path.read_text().splitlines(keepends=True)
+        np.random.default_rng(7).shuffle(rows)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text(header + "".join(rows))
+        data = np.loadtxt(shuffled, delimiter=",", skiprows=1)
+        back, ordered = load_jsa_csv(shuffled), load_jsa_csv(path)
+        assert np.array_equal(back.grid_signal.points, np.unique(data[:, 0]))
+        assert np.array_equal(back.grid_idler.points, np.unique(data[:, 1]))
+        assert np.array_equal(back.values, ordered.values)
+
     def test_incomplete_rectangle_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
