@@ -46,6 +46,7 @@ from .detection import (
     hermite_params,
     log_det_series,
     log_series_gf,
+    log_series_power_sum,
     pnd,
     poisson_params,
     quadratic_vacuum,

@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -153,7 +152,8 @@ def _process(tag: str, path: str) -> ProcessType:
 
 
 def _build_source(cfg: dict):
-    """Source construction: JSA, Schmidt spectrum, and the gain or the mean pair number."""
+    """Source construction: JSA, Schmidt spectrum, and the gain or the mean
+    pair number (neither under a sweep, which sets the mean pair numbers)."""
     source = _require(cfg, "source", dict)
     process = _process(_require(cfg, "source.process", str), "source.process")
     jsa_cfg = _require(cfg, "source.jsa", dict)
@@ -196,8 +196,10 @@ def _build_source(cfg: dict):
         gain, mu = _number(source["gain"], "source.gain", at_least=0), None
     elif "mu" in source:
         gain, mu = None, _number(source["mu"], "source.mu", at_least=0)
-    else:
+    elif cfg.get("sweep") is None:
         raise ConfigError("source: missing 'gain' or 'mu'")
+    else:  # a source.mu sweep sets every point's mu
+        gain = mu = None
     return jsa, schmidt, gain, mu, process
 
 
@@ -592,17 +594,11 @@ def _schmidt_step(config, schmidt, process, detection_cfg, order, mode_names):
         vals, vecs = np.linalg.eigh(h)
         rotation = np.kron(np.eye(pairs), np.kron([[1, 1], [1, -1]], np.eye(modes)))
         root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T @ rotation / math.sqrt(2)
-        n = np.arange(1, order + 1)
-        signs_over_n = (-1.0) ** (n + 1) / n
 
         def series(sq):
             lam = np.tile(np.concatenate([np.expm1(sq.sigmas), np.expm1(-sq.sigmas)]) / 2, pairs)
             mu = np.linalg.eigvalsh((root * lam) @ root.conj().T)
-            radius = np.max(np.abs(mu))
-            if radius > 0.95:
-                warnings.warn(f"operand spectral radius {radius:.6g} exceeds 0.95; the log series "
-                              "may converge slowly or diverge", det.SpectralRadiusWarning)
-            return -0.5 * multiplicity * float(np.sum(mu[:, None] ** n, axis=0) @ signs_over_n)
+            return -0.5 * multiplicity * det.log_series_power_sum(mu, order)
 
         return series
 
@@ -658,12 +654,16 @@ def _schmidt_step(config, schmidt, process, detection_cfg, order, mode_names):
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_spectra(aspect: float, mus, j_max_floor: float = 1e-16):
+# relative weight z^j at which the figures' analytic Schmidt spectrum stops
+_J_MAX_FLOOR = 1e-16
+
+
+def _gaussian_spectra(aspect: float, mus):
     """Analytic Schmidt spectrum of a type-II Gaussian source, and its gains
     and squeezing spectra at the mean pair numbers `mus`."""
     zeta = (aspect - 1.0) / (aspect + 1.0)
     z = zeta * zeta
-    j_max = 1 if z == 0 else max(1, int(math.ceil(math.log(j_max_floor) / math.log(z))) + 1)
+    j_max = 1 if z == 0 else max(1, int(math.ceil(math.log(_J_MAX_FLOOR) / math.log(z))) + 1)
     schmidt = spectral.analytic_gaussian_schmidt(aspect, j_max)
     gains = gain_for_mean_pairs(schmidt, mus, ProcessType.TYPE_II).tolist()
     return schmidt, gains, [

@@ -11,6 +11,11 @@ Argument conventions follow the natural form of each generating function:
 `gf_exact` takes arguments where 0 yields the vacuum probability and 1 the
 total probability, while `gf_poisson` and `gf_hermite` take the complementary
 variable (vacuum at 1, total at 0).
+
+The truncated log-determinant series has one evaluator,
+`log_series_power_sum`, a power sum over the eigenvalues of the operand with
+an exact spectral-radius check; `log_det_series` and the scenario runner both
+call it.
 """
 from __future__ import annotations
 
@@ -40,6 +45,7 @@ __all__ = [
     "hermite_params",
     "hermite_g2",
     "log_det_series",
+    "log_series_power_sum",
     "log_series_gf",
     "vacuum_point_gf",
     "poisson_params",
@@ -233,44 +239,31 @@ def hermite_g2(mu: float, eps2: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _radius_estimate(mat: np.ndarray, steps: int = 20) -> float:
-    """Cheap spectral-radius estimate by fixed-seed power iteration."""
-    n = mat.shape[1]
-    rng = np.random.default_rng(1234)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    rho = 0.0
-    for _ in range(steps):
-        w = mat @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0:
-            return 0.0
-        rho = nrm
-        v = w / nrm
-    return float(rho)
+def log_series_power_sum(eigenvalues, order: int) -> float:
+    """Re sum_{n=1..N} (-1)^(n+1) sum_i mu_i^n / n, the log series of
+    log det(1 + K) truncated at order N, from the eigenvalues mu_i of K.
+
+    Emits a SpectralRadiusWarning when max |mu_i| exceeds 0.95.
+    """
+    mu = np.asarray(eigenvalues)
+    radius = np.max(np.abs(mu), initial=0.0)
+    if radius > 0.95:
+        warnings.warn(f"operand spectral radius {radius:.6g} exceeds 0.95; the log series "
+                      "may converge slowly or diverge", SpectralRadiusWarning, stacklevel=2)
+    n = np.arange(1, order + 1)
+    return float(np.real(np.sum(mu[:, None] ** n, axis=0) @ ((-1.0) ** (n + 1) / n)))
 
 
 def log_det_series(mat: np.ndarray, order: int) -> float:
-    """Truncated log det(1 + K) = sum_{n=1..N} (-1)^(n+1) Tr(K^n) / n, K square.
-
-    Emits a SpectralRadiusWarning when a 20-step power iteration estimates
-    the spectral radius of K above 0.95.
+    """Truncated log det(1 + K) = sum_{n=1..N} (-1)^(n+1) Tr(K^n) / n, K square,
+    as the power sum of the eigenvalues of K (`log_series_power_sum`), which
+    warns when the spectral radius of K exceeds 0.95.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     if not (isinstance(mat, np.ndarray) and mat.ndim == 2 and mat.shape[0] == mat.shape[1]):
         raise TypeError("operand must be a square 2-D array")
-    if _radius_estimate(mat) > 0.95:
-        warnings.warn(
-            "operand spectral radius estimate exceeds 0.95; the log series "
-            "may converge slowly or diverge",
-            SpectralRadiusWarning,
-            stacklevel=2,
-        )
-    total = 0.0
-    for n, t_n in enumerate(_trace_moments([mat], order), start=1):
-        total += (-1.0) ** (n + 1) * t_n[n] / n
-    return float(total)
+    return log_series_power_sum(np.linalg.eigvals(mat), order)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +465,8 @@ def log_series_gf(parts, order: int) -> tuple:
 
     The recursion keeps one matrix per weight multidegree, so memory grows
     with order^(D-1) times the operand size; oversized requests fail early.
+    Each level multiplies the previous one on the right by every part, and
+    entry n-1 holds the real parts of the traces of level n.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -486,7 +481,24 @@ def log_series_gf(parts, order: int) -> tuple:
             "moment recursion would need more than 2 GiB; reduce the grid, "
             "the order, or the number of detectors"
         )
-    return tuple(_trace_moments(mats, order))
+    moments = []
+    level = {tuple(int(j == i) for j in range(d)): k for i, k in enumerate(mats)}
+    for n in range(1, order + 1):
+        if n > 1:
+            new_level = {}
+            for deg, mat in level.items():
+                for i, k in enumerate(mats):
+                    ndeg = tuple(v + (j == i) for j, v in enumerate(deg))
+                    if ndeg in new_level:
+                        new_level[ndeg] += mat @ k
+                    else:
+                        new_level[ndeg] = mat @ k
+            level = new_level
+        t_n = np.zeros((n + 1,) * d)
+        for deg, mat in level.items():
+            t_n[deg] = np.real(np.trace(mat))
+        moments.append(t_n)
+    return tuple(moments)
 
 
 def vacuum_point_gf(
@@ -512,37 +524,6 @@ def vacuum_point_gf(
     ls = np.hsplit(solved, len(mats))
     moments = log_series_gf(ls, max(1, degree))
     return VacuumPointGf(tuple(multiplicity * t for t in moments), float(log_vacuum))
-
-
-def _trace_moments(mats, order: int) -> list:
-    """Real parts of Tr[(sum_d w_d K_d)^n], n = 1..order, as coefficient arrays.
-
-    One matrix is kept per weight multidegree; each level multiplies the
-    previous one on the right by every part, so a single part repeats the
-    plain power loop K^n = K^(n-1) @ K.
-    """
-    d = len(mats)
-    moments = []
-    level = {}
-    for i, k in enumerate(mats):
-        deg = tuple(1 if j == i else 0 for j in range(d))
-        level[deg] = k.copy()
-    for n in range(1, order + 1):
-        if n > 1:
-            new_level = {}
-            for deg, mat in level.items():
-                for i, k in enumerate(mats):
-                    ndeg = tuple(v + (1 if j == i else 0) for j, v in enumerate(deg))
-                    if ndeg in new_level:
-                        new_level[ndeg] += mat @ k
-                    else:
-                        new_level[ndeg] = mat @ k
-            level = new_level
-        t_n = np.zeros((n + 1,) * d)
-        for deg, mat in level.items():
-            t_n[deg] = np.real(np.trace(mat))
-        moments.append(t_n)
-    return moments
 
 
 # ---------------------------------------------------------------------------

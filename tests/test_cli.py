@@ -896,6 +896,32 @@ class TestPlanningErrors:
         cfg["source"]["mu"] = cfg["source"].pop("gain")
         assert self._run(tmp_path, capsys, cfg)[0] == 0
 
+    def test_sweep_without_source_mu(self, tmp_path, capsys, monkeypatch):
+        # a sweep sets every point's mu: source.mu was required and then ignored
+        monkeypatch.chdir(tmp_path)
+        cfg = base_config(detection={"method": "log_series", "pnd_cutoffs": [2, 2]},
+                          sweep={"parameter": "source.mu", "values": [0.05, 0.1]},
+                          output={"csv_path": "sweep.csv", "pnd_csv_path": "sweep_pnd.csv"})
+        del cfg["source"]["gain"]
+        outputs = []
+        for source_mu in (0.3, None):
+            if source_mu is None:
+                del cfg["source"]["mu"]
+            else:
+                cfg["source"]["mu"] = source_mu
+            assert self._run(tmp_path, capsys, cfg)[0] == 0
+            outputs.append([Path(name).read_bytes() for name in ("sweep.csv", "sweep_pnd.csv")])
+            for name in ("sweep.csv", "sweep_pnd.csv"):
+                Path(name).unlink()
+        assert outputs[0] == outputs[1]
+
+    def test_no_gain_or_mu_without_sweep_exit_code(self, tmp_path, capsys):
+        cfg = base_config()
+        del cfg["source"]["gain"]
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 2
+        assert "configuration error: source: missing 'gain' or 'mu'" in err
+
     def test_grid_with_csv_jsa_exit_code(self, tmp_path, capsys, monkeypatch):
         # the grid used to be ignored: a CSV JSA is sampled on its own grid
         monkeypatch.chdir(tmp_path)

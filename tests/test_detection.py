@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -263,6 +263,7 @@ class TestLogDetSeries:
     def test_zero_operand(self, rng):
         gamma, _, _ = random_covariance(rng, gain=0.0)
         assert log_det_series(gamma.mat.to_dense(), 5) == 0.0
+        assert log_det_series(np.zeros((0, 0)), 5) == 0.0
 
     def test_second_order_matches_hs_form(self, rng):
         # pair source with loss: exponent -Tr(K)/2 + Tr(K^2)/4 with
@@ -298,6 +299,43 @@ class TestLogDetSeries:
         with pytest.warns(SpectralRadiusWarning):
             log_det_series(schmidt_like.mat.to_dense(), 3)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 8),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 1.2),
+        st.integers(1, 20),
+    )
+    # a 1 x 1 K has its norm as radius: on either side of 0.95
+    @example(1, 1, 0, 0.94, 5)
+    @example(1, 1, 0, 0.96, 5)
+    def test_power_sum_of_non_normal_rank_deficient_operand(self, dim, rows, seed, norm, order):
+        """K = A Gamma, A the gram of a random row-masked rows x dim factor
+        (PSD, rank below dim when rows are dropped) and Gamma Hermitian, so K
+        is non-normal; K is scaled to 2-norm `norm`.  The series equals
+        sum_n (-1)^(n+1) Re Tr(K^n) / n by matrix powers, and the warning
+        fires exactly when max |eig K| > 0.95."""
+        import warnings
+
+        gen = np.random.default_rng(seed)
+        factor = gen.standard_normal((rows, dim)) + 1j * gen.standard_normal((rows, dim))
+        factor = factor[gen.random(rows) < 0.6]
+        gamma = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+        k = factor.conj().T @ factor @ (gamma + gamma.conj().T)
+        if k.any():
+            k *= norm / np.linalg.norm(k, 2)
+        reference = sum(
+            (-1.0) ** (n + 1) * np.trace(np.linalg.matrix_power(k, n)).real / n
+            for n in range(1, order + 1)
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = log_det_series(k, order)
+        assert value == pytest.approx(reference, rel=0, abs=1e-12)
+        fired = [w for w in caught if issubclass(w.category, SpectralRadiusWarning)]
+        assert len(fired) == int(np.max(np.abs(np.linalg.eigvals(k)), initial=0.0) > 0.95)
+
     def test_plain_matrices_only(self, rng):
         # a block operand is passed as `.mat.to_dense()`
         gamma, _, _ = random_covariance(rng, gain=0.3)
@@ -312,7 +350,7 @@ def test_detection_source_names_no_block_algebra():
     # detection takes plain matrices; the block algebra stays out of it
     source = (Path(__file__).parents[1] / "src" / "biphoton_sim" / "detection.py").read_text()
     names = ("_blocks", "BlockMatrix", "RenormalizedCovariance", "LogSeriesGf",
-             "QuadraticParams", "check_radius")
+             "QuadraticParams", "check_radius", "_radius_estimate", "default_rng")
     assert [name for name in names if name in source] == []
 
 
@@ -1447,21 +1485,33 @@ class TestVacuumProbability:
         dirichlet_schmidt(),
         st.sampled_from(list(ProcessType)),
         st.floats(0.0, 3.0, exclude_min=True),
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
     )
-    def test_poisson_beats_single_pair_on_random_spectra(self, schmidt, process, mu):
+    @example(analytic_gaussian_schmidt(3.0, 60), ProcessType.TYPE_II, 1.0, (1.0, 1.0))
+    # at mu = gain^2 / 4 the Poisson value loses here: 2.6e-3 from exact against 2.0e-3
+    @example(analytic_gaussian_schmidt(1.0, 1), ProcessType.TYPE_II, math.sinh(0.49) ** 2,
+             (0.10, 0.34))
+    def test_poisson_beats_single_pair_on_random_spectra(self, schmidt, process, mu, eta2):
         """The paper's claim that its lowest order, the Poisson limit at the
-        exact mean pair number, is always closer to the lossless vacuum
-        probability than the single-pair approximation.
+        exact mean pair number, is always closer to the vacuum probability
+        than the single-pair approximation, under per-arm intensity
+        transmissions eta2 (type-0/I: one, the first).  Both approximations
+        take mu p_union, the probability that a pair is seen at all; each
+        Schmidt mode's exact factor 1/(1 + p_union n_j) (its square root for
+        type-0/I) is at least exp(-p_union n_j), so exact >= Poisson >= linear.
 
         The three values lie near 1 for small mu, where the two distances
         differ by about mu^2 / 2 and their rounding by up to a few eps: at
         mu = 1e-8 the single mode's rounded p_exact equals 1 - mu and
         exp(-mu) is one eps above both.  So the distances are compared to
         within 4 eps."""
+        eta2_s, eta2_i = eta2 if process is ProcessType.TYPE_II else (eta2[0], eta2[0])
         gain = gain_for_mean_pairs(schmidt, mu, process)
-        p_exact = vacuum_probability(SqueezingSpectrum.from_schmidt(schmidt, gain, process), "exact")
+        sq = SqueezingSpectrum.from_schmidt(schmidt, gain, process)
+        p_exact = vacuum_probability(ExactProductGf(sq, eta2_s, eta2_i), "exact")
+        seen = mu * (eta2_s + eta2_i - eta2_s * eta2_i)
         rounding = 4 * np.finfo(float).eps
-        assert abs(p_exact - math.exp(-mu)) <= abs(p_exact - (1.0 - mu)) + rounding
+        assert abs(p_exact - math.exp(-seen)) <= abs(p_exact - (1.0 - seen)) + rounding
 
 
 class TestQuadraticVacuum:

@@ -82,17 +82,17 @@ def test_cli_run_with_pnd_and_figure_leave_scipy_unloaded(tmp_path):
 
 
 def test_log_series_run_takes_no_random_power_iteration(tmp_path):
-    # the radius check of `run` is exact, from the eigenvalues of each
-    # sweep point: no power iteration, so numpy.random is never imported
+    # every radius check is exact, from the eigenvalues of the operand: no
+    # power iteration from a random start, so numpy.random is never imported
     _readme_scenario(tmp_path)
     script = (
         "import json, sys\n"
+        "import numpy as np\n"
         "import biphoton_sim.cli as cli\n"
         "from biphoton_sim import detection\n"
-        "def forbidden(*args, **kwargs):\n"
-        "    raise AssertionError('power iteration called')\n"
-        "detection._radius_estimate = forbidden\n"
         "assert cli.main(['run', 'scenario.json']) == 0\n"
+        "k = np.array([[0.2, 0.5], [0.0, -0.3]])\n"
+        "assert abs(detection.log_det_series(k, 40) - np.log(1.2 * 0.7)) < 1e-12\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('numpy.random'))))\n"
     )
     loaded = _run_script(tmp_path, script)
