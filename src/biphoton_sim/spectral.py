@@ -7,10 +7,7 @@ sums to one under the grid quadrature.
 """
 from __future__ import annotations
 
-import gc
-import io
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -396,10 +393,6 @@ def _bad_jsa_csv_line(path) -> str | None:
 
 _SCATTER_ROWS = 1 << 16  # rows per block when placing CSV samples on the grid
 _SPELLINGS = 1 << 16  # distinct grid-column spellings remembered per parse
-# Smallest JSA CSV whose parse is split across two processes.  Measured on
-# 2 cores (BENCH_19.json): at 1.1 MB one process is faster, at 2.1 MB the two
-# tie, from 4.3 MB up the split wins.
-_SPLIT_BYTES = 1 << 22
 
 
 class _Spellings(dict):
@@ -413,114 +406,6 @@ class _Spellings(dict):
         return value
 
 
-def _loadtxt(source, skiprows: int) -> np.ndarray:
-    """The float64 table of a JSA CSV path or text stream, bit for bit what
-    `np.loadtxt` reads, converting each spelling of `omega_s`/`omega_i` once."""
-    grid = _Spellings().__getitem__
-    return np.loadtxt(source, delimiter=",", ndmin=2, skiprows=skiprows,
-                      converters={0: grid, 1: grid})
-
-
-class _ByteRange(io.RawIOBase):
-    """Bytes [start, stop) of a file."""
-
-    def __init__(self, path, start: int, stop: int):
-        self._file = open(path, "rb", buffering=0)
-        self._file.seek(start)
-        self._left = stop - start
-
-    def readable(self):
-        return True
-
-    def readinto(self, buf):
-        n = self._file.readinto(memoryview(buf)[:self._left])
-        self._left -= n
-        return n
-
-    def close(self):
-        self._file.close()
-        super().close()
-
-
-def _loadtxt_part(path, start: int, stop: int) -> np.ndarray:
-    """`_loadtxt` of bytes [start, stop) of a JSA CSV, which start and end at
-    line boundaries; the part at offset 0 begins with the header."""
-    with io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, stop))) as text:
-        return _loadtxt(text, skiprows=int(start == 0))
-
-
-def _split_offset(path, size: int) -> int | None:
-    """Where the parse of a JSA CSV splits between two processes: the first
-    line boundary past the middle byte.  None keeps it in one process: without
-    `os.fork`, with one usable CPU, below `_SPLIT_BYTES`, or with no line end
-    past the middle."""
-    if not hasattr(os, "fork"):
-        return None
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    if cpus < 2 or size < _SPLIT_BYTES:
-        return None
-    with open(path, "rb") as fh:
-        fh.seek(size // 2)
-        cut = size // 2 + len(fh.readline())
-    return cut if cut < size else None
-
-
-def _receive_table(pipe) -> np.ndarray | None:
-    """The table a child sent down `pipe` (shape, then float64 rows), or None
-    if it ended before sending all of it."""
-    shape = np.empty(2, dtype=np.int64)
-    if pipe.readinto(shape) < shape.nbytes:
-        return None
-    table = np.empty(tuple(shape.tolist()))
-    return table if pipe.readinto(table) == table.nbytes else None
-
-
-def _parse_jsa_csv(path) -> list[np.ndarray]:
-    """The data rows of a JSA CSV as `_loadtxt` tables, in file order.
-
-    Past `_split_offset` a forked child parses the second part while this
-    process parses the first, and streams its table through a pipe into an
-    array allocated here.  The child leaves by `os._exit` on every path, so
-    it never flushes this process's buffered output; if it fails, this
-    process parses the second part itself and raises that part's error.  An
-    error in the first part is raised once the child has ended.  If the fork
-    fails, this process parses the whole file.
-    """
-    size = os.path.getsize(path)
-    cut = _split_offset(path, size)
-    if cut is None:
-        return [_loadtxt(path, skiprows=1)]
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return [_loadtxt(path, skiprows=1)]
-    if pid == 0:
-        try:
-            gc.disable()  # no finalizer of this process's objects runs in the child
-            os.close(read)
-            table = _loadtxt_part(path, cut, size)
-            with open(write, "wb") as pipe:
-                pipe.write(np.array(table.shape, dtype=np.int64))
-                pipe.write(table)
-        finally:
-            os._exit(0)
-    os.close(write)
-    try:
-        with open(read, "rb") as pipe:  # closed first: a child still to write gets EPIPE
-            tables = [_loadtxt_part(path, 0, cut), _receive_table(pipe)]
-    finally:
-        os.waitpid(pid, 0)
-    if tables[1] is None:
-        tables[1] = _loadtxt_part(path, cut, size)
-    return tables
-
-
 def load_jsa_csv(path) -> DiscretizedJsa:
     """Read a JSA written by `save_jsa_csv`; the grid is inferred.
 
@@ -529,12 +414,8 @@ def load_jsa_csv(path) -> DiscretizedJsa:
     zero and complex otherwise.  Malformed files, non-finite fields
     included, raise ValueError naming the path and, for a bad row, its line.
 
-    Every field is parsed bit for bit as one `np.loadtxt` call parses it;
-    each distinct spelling of `omega_s`/`omega_i` is converted once.  On
-    POSIX with two usable CPUs, a file of at least `_SPLIT_BYTES` is parsed
-    in two parts at once, the second by a forked child that streams its
-    table back (`_parse_jsa_csv`).  This process holds about one parsed
-    table (32 bytes per sample) either way; the child holds its half.
+    Every field is parsed bit for bit as `np.loadtxt` parses it; each
+    distinct spelling of `omega_s`/`omega_i` is converted once (`_Spellings`).
     """
     with open(path) as fh:
         header = fh.readline()
@@ -543,35 +424,36 @@ def load_jsa_csv(path) -> DiscretizedJsa:
     names = [h.strip() for h in header.split(",")]
     if names != ["omega_s", "omega_i", "re_psi", "im_psi"]:
         raise ValueError(f"{path}: unexpected JSA CSV header")
+    grid = _Spellings().__getitem__
     with warnings.catch_warnings():
-        # a header-only file (or part) is reported below
+        # a header-only file is reported below
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        # the child only parses text (Python 3.12+ warns on any fork beside threads)
-        warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
         try:
-            tables = [t for t in _parse_jsa_csv(path) if t.shape[0]]
+            data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1,
+                              converters={0: grid, 1: grid})
         except ValueError as exc:
             raise ValueError(f"{path}: {_bad_jsa_csv_line(path) or exc}") from None
-    if not tables:
+    if data.shape[0] == 0:
         raise ValueError(f"{path}: JSA CSV has a header but no samples")
-    if any(t.shape[1] != 4 or not np.isfinite(t).all() for t in tables):
+    if data.shape[1] != 4 or not np.isfinite(data).all():
         raise ValueError(f"{path}: {_bad_jsa_csv_line(path)}")
     # Axes and values are built a block of rows at a time (each axis from the
     # blocks' unique values, each block's flat index in place), so beside the
-    # parsed tables only the values and block-sized temporaries exist.
-    blocks = [t[b:b + _SCATTER_ROWS] for t in tables for b in range(0, t.shape[0], _SCATTER_ROWS)]
-    pts_s, pts_i = (np.unique(np.concatenate([np.unique(rows[:, col]) for rows in blocks]))
-                    for col in (0, 1))
-    if sum(t.shape[0] for t in tables) != pts_s.size * pts_i.size:
+    # parsed table only the values and block-sized temporaries exist.
+    blocks = range(0, data.shape[0], _SCATTER_ROWS)
+    pts_s, pts_i = (np.unique(np.concatenate([np.unique(data[b:b + _SCATTER_ROWS, col])
+                                              for b in blocks])) for col in (0, 1))
+    if data.shape[0] != pts_s.size * pts_i.size:
         raise ValueError(f"{path}: JSA CSV is not a complete rectangular grid")
-    is_complex = any(np.any(rows[:, 3]) for rows in blocks)
-    vals = np.full(pts_s.size * pts_i.size, np.nan, dtype=complex if is_complex else float)
-    for rows in blocks:
+    is_complex = bool(np.any(data[:, 3]))
+    vals = np.full(data.shape[0], np.nan, dtype=complex if is_complex else float)
+    for start in blocks:
+        rows = data[start:start + _SCATTER_ROWS]
         idx = np.searchsorted(pts_s, rows[:, 0])
         idx *= pts_i.size
         idx += np.searchsorted(pts_i, rows[:, 1])
         vals[idx] = rows[:, 2] + 1j * rows[:, 3] if is_complex else rows[:, 2]
-    del tables, blocks, rows  # free the parsed tables before the JSA copies vals
+    del data, rows  # free the parsed table (rows is a view of it) before the JSA copies vals
     # every sample is finite, so a NaN left is a grid point no row reached
     if np.isnan(vals).any():
         raise ValueError(f"{path}: JSA CSV is not a complete rectangular grid")

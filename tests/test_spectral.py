@@ -1,8 +1,5 @@
 """Tests for grids, Gaussian JSA construction and Schmidt analysis."""
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -331,162 +328,6 @@ class TestCsvRoundTrip:
         )
         with pytest.raises(ValueError, match="commented.csv: line 4: non-finite value"):
             load_jsa_csv(path)
-
-
-def _two_usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0)) >= 2
-    except AttributeError:
-        return (os.cpu_count() or 1) >= 2
-
-
-@pytest.mark.skipif(not hasattr(os, "fork") or not _two_usable_cpus(),
-                    reason="the split parse needs os.fork and two usable CPUs")
-class TestSplitParse:
-    """Past a size constant, load_jsa_csv parses the second part of the file
-    in a forked child; the result is bit for bit the one-process parse."""
-
-    @staticmethod
-    def _csv_lines(tmp_path, complex_values=False):
-        jsa = make_jsa(2.0, points_per_width=2.0)
-        if complex_values:
-            chirp = np.exp(0.3j * np.add.outer(jsa.grid_signal.points ** 2,
-                                               -jsa.grid_idler.points / 7.0))
-            jsa = DiscretizedJsa(jsa.grid_signal, jsa.grid_idler, jsa.values * chirp)
-        path = tmp_path / "source.csv"
-        save_jsa_csv(jsa, path)
-        header, *rows = path.read_bytes().decode().splitlines(keepends=True)
-        return header, rows
-
-    @staticmethod
-    def _cut(path):
-        """Where the split parse cuts `path`, whatever its size."""
-        from biphoton_sim import spectral
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectral, "_SPLIT_BYTES", 0)
-            return spectral._split_offset(path, os.path.getsize(path))
-
-    @staticmethod
-    def _load(path, split):
-        """load_jsa_csv with the split forced on or off; no child is left."""
-        from biphoton_sim import spectral
-
-        try:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(spectral, "_SPLIT_BYTES", 0 if split else 1 << 62)
-                return load_jsa_csv(path)
-        finally:
-            with pytest.raises(ChildProcessError):
-                os.waitpid(-1, os.WNOHANG)
-
-    def _assert_same(self, path):
-        assert self._cut(path) is not None
-        split, single = self._load(path, True), self._load(path, False)
-        assert split.values.dtype == single.values.dtype
-        assert split.values.tobytes() == single.values.tobytes()
-        for a, b in ((split.grid_signal, single.grid_signal),
-                     (split.grid_idler, single.grid_idler)):
-            assert a.points.tobytes() == b.points.tobytes()
-            assert a.weights.tobytes() == b.weights.tobytes()
-
-    @pytest.mark.parametrize("complex_values", [False, True])
-    @pytest.mark.parametrize("line_end", ["\r\n", "\n", "mixed"])
-    def test_line_ends_blank_lines_and_comments(self, tmp_path, line_end, complex_values):
-        header, rows = self._csv_lines(tmp_path, complex_values)
-        rows = [r.rstrip("\r\n") for r in rows]
-        rows[::7] = [r + " # note" for r in rows[::7]]
-        rows[3::11] = [r + "\n" for r in rows[3::11]]  # blank lines after these
-        rows.insert(5, "# a comment line")
-        ends = {"\r\n": ["\r\n"], "\n": ["\n"], "mixed": ["\n", "\r\n"]}[line_end]
-        text = header + "".join(r + ends[k % len(ends)] for k, r in enumerate(rows))
-        path = tmp_path / "jsa.csv"
-        path.write_bytes(text.encode())
-        self._assert_same(path)
-
-    def test_comment_line_at_the_cut(self, tmp_path):
-        header, rows = self._csv_lines(tmp_path)
-        path = tmp_path / "jsa.csv"
-        path.write_bytes((header + "".join(rows)).encode())
-        cut = self._cut(path)
-        comment = "# at the cut\r\n"
-        # one comment of the same length before the cut moves the cut onto the other
-        text = header + comment + "".join(rows)
-        text = text[:cut + len(comment)] + comment + text[cut + len(comment):]
-        path.write_bytes(text.encode())
-        assert text[self._cut(path):].startswith(comment)
-        self._assert_same(path)
-
-    def test_no_trailing_newline_and_shuffled_rows(self, tmp_path):
-        header, rows = self._csv_lines(tmp_path)
-        np.random.default_rng(3).shuffle(rows)
-        path = tmp_path / "jsa.csv"
-        path.write_bytes((header + "".join(rows)).rstrip("\r\n").encode())
-        self._assert_same(path)
-
-    @pytest.mark.parametrize("rows_before", [0, 1, -1])
-    def test_part_of_one_row_or_none(self, tmp_path, rows_before):
-        """A long comment holds the middle byte, so one part has the rows
-        before it: none (only the header), one, or all but one."""
-        header, rows = self._csv_lines(tmp_path)
-        split = rows_before % len(rows)
-        padding = "#" + "x" * 4 * len("".join(rows)) + "\n"
-        text = header + "".join(rows[:split]) + padding + "".join(rows[split:])
-        path = tmp_path / "jsa.csv"
-        path.write_bytes(text.encode())
-        assert text[:self._cut(path)].endswith(padding)
-        self._assert_same(path)
-
-    @pytest.mark.parametrize("bad", ["0,x,1,0", "0,1,nan,0", "0,1,1", "0,1_0,1,0"])
-    @pytest.mark.parametrize("where", [0.2, 0.8])
-    def test_bad_row_in_either_part(self, tmp_path, bad, where):
-        header, rows = self._csv_lines(tmp_path)
-        k = int(where * len(rows))
-        rows[k] = bad + "\r\n"
-        path = tmp_path / "bad.csv"
-        path.write_bytes((header + "".join(rows)).encode())
-        assert (len((header + "".join(rows[:k])).encode()) < self._cut(path)) == (where < 0.5)
-        messages = []
-        for split in (True, False):
-            with pytest.raises(ValueError, match=f"bad.csv: line {k + 2}[ :]") as err:
-                self._load(path, split)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
-
-    def test_child_leaves_buffered_stdout_alone(self, tmp_path):
-        """The child never flushes output the parent had buffered."""
-        from pathlib import Path
-
-        import biphoton_sim
-
-        save_jsa_csv(make_jsa(2.0, points_per_width=2.0), tmp_path / "jsa.csv")
-        src = str(Path(biphoton_sim.__file__).parents[1])
-        script = (
-            "import sys\n"
-            "from biphoton_sim import cli, spectral\n"
-            "spectral._SPLIT_BYTES = int(sys.argv[1])\n"
-            "sys.stdout.write('partial line:')\n"
-            "sys.exit(cli.main(['schmidt', 'jsa.csv']))\n"
-        )
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # a piped stdout buffers
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        outputs = []
-        for split_bytes in ("0", str(1 << 62)):
-            result = subprocess.run(
-                [sys.executable, "-c", script, split_bytes],
-                cwd=tmp_path,
-                env=env,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-                timeout=120,
-            )
-            assert result.returncode == 0, result.stderr
-            assert result.stderr == ""
-            outputs.append(result.stdout)
-        assert outputs[0] == outputs[1]
-        assert outputs[0].count("partial line:") == 1
-        assert outputs[0].startswith("partial line:j,coefficient,lambda\n")
 
 
 def _complex_route_spectrum(path):
