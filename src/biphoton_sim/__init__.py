@@ -48,7 +48,6 @@ from .detection import (
     log_series_gf,
     log_series_power_sum,
     pnd,
-    poisson_params,
     quadratic_vacuum,
     save_pnd_csv,
     vacuum_point_gf,

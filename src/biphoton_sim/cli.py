@@ -152,8 +152,9 @@ def _process(tag: str, path: str) -> ProcessType:
 
 
 def _build_source(cfg: dict):
-    """Source construction: JSA, Schmidt spectrum, and the gain or the mean
-    pair number (neither under a sweep, which sets the mean pair numbers)."""
+    """Source construction: the Schmidt spectrum of the JSA, the gain or the
+    mean pair number (neither under a sweep, which sets the mean pair
+    numbers) and the process."""
     source = _require(cfg, "source", dict)
     process = _process(_require(cfg, "source.process", str), "source.process")
     jsa_cfg = _require(cfg, "source.jsa", dict)
@@ -200,40 +201,52 @@ def _build_source(cfg: dict):
         raise ConfigError("source: missing 'gain' or 'mu'")
     else:  # a source.mu sweep sets every point's mu
         gain = mu = None
-    return jsa, schmidt, gain, mu, process
+    return schmidt, gain, mu, process
 
 
 _SOURCE_METHODS = ("poisson", "hermite", "linear", "quadratic")
 _METHODS = ("exact", "log_series") + _SOURCE_METHODS
 
 
-def _apply_pipeline(config, in_dofs, names=(), factor=None):
-    """Parse the pipeline and push `factor` (rows over the source modes
-    `in_dofs`, annihilation rows first) through each entry, first applied first.
+def _pipeline(config) -> list:
+    """The pipeline steps; [] when `pipeline` is absent or null."""
+    steps = config.get("pipeline")
+    if steps is None:
+        return []
+    if not isinstance(steps, list):
+        raise ConfigError("pipeline: expected a list of steps")
+    return steps
+
+
+def _apply_pipeline(steps, in_dofs, names=(), factor=None, time_modes=()):
+    """Push `factor` (rows over the source modes `in_dofs`, annihilation rows
+    first) through the pipeline `steps`, first applied first.
 
     Vacuum ancillas, up to the length of `names`, take the first source
     mode's grid and start as zero row blocks, which is the column
     compression of the vacuum modes.  Each step updates row blocks in place:
     a phase multiplies a mode's rows, a Fourier step applies its kernel and
     moves the mode to the time domain, a beam splitter mixes two modes' rows
-    and a loss scales them.  Returns the rows over all modes (complex if a
-    step is a phase or Fourier step, else of the dtype of `factor`), the
-    output modes and the per-mode product of the loss transmittivities.
+    and a loss scales them.  Each mode k of `time_modes` then takes one more
+    Fourier step, whose errors name `detection.windows[k]`.  Returns the
+    rows over all modes (complex if a step is a phase or Fourier step, else
+    of the dtype of `factor`), the output modes and the per-mode product of
+    the loss transmittivities.
     """
     dofs = list(in_dofs) + [Dof(name, in_dofs[0].grid) for name in names[len(in_dofs):]]
     m_total = len(dofs)
     sizes = [d.grid.n for d in dofs]
     n_source = sum(sizes[: len(in_dofs)])
     factor = np.zeros((2 * n_source, 0)) if factor is None else factor
-    steps = config.get("pipeline", [])
-    phased = any(isinstance(e, dict) and e.get("type") in ("phase", "fourier") for e in steps)
+    labelled = [(f"pipeline[{k}]", entry) for k, entry in enumerate(steps)]
+    labelled += [(f"detection.windows[{k}]", {"type": "fourier", "dof": k}) for k in time_modes]
+    phased = any(isinstance(e, dict) and e.get("type") in ("phase", "fourier") for _, e in labelled)
     out = np.zeros((2 * sum(sizes), factor.shape[1]), dtype=complex if phased else factor.dtype)
     out[:n_source] = factor[:n_source]
     out[sum(sizes):sum(sizes) + n_source] = factor[n_source:]
     rows = np.split(out, np.cumsum(sizes * 2)[:-1])  # views: a_0, a_1, ..., c_0, c_1, ...
     etas = [1.0] * m_total
-    for k, entry in enumerate(steps):
-        path = f"pipeline[{k}]"
+    for path, entry in labelled:
         if not isinstance(entry, dict) or "type" not in entry:
             raise ConfigError(f"{path}: each entry needs a 'type'")
         kind = entry["type"]
@@ -334,7 +347,8 @@ def run_scenario(config: dict) -> dict:
         for key in prefix.split(".")[:-1]:
             node = node.get(key) if isinstance(node, dict) else None
         _unknown_fields(node, prefix, fields)
-    jsa, schmidt, gain, source_mu, process = _build_source(config)
+    schmidt, gain, source_mu, process = _build_source(config)
+    steps = _pipeline(config)
     detection_cfg = _require(config, "detection", dict)
     method = detection_cfg.get("method", "log_series")
     if method not in _METHODS:
@@ -344,12 +358,12 @@ def run_scenario(config: dict) -> dict:
         raise ConfigError("source.gain: a source.mu sweep sets every point's gain; give source.mu")
     mode_names = _mode_names(config, source_dofs(schmidt, process))
     if method in _SOURCE_METHODS:
-        step = _source_step(config, jsa, schmidt, process, method, detection_cfg)
+        step = _source_step(steps, schmidt, process, method, detection_cfg)
     else:
         order = detection_cfg.get("series_order", 8) if method == "log_series" else None
         if order is not None:
             order = _number(order, "detection.series_order", int, at_least=1)
-        step = _schmidt_step(config, schmidt, process, detection_cfg, order, mode_names)
+        step = _schmidt_step(steps, schmidt, process, detection_cfg, order, mode_names)
 
     targets = [source_mu] if mus == [None] else mus
     gains = [gain] if targets == [None] else gain_for_mean_pairs(schmidt, targets, process).tolist()
@@ -447,20 +461,71 @@ def _shared_detector(stats):
     return det.PhotonStatistics(p, 1.0 - float(np.sum(p)))
 
 
-def _source_step(config, jsa, schmidt, process, method, detection_cfg):
+def _detected_factor(steps, windows, schmidt, process, names=(), time_modes=()):
+    """The Schmidt factor s V pushed through the pipeline `steps` and the
+    Fourier steps of `time_modes` (`_apply_pipeline`), with each output
+    mode's mask of `windows`."""
+    sv, out_dofs, _ = _apply_pipeline(
+        steps, source_dofs(schmidt, process), names, covariance_factor(schmidt, process), time_modes
+    )
+    masks = []
+    for k, window in enumerate(windows):
+        try:
+            masks += transforms.projection_masks(
+                transforms.DetectionProjection((window,)), out_dofs[k:k + 1]
+            )
+        except ValueError as exc:
+            raise type(exc)(f"detection.windows[{k}]: {exc}") from None
+    return sv, masks
+
+
+def _single_pair(steps, windows, schmidt, process) -> det.PoissonParams:
+    """Bivariate-Poisson parameters at unit gain: the single-pair click
+    probabilities of the Schmidt factor pushed through the loss-only
+    pipeline `steps` and detected in `windows`, a mode whose window is
+    bounded in the time domain taking its Fourier kernel before masking.
+
+    The pair sum_j c_j u_j v_j^T sits in the first 2K columns of the factor,
+    the u group (signal, or type-0/I annihilation, rows) and then the v group
+    (idler creation rows); for type-II they are the first conjugate sector.
+    With H_uu and H_vv the grams of their detected rows, p_s = sum_j c_j^2
+    (H_uu)_jj, p_i = sum_j c_j^2 (H_vv)_jj and p_si = c^T (H_uu o conj H_vv) c.
+    Type-0/I has one mode, window and loss, so p_i is p_s.
+    """
+    time_modes = [
+        k for k, w in enumerate(windows)
+        if w is not None and w.domain == "time" and (w.lo, w.hi) != (-math.inf, math.inf)
+    ]
+    sv, masks = _detected_factor(steps, windows, schmidt, process, time_modes=time_modes)
+    c = schmidt.coefficients
+    k = c.size
+    detected = sv[np.concatenate(masks * 2) > 0, :2 * k]
+    h_uu, h_vv = (a.conj().T @ a for a in (detected[:, :k], detected[:, k:]))
+    p_s, p_i = (float(np.real(np.diag(h)) @ (c * c)) for h in (h_uu, h_vv))
+    p_si = float(np.real(c @ (h_uu * h_vv.conj()) @ c))
+    # mu = gain^2 / 2 (type-0/I) or gain^2 / 4 (type-II)
+    if process is ProcessType.TYPE_0I:
+        return det.PoissonParams(0.5, p_s, p_s, p_si)
+    return det.PoissonParams(0.25, p_s, p_i, p_si)
+
+
+def _source_step(steps, schmidt, process, method, detection_cfg):
     """Source-level methods: per-mode transmittivities of a loss-only pipeline,
     one detector per source mode or every mode on detector 0, and detection
-    windows for `poisson` and `linear` only."""
-    if any(not isinstance(e, dict) or e.get("type") != "loss" for e in config.get("pipeline", [])):
+    windows for `poisson` and `linear` only, a bounded time window taking its
+    mode's Fourier kernel."""
+    if any(not isinstance(e, dict) or e.get("type") != "loss" for e in steps):
         raise ConfigError("pipeline: source-level methods support loss-only pipelines")
-    _, out_dofs, etas = _apply_pipeline(config, source_dofs(schmidt, process))
+    _, out_dofs, etas = _apply_pipeline(steps, source_dofs(schmidt, process))
     n_dofs = len(out_dofs)
     if method == "quadratic" and len(set(etas)) > 1:
         raise ConfigError("pipeline: the quadratic method needs a uniform loss")
-    windows = _detection_windows(detection_cfg, n_dofs)
-    bounded = any(w is None or (w.lo, w.hi) != (-math.inf, math.inf) for w in windows.windows)
+    windows = _detection_windows(detection_cfg, n_dofs).windows
+    bounded = any(w is None or (w.lo, w.hi) != (-math.inf, math.inf) for w in windows)
     if method in ("hermite", "quadratic") and bounded:
         raise ConfigError(f"detection.windows: method '{method}' applies no windows; use 'poisson'")
+    if method in ("poisson", "linear"):
+        unit = _single_pair(steps, windows, schmidt, process)
     detectors, cutoffs = _detectors(detection_cfg, n_dofs)
     shared = all(d == 0 for d in detectors)
     if not shared and detectors != list(range(n_dofs)):
@@ -474,16 +539,11 @@ def _source_step(config, jsa, schmidt, process, method, detection_cfg):
         )
     eta_best2 = max(e * e for e in etas)
     k_number = spectral.schmidt_number(schmidt)
-    if method in ("poisson", "linear"):
-        # only mu depends on the gain: the unit-gain mu (1/2 or 1/4) times
-        # gain * gain rounds exactly as gain * gain / 2 or / 4 does
-        try:
-            unit = det.poisson_params(jsa, tuple(etas), windows, 1.0, process)
-        except ValueError as exc:  # poisson_params names windows[k]
-            raise type(exc)(f"detection.{exc}") from None
 
     def step(gain, sq, with_pnd):
         if method in ("poisson", "linear"):
+            # only mu depends on the gain: the unit-gain mu (1/2 or 1/4) times
+            # gain * gain rounds exactly as gain * gain / 2 or / 4 does
             params = dataclasses.replace(unit, mu=unit.mu * gain * gain)
         bounds = {}
         if method == "poisson":
@@ -513,7 +573,7 @@ def _source_step(config, jsa, schmidt, process, method, detection_cfg):
     return step
 
 
-def _schmidt_step(config, schmidt, process, detection_cfg, order, mode_names):
+def _schmidt_step(steps, schmidt, process, detection_cfg, order, mode_names):
     """Detection over an arbitrary pipeline, on the Schmidt basis.
 
     The covariance factors as V M V^dag (V fixed, the r x r core M
@@ -545,18 +605,9 @@ def _schmidt_step(config, schmidt, process, detection_cfg, order, mode_names):
     idler, or type-0/I, whose M couples the halves) it uses all r columns
     with multiplicity 1.
     """
-    sv, out_dofs, _ = _apply_pipeline(
-        config, source_dofs(schmidt, process), mode_names, covariance_factor(schmidt, process)
-    )
-    m_total = len(out_dofs)
-    masks = []
-    for k, window in enumerate(_detection_windows(detection_cfg, m_total).windows):
-        try:
-            masks += transforms.projection_masks(
-                transforms.DetectionProjection((window,)), out_dofs[k:k + 1]
-            )
-        except ValueError as exc:
-            raise type(exc)(f"detection.windows[{k}]: {exc}") from None
+    m_total = len(mode_names)
+    windows = _detection_windows(detection_cfg, m_total).windows
+    sv, masks = _detected_factor(steps, windows, schmidt, process, mode_names)
     # one conjugate sector when no detected row couples the column halves
     half = sv.shape[1] // 2
     nonzero = sv[np.concatenate(masks * 2) > 0] != 0

@@ -16,6 +16,11 @@ The truncated log-determinant series has one evaluator,
 `log_series_power_sum`, a power sum over the eigenvalues of the operand with
 an exact spectral-radius check; `log_det_series` and the scenario runner both
 call it.
+
+Nothing here sees a JSA or a grid: the single-pair probabilities that
+`PoissonParams` holds come from the scenario runner's masked Schmidt factor,
+and their dense reference over the sampled JSA is
+`oracle.poisson_params_reference`.
 """
 from __future__ import annotations
 
@@ -28,8 +33,7 @@ import numpy as np
 
 from .bounds import OutOfDomainError
 from .covariance import ProcessType, SqueezingSpectrum
-from .spectral import DiscretizedJsa, SchmidtSpectrum
-from .transforms import DetectionProjection, _window_mask, fourier_kernel
+from .spectral import SchmidtSpectrum
 
 __all__ = [
     "SpectralRadiusWarning",
@@ -48,7 +52,6 @@ __all__ = [
     "log_series_power_sum",
     "log_series_gf",
     "vacuum_point_gf",
-    "poisson_params",
     "pnd",
     "vacuum_probability",
     "quadratic_vacuum",
@@ -524,83 +527,6 @@ def vacuum_point_gf(
     ls = np.hsplit(solved, len(mats))
     moments = log_series_gf(ls, max(1, degree))
     return VacuumPointGf(tuple(multiplicity * t for t in moments), float(log_vacuum))
-
-
-# ---------------------------------------------------------------------------
-# source-level probability integrals
-# ---------------------------------------------------------------------------
-
-
-def _arm_operators(window, eta, grid):
-    """Fourier kernel (None in the frequency domain), window mask and sampled
-    transmittivity of one detected arm."""
-    kern, grid_out = None, grid
-    if window is not None and window.domain == "time":
-        kern, grid_out = fourier_kernel(grid)
-    eta_arr = np.broadcast_to(np.asarray(eta, dtype=float), (grid.n,))
-    return kern, _window_mask(window, grid_out), eta_arr
-
-
-def poisson_params(
-    jsa: DiscretizedJsa,
-    etas: tuple,
-    windows: DetectionProjection,
-    gain: float,
-    process: ProcessType,
-) -> PoissonParams:
-    """Single-pair detection probabilities integrated over the windows.
-
-    `etas` holds each arm's field transmittivity in [0, 1], a scalar or
-    sampled on its grid.  Loss acts on the spectral kernel first; axes whose
-    window lives in the time domain are Fourier-transformed before masking.
-    A window that does not fit its arm's grid raises ValueError naming
-    `windows[k]`.
-    """
-    arrays = [np.asarray(eta, dtype=float) for eta in etas]
-    if not all(np.all((a >= 0) & (a <= 1)) for a in arrays):
-        raise ValueError("field transmittivity must lie in [0, 1]")
-    psi = jsa.symmetrized()
-    shared = process is ProcessType.TYPE_0I
-    if shared:
-        if len(windows.windows) != 1 or len(etas) != 1:
-            raise ValueError("type-0/I detection uses a single shared window and loss")
-        # both photons occupy one mode: one window, loss and grid for both axes
-        arms = [(windows.windows[0], etas[0], jsa.grid_signal)] * 2
-    else:
-        if len(windows.windows) != 2 or len(etas) != 2:
-            raise ValueError("type-II detection uses one window and loss per arm")
-        arms = zip(windows.windows, etas, (jsa.grid_signal, jsa.grid_idler))
-    operators = []
-    for k, arm in enumerate(arms):
-        try:
-            operators.append(_arm_operators(*arm))
-        except ValueError as exc:
-            raise type(exc)(f"windows[{k}]: {exc}") from None
-    (kern_s, mask_s, eta_s), (kern_i, mask_i, eta_i) = operators
-
-    # marginal detection: loss only on the detected photon's axis
-    chi_s = eta_s[:, None] * psi
-    if kern_s is not None:
-        chi_s = kern_s @ chi_s
-    p_s = float(mask_s @ (np.abs(chi_s) ** 2).sum(axis=1))
-
-    if shared:
-        p_i = p_s
-    else:
-        chi_i = psi * eta_i[None, :]
-        if kern_i is not None:
-            chi_i = chi_i @ kern_i.T
-        p_i = float(mask_i @ (np.abs(chi_i) ** 2).sum(axis=0))
-
-    chi_si = eta_s[:, None] * psi * eta_i[None, :]
-    if kern_s is not None:
-        chi_si = kern_s @ chi_si
-    if kern_i is not None:
-        chi_si = chi_si @ kern_i.T
-    p_si = float(mask_s @ (np.abs(chi_si) ** 2) @ mask_i)
-
-    mu = gain * gain / (2.0 if shared else 4.0)
-    return PoissonParams(mu, p_s, p_i, p_si)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Everything here materializes full matrices and is capped in size; nothing on
 the production path may call into this module.  The pair-creation generator
 Z of a JSA, its exponential (exp(2 Z) - 1)/2 and its truncated series are
 built here from the JSA samples with plain numpy, as are the sandwich
-s Gamma s^dag of a transform and the detector parts of an operand.
+s Gamma s^dag of a transform, the detector parts of an operand and the
+single-pair detection probabilities of the lossy, windowed JSA.
 Agreement between these oracles and the Schmidt-factor and series machinery
 is the package's main line of evidence.
 """
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import ProcessType, SqueezingSpectrum, mean_pairs, source_dofs
-from .transforms import output_dofs, projection_masks
+from .detection import PoissonParams
+from .transforms import _window_mask, fourier_kernel, output_dofs, projection_masks
 
 __all__ = [
     "DenseState",
@@ -30,6 +32,7 @@ __all__ = [
     "detector_parts_compressed",
     "detector_parts_from_covariance",
     "gain_for_mean_pairs_reference",
+    "poisson_params_reference",
     "tmsv_statistics",
 ]
 
@@ -213,6 +216,75 @@ def gain_for_mean_pairs_reference(schmidt, mu: float, process: ProcessType) -> f
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _arm_operators(window, eta, grid):
+    """Fourier kernel (None in the frequency domain), window mask and sampled
+    transmittivity of one detected arm."""
+    kern, grid_out = None, grid
+    if window is not None and window.domain == "time":
+        kern, grid_out = fourier_kernel(grid)
+    eta_arr = np.broadcast_to(np.asarray(eta, dtype=float), (grid.n,))
+    return kern, _window_mask(window, grid_out), eta_arr
+
+
+def poisson_params_reference(jsa, etas: tuple, windows, gain: float,
+                             process: ProcessType) -> PoissonParams:
+    """Single-pair detection probabilities integrated over the windows, from
+    the dense n x n JSA.
+
+    The reference for the single-pair probabilities `run` takes from the
+    masked Schmidt factor.  `etas` holds each arm's field transmittivity in
+    [0, 1], a scalar or sampled on its grid.  Loss acts on the spectral
+    kernel first; axes whose window lives in the time domain are
+    Fourier-transformed before masking.  A window that does not fit its
+    arm's grid raises ValueError naming `windows[k]`.
+    """
+    arrays = [np.asarray(eta, dtype=float) for eta in etas]
+    if not all(np.all((a >= 0) & (a <= 1)) for a in arrays):
+        raise ValueError("field transmittivity must lie in [0, 1]")
+    psi = jsa.symmetrized()
+    shared = process is ProcessType.TYPE_0I
+    if shared:
+        if len(windows.windows) != 1 or len(etas) != 1:
+            raise ValueError("type-0/I detection uses a single shared window and loss")
+        # both photons occupy one mode: one window, loss and grid for both axes
+        arms = [(windows.windows[0], etas[0], jsa.grid_signal)] * 2
+    else:
+        if len(windows.windows) != 2 or len(etas) != 2:
+            raise ValueError("type-II detection uses one window and loss per arm")
+        arms = zip(windows.windows, etas, (jsa.grid_signal, jsa.grid_idler))
+    operators = []
+    for k, arm in enumerate(arms):
+        try:
+            operators.append(_arm_operators(*arm))
+        except ValueError as exc:
+            raise type(exc)(f"windows[{k}]: {exc}") from None
+    (kern_s, mask_s, eta_s), (kern_i, mask_i, eta_i) = operators
+
+    # marginal detection: loss only on the detected photon's axis
+    chi_s = eta_s[:, None] * psi
+    if kern_s is not None:
+        chi_s = kern_s @ chi_s
+    p_s = float(mask_s @ (np.abs(chi_s) ** 2).sum(axis=1))
+
+    if shared:
+        p_i = p_s
+    else:
+        chi_i = psi * eta_i[None, :]
+        if kern_i is not None:
+            chi_i = chi_i @ kern_i.T
+        p_i = float(mask_i @ (np.abs(chi_i) ** 2).sum(axis=0))
+
+    chi_si = eta_s[:, None] * psi * eta_i[None, :]
+    if kern_s is not None:
+        chi_si = kern_s @ chi_si
+    if kern_i is not None:
+        chi_si = chi_si @ kern_i.T
+    p_si = float(mask_s @ (np.abs(chi_si) ** 2) @ mask_i)
+
+    mu = gain * gain / (2.0 if shared else 4.0)
+    return PoissonParams(mu, p_s, p_i, p_si)
 
 
 def tmsv_statistics(sigma: float, eta: float, n_max: int) -> np.ndarray:

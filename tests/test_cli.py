@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathlib import Path
 
@@ -790,6 +792,25 @@ class TestPlanningErrors:
         assert "detection.detectors" in err
 
     @pytest.mark.parametrize("method", METHODS)
+    def test_null_pipeline_is_empty(self, tmp_path, capsys, method):
+        # null means absent, as for the other optional fields
+        cfg = base_config(detection={"method": method})
+        bare = run_scenario(cfg)["rows"]
+        cfg["pipeline"] = None
+        assert run_scenario(cfg)["rows"] == bare
+        cfg["output"] = {"csv_path": str(tmp_path / "null.csv")}
+        code, _ = self._run(tmp_path, capsys, cfg)
+        assert code == 0
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("pipeline", [{"type": "loss", "eta": {"0": 0.5}}, "loss", 3])
+    def test_non_list_pipeline_exit_code(self, tmp_path, capsys, method, pipeline):
+        cfg = base_config(detection={"method": method}, pipeline=pipeline)
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 2
+        assert "configuration error: pipeline: expected a list of steps" in err
+
+    @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("modes", [3, "abc", ["signal"], [1, 2]])
     def test_modes_exit_code(self, tmp_path, capsys, method, modes):
         cfg = base_config(detection={"method": method}, modes=modes)
@@ -1218,15 +1239,16 @@ class TestSharedDetector:
 
     def test_type0i_poisson_single_click_rate(self):
         # on the diagonal x_s = x_i the bivariate Poisson gives
-        # P[1] = P[0] * 2 mu (p_s - p_si)
+        # P[1] = P[0] * 2 mu (p_s - p_si), with the run's own single-pair
+        # probabilities
         from biphoton_sim import (
             DetectionProjection,
             GaussianJsaModel,
             ProcessType,
             build_gaussian_jsa,
             default_grids,
-            poisson_params,
         )
+        from test_detection import single_pair
 
         model = GaussianJsaModel(1.0, 3.0)
         jsa = build_gaussian_jsa(
@@ -1237,9 +1259,7 @@ class TestSharedDetector:
         cfg["pipeline"] = [{"type": "loss", "eta": {"0": 0.9}}]
         result = run_scenario(cfg)
         p = result["pnd"].probabilities
-        params = poisson_params(
-            jsa, (0.9,), DetectionProjection.full(1), 0.4, ProcessType.TYPE_0I
-        )
+        params = single_pair(jsa, (0.9,), DetectionProjection.full(1), 0.4, ProcessType.TYPE_0I)
         assert p.shape == (3,)
         assert p[0] == pytest.approx(math.exp(-params.mu * params.p_union), rel=1e-15)
         assert p[1] == pytest.approx(p[0] * 2.0 * params.mu * (params.p_s - params.p_si),
@@ -1464,7 +1484,7 @@ def block_reference(cfg):
     from biphoton_sim.cli import _build_source
     from biphoton_sim.transforms import output_dofs
 
-    _, schmidt, gain, _, process = _build_source(cfg)
+    schmidt, gain, _, process = _build_source(cfg)
     gamma = build_covariance_exact(schmidt, gain, process)
     m_total = len(cfg["modes"])
     grids = [d.grid for d in gamma.dofs] + [gamma.dofs[0].grid] * (m_total - gamma.n_dofs)
@@ -1535,7 +1555,7 @@ class TestFactorPath:
         order = 3
         cfg["detection"] = {"method": "log_series", "series_order": order, **detection}
         row = first_row(run_scenario(cfg))
-        _, schmidt, gain, _, proc = _build_source(cfg)
+        schmidt, gain, _, proc = _build_source(cfg)
         v = covariance_factor(schmidt, proc)
         gram = detected_gram(s, proj, out_dofs).to_dense()
         eta2 = float(np.linalg.eigvalsh(v.conj().T @ gram @ v)[-1])
@@ -1630,7 +1650,8 @@ class TestPipelineDomains:
         assert code == 3
         assert f"detection.windows[{k}]: detection window lies outside the grid" in err
 
-    def test_fourier_on_non_uniform_grid_names_step(self, tmp_path, capsys):
+    @staticmethod
+    def _uneven_csv(tmp_path):
         from biphoton_sim import DiscretizedJsa, FrequencyGrid
         from biphoton_sim.spectral import _trapezoid_weights, save_jsa_csv
 
@@ -1641,12 +1662,28 @@ class TestPipelineDomains:
         grid = FrequencyGrid(pts, w)
         path = tmp_path / "uneven.csv"
         save_jsa_csv(DiscretizedJsa(grid, grid, vals), path)
-        cfg = {"source": {"process": "type2", "gain": 0.3, "jsa": {"csv": str(path)}},
+        return str(path)
+
+    def test_fourier_on_non_uniform_grid_names_step(self, tmp_path, capsys):
+        cfg = {"source": {"process": "type2", "gain": 0.3,
+                          "jsa": {"csv": self._uneven_csv(tmp_path)}},
                "pipeline": [{"type": "loss", "eta": {"1": 0.9}}, {"type": "fourier", "dof": 0}],
                "detection": {"method": "exact"}}
         code, err = self._run(tmp_path, capsys, cfg)
         assert code == 3
         assert "pipeline[1]: mode 0 ('signal'): grid is not uniform" in err
+
+    @pytest.mark.parametrize("method", ["poisson", "linear"])
+    def test_source_level_time_window_on_non_uniform_grid_names_field(self, tmp_path, capsys,
+                                                                      method):
+        # the implicit Fourier kernel of a bounded time window
+        cfg = {"source": {"process": "type2", "gain": 0.3,
+                          "jsa": {"csv": self._uneven_csv(tmp_path)}},
+               "detection": {"method": method, "domain": "time",
+                             "windows": [None, [-1.0, 1.0]]}}
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 3
+        assert "detection.windows[1]: mode 1 ('idler'): grid is not uniform" in err
 
 
 class TestRealJsa:
@@ -1737,3 +1774,121 @@ class TestSourceVacuumEntry:
         _, table = read_csv(tmp_path / "pnd.csv")
         assert all(n == "0" for n in table[0][:-1])
         assert table[0][-1] == rows[0][header.index("p_vac")]
+
+
+class TestSinglePairFactor:
+    """`poisson` and `linear` take the single-pair probabilities from the
+    pushed, masked Schmidt factor, as `exact` and `log_series` take their
+    grams; the dense integrals over the JSA of
+    `oracle.poisson_params_reference` are the reference.  The factor drops
+    the Schmidt modes below `lambda_floor`, which moves p_si by up to about
+    1e-11 relative when a bounded window cuts the JSA."""
+
+    WINDOWS = {"unbounded": [None, None], "bounded": [[-1.0, 2.0], [-3.0, 0.5]],
+               "empty": ["empty", [-3.0, 0.5]]}
+
+    @pytest.mark.parametrize("process, detectors", [("type2", [0, 1]), ("type2", [0, 0]),
+                                                    ("type0i", [0])])
+    @pytest.mark.parametrize("domain", ["frequency", "time"])
+    @pytest.mark.parametrize("windows", ["unbounded", "bounded", "empty"])
+    def test_matches_dense_reference(self, process, detectors, domain, windows):
+        from biphoton_sim import (
+            DetectionProjection,
+            DetectionWindow,
+            GaussianJsaModel,
+            ProcessType,
+            build_gaussian_jsa,
+            default_grids,
+            pnd,
+            vacuum_probability,
+        )
+        from biphoton_sim.cli import _shared_detector
+        from biphoton_sim.oracle import poisson_params_reference
+
+        model = GaussianJsaModel(1.0, 3.0)
+        jsa = build_gaussian_jsa(
+            model, *default_grids(model, extent_sigmas=5.2, points_per_width=3.0)
+        )
+        n_modes = len(detectors)
+        etas = (0.9, 0.7)[:n_modes]
+        window_cfg = self.WINDOWS[windows][:n_modes]
+        reference_windows = DetectionProjection(tuple(
+            None if w == "empty" else DetectionWindow(*(w or (-math.inf, math.inf)), domain)
+            for w in window_cfg
+        ))
+        gain = 0.6
+        reference = poisson_params_reference(jsa, etas, reference_windows, gain,
+                                             ProcessType(process))
+        for method in ("poisson", "linear"):
+            detection = {"method": method, "domain": domain, "windows": window_cfg,
+                         "detectors": detectors}
+            if method == "poisson":
+                detection["pnd_cutoffs"] = [3]
+            cfg = base_config(detection=detection, pipeline=[
+                {"type": "loss", "eta": {str(k): eta for k, eta in enumerate(etas)}}
+            ])
+            cfg["source"].update(process=process, gain=gain)
+            result = run_scenario(cfg)
+            expected = vacuum_probability(reference, method)
+            assert result["raw"][0]["p_vac"] == pytest.approx(expected, rel=1e-10, abs=0)
+            if method == "poisson":
+                table = pnd(reference, [3, 3])
+                if detectors == [0] * n_modes:
+                    table = _shared_detector(table)
+                p, p_ref = result["pnd"].probabilities, table.probabilities
+                assert np.max(np.abs(p - p_ref)) <= 1e-10 * np.max(p_ref)
+
+    def test_time_windowed_poisson_reads_the_jsa_once(self, monkeypatch):
+        # the Schmidt SVD is the only reader of the sampled JSA
+        from biphoton_sim.spectral import DiscretizedJsa
+
+        calls = []
+        symmetrized = DiscretizedJsa.symmetrized
+
+        def counted(self):
+            calls.append(self)
+            return symmetrized(self)
+
+        monkeypatch.setattr(DiscretizedJsa, "symmetrized", counted)
+        cfg = base_config(detection={"method": "poisson", "domain": "time",
+                                     "windows": [[-1.0, 1.0], None], "pnd_cutoffs": [2, 2]})
+        run_scenario(cfg)
+        assert len(calls) == 1
+
+
+class TestPoissonClaimAsWritten:
+    """The paper's claim at the expansion's own order 1, on the p_vac that
+    `run` writes: lossless and unwindowed, `poisson` writes exp(-x) and
+    `linear` 1 - x with x = mu p_union, mu = gain^2 / 4 (type-0/I: / 2), and
+    ln cosh y <= y^2 / 2 puts the exact value at or above exp(-x), while
+    exp(-x) >= 1 - x.  So linear <= poisson <= exact, and Poisson is the
+    closer of the two."""
+
+    @pytest.mark.filterwarnings("ignore:single-pair vacuum probability is negative")
+    @settings(max_examples=40, deadline=None)
+    @given(process=st.sampled_from(["type2", "type0i"]),
+           aspect=st.floats(1.0, 12.0),
+           fraction=st.floats(0.01, 0.95))
+    def test_linear_poisson_exact_ordering(self, process, aspect, fraction):
+        from biphoton_sim import SqueezingSpectrum, mean_pairs
+        from biphoton_sim.cli import _build_source
+
+        cfg = base_config(detection={"method": "exact"})
+        cfg["source"]["jsa"]["gaussian"]["delta_minus_rad_s"] = aspect
+        cfg["source"]["process"] = process
+        cfg["grid"] = {"extent_sigmas": 6.0, "points_per_width": 2.0}
+        # mu below the edge of det_trunc_eigen_n2, where the largest
+        # covariance eigenvalue (e^sigma_1 - 1)/2 reaches 1 and `poisson`
+        # exits 3: sigma_1 = ln 3, and sigma_1 is linear in the gain
+        schmidt, _, _, kind = _build_source(cfg)
+        sigma_1 = SqueezingSpectrum.from_schmidt(schmidt, 1.0, kind).sigmas[0]
+        edge = mean_pairs(SqueezingSpectrum.from_schmidt(schmidt, math.log(3.0) / sigma_1, kind))
+        del cfg["source"]["gain"]
+        cfg["source"]["mu"] = fraction * edge
+        p_vac = {}
+        for method in ("exact", "poisson", "linear"):
+            cfg["detection"] = {"method": method}
+            p_vac[method] = first_row(run_scenario(cfg))["p_vac"]
+        exact, poisson, linear = (float(p_vac[m]) for m in ("exact", "poisson", "linear"))
+        assert linear <= poisson <= exact
+        assert abs(exact - poisson) <= abs(exact - linear)

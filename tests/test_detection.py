@@ -31,8 +31,8 @@ from biphoton_sim import (
     log_det_series,
     log_series_gf,
     pnd,
-    poisson_params,
     quadratic_vacuum,
+    schmidt_decompose,
     schmidt_number,
     vacuum_point_gf,
     vacuum_probability,
@@ -49,6 +49,7 @@ from biphoton_sim.oracle import (
     dense_log_det,
     dense_sandwich,
     detector_parts_from_covariance,
+    poisson_params_reference,
     tmsv_statistics,
 )
 from conftest import dirichlet_schmidt, random_covariance
@@ -365,10 +366,21 @@ def gaussian_jsa(aspect=3.0, **kwargs):
     return build_gaussian_jsa(model, *default_grids(model, **kwargs))
 
 
+def single_pair(jsa, etas, windows, gain, process):
+    """The PoissonParams that `run --method poisson` evaluates at `gain` for
+    `jsa` behind per-mode field transmittivities `etas` and `windows`: the
+    single-pair probabilities of the pushed, masked Schmidt factor."""
+    from biphoton_sim.cli import _single_pair
+
+    steps = [{"type": "loss", "eta": {str(k): eta for k, eta in enumerate(etas)}}]
+    unit = _single_pair(steps, windows.windows, schmidt_decompose(jsa), process)
+    return PoissonParams(unit.mu * gain * gain, unit.p_s, unit.p_i, unit.p_si)
+
+
 class TestPoissonParams:
     def test_unbounded_lossless(self):
         jsa = gaussian_jsa()
-        params = poisson_params(
+        params = single_pair(
             jsa, (1.0, 1.0), DetectionProjection.full(2), 0.4,
             ProcessType.TYPE_II,
         )
@@ -380,7 +392,7 @@ class TestPoissonParams:
     def test_uniform_loss_factors_out(self):
         jsa = gaussian_jsa()
         eta = math.sqrt(0.5)
-        params = poisson_params(
+        params = single_pair(
             jsa, (eta, eta), DetectionProjection.full(2), 0.4,
             ProcessType.TYPE_II,
         )
@@ -393,30 +405,32 @@ class TestPoissonParams:
         windows = DetectionProjection(
             (DetectionWindow(-math.inf, 0.0), DetectionWindow(0.0, math.inf))
         )
-        params = poisson_params(
+        params = single_pair(
             jsa, (1.0, 1.0), windows, 0.4, ProcessType.TYPE_II
         )
         assert params.p_si == pytest.approx(params.p_s * params.p_i, abs=1e-10)
 
     def test_window_outside_grid(self):
+        # the dense reference names the arm; `run` names detection.windows[k]
+        # (test_cli.py::TestPipelineDomains)
         jsa = gaussian_jsa()
         windows = DetectionProjection(
             (DetectionWindow(1e4, 2e4), DetectionWindow.unbounded())
         )
-        with pytest.raises(ValueError, match="outside"):
-            poisson_params(jsa, (1.0, 1.0), windows, 0.4,
-                           ProcessType.TYPE_II)
+        with pytest.raises(ValueError, match="windows\\[0\\]: .*outside"):
+            poisson_params_reference(jsa, (1.0, 1.0), windows, 0.4,
+                                     ProcessType.TYPE_II)
 
     def test_time_domain_unbounded_equals_frequency(self):
         jsa = gaussian_jsa()
-        freq = poisson_params(
+        freq = single_pair(
             jsa, (0.9, 0.8), DetectionProjection.full(2), 0.4,
             ProcessType.TYPE_II,
         )
         windows = DetectionProjection(
             (DetectionWindow.unbounded("time"), DetectionWindow.unbounded("time"))
         )
-        time = poisson_params(
+        time = single_pair(
             jsa, (0.9, 0.8), windows, 0.4, ProcessType.TYPE_II
         )
         # unitary change of axis: unbounded probabilities are unchanged
@@ -427,7 +441,7 @@ class TestPoissonParams:
     def test_type0i_shared_interval(self):
         jsa = gaussian_jsa()
         windows = DetectionProjection((DetectionWindow(-2.0, 2.0),))
-        params = poisson_params(
+        params = single_pair(
             jsa, (1.0,), windows, 0.4, ProcessType.TYPE_0I
         )
         assert params.p_s == params.p_i
@@ -440,7 +454,7 @@ class TestPoissonParams:
         jsa = gaussian_jsa()
         eta = math.sqrt(0.6)
         full = DetectionProjection.full(1)
-        params = poisson_params(
+        params = single_pair(
             jsa, (eta,), full, 0.4, ProcessType.TYPE_0I
         )
         assert params.p_s == pytest.approx(0.6, abs=1e-10)
@@ -1290,7 +1304,7 @@ def _schmidt_side_gram(config, schmidt, sector, keep=lambda k: True):
     from biphoton_sim.transforms import projection_masks
 
     kind = ProcessType(config["source"]["process"])
-    sv, dofs, _ = _apply_pipeline(config, source_dofs(schmidt, kind), config["modes"],
+    sv, dofs, _ = _apply_pipeline(config["pipeline"], source_dofs(schmidt, kind), config["modes"],
                                   covariance_factor(schmidt, kind))
     windows = _detection_windows(config["detection"], len(dofs))
     masks = [m if keep(k) else 0 * m for k, m in enumerate(projection_masks(windows, dofs))]

@@ -18,9 +18,8 @@ from biphoton_sim import (
     compressed_determinant_operand,
     fourier,
     phase_shift,
-    poisson_params,
 )
-from biphoton_sim.oracle import dense_log_det, dense_sandwich
+from biphoton_sim.oracle import dense_log_det, dense_sandwich, poisson_params_reference
 from biphoton_sim.transforms import output_dofs, projection_masks
 from conftest import random_covariance
 
@@ -192,7 +191,8 @@ class TestLoss:
         assert np.exp(-0.5 * dense_log_det(out)) == pytest.approx(1.0)
 
     def test_bounds_validated(self):
-        # the source-level loss: per-arm field transmittivities in [0, 1]
+        # the dense single-pair reference's loss: per-arm field
+        # transmittivities in [0, 1], scalar or sampled on the arm's grid
         from biphoton_sim import GaussianJsaModel, build_gaussian_jsa, default_grids
 
         model = GaussianJsaModel(1.0, 3.0)
@@ -201,9 +201,9 @@ class TestLoss:
         sampled = np.full(jsa.grid_idler.n, 0.5)
         for etas in ((1.2, 1.0), (1.0, -0.1), (1.0, np.nan), (1.0, np.append(sampled[1:], 1.5))):
             with pytest.raises(ValueError, match="field transmittivity"):
-                poisson_params(jsa, etas, full, 0.4, ProcessType.TYPE_II)
-        assert poisson_params(jsa, (1.0, sampled), full, 0.4, ProcessType.TYPE_II).p_i == (
-            pytest.approx(0.25, abs=1e-10))
+                poisson_params_reference(jsa, etas, full, 0.4, ProcessType.TYPE_II)
+        params = poisson_params_reference(jsa, (1.0, sampled), full, 0.4, ProcessType.TYPE_II)
+        assert params.p_i == pytest.approx(0.25, abs=1e-10)
 
 
 class TestApplyTransform:
