@@ -358,7 +358,7 @@ def run_scenario(config: dict) -> dict:
         raise ConfigError("source.gain: a source.mu sweep sets every point's gain; give source.mu")
     mode_names = _mode_names(config, source_dofs(schmidt, process))
     if method in _SOURCE_METHODS:
-        step = _source_step(steps, schmidt, process, method, detection_cfg)
+        step = _source_step(steps, schmidt, process, method, detection_cfg, mode_names)
     else:
         order = detection_cfg.get("series_order", 8) if method == "log_series" else None
         if order is not None:
@@ -509,15 +509,21 @@ def _single_pair(steps, windows, schmidt, process) -> det.PoissonParams:
     return det.PoissonParams(0.25, p_s, p_i, p_si)
 
 
-def _source_step(steps, schmidt, process, method, detection_cfg):
-    """Source-level methods: per-mode transmittivities of a loss-only pipeline,
-    one detector per source mode or every mode on detector 0, and detection
-    windows for `poisson` and `linear` only, a bounded time window taking its
-    mode's Fourier kernel."""
+def _source_step(steps, schmidt, process, method, detection_cfg, mode_names):
+    """Source-level methods: per-mode transmittivities of a loss-only pipeline
+    (which reaches no ancilla, so `mode_names` may name the source modes
+    only), one detector per source mode or every mode on detector 0, and
+    detection windows for `poisson` and `linear` only, a bounded time window
+    taking its mode's Fourier kernel."""
     if any(not isinstance(e, dict) or e.get("type") != "loss" for e in steps):
         raise ConfigError("pipeline: source-level methods support loss-only pipelines")
     _, out_dofs, etas = _apply_pipeline(steps, source_dofs(schmidt, process))
     n_dofs = len(out_dofs)
+    if len(mode_names) > n_dofs:
+        raise ConfigError(
+            f"modes: source-level methods take no ancilla modes; list the {n_dofs} "
+            f"source modes only"
+        )
     if method == "quadratic" and len(set(etas)) > 1:
         raise ConfigError("pipeline: the quadratic method needs a uniform loss")
     windows = _detection_windows(detection_cfg, n_dofs).windows

@@ -8,6 +8,7 @@ sums to one under the grid quadrature.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -391,8 +392,9 @@ def _bad_jsa_csv_line(path) -> str | None:
     return None
 
 
-_SCATTER_ROWS = 1 << 16  # rows per block when placing CSV samples on the grid
+_SCATTER_ROWS = 1 << 16  # rows per block when parsing and placing CSV samples
 _SPELLINGS = 1 << 16  # distinct grid-column spellings remembered per parse
+_STREAM_BYTES = 4 << 20  # a larger JSA CSV is parsed a block at a time
 
 
 class _Spellings(dict):
@@ -406,6 +408,51 @@ class _Spellings(dict):
         return value
 
 
+def _cut(table):
+    """A parsed block as int32 indices into its sorted distinct omega_s
+    values, those values, the same for omega_i, then re_psi and im_psi, the
+    latter None when every bit of it is zero (all +0.0); () for no rows."""
+    if not table.shape[0]:
+        return ()
+    if table.shape[1] != 4 or not np.isfinite(table).all():
+        raise ValueError("a data row is not four finite numbers")
+    out = []
+    for col in (0, 1):
+        pts = np.unique(table[:, col])
+        out += [np.searchsorted(pts, table[:, col]).astype(np.int32), pts]
+    im = table[:, 3]
+    return (*out, table[:, 2].copy(), im.copy() if im.view(np.uint64).any() else None)
+
+
+def _jsa_csv_blocks(path, fh) -> list:
+    """The data rows of a JSA CSV as `_cut` blocks of `_SCATTER_ROWS` rows.
+
+    A file of up to `_STREAM_BYTES` is parsed by one call on its path, which
+    numpy reads in C chunks (a handle it reads line by line, which is
+    slower), and then cut.  A larger one is parsed from `fh`, already past
+    the header, one block per call, and each block is cut before the next
+    is parsed, so no more than one block's float table exists at a time.
+    """
+    grid = _Spellings().__getitem__
+    options = dict(delimiter=",", ndmin=2, converters={0: grid, 1: grid})
+    with warnings.catch_warnings():
+        # a header-only file is reported by the caller, and comment and blank
+        # lines are meant not to count towards a block's rows
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
+        try:
+            if os.fstat(fh.fileno()).st_size <= _STREAM_BYTES:
+                data = np.loadtxt(path, skiprows=1, **options)
+                return [_cut(data[b:b + _SCATTER_ROWS])
+                        for b in range(0, data.shape[0], _SCATTER_ROWS)]
+            blocks = []
+            while block := _cut(np.loadtxt(fh, max_rows=_SCATTER_ROWS, **options)):
+                blocks.append(block)
+            return blocks
+        except ValueError as exc:
+            raise ValueError(f"{path}: {_bad_jsa_csv_line(path) or exc}") from None
+
+
 def load_jsa_csv(path) -> DiscretizedJsa:
     """Read a JSA written by `save_jsa_csv`; the grid is inferred.
 
@@ -416,44 +463,37 @@ def load_jsa_csv(path) -> DiscretizedJsa:
 
     Every field is parsed bit for bit as `np.loadtxt` parses it; each
     distinct spelling of `omega_s`/`omega_i` is converted once (`_Spellings`).
+    A file larger than `_STREAM_BYTES` is parsed `_SCATTER_ROWS` rows at a
+    time, and each block is cut at once to int32 grid indices and its
+    samples (`_cut`).  So beside the values (8 B per real sample) the reader
+    holds 16 B per sample (24 with an imaginary part) and one block's table,
+    where a whole parsed table would take 32 B per sample.
     """
     with open(path) as fh:
         header = fh.readline()
-    if not header:
-        raise ValueError(f"{path}: empty JSA CSV")
-    names = [h.strip() for h in header.split(",")]
-    if names != ["omega_s", "omega_i", "re_psi", "im_psi"]:
-        raise ValueError(f"{path}: unexpected JSA CSV header")
-    grid = _Spellings().__getitem__
-    with warnings.catch_warnings():
-        # a header-only file is reported below
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1,
-                              converters={0: grid, 1: grid})
-        except ValueError as exc:
-            raise ValueError(f"{path}: {_bad_jsa_csv_line(path) or exc}") from None
-    if data.shape[0] == 0:
+        if not header:
+            raise ValueError(f"{path}: empty JSA CSV")
+        names = [h.strip() for h in header.split(",")]
+        if names != ["omega_s", "omega_i", "re_psi", "im_psi"]:
+            raise ValueError(f"{path}: unexpected JSA CSV header")
+        blocks = _jsa_csv_blocks(path, fh)
+    if not blocks:
         raise ValueError(f"{path}: JSA CSV has a header but no samples")
-    if data.shape[1] != 4 or not np.isfinite(data).all():
-        raise ValueError(f"{path}: {_bad_jsa_csv_line(path)}")
-    # Axes and values are built a block of rows at a time (each axis from the
-    # blocks' unique values, each block's flat index in place), so beside the
-    # parsed table only the values and block-sized temporaries exist.
-    blocks = range(0, data.shape[0], _SCATTER_ROWS)
-    pts_s, pts_i = (np.unique(np.concatenate([np.unique(data[b:b + _SCATTER_ROWS, col])
-                                              for b in blocks])) for col in (0, 1))
-    if data.shape[0] != pts_s.size * pts_i.size:
+    # each axis is the unique values of the blocks' distinct values
+    pts_s, pts_i = (np.unique(np.concatenate([b[k] for b in blocks])) for k in (1, 3))
+    size = sum(b[4].size for b in blocks)
+    if size != pts_s.size * pts_i.size:
         raise ValueError(f"{path}: JSA CSV is not a complete rectangular grid")
-    is_complex = bool(np.any(data[:, 3]))
-    vals = np.full(data.shape[0], np.nan, dtype=complex if is_complex else float)
-    for start in blocks:
-        rows = data[start:start + _SCATTER_ROWS]
-        idx = np.searchsorted(pts_s, rows[:, 0])
-        idx *= pts_i.size
-        idx += np.searchsorted(pts_i, rows[:, 1])
-        vals[idx] = rows[:, 2] + 1j * rows[:, 3] if is_complex else rows[:, 2]
-    del data, rows  # free the parsed table (rows is a view of it) before the JSA copies vals
+    is_complex = any(b[5] is not None and b[5].any() for b in blocks)
+    vals = np.full(size, np.nan, dtype=complex if is_complex else float)
+    for idx_s, block_s, idx_i, block_i, re, im in blocks:
+        idx = np.searchsorted(pts_s, block_s)[idx_s] * pts_i.size
+        idx += np.searchsorted(pts_i, block_i)[idx_i]
+        if is_complex:
+            vals[idx] = re + 1j * (np.zeros_like(re) if im is None else im)
+        else:
+            vals[idx] = re
+    del blocks  # free the parsed samples before the JSA copies vals
     # every sample is finite, so a NaN left is a grid point no row reached
     if np.isnan(vals).any():
         raise ValueError(f"{path}: JSA CSV is not a complete rectangular grid")

@@ -818,6 +818,25 @@ class TestPlanningErrors:
         assert code == 2
         assert "configuration error: modes:" in err
 
+    @pytest.mark.parametrize("method", SOURCE_METHODS)
+    @pytest.mark.parametrize("detectors", [None, [0, 1], [0, 1, None]])
+    def test_source_level_ancilla_modes_exit_code(self, tmp_path, capsys, method, detectors):
+        # a loss-only pipeline reaches no ancilla, whatever the detector layout
+        detection = {"method": method}
+        if detectors is not None:
+            detection["detectors"] = detectors
+        cfg = base_config(detection=detection, modes=["signal", "idler", "anc"])
+        code, err = self._run(tmp_path, capsys, cfg)
+        assert code == 2
+        assert "configuration error: modes: source-level methods take no ancilla modes" in err
+
+    @pytest.mark.parametrize("method", SOURCE_METHODS)
+    def test_source_level_renamed_source_modes_run(self, method):
+        cfg = base_config(detection={"method": method})
+        bare = run_scenario(cfg)["rows"]
+        cfg["modes"] = ["s", "i"]
+        assert run_scenario(cfg)["rows"] == bare
+
     @pytest.mark.parametrize("method", ["hermite", "quadratic"])
     @pytest.mark.parametrize("windows", [[[-1, 1], [-1, 1]], [None, "empty"], [[None, 1], None]])
     def test_windows_without_window_model_exit_code(self, tmp_path, capsys, method, windows):

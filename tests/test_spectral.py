@@ -406,6 +406,125 @@ class TestDtypeRule:
             assert abs(real.truncation_tail - cplx.truncation_tail) <= 1e-15
 
 
+def _same_jsa(a, b):
+    """Same dtype, grids and values, bit for bit."""
+    return a.values.dtype == b.values.dtype and all(
+        x.tobytes() == y.tobytes()
+        for x, y in [(a.values, b.values),
+                     (a.grid_signal.points, b.grid_signal.points),
+                     (a.grid_idler.points, b.grid_idler.points)]
+    )
+
+
+class TestStreamedParse:
+    """A CSV parsed a block at a time from its handle reads as the one-call
+    parse of its path does, bit for bit, errors included."""
+
+    @pytest.fixture
+    def stream(self, monkeypatch):
+        """Stream every file, `rows` rows per block."""
+        from biphoton_sim import spectral
+
+        def at(rows):
+            monkeypatch.setattr(spectral, "_STREAM_BYTES", 0)
+            monkeypatch.setattr(spectral, "_SCATTER_ROWS", rows)
+
+        return at
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\n"])
+    def test_comments_and_blank_lines_at_block_edges(self, tmp_path, stream, newline):
+        path = tmp_path / "jsa.csv"
+        save_jsa_csv(make_jsa(2.0, points_per_width=2.0), path)
+        header, *rows = path.read_bytes().decode().split("\r\n")[:-1]
+        lines = [header]
+        for k, row in enumerate(rows):
+            if k % 7 in (6, 0):  # on both sides of each edge of 7-row blocks
+                lines += ["# edge", "", "#"]
+            lines.append(f"{row} # sample {k}" if k % 5 == 0 else row)
+        lines += ["# trailing comment", ""]
+        path.write_bytes(newline.join(lines).encode())
+        one_call = load_jsa_csv(path)
+        stream(7)
+        streamed = load_jsa_csv(path)
+        assert _same_jsa(streamed, one_call)
+        assert streamed.values.size == len(rows)
+
+    def test_complex_signed_zeros_match_re_plus_1j_im(self, tmp_path, stream):
+        jsa = make_jsa(2.0, points_per_width=2.0)
+        grid_s, grid_i = jsa.grid_signal, jsa.grid_idler
+        values = jsa.values * np.exp(0.4j * np.add.outer(grid_s.points, grid_i.points**2))
+        values /= np.sqrt(np.einsum("m,n,mn->", grid_s.weights, grid_i.weights,
+                                    np.abs(values) ** 2))
+        # edge samples (|psi| < 1e-30) made signed zeros, and a whole block of
+        # rows with every im_psi +0.0
+        values[0] = values[0].real
+        values[0, :4] = [complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0),
+                         complex(1e-40, -0.0)]
+        values[1, :2] = [complex(-0.0, 0.0), complex(-0.0, -0.0)]
+        path = tmp_path / "complex.csv"
+        save_jsa_csv(DiscretizedJsa(grid_s, grid_i, values), path)
+        text = path.read_bytes()
+        assert b",-0,0\r\n" in text and b",-0,-0\r\n" in text and b",0,-0\r\n" in text
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        expected = (data[:, 2] + 1j * data[:, 3]).tobytes()  # rows in grid order
+        assert grid_i.n > 7
+        for rows in (None, 7, 1):
+            if rows is not None:
+                stream(rows)
+            back = load_jsa_csv(path)
+            assert back.values.dtype == np.complex128
+            assert back.values.tobytes() == expected
+
+    def test_negative_zero_imaginary_parts_stay_real(self, tmp_path, stream):
+        path = tmp_path / "real.csv"
+        path.write_text(
+            "omega_s,omega_i,re_psi,im_psi\n0,0,2,-0\n0,1,0,0\n1,0,-0,-0\n1,1,0,-0\n"
+        )
+        one_call = load_jsa_csv(path)
+        stream(1)
+        streamed = load_jsa_csv(path)
+        assert streamed.values.dtype == np.float64
+        assert _same_jsa(streamed, one_call)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,2,1", "line 11 has 3 fields, expected 4"),
+            ("0,2,x,0", "line 11 is not four numbers"),
+            ("0,2,1,nan", "line 11: non-finite value"),
+        ],
+    )
+    def test_bad_row_in_a_later_block_named_by_its_line(self, tmp_path, recwarn, stream, rows,
+                                                         row, message):
+        good = [f"{s},{i},1,0" for s in range(3) for i in range(3)]
+        path = tmp_path / "late.csv"
+        path.write_text("\n".join(["omega_s,omega_i,re_psi,im_psi", *good[:8], "# note",
+                                   row, good[8]]) + "\n")
+        stream(rows)
+        with pytest.raises(ValueError, match=f"late.csv: {message}"):
+            load_jsa_csv(path)
+        assert not recwarn.list
+
+    def test_header_only_rejected(self, tmp_path, recwarn, stream):
+        path = tmp_path / "header.csv"
+        path.write_text("omega_s,omega_i,re_psi,im_psi\n# no rows\n\n")
+        stream(4)
+        with pytest.raises(ValueError, match="header.csv.*no samples"):
+            load_jsa_csv(path)
+        assert not recwarn.list
+
+    def test_spelling_memo_is_bounded_across_blocks(self, tmp_path, monkeypatch, stream):
+        from biphoton_sim import spectral
+
+        path = tmp_path / "jsa.csv"
+        save_jsa_csv(make_jsa(2.0, points_per_width=2.0), path)
+        full = load_jsa_csv(path)
+        stream(5)
+        monkeypatch.setattr(spectral, "_SPELLINGS", 4)
+        assert _same_jsa(load_jsa_csv(path), full)
+
+
 class TestLoadMemory:
     """A real JSA is parsed and decomposed without full-size complex copies."""
 
@@ -435,6 +554,15 @@ class TestLoadMemory:
         jsa, peak = self._traced_peak(lambda: load_jsa_csv(path))
         assert jsa.values.dtype == np.float64
         assert peak <= 2.5 * self.N**2 * 32  # the parsed table is N^2 rows of 4 floats
+
+    def test_streamed_load_peak_within_one_table(self, path, monkeypatch):
+        from biphoton_sim import spectral
+
+        monkeypatch.setattr(spectral, "_STREAM_BYTES", 0)
+        monkeypatch.setattr(spectral, "_SCATTER_ROWS", 4096)  # 23 blocks
+        jsa, peak = self._traced_peak(lambda: load_jsa_csv(path))
+        assert jsa.values.dtype == np.float64
+        assert peak <= self.N**2 * 32
 
     def test_decomposition_peak_within_two_real_kernels(self, path):
         jsa = load_jsa_csv(path)
