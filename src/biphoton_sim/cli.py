@@ -182,15 +182,15 @@ def _build_source(cfg: dict):
                 grid_cfg.get("points_per_width", 8.0), "grid.points_per_width", above=0
             ),
         )
-        jsa = spectral.build_gaussian_jsa(model, grid_s, grid_i)
+        schmidt = spectral.schmidt_decompose(spectral.build_gaussian_jsa(model, grid_s, grid_i))
     elif "csv" in jsa_cfg:
         csv_path = _path(jsa_cfg["csv"], "source.jsa.csv")
         if "grid" in cfg:
             raise ConfigError("grid: a CSV JSA brings its own grid; only the Gaussian model takes one")
-        jsa = spectral.load_jsa_csv(csv_path)
+        # no name holds the JSA, so its values are freed before the SVD
+        schmidt = spectral.schmidt_decompose(spectral.load_jsa_csv(csv_path))
     else:
         raise ConfigError("source.jsa: provide either 'gaussian' or 'csv'")
-    schmidt = spectral.schmidt_decompose(jsa)
     if "gain" in source and "mu" in source:
         raise ConfigError("source: give either 'gain' or 'mu', not both")
     if "gain" in source:
@@ -949,8 +949,10 @@ def _cmd_figure(args) -> int:
 
 def _cmd_schmidt(args) -> int:
     rank = None if args.rank is None else _number(args.rank, "--rank", int, at_least=1)
-    jsa = spectral.load_jsa_csv(args.jsa_csv)
-    spectrum = spectral.schmidt_decompose(jsa, rank=rank, want_modes=False)
+    # no name holds the JSA, so its values are freed before the SVD
+    spectrum = spectral.schmidt_decompose(
+        spectral.load_jsa_csv(args.jsa_csv), rank=rank, want_modes=False
+    )
     print("j,coefficient,lambda")
     for j, c in enumerate(spectrum.coefficients, start=1):
         print(f"{j},{_fmt(float(c))},{_fmt(float(c) ** 2)}")

@@ -295,8 +295,14 @@ def schmidt_decompose(
     Modes come back de-symmetrized and are orthonormal under the grid
     quadrature; pass want_modes=False to skip them (much faster for large
     grids when only the coefficients matter).
+
+    The JSA is dropped once the kernel is formed: passed as a temporary,
+    its values are freed before the SVD copies the kernel, while a caller
+    that keeps its own reference keeps them alive through the SVD.
     """
+    grid_s, grid_i = jsa.grid_signal, jsa.grid_idler
     a = jsa.symmetrized()
+    del jsa
     if want_modes:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     else:
@@ -311,15 +317,15 @@ def schmidt_decompose(
     tail = max(0.0, 1.0 - float(np.sum(lam[:keep])))
     if not want_modes:
         return SchmidtSpectrum(s[:keep], truncation_tail=tail)
-    modes_s = u[:, :keep] / np.sqrt(jsa.grid_signal.weights)[:, None]
-    modes_i = vh[:keep, :].conj().T / np.sqrt(jsa.grid_idler.weights)[:, None]
+    modes_s = u[:, :keep] / np.sqrt(grid_s.weights)[:, None]
+    modes_i = vh[:keep, :].conj().T / np.sqrt(grid_i.weights)[:, None]
     return SchmidtSpectrum(
         s[:keep],
         truncation_tail=tail,
         modes_signal=modes_s,
         modes_idler=modes_i,
-        grid_signal=jsa.grid_signal,
-        grid_idler=jsa.grid_idler,
+        grid_signal=grid_s,
+        grid_idler=grid_i,
     )
 
 
@@ -374,11 +380,12 @@ def _field_float(field: str) -> float:
 
 def _bad_jsa_csv_line(path) -> str | None:
     """Describe the first data line of a JSA CSV that is not four finite
-    numbers; like `np.loadtxt`, skip `#` comments and blank lines."""
+    numbers; like `np.loadtxt`, skip `#` comments and lines left empty
+    without them (a whitespace-only line is one field, as numpy reads it)."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0]
-            if lineno == 1 or not line.strip():
+            line = line.split("#", 1)[0].rstrip("\n")
+            if lineno == 1 or not line:
                 continue
             fields = line.split(",")
             if len(fields) != 4:
@@ -392,7 +399,7 @@ def _bad_jsa_csv_line(path) -> str | None:
     return None
 
 
-_SCATTER_ROWS = 1 << 16  # rows per block when parsing and placing CSV samples
+_SCATTER_ROWS = 1 << 16  # rows per CSV block: at most 65,536, so its grid indices fit uint16
 _SPELLINGS = 1 << 16  # distinct grid-column spellings remembered per parse
 _STREAM_BYTES = 4 << 20  # a larger JSA CSV is parsed a block at a time
 
@@ -408,24 +415,40 @@ class _Spellings(dict):
         return value
 
 
-def _cut(table):
-    """A parsed block as int32 indices into its sorted distinct omega_s
-    values, those values, the same for omega_i, then re_psi and im_psi, the
-    latter None when every bit of it is zero (all +0.0); () for no rows."""
-    if not table.shape[0]:
-        return ()
+def _line_ends(path) -> int:
+    """Line ends of a file, read in binary chunks: an upper bound on its
+    data rows after a header.  numpy reads text with universal newlines, so
+    a bare `\\r` ends a line too (a `\\r\\n` split by a chunk edge counts twice)."""
+    ends = 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):  # numpy counts bytes far faster than bytes.count
+            text = np.frombuffer(chunk, np.uint8)
+            cr = text == ord("\r")
+            ends += np.count_nonzero(text == ord("\n")) + np.count_nonzero(cr)
+            if cr.any():
+                ends -= np.count_nonzero(cr[:-1] & (text[1:] == ord("\n")))
+    return int(ends)
+
+
+def _cut(table, re_psi):
+    """Copy a parsed block's re_psi into `re_psi` and return uint16 indices
+    into its sorted distinct omega_s values, those values, the same for
+    omega_i, and im_psi, None when every bit of it is zero (all +0.0)."""
     if table.shape[1] != 4 or not np.isfinite(table).all():
         raise ValueError("a data row is not four finite numbers")
     out = []
     for col in (0, 1):
         pts = np.unique(table[:, col])
-        out += [np.searchsorted(pts, table[:, col]).astype(np.int32), pts]
+        out += [np.searchsorted(pts, table[:, col]).astype(np.uint16), pts]
+    re_psi[:] = table[:, 2]
     im = table[:, 3]
-    return (*out, table[:, 2].copy(), im.copy() if im.view(np.uint64).any() else None)
+    return (*out, im.copy() if im.view(np.uint64).any() else None)
 
 
-def _jsa_csv_blocks(path, fh) -> list:
-    """The data rows of a JSA CSV as `_cut` blocks of `_SCATTER_ROWS` rows.
+def _jsa_csv_blocks(path, fh) -> tuple[list, np.ndarray]:
+    """The data rows of a JSA CSV as `_cut` blocks of `_SCATTER_ROWS` rows,
+    and every row's re_psi in file order, in one array sized once (from the
+    parsed rows, or else from the file's line ends).
 
     A file of up to `_STREAM_BYTES` is parsed by one call on its path, which
     numpy reads in C chunks (a handle it reads line by line, which is
@@ -435,6 +458,11 @@ def _jsa_csv_blocks(path, fh) -> list:
     """
     grid = _Spellings().__getitem__
     options = dict(delimiter=",", ndmin=2, converters={0: grid, 1: grid})
+
+    def streamed():
+        while (table := np.loadtxt(fh, max_rows=_SCATTER_ROWS, **options)).shape[0]:
+            yield table
+
     with warnings.catch_warnings():
         # a header-only file is reported by the caller, and comment and blank
         # lines are meant not to count towards a block's rows
@@ -443,31 +471,40 @@ def _jsa_csv_blocks(path, fh) -> list:
         try:
             if os.fstat(fh.fileno()).st_size <= _STREAM_BYTES:
                 data = np.loadtxt(path, skiprows=1, **options)
-                return [_cut(data[b:b + _SCATTER_ROWS])
-                        for b in range(0, data.shape[0], _SCATTER_ROWS)]
-            blocks = []
-            while block := _cut(np.loadtxt(fh, max_rows=_SCATTER_ROWS, **options)):
-                blocks.append(block)
-            return blocks
+                re_psi = np.empty(data.shape[0])
+                tables = (data[b:b + _SCATTER_ROWS]
+                          for b in range(0, data.shape[0], _SCATTER_ROWS))
+            else:
+                re_psi = np.empty(_line_ends(path))
+                tables = streamed()
+            blocks, rows = [], 0
+            for table in tables:
+                blocks.append(_cut(table, re_psi[rows:rows + table.shape[0]]))
+                rows += table.shape[0]
         except ValueError as exc:
             raise ValueError(f"{path}: {_bad_jsa_csv_line(path) or exc}") from None
+    re_psi.resize(rows, refcheck=False)  # no view of it is left
+    return blocks, re_psi
 
 
 def load_jsa_csv(path) -> DiscretizedJsa:
     """Read a JSA written by `save_jsa_csv`; the grid is inferred.
 
     The sample set must form a complete rectangle over the unique sorted
-    signal and idler frequencies.  The values are real when every im_psi is
-    zero and complex otherwise.  Malformed files, non-finite fields
-    included, raise ValueError naming the path and, for a bad row, its line.
+    signal and idler frequencies, with at least two of each.  The values
+    are real when every im_psi is zero and complex otherwise.  Malformed
+    files, non-finite fields included, raise ValueError naming the path
+    and, for a bad row, its line.
 
     Every field is parsed bit for bit as `np.loadtxt` parses it; each
     distinct spelling of `omega_s`/`omega_i` is converted once (`_Spellings`).
     A file larger than `_STREAM_BYTES` is parsed `_SCATTER_ROWS` rows at a
-    time, and each block is cut at once to int32 grid indices and its
-    samples (`_cut`).  So beside the values (8 B per real sample) the reader
-    holds 16 B per sample (24 with an imaginary part) and one block's table,
-    where a whole parsed table would take 32 B per sample.
+    time and each block is cut at once (`_cut`) to uint16 grid indices and
+    its re_psi, copied into one array that is the values of real rows in
+    grid order (other rows are scattered).  So the reader holds 12 B per
+    real sample and one block's table (a whole parsed table takes 32), and
+    16 B while the JSA copies the values.  A caller that keeps its own
+    reference to the JSA keeps the values alive through the SVD.
     """
     with open(path) as fh:
         header = fh.readline()
@@ -476,27 +513,41 @@ def load_jsa_csv(path) -> DiscretizedJsa:
         names = [h.strip() for h in header.split(",")]
         if names != ["omega_s", "omega_i", "re_psi", "im_psi"]:
             raise ValueError(f"{path}: unexpected JSA CSV header")
-        blocks = _jsa_csv_blocks(path, fh)
+        blocks, re_psi = _jsa_csv_blocks(path, fh)
     if not blocks:
         raise ValueError(f"{path}: JSA CSV has a header but no samples")
     # each axis is the unique values of the blocks' distinct values
     pts_s, pts_i = (np.unique(np.concatenate([b[k] for b in blocks])) for k in (1, 3))
-    size = sum(b[4].size for b in blocks)
-    if size != pts_s.size * pts_i.size:
+    if min(pts_s.size, pts_i.size) < 2:
+        raise ValueError(f"{path}: a JSA CSV grid needs at least two points on each axis "
+                         f"(omega_s has {pts_s.size}, omega_i {pts_i.size})")
+    if re_psi.size != pts_s.size * pts_i.size:
         raise ValueError(f"{path}: JSA CSV is not a complete rectangular grid")
-    is_complex = any(b[5] is not None and b[5].any() for b in blocks)
-    vals = np.full(size, np.nan, dtype=complex if is_complex else float)
-    for idx_s, block_s, idx_i, block_i, re, im in blocks:
-        idx = np.searchsorted(pts_s, block_s)[idx_s] * pts_i.size
-        idx += np.searchsorted(pts_i, block_i)[idx_i]
-        if is_complex:
-            vals[idx] = re + 1j * (np.zeros_like(re) if im is None else im)
-        else:
-            vals[idx] = re
-    del blocks  # free the parsed samples before the JSA copies vals
-    # every sample is finite, so a NaN left is a grid point no row reached
-    if np.isnan(vals).any():
-        raise ValueError(f"{path}: JSA CSV is not a complete rectangular grid")
+    is_complex = any(b[4] is not None and b[4].any() for b in blocks)
+
+    def placed():  # each block's first row, its rows' grid indices and im_psi
+        start = 0
+        for idx_s, block_s, idx_i, block_i, im in blocks:
+            idx = np.searchsorted(pts_s, block_s)[idx_s] * pts_i.size
+            idx += np.searchsorted(pts_i, block_i)[idx_i]
+            yield start, idx, im
+            start += idx.size
+
+    if not is_complex and all(np.array_equal(idx, np.arange(start, start + idx.size))
+                              for start, idx, _ in placed()):
+        vals = re_psi  # every row is at its own grid index: nothing to place
+    else:
+        vals = np.full(re_psi.size, np.nan, dtype=complex if is_complex else float)
+        for start, idx, im in placed():  # no view of re_psi outlives the loop
+            if is_complex:
+                im = np.zeros(idx.size) if im is None else im
+                vals[idx] = re_psi[start:start + idx.size] + 1j * im
+            else:
+                vals[idx] = re_psi[start:start + idx.size]
+        # every sample is finite, so a NaN left is a grid point no row reached
+        if np.isnan(vals).any():
+            raise ValueError(f"{path}: JSA CSV is not a complete rectangular grid")
+    del blocks, re_psi  # free the parsed samples before the JSA copies vals
     grid_s = FrequencyGrid(pts_s, _trapezoid_weights(pts_s))
     grid_i = FrequencyGrid(pts_i, _trapezoid_weights(pts_i))
     return DiscretizedJsa(grid_s, grid_i, vals.reshape(pts_s.size, pts_i.size))

@@ -727,6 +727,14 @@ class TestCommandLine:
         assert "inf.csv: line 3: non-finite value" in capsys.readouterr().err
         assert not recwarn.list
 
+    @pytest.mark.parametrize("rows", ["0,0,1,0\n0,1,1,0\n", "0,0,1,0\n1,0,1,0\n"])
+    def test_schmidt_command_one_point_axis_exit_code(self, tmp_path, capsys, rows):
+        path = tmp_path / "line.csv"
+        path.write_text("omega_s,omega_i,re_psi,im_psi\n" + rows)
+        assert main(["schmidt", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "line.csv: a JSA CSV grid needs at least two points on each axis" in err
+
     @pytest.mark.parametrize("rank", ["0", "-2"])
     def test_schmidt_command_bad_rank_exit_code(self, tmp_path, capsys, rank):
         path = tmp_path / "jsa.csv"
@@ -1148,6 +1156,42 @@ class TestRectangularSource:
         p_exact = float(dict(zip(exact["columns"], exact["rows"][0]))["p_vac"])
         err = abs(float(row["p_vac"]) - p_exact) / p_exact
         assert 0 < err <= float(row["det_trunc_eigen"])
+
+    @pytest.mark.parametrize("command", ["schmidt", "run"])
+    def test_loaded_jsa_is_freed_before_the_svd(self, tmp_path, monkeypatch, command):
+        """No name holds a CSV JSA while LAPACK copies its kernel, so its
+        values are freed before the SVD's own memory is taken."""
+        import weakref
+
+        from biphoton_sim import spectral
+
+        path = _rectangular_csv(tmp_path)
+        load, svd = spectral.load_jsa_csv, np.linalg.svd
+        loaded, alive_at_svd = [], []
+
+        def tracked_load(p):
+            jsa = load(p)
+            loaded.extend([weakref.ref(jsa), weakref.ref(jsa.values)])
+            return jsa
+
+        def tracked_svd(*args, **kwargs):
+            alive_at_svd.append([ref() is not None for ref in loaded])
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "load_jsa_csv", tracked_load)
+        monkeypatch.setattr(np.linalg, "svd", tracked_svd)
+        if command == "schmidt":
+            argv = ["schmidt", str(path)]
+        else:
+            cfg_path = tmp_path / "csv.json"
+            cfg_path.write_text(json.dumps({
+                "source": {"process": "type2", "gain": 0.5, "jsa": {"csv": str(path)}},
+                "detection": {"method": "exact"},
+                "output": {"csv_path": str(tmp_path / "out.csv")},
+            }))
+            argv = ["run", str(cfg_path)]
+        assert main(argv) == 0
+        assert alive_at_svd and all(flags == [False, False] for flags in alive_at_svd)
 
     def test_beam_splitter_across_grid_sizes_rejected(self, tmp_path):
         path = _rectangular_csv(tmp_path)

@@ -293,6 +293,9 @@ class TestCsvRoundTrip:
             ("0,-inf,1,0", "line 3: non-finite value"),
             ("0,1_0,1,0", "line 3 is not four numbers"),
             ("0,\u0661,1,0", "line 3 is not four numbers"),
+            ("   ", "line 3 has 1 fields, expected 4"),
+            ("  # c", "line 3 has 1 fields, expected 4"),
+            ("\t", "line 3 has 1 fields, expected 4"),
         ],
     )
     def test_bad_row_rejected_with_its_line(self, tmp_path, recwarn, row, message):
@@ -304,6 +307,25 @@ class TestCsvRoundTrip:
             load_jsa_csv(path)
         assert "unpack" not in str(err.value)
         assert not recwarn.list
+
+    @pytest.mark.parametrize("row", ["   ", "  # c"])
+    def test_whitespace_line_before_first_row_named_by_its_line(self, tmp_path, recwarn, row):
+        path = tmp_path / "blank.csv"
+        path.write_text(f"omega_s,omega_i,re_psi,im_psi\n# ok\n\n{row}\n0,0,1,0\n0,1,1,0\n"
+                        "1,0,1,0\n1,1,1,0\n")
+        with pytest.raises(ValueError, match="blank.csv: line 4 has 1 fields, expected 4"):
+            load_jsa_csv(path)
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("rows, sizes", [("0,0,1,0\n0,1,1,0\n", (1, 2)),
+                                             ("0,0,1,0\n1,0,1,0\n", (2, 1)),
+                                             ("0,0,1,0\n", (1, 1))])
+    def test_one_point_axis_rejected(self, tmp_path, rows, sizes):
+        path = tmp_path / "line.csv"
+        path.write_text("omega_s,omega_i,re_psi,im_psi\n" + rows)
+        with pytest.raises(ValueError, match=r"line.csv: a JSA CSV grid needs at least two "
+                           rf"points on each axis \(omega_s has {sizes[0]}, omega_i {sizes[1]}\)"):
+            load_jsa_csv(path)
 
     def test_spelling_memo_is_bounded(self, tmp_path, monkeypatch):
         """Grid spellings past the memo's bound are converted, not kept."""
@@ -491,6 +513,7 @@ class TestStreamedParse:
         "row, message",
         [
             ("0,2,1", "line 11 has 3 fields, expected 4"),
+            ("  # c", "line 11 has 1 fields, expected 4"),
             ("0,2,x,0", "line 11 is not four numbers"),
             ("0,2,1,nan", "line 11: non-finite value"),
         ],
@@ -523,6 +546,64 @@ class TestStreamedParse:
         stream(5)
         monkeypatch.setattr(spectral, "_SPELLINGS", 4)
         assert _same_jsa(load_jsa_csv(path), full)
+
+
+class TestValuePaths:
+    """Real rows in grid order keep their re_psi as the values; shuffled or
+    complex rows are scattered.  Both read as `np.loadtxt` parses the rows,
+    bit for bit, signed zeros included, whatever the line ends, comments
+    and block edges."""
+
+    @staticmethod
+    def _jsa(kind):
+        jsa = make_jsa(2.0, points_per_width=2.0)
+        values = jsa.values
+        if kind == "complex":
+            values = values * np.exp(0.4j * np.add.outer(jsa.grid_signal.points,
+                                                         jsa.grid_idler.points**2))
+        values = values.astype(complex)
+        # edge samples (|psi| < 1e-30) made signed zeros
+        values[0, :3] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+        if kind == "real":
+            values = values.real.copy()
+        return jsa.grid_signal, jsa.grid_idler, values
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("newline", ["\r\n", "\r", "\n"])
+    def test_ordered_and_shuffled_rows_read_alike(self, tmp_path, monkeypatch, kind, newline):
+        from biphoton_sim import spectral
+
+        path = tmp_path / "jsa.csv"
+        save_jsa_csv(DiscretizedJsa(*self._jsa(kind)), path)
+        header, *rows = path.read_bytes().decode().split("\r\n")[:-1]
+        data = np.loadtxt(rows, delimiter=",")
+        expected = data[:, 2] + 1j * data[:, 3] if kind == "complex" else data[:, 2]
+        axes = [np.unique(data[:, 0]).tobytes(), np.unique(data[:, 1]).tobytes()]
+        shuffled = list(rows)
+        np.random.default_rng(11).shuffle(shuffled)
+        full, scattered = np.full, []
+
+        def spy(shape, *args, **kwargs):
+            scattered.append(shape)
+            return full(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "full", spy)
+        one_call = spectral._STREAM_BYTES, spectral._SCATTER_ROWS
+        for order, lines in (("ordered", rows), ("shuffled", shuffled)):
+            text = [header]
+            for k, row in enumerate(lines):  # comments: more line ends than rows
+                text += ["# note"] * (k % 5 == 0) + [f"{row} # {k}" if k % 3 == 0 else row]
+            path.write_bytes(newline.join(text + ["# end", ""]).encode())
+            for stream_bytes, block_rows in (one_call, (0, 7), (0, 64)):
+                monkeypatch.setattr(spectral, "_STREAM_BYTES", stream_bytes)
+                monkeypatch.setattr(spectral, "_SCATTER_ROWS", block_rows)
+                scattered.clear()
+                back = load_jsa_csv(path)
+                assert back.values.dtype == expected.dtype
+                assert back.values.tobytes() == expected.tobytes()
+                assert [back.grid_signal.points.tobytes(),
+                        back.grid_idler.points.tobytes()] == axes
+                assert bool(scattered) == (kind == "complex" or order == "shuffled")
 
 
 class TestLoadMemory:
@@ -563,6 +644,24 @@ class TestLoadMemory:
         jsa, peak = self._traced_peak(lambda: load_jsa_csv(path))
         assert jsa.values.dtype == np.float64
         assert peak <= self.N**2 * 32
+
+    def test_streamed_ordered_load_peak_within_20_bytes_per_sample(self, tmp_path, monkeypatch):
+        """Rows in grid order are read into the values array itself: the
+        reader holds re_psi (8 B per sample) and uint16 grid indices (4 B),
+        then the JSA copies the values (8 B)."""
+        from biphoton_sim import FrequencyGrid, spectral
+
+        n = 601
+        grid = FrequencyGrid.uniform(-12.0, 12.0, n)
+        path, warm = tmp_path / "jsa.csv", tmp_path / "warm.csv"
+        save_jsa_csv(build_gaussian_jsa(GaussianJsaModel(1.0, 1.5), grid, grid), path)
+        save_jsa_csv(make_jsa(2.0, points_per_width=1.0), warm)
+        monkeypatch.setattr(spectral, "_STREAM_BYTES", 0)
+        monkeypatch.setattr(spectral, "_SCATTER_ROWS", 4096)  # 89 blocks
+        load_jsa_csv(warm)  # lazy imports are not the reader's memory
+        jsa, peak = self._traced_peak(lambda: load_jsa_csv(path))
+        assert jsa.values.dtype == np.float64
+        assert peak <= 20 * n**2
 
     def test_decomposition_peak_within_two_real_kernels(self, path):
         jsa = load_jsa_csv(path)
