@@ -16,7 +16,6 @@ from .bounds import (
     det_truncation_bound_eigen,
     det_truncation_bound_hs,
     poisson_vs_n2_bound,
-    truncated_cosh_sinh,
     vacuum_range,
 )
 from .covariance import (
@@ -39,10 +38,6 @@ from .detection import (
     PoissonParams,
     SpectralRadiusWarning,
     VacuumPointGf,
-    gf_exact,
-    gf_hermite,
-    gf_poisson,
-    hermite_g2,
     hermite_params,
     log_det_series,
     log_series_gf,

@@ -22,7 +22,6 @@ from .covariance import ProcessType
 __all__ = [
     "OutOfDomainError",
     "BoundReport",
-    "truncated_cosh_sinh",
     "covariance_truncation_bound",
     "det_truncation_bound_eigen",
     "det_truncation_bound_hs",
@@ -46,18 +45,6 @@ class BoundReport:
     def __post_init__(self):
         if not (math.isfinite(self.value) and self.value >= 0):
             raise ValueError(f"bound value {self.value!r} is not finite and non-negative")
-
-
-def truncated_cosh_sinh(x: float, order: int) -> tuple[float, float]:
-    """Partial sums of the even/odd exp series truncated at total order N."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    c = sum(x ** (2 * n) / math.factorial(2 * n) for n in range(order // 2 + 1))
-    s = sum(
-        x ** (2 * n + 1) / math.factorial(2 * n + 1)
-        for n in range((order - 1) // 2 + 1)
-    )
-    return float(c), float(s)
 
 
 def _logsumexp(xs) -> float:

@@ -10,7 +10,7 @@ prints the Schmidt spectrum of a JSA stored as CSV.
 
 CSV output is RFC 4180 with '.' decimals and 17 significant digits; figure
 metadata goes to a JSON sidecar.  Exit codes: 0 success, 2 configuration
-error, 3 numeric domain error.
+or file error, 3 numeric domain error.
 """
 from __future__ import annotations
 
@@ -924,8 +924,11 @@ def write_figure(name, out_dir=".", points=None, overrides=None, svg=False):
 
 
 def _cmd_run(args) -> int:
-    with open(args.config) as fh:
-        config = json.load(fh)
+    with open(args.config, encoding="utf-8") as fh:
+        try:
+            config = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config}: not UTF-8 text ({exc})") from None
     result = run_scenario(config)
     out_cfg = _object(config, "output")
     csv_path = _path(out_cfg.get("csv_path", "scenario.csv"), "output.csv_path")
@@ -988,7 +991,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (ConfigError, json.JSONDecodeError, OSError) as exc:
+        # an OSError (a missing file, a directory, a file where a directory
+        # belongs) names its path
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, np.linalg.LinAlgError) as exc:

@@ -7,10 +7,11 @@ x_d = 0 extracts the no-click outcome.  Joint probabilities are the Taylor
 coefficients of exp(E), obtained exactly with truncated power-series
 arithmetic; no finite differences and no symbolic algebra are involved.
 
-Argument conventions follow the natural form of each generating function:
-`gf_exact` takes arguments where 0 yields the vacuum probability and 1 the
-total probability, while `gf_poisson` and `gf_hermite` take the complementary
-variable (vacuum at 1, total at 0).
+Each model has one evaluator, its exponent table: `vacuum_probability` reads
+the table's constant and `pnd` its jet.  The generating function at argument
+x is the vacuum probability of the same model with every intensity
+transmission eta2 scaled by 1 - x (for `PoissonParams`: p_s by 1 - x_s, p_i
+by 1 - x_i and p_si by both).
 
 The truncated log-determinant series has one evaluator,
 `log_series_power_sum`, a power sum over the eigenvalues of the operand with
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import OutOfDomainError
 from .covariance import ProcessType, SqueezingSpectrum
 from .spectral import SchmidtSpectrum
 
@@ -43,11 +43,7 @@ __all__ = [
     "ExactProductGf",
     "VacuumPointGf",
     "PhotonStatistics",
-    "gf_exact",
-    "gf_poisson",
-    "gf_hermite",
     "hermite_params",
-    "hermite_g2",
     "log_det_series",
     "log_series_power_sum",
     "log_series_gf",
@@ -141,76 +137,6 @@ class VacuumPointGf:
     log_vacuum: float
 
 
-# ---------------------------------------------------------------------------
-# scalar generating functions
-# ---------------------------------------------------------------------------
-
-
-def _one_minus_product(u_s, u_i):
-    """1 - X for the argument product X = (1 - u_s)(1 - u_i), where
-    u = eta2 (1 - x), free of cancellation as both u -> 0."""
-    return u_s + (1.0 - u_s) * u_i
-
-
-def _ln_gf_factor(sigma: np.ndarray, one_minus_x) -> np.ndarray:
-    """ln(cosh^2(s/2) - X sinh^2(s/2)) per mode from 1 - X, overflow-safe."""
-    # cosh^2(s/2) - X sinh^2(s/2) = [(1 - X) cosh(s) + (1 + X)] / 2
-    ln_cosh = np.abs(sigma) + np.log1p(np.exp(-2.0 * np.abs(sigma))) - math.log(2.0)
-    rest = one_minus_x + (2.0 - one_minus_x) * np.exp(-ln_cosh)
-    if np.any(rest <= 0):
-        raise OutOfDomainError("generating-function argument outside its domain")
-    return ln_cosh + np.log(rest) - math.log(2.0)
-
-
-def gf_exact(spectrum: SqueezingSpectrum, w, eta2=None) -> float:
-    """Exact generating function evaluated in log space.
-
-    `w` follows the convention where 0 returns the vacuum probability and 1
-    the total probability; pass a scalar for type-0/I and a (signal, idler)
-    pair for type-II.  `eta2` holds optional uniform intensity transmissions
-    in the same arity.
-    """
-    sig = spectrum.sigmas
-    if spectrum.process is ProcessType.TYPE_0I:
-        x = float(np.squeeze(w))
-        e2 = 1.0 if eta2 is None else float(np.squeeze(eta2))
-        u = e2 * (1.0 - x)
-        ln_factors = _ln_gf_factor(sig, _one_minus_product(u, u))
-        return float(np.exp(-0.5 * np.sum(ln_factors)))
-    x_s, x_i = (float(v) for v in np.atleast_1d(w))
-    if eta2 is None:
-        e2s = e2i = 1.0
-    else:
-        e2s, e2i = (float(v) for v in np.atleast_1d(eta2))
-    ln_factors = _ln_gf_factor(sig, _one_minus_product(e2s * (1.0 - x_s), e2i * (1.0 - x_i)))
-    return float(np.exp(-np.sum(ln_factors)))
-
-
-def gf_poisson(params: PoissonParams, w_s: float, w_i: float) -> float:
-    """Bivariate-Poisson generating function; w = 1 yields the vacuum value."""
-    mu = params.mu
-    return math.exp(
-        -mu * (w_s * params.p_s + w_i * params.p_i - w_s * w_i * params.p_si)
-    )
-
-
-def gf_hermite(
-    mu: float,
-    eps2: float,
-    eta_s2: float,
-    eta_i2: float,
-    w_s: float,
-    w_i: float,
-) -> float:
-    """Bivariate-Hermite generating function; w = 1 yields the vacuum value."""
-    params = HermiteParams(mu, eps2, eta_s2, eta_i2)  # validates mu >= eps2
-    y_s = 1.0 - params.eta_s2 * w_s
-    y_i = 1.0 - params.eta_i2 * w_i
-    return math.exp(
-        -0.5 * eps2 * (1.0 - (y_s * y_i) ** 2) - (mu - eps2) * (1.0 - y_s * y_i)
-    )
-
-
 def hermite_params(
     gain: float,
     schmidt_number: float,
@@ -228,13 +154,6 @@ def hermite_params(
         mu = c2 / 4.0 + c4 / (48.0 * schmidt_number)
         eps2 = c4 / (16.0 * schmidt_number)
     return HermiteParams(mu, eps2, eta_s2, eta_i2)
-
-
-def hermite_g2(mu: float, eps2: float) -> float:
-    """Second-order correlation 1 + eps2 / mu^2 of the Hermite model."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    return 1.0 + eps2 / (mu * mu)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +299,18 @@ def _exponent_hermite(params: HermiteParams, shape) -> np.ndarray:
     return e
 
 
+def _ln_gf_factor(sigma: np.ndarray, one_minus_x: float) -> np.ndarray:
+    """ln(cosh^2(s/2) - X sinh^2(s/2)) per mode from 1 - X in [0, 1],
+    overflow-safe; exactly 0 at X = 1, where every factor is 1."""
+    if one_minus_x == 0:
+        return np.zeros_like(sigma)
+    # cosh^2(s/2) - X sinh^2(s/2) = [(1 - X) cosh(s) + (1 + X)] / 2, and
+    # rest >= 1 - X > 0
+    ln_cosh = np.abs(sigma) + np.log1p(np.exp(-2.0 * np.abs(sigma))) - math.log(2.0)
+    rest = one_minus_x + (2.0 - one_minus_x) * np.exp(-ln_cosh)
+    return ln_cosh + np.log(rest) - math.log(2.0)
+
+
 def _exponent_exact(gf: ExactProductGf, shape) -> np.ndarray:
     # log G = -p sum_j ln(c_j - b0 s_j) + p sum_k (sum_j a_j^k / k) D^k, where
     # B = b0 + D is the argument product, D(0) = 0, a_j = t_j^2 / (1 - b0 t_j^2)
@@ -392,7 +323,8 @@ def _exponent_exact(gf: ExactProductGf, shape) -> np.ndarray:
     d = _poly_mul(y_s, y_s if type0i else _lossy_argument(eta2_i, shape, 1), shape)
     zero = (0,) * len(shape)
     d[zero] = 0.0
-    one_minus_b0 = _one_minus_product(gf.eta2_s, eta2_i)
+    # 1 - b0, free of cancellation as both eta2 -> 0
+    one_minus_b0 = gf.eta2_s + (1.0 - gf.eta2_s) * eta2_i
     e = np.zeros(shape)
     if d.any():  # every eta2 = 0 leaves D = 0 and b0 = 1, where a_j may be inf
         tanh2 = np.tanh(gf.spectrum.sigmas / 2.0) ** 2
@@ -406,7 +338,7 @@ def _exponent_exact(gf: ExactProductGf, shape) -> np.ndarray:
         for k in range(1, sum(s - 1 for s in shape) + 1):
             power = _poly_mul(power, d, shape)
             e += p * float(np.sum((a / scale) ** k)) / k * power
-    # the constant of `gf_exact`, so that P[0, ..., 0] is its vacuum value
+    # the vacuum exponent, so that P[0, ..., 0] is `vacuum_probability`'s value
     e[zero] = -p * float(np.sum(_ln_gf_factor(gf.spectrum.sigmas, one_minus_b0)))
     return e
 
@@ -567,35 +499,31 @@ _VACUUM_TYPES = {"exact": ExactProductGf, "poisson": PoissonParams, "linear": Po
                  "hermite": HermiteParams}
 
 
-def vacuum_probability(params, method: str, order: int | None = None) -> float:
+def vacuum_probability(params, method: str) -> float:
     """Vacuum (no-click) probability for the chosen approximation.
 
-    method: 'exact' (SqueezingSpectrum or ExactProductGf), 'log_series'
-    (a square matrix K with `order`), 'poisson' / 'linear' (PoissonParams)
-    or 'hermite' (HermiteParams); the two-pair truncation is
+    method: 'exact' (SqueezingSpectrum or ExactProductGf), 'poisson' /
+    'linear' (PoissonParams) or 'hermite' (HermiteParams).  The truncated
+    log-determinant series is `log_det_series` and the two-pair truncation
     `quadratic_vacuum`.  The linear value may be negative for large mu and
     is returned raw with a warning.
     """
     if method == "exact" and isinstance(params, SqueezingSpectrum):
         params = ExactProductGf(params)
-    if method in _VACUUM_TYPES:
-        gf_type = _VACUUM_TYPES[method]
-        if not isinstance(params, gf_type):
-            raise TypeError(f"{method!r} expects {gf_type.__name__}")
-        if method == "linear":
-            value = 1.0 - params.mu * params.p_union
-            if value < 0:
-                warnings.warn(
-                    "single-pair vacuum probability is negative at this mu",
-                    UserWarning,
-                    stacklevel=2,
-                )
-            return value
-        # exp of the constant that `pnd` expands, so that P[0, ..., 0] is this value
-        exponent, detector_count = _PND_EXPONENTS[gf_type]
-        return float(np.exp(exponent(params, (1,) * detector_count(params)).flat[0]))
-    if method == "log_series":
-        if order is None:
-            raise ValueError("'log_series' needs a truncation order")
-        return math.exp(-0.5 * log_det_series(params, order))
-    raise ValueError(f"unknown method {method!r}")
+    if method not in _VACUUM_TYPES:
+        raise ValueError(f"unknown method {method!r}")
+    gf_type = _VACUUM_TYPES[method]
+    if not isinstance(params, gf_type):
+        raise TypeError(f"{method!r} expects {gf_type.__name__}")
+    if method == "linear":
+        value = 1.0 - params.mu * params.p_union
+        if value < 0:
+            warnings.warn(
+                "single-pair vacuum probability is negative at this mu",
+                UserWarning,
+                stacklevel=2,
+            )
+        return value
+    # exp of the constant that `pnd` expands, so that P[0, ..., 0] is this value
+    exponent, detector_count = _PND_EXPONENTS[gf_type]
+    return float(np.exp(exponent(params, (1,) * detector_count(params)).flat[0]))

@@ -14,29 +14,12 @@ from biphoton_sim import (
     det_truncation_bound_eigen,
     det_truncation_bound_hs,
     poisson_vs_n2_bound,
-    truncated_cosh_sinh,
     vacuum_range,
 )
 from biphoton_sim.bounds import BoundReport, _log_series_tail, _logsumexp
 from biphoton_sim.covariance import SqueezingSpectrum
 from biphoton_sim.detection import vacuum_probability
 from conftest import reference_covariance_bound
-
-
-class TestTruncatedCoshSinh:
-    def test_order_zero(self):
-        assert truncated_cosh_sinh(1.7, 0) == (1.0, 0.0)
-
-    def test_order_three_at_one(self):
-        c, s = truncated_cosh_sinh(1.0, 3)
-        assert c == pytest.approx(1.5)
-        assert s == pytest.approx(1.0 + 1.0 / 6.0)
-
-    @pytest.mark.parametrize("x", [0.1, 1.0, 5.0])
-    def test_series_limit(self, x):
-        c, s = truncated_cosh_sinh(x, 60)
-        assert c == pytest.approx(np.cosh(x), rel=1e-15)
-        assert s == pytest.approx(np.sinh(x), rel=1e-15)
 
 
 @st.composite

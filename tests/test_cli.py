@@ -489,6 +489,14 @@ class TestFigures:
         assert np.all(data[:, 2] <= data[:, 3] + 1e-12)
         assert meta["eta"] == 1.0
 
+    def test_fig4_zero_transmission_writes_zero_errors(self, tmp_path):
+        # at eta = 0 no photon is seen, so every vacuum probability is 1
+        argv = ["figure", "fig4", "--out", str(tmp_path), "--overrides", '{"eta": 0}']
+        assert main(argv) == 0
+        _, rows = read_csv(tmp_path / "fig4.csv")
+        assert len(rows) == 61
+        assert all(float(v) == 0.0 for row in rows for v in row[1:])
+
     def test_unknown_figure(self):
         with pytest.raises(ValueError, match="unknown figure"):
             figure_data("fig9")
@@ -619,6 +627,29 @@ class TestCommandLine:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"detection": {}}))
         assert main(["run", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            pytest.param(["run", "."], "'.'", id="config_is_directory"),
+            pytest.param(["run", "dot.json"], "'.'", id="csv_path_is_directory"),
+            pytest.param(["run", "latin1.json"], "latin1.json: not UTF-8", id="config_not_utf8"),
+            pytest.param(["schmidt", "."], "'.'", id="jsa_csv_is_directory"),
+            pytest.param(["figure", "fig3", "--out", "taken", "--points", "3"], "'taken'",
+                         id="out_is_file"),
+        ],
+    )
+    def test_file_error_exit_code(self, tmp_path, monkeypatch, capsys, argv, named):
+        # a path that cannot be read or written exits 2 and is named
+        monkeypatch.chdir(tmp_path)
+        cfg = base_config()
+        cfg["output"] = {"csv_path": "."}
+        (tmp_path / "dot.json").write_text(json.dumps(cfg))
+        latin1 = json.dumps(base_config()).replace("type2", "type\u00e92")
+        (tmp_path / "latin1.json").write_bytes(latin1.encode("latin-1"))
+        (tmp_path / "taken").write_text("")
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
 
     def test_run_command_numeric_domain_exit_code(self, tmp_path):
         # gain large enough that the Hermite model stops being a distribution

@@ -23,10 +23,6 @@ from biphoton_sim import (
     build_gaussian_jsa,
     default_grids,
     gain_for_mean_pairs,
-    gf_exact,
-    gf_hermite,
-    gf_poisson,
-    hermite_g2,
     hermite_params,
     log_det_series,
     log_series_gf,
@@ -37,7 +33,6 @@ from biphoton_sim import (
     vacuum_point_gf,
     vacuum_probability,
 )
-from biphoton_sim.bounds import OutOfDomainError
 from biphoton_sim.detection import (
     InvalidDistributionError,
     PhotonStatistics,
@@ -182,22 +177,45 @@ def convolve_poly_exp(exponent):
 # ---------------------------------------------------------------------------
 
 
+def with_transmissions(gf, w_s, w_i):
+    """`gf` with its signal and idler intensity transmissions scaled by w_s
+    and w_i (`PoissonParams`: p_s, p_i and p_si by w_s, w_i and w_s w_i).
+    Its vacuum probability is `gf`'s generating function at the argument
+    x = 1 - w, where x = 0 marks the vacuum and x = 1 the total probability."""
+    if isinstance(gf, PoissonParams):
+        return PoissonParams(gf.mu, w_s * gf.p_s, w_i * gf.p_i, w_s * w_i * gf.p_si)
+    if isinstance(gf, HermiteParams):
+        return HermiteParams(gf.mu, gf.eps2, w_s * gf.eta_s2, w_i * gf.eta_i2)
+    return ExactProductGf(gf.spectrum, w_s * gf.eta2_s, w_i * gf.eta2_i)
+
+
 class TestGfExact:
+    """The exact generating function at argument x, as the vacuum probability
+    at the transmissions eta2 (1 - x)."""
+
     def test_single_mode_type2_vacuum(self):
         mu = 1.0
         sigma = 2.0 * math.asinh(math.sqrt(mu))
         sq = single_mode_spectrum(sigma, ProcessType.TYPE_II)
-        assert gf_exact(sq, (0.0, 0.0)) == pytest.approx(0.5, rel=1e-12)
+        assert vacuum_probability(ExactProductGf(sq), "exact") == pytest.approx(0.5, rel=1e-12)
 
     def test_total_probability(self, rng):
+        # x = 1 thins every transmission to 0, with or without loss
         for process in ProcessType:
             sig = np.sort(rng.uniform(0.1, 1.0, 4))[::-1]
             sq = SqueezingSpectrum(sig, process, 1.0)
-            w = 1.0 if process is ProcessType.TYPE_0I else (1.0, 1.0)
-            assert gf_exact(sq, w) == pytest.approx(1.0, abs=1e-12)
-            # loss does not change the total probability
-            eta2 = 0.3 if process is ProcessType.TYPE_0I else (0.3, 0.8)
-            assert gf_exact(sq, w, eta2) == pytest.approx(1.0, abs=1e-12)
+            for eta2 in ((1.0, 1.0), (0.3, 0.8)):
+                gf = with_transmissions(ExactProductGf(sq, *eta2), 0.0, 0.0)
+                assert vacuum_probability(gf, "exact") == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("process", list(ProcessType))
+    @pytest.mark.parametrize("sigma", [1.0, 40.0, 700.0, 1500.0])
+    def test_zero_transmission_is_the_vacuum(self, process, sigma):
+        # no photon reaches a detector, so no click, at any squeezing
+        gf = ExactProductGf(single_mode_spectrum(sigma, process), 0.0, 0.0)
+        assert vacuum_probability(gf, "exact") == 1.0
+        table = pnd(gf, 2).probabilities
+        assert table.flat[0] == 1.0 and np.count_nonzero(table) == 1
 
     def test_poissonian_limit(self):
         # convergence to the infinitely entangled limit is O(mu^2 / J)
@@ -205,7 +223,7 @@ class TestGfExact:
         j = 10_000
         sigma = 2.0 * math.asinh(math.sqrt(mu / j))
         sq = SqueezingSpectrum(np.full(j, sigma), ProcessType.TYPE_II, 1.0)
-        assert gf_exact(sq, (0.0, 0.0)) == pytest.approx(math.exp(-mu), abs=1e-6)
+        assert vacuum_probability(sq, "exact") == pytest.approx(math.exp(-mu), abs=1e-6)
 
     def test_matches_dense_determinant(self, rng):
         gamma, spectrum, _ = random_covariance(rng, process=ProcessType.TYPE_II)
@@ -216,10 +234,9 @@ class TestGfExact:
                 [np.full(n, w_s), np.full(n, w_i), np.full(n, w_s), np.full(n, w_i)]
             )
             g_dense = math.exp(-0.5 * dense_log_det(w_diag[:, None] * gd))
-            # package convention: argument 0 marks vacuum, i.e. 1 - w
-            assert gf_exact(spectrum, (1.0 - w_s, 1.0 - w_i)) == pytest.approx(
-                g_dense, rel=1e-12
-            )
+            # the generating function at x = 1 - w: the vacuum at transmissions w
+            gf = ExactProductGf(spectrum, w_s, w_i)
+            assert vacuum_probability(gf, "exact") == pytest.approx(g_dense, rel=1e-12)
 
     def test_type0i_matches_dense(self, rng):
         gamma, spectrum, _ = random_covariance(
@@ -228,16 +245,16 @@ class TestGfExact:
         gd = gamma.mat.to_dense()
         for w in (1.0, 0.55):
             g_dense = math.exp(-0.5 * dense_log_det(w * gd))
-            assert gf_exact(spectrum, 1.0 - w) == pytest.approx(g_dense, rel=1e-12)
+            gf = ExactProductGf(spectrum, w, w)
+            assert vacuum_probability(gf, "exact") == pytest.approx(g_dense, rel=1e-12)
 
     def test_loss_matches_dense(self, rng):
         gamma, spectrum, _ = random_covariance(rng, process=ProcessType.TYPE_II)
         eta2_s, eta2_i = 0.49, 0.81
         lossy = with_loss(gamma, (math.sqrt(eta2_s), math.sqrt(eta2_i)))
         g_dense = math.exp(-0.5 * dense_log_det(lossy))
-        assert gf_exact(spectrum, (0.0, 0.0), (eta2_s, eta2_i)) == pytest.approx(
-            g_dense, rel=1e-12
-        )
+        gf = ExactProductGf(spectrum, eta2_s, eta2_i)
+        assert vacuum_probability(gf, "exact") == pytest.approx(g_dense, rel=1e-12)
 
     def test_vanishing_transmission(self):
         # 1 - eta2 rounds to 1, yet sinh^2(20) ~ 6e16 scales 1 - X = 2 eta2
@@ -245,14 +262,56 @@ class TestGfExact:
         one_minus_x = 2.0 * eta2 - eta2 * eta2
         vacuum = 1.0 / (1.0 + one_minus_x * math.sinh(sigma / 2.0) ** 2)
         sq = single_mode_spectrum(sigma, ProcessType.TYPE_II)
-        assert gf_exact(sq, (0.0, 0.0), (eta2, eta2)) == pytest.approx(vacuum, rel=1e-12)
+        gf = ExactProductGf(sq, eta2, eta2)
+        assert vacuum_probability(gf, "exact") == pytest.approx(vacuum, rel=1e-12)
         sq = single_mode_spectrum(sigma, ProcessType.TYPE_0I)
-        assert gf_exact(sq, 0.0, eta2) == pytest.approx(math.sqrt(vacuum), rel=1e-12)
+        gf = ExactProductGf(sq, eta2, eta2)
+        assert vacuum_probability(gf, "exact") == pytest.approx(math.sqrt(vacuum), rel=1e-12)
 
     def test_out_of_domain(self):
+        # the argument x = -3 would thin to the transmission 4
         sq = single_mode_spectrum(2.0, ProcessType.TYPE_0I)
-        with pytest.raises(OutOfDomainError):
-            gf_exact(sq, -3.0)
+        for eta2 in ((4.0, 1.0), (1.0, -0.5)):
+            with pytest.raises(ValueError, match=r"transmissions must lie in \[0, 1\]"):
+                ExactProductGf(sq, *eta2)
+
+
+def generating_polynomial(table, x):
+    """sum_n P[n] x^n of a table P, one argument per detector axis."""
+    for x_d in reversed(x):
+        table = table @ (x_d ** np.arange(table.shape[-1]))
+    return float(table)
+
+
+class TestGeneratingPolynomial:
+    """The table's generating polynomial at x in [0, 1]^D is the vacuum
+    probability at the transmissions eta2 (1 - x), short of the mass beyond
+    the cutoffs at most: the table route (`pnd`) and the vacuum route
+    (`vacuum_probability`) describe one generating function."""
+
+    @pytest.mark.parametrize("model", ["poisson", "hermite", "exact_type2", "exact_type0i"])
+    def test_polynomial_is_thinned_vacuum(self, rng, model):
+        if model == "poisson":
+            gf, cutoffs = PoissonParams(rng.uniform(0.1, 1.0), 0.8, 0.6, 0.45), (10, 10)
+        elif model == "hermite":
+            gf = HermiteParams(0.5, rng.uniform(0.0, 0.3), *rng.uniform(0.2, 1.0, 2))
+            cutoffs = (10, 10)
+        else:
+            process = ProcessType.TYPE_II if model == "exact_type2" else ProcessType.TYPE_0I
+            sq = SqueezingSpectrum(np.sort(rng.uniform(0.05, 0.8, 5))[::-1], process, 1.0)
+            gf = ExactProductGf(sq, *rng.uniform(0.2, 1.0, 2))
+            cutoffs = (10, 10) if process is ProcessType.TYPE_II else 16
+        stats = pnd(gf, cutoffs)
+        method = model.split("_")[0]
+        rounding = 8 * np.finfo(float).eps
+        for _ in range(20):
+            x_s, x_i = rng.uniform(0.0, 1.0, 2)
+            if model == "exact_type0i":  # one detector sees both photons
+                x_i = x_s
+            x = (x_s, x_i)[: stats.probabilities.ndim]
+            polynomial = generating_polynomial(stats.probabilities, x)
+            vacuum = vacuum_probability(with_transmissions(gf, 1.0 - x_s, 1.0 - x_i), method)
+            assert -rounding <= vacuum - polynomial <= stats.normalization_deficit + rounding
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +402,6 @@ class TestLogDetSeries:
         for operand in (gamma, gamma.mat, np.ones(4), np.ones((2, 3))):
             with pytest.raises(TypeError, match="square 2-D array"):
                 log_det_series(operand, 4)
-            with pytest.raises(TypeError, match="square 2-D array"):
-                vacuum_probability(operand, "log_series", order=4)
 
 
 def test_detection_source_names_no_block_algebra():
@@ -470,18 +527,30 @@ class TestPoissonParams:
 # ---------------------------------------------------------------------------
 
 
+def hermite_signal_moments(mu, eps2):
+    """<n> and the factorial-moment ratio <n(n-1)> / <n>^2 of the signal
+    marginal of a lossless Hermite table with the idler unseen."""
+    p = pnd(HermiteParams(mu, eps2, 1.0, 0.0), (30, 0)).probabilities[:, 0]
+    n = np.arange(p.size)
+    mean = float(p @ n)
+    return mean, float(p @ (n * (n - 1))) / mean**2
+
+
 class TestGfPoisson:
+    """The bivariate-Poisson generating function, as the vacuum probability
+    of the thinned parameters (`with_transmissions`)."""
+
     def test_w_zero_total(self):
         params = PoissonParams(0.7, 0.6, 0.5, 0.4)
-        assert gf_poisson(params, 0.0, 0.0) == 1.0
+        assert vacuum_probability(with_transmissions(params, 0.0, 0.0), "poisson") == 1.0
 
     def test_mu_zero(self):
         params = PoissonParams(0.0, 1.0, 1.0, 1.0)
-        assert gf_poisson(params, 0.7, 0.2) == 1.0
+        assert vacuum_probability(with_transmissions(params, 0.7, 0.2), "poisson") == 1.0
 
     def test_vacuum_value(self):
         params = PoissonParams(0.1, 1.0, 1.0, 1.0)
-        assert gf_poisson(params, 1.0, 1.0) == pytest.approx(
+        assert vacuum_probability(params, "poisson") == pytest.approx(
             math.exp(-0.1), rel=1e-12
         )
         assert vacuum_probability(params, "poisson") == pytest.approx(
@@ -500,42 +569,37 @@ class TestGfPoisson:
 class TestGfHermite:
     def test_reduces_to_poisson(self):
         mu, eta_s2, eta_i2 = 0.3, 0.7, 0.5
-        params = PoissonParams(mu, eta_s2, eta_i2, eta_s2 * eta_i2)
+        hermite = HermiteParams(mu, 0.0, eta_s2, eta_i2)
+        poisson = PoissonParams(mu, eta_s2, eta_i2, eta_s2 * eta_i2)
         for w_s in np.linspace(0.0, 1.0, 7):
             for w_i in np.linspace(0.0, 1.0, 7):
-                assert gf_hermite(mu, 0.0, eta_s2, eta_i2, w_s, w_i) == pytest.approx(
-                    gf_poisson(params, w_s, w_i), abs=1e-14
+                value = vacuum_probability(with_transmissions(hermite, w_s, w_i), "hermite")
+                assert value == pytest.approx(
+                    vacuum_probability(with_transmissions(poisson, w_s, w_i), "poisson"),
+                    abs=1e-14,
                 )
 
     def test_marginal_form(self):
         mu, eps2 = 0.3, 0.05
+        params = HermiteParams(mu, eps2, 1.0, 0.0)
         for w in np.linspace(0.0, 1.0, 9):
             expected = math.exp(-(mu - eps2) * w - eps2 * (2 * w - w * w) / 2.0)
-            assert gf_hermite(mu, eps2, 1.0, 0.0, w, 0.3) == pytest.approx(
-                expected, rel=1e-14
-            )
+            value = vacuum_probability(with_transmissions(params, w, 0.3), "hermite")
+            assert value == pytest.approx(expected, rel=1e-14)
 
     def test_g2_example(self):
-        assert hermite_g2(0.2, 0.04) == pytest.approx(2.0)
+        assert hermite_signal_moments(0.2, 0.04)[1] == pytest.approx(2.0)
 
-    def test_g2_matches_moment_generating_function(self):
-        # moments from the substitution w -> 1 - e^w in the marginal GF
+    def test_g2_matches_factorial_moments(self):
+        # g2 = 1 + eps2 / mu^2, from the table's factorial moments
         mu, eps2 = 0.3, 0.05
-
-        def moment_gf(w):
-            return gf_hermite(mu, eps2, 1.0, 0.0, 1.0 - math.exp(w), 0.0)
-
-        h = 1e-5
-        m0, mp, mm = moment_gf(0.0), moment_gf(h), moment_gf(-h)
-        mean = (mp - mm) / (2.0 * h)
-        second = (mp - 2.0 * m0 + mm) / (h * h)
-        g2_numeric = (second - mean) / mean**2
+        mean, g2 = hermite_signal_moments(mu, eps2)
         assert mean == pytest.approx(mu, rel=1e-8)
-        assert g2_numeric == pytest.approx(hermite_g2(mu, eps2), rel=1e-5)
+        assert g2 == pytest.approx(1.0 + eps2 / mu**2, rel=1e-5)
 
     def test_invalid_distribution(self):
         with pytest.raises(ValueError, match="invalid distribution"):
-            gf_hermite(0.01, 0.05, 1.0, 1.0, 1.0, 1.0)
+            HermiteParams(0.01, 0.05, 1.0, 1.0)
 
     def test_parameter_map(self):
         k = 5.0 / 3.0
@@ -1392,23 +1456,23 @@ class TestSpectralLogSeries:
 
 
 def _dispatch_case(kind, rng):
-    """A lossy generating function of each type and the arguments of
-    `vacuum_probability` for its vacuum value."""
+    """A lossy generating function of each type and its vacuum value: by
+    `vacuum_probability`, or for the series by `log_det_series`."""
     if kind == "poisson":
         gf = PoissonParams(0.4, 0.7, 0.6, 0.5)
-        return gf, (gf, "poisson")
+        return gf, vacuum_probability(gf, "poisson")
     if kind == "hermite":
         gf = hermite_params(0.8, 3.0, ProcessType.TYPE_II, 0.6, 0.7)
-        return gf, (gf, "hermite")
+        return gf, vacuum_probability(gf, "hermite")
     if kind == "log_series":
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_II, gain=0.5)
         parts = detector_parts(with_loss(gamma, (0.8, 0.7)), gamma, (0, 1))
         log_vac = -0.5 * log_det_series(sum(parts), 12)
-        return vacuum_point_gf(parts, log_vac, 6), (sum(parts), "log_series", 12)
+        return vacuum_point_gf(parts, log_vac, 6), math.exp(log_vac)
     process = ProcessType.TYPE_II if kind == "exact_type2" else ProcessType.TYPE_0I
     _, spectrum, _ = random_covariance(rng, process=process, gain=0.7)
     gf = ExactProductGf(spectrum, 0.6, 0.7)
-    return gf, (gf, "exact")
+    return gf, vacuum_probability(gf, "exact")
 
 
 class TestPndDispatch:
@@ -1420,10 +1484,9 @@ class TestPndDispatch:
         "kind", ["poisson", "hermite", "exact_type2", "exact_type0i", "log_series"]
     )
     def test_vacuum_entry_matches_vacuum_probability(self, rng, kind):
-        gf, vacuum_args = _dispatch_case(kind, rng)
+        gf, vacuum = _dispatch_case(kind, rng)
         probs = pnd(gf, 3).probabilities
         assert probs.ndim == (1 if kind == "exact_type0i" else 2)
-        vacuum = vacuum_probability(*vacuum_args)
         if kind == "log_series":
             assert probs[(0,) * probs.ndim] == pytest.approx(vacuum, rel=1e-12, abs=0)
         else:
@@ -1466,10 +1529,10 @@ class TestVacuumProbability:
             value = vacuum_probability(params, "linear")
         assert value == pytest.approx(-1.0)
 
-    def test_log_series_dispatch(self, rng):
+    def test_log_det_series_matches_exact(self, rng):
         gamma, spectrum, _ = random_covariance(rng, process=ProcessType.TYPE_II,
                                                gain=0.3)
-        p_series = vacuum_probability(gamma.mat.to_dense(), "log_series", order=30)
+        p_series = math.exp(-0.5 * log_det_series(gamma.mat.to_dense(), 30))
         p_exact = vacuum_probability(spectrum, "exact")
         assert p_series == pytest.approx(p_exact, rel=1e-12)
 
