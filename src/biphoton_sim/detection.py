@@ -299,16 +299,25 @@ def _exponent_hermite(params: HermiteParams, shape) -> np.ndarray:
     return e
 
 
+# squeezing above which `_ln_gf_factor` takes ln cosh(s), which is then >= 39
+_LN_GF_SPLIT = 40.0
+
+
 def _ln_gf_factor(sigma: np.ndarray, one_minus_x: float) -> np.ndarray:
     """ln(cosh^2(s/2) - X sinh^2(s/2)) per mode from 1 - X in [0, 1],
     overflow-safe; exactly 0 at X = 1, where every factor is 1."""
     if one_minus_x == 0:
         return np.zeros_like(sigma)
-    # cosh^2(s/2) - X sinh^2(s/2) = [(1 - X) cosh(s) + (1 + X)] / 2, and
-    # rest >= 1 - X > 0
-    ln_cosh = np.abs(sigma) + np.log1p(np.exp(-2.0 * np.abs(sigma))) - math.log(2.0)
+    abs_sigma = np.abs(sigma)
+    # cosh^2(s/2) - X sinh^2(s/2) = 1 + (1 - X) sinh^2(s/2): log1p keeps each
+    # small mode's factor to a few eps of itself, where ln cosh(s) + ln(rest)
+    # - ln 2 below loses up to an eps of ln 2 per mode to cancellation
+    near = np.minimum(abs_sigma, _LN_GF_SPLIT)
+    small = np.log1p(one_minus_x * np.sinh(near / 2.0) ** 2)
+    # = [(1 - X) cosh(s) + (1 + X)] / 2, overflow-safe, and rest >= 1 - X > 0
+    ln_cosh = abs_sigma + np.log1p(np.exp(-2.0 * abs_sigma)) - math.log(2.0)
     rest = one_minus_x + (2.0 - one_minus_x) * np.exp(-ln_cosh)
-    return ln_cosh + np.log(rest) - math.log(2.0)
+    return np.where(abs_sigma < _LN_GF_SPLIT, small, ln_cosh + np.log(rest) - math.log(2.0))
 
 
 def _exponent_exact(gf: ExactProductGf, shape) -> np.ndarray:

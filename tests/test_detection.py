@@ -17,6 +17,7 @@ from biphoton_sim import (
     HermiteParams,
     PoissonParams,
     ProcessType,
+    SchmidtSpectrum,
     SpectralRadiusWarning,
     SqueezingSpectrum,
     analytic_gaussian_schmidt,
@@ -1568,6 +1569,10 @@ class TestVacuumProbability:
     # at mu = gain^2 / 4 the Poisson value loses here: 2.6e-3 from exact against 2.0e-3
     @example(analytic_gaussian_schmidt(1.0, 1), ProcessType.TYPE_II, math.sinh(0.49) ** 2,
              (0.10, 0.34))
+    # 17 equal modes near vacuum: summing ln cosh(s) + ln(rest) - ln 2 per mode
+    # put the exact value 9.5 eps below the Poisson one
+    @example(SchmidtSpectrum(np.full(17, 1.0 / math.sqrt(17.0))), ProcessType.TYPE_II,
+             1.192092896e-07, (0.0, 0.5))
     def test_poisson_beats_single_pair_on_random_spectra(self, schmidt, process, mu, eta2):
         """The paper's claim that its lowest order, the Poisson limit at the
         exact mean pair number, is always closer to the vacuum probability
