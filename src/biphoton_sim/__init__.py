@@ -39,7 +39,6 @@ from .detection import (
     SpectralRadiusWarning,
     VacuumPointGf,
     hermite_params,
-    log_det_series,
     log_series_gf,
     log_series_power_sum,
     pnd,
@@ -48,6 +47,7 @@ from .detection import (
     vacuum_point_gf,
     vacuum_probability,
 )
+from .plan import DetectionPlan
 from .spectral import (
     DiscretizedJsa,
     FrequencyGrid,

@@ -3,10 +3,13 @@
 `biphoton-sim run <config.json>` executes a source -> transforms -> detection
 pipeline described by a JSON document and writes CSV results, attaching the
 applicable error-bound columns so every approximate number ships with its
-certificate.  `biphoton-sim figure <name>` regenerates the four reference
-datasets (determinant-truncation bound, covariance-truncation bound, vacuum
-probability closed forms, approximation errors).  `biphoton-sim schmidt`
-prints the Schmidt spectrum of a JSA stored as CSV.
+certificate.  This module checks the config, pushes the Schmidt factor
+through the pipeline once and hands it to one `DetectionPlan`, which does
+the detection numerics of every method.  `biphoton-sim figure <name>`
+regenerates the four reference datasets (determinant-truncation bound,
+covariance-truncation bound, vacuum probability closed forms, approximation
+errors).  `biphoton-sim schmidt` prints the Schmidt spectrum of a JSA stored
+as CSV.
 
 CSV output is RFC 4180 with '.' decimals and 17 significant digits; figure
 metadata goes to a JSON sidecar.  Exit codes: 0 success, 2 configuration
@@ -31,7 +34,6 @@ from .covariance import (
     Dof,
     ProcessType,
     SqueezingSpectrum,
-    covariance_core,
     covariance_eigenvalues,
     covariance_factor,
     gain_for_mean_pairs,
@@ -39,6 +41,7 @@ from .covariance import (
     norms,
     source_dofs,
 )
+from .plan import DetectionPlan
 from .spectral import GaussianJsaModel
 
 __all__ = ["ConfigError", "run_scenario", "figure_data", "write_figure", "main"]
@@ -218,7 +221,7 @@ def _pipeline(config) -> list:
     return steps
 
 
-def _apply_pipeline(steps, in_dofs, names=(), factor=None, time_modes=()):
+def _apply_pipeline(steps, in_dofs, names, factor, time_modes=()):
     """Push `factor` (rows over the source modes `in_dofs`, annihilation rows
     first) through the pipeline `steps`, first applied first.
 
@@ -237,7 +240,6 @@ def _apply_pipeline(steps, in_dofs, names=(), factor=None, time_modes=()):
     m_total = len(dofs)
     sizes = [d.grid.n for d in dofs]
     n_source = sum(sizes[: len(in_dofs)])
-    factor = np.zeros((2 * n_source, 0)) if factor is None else factor
     labelled = [(f"pipeline[{k}]", entry) for k, entry in enumerate(steps)]
     labelled += [(f"detection.windows[{k}]", {"type": "fourier", "dof": k}) for k in time_modes]
     phased = any(isinstance(e, dict) and e.get("type") in ("phase", "fourier") for _, e in labelled)
@@ -356,14 +358,36 @@ def run_scenario(config: dict) -> dict:
     mus = _sweep_mus(config)
     if gain is not None and mus != [None]:
         raise ConfigError("source.gain: a source.mu sweep sets every point's gain; give source.mu")
-    mode_names = _mode_names(config, source_dofs(schmidt, process))
-    if method in _SOURCE_METHODS:
-        step = _source_step(steps, schmidt, process, method, detection_cfg, mode_names)
+    # every method checks the series order; only log_series reads it
+    order = _number(detection_cfg.get("series_order", 8), "detection.series_order", int,
+                    at_least=1)
+    in_dofs = source_dofs(schmidt, process)
+    mode_names = _mode_names(config, in_dofs)
+    source_level = method in _SOURCE_METHODS
+    if source_level and any(not isinstance(e, dict) or e.get("type") != "loss" for e in steps):
+        raise ConfigError("pipeline: source-level methods support loss-only pipelines")
+    if source_level and len(mode_names) > len(in_dofs):
+        raise ConfigError(f"modes: source-level methods take no ancilla modes; list the "
+                          f"{len(in_dofs)} source modes only")
+    windows = _detection_windows(detection_cfg, len(mode_names)).windows
+    bounded = [k for k, w in enumerate(windows)
+               if w is None or (w.lo, w.hi) != (-math.inf, math.inf)]
+    if method in ("hermite", "quadratic") and bounded:
+        raise ConfigError(f"detection.windows: method '{method}' applies no windows; use 'poisson'")
+    detectors, cutoffs = _detectors(detection_cfg, len(mode_names))
+    # a source-level method takes no fourier step: a window bounded in the
+    # time domain applies its mode's Fourier kernel before masking
+    time_modes = [k for k in bounded
+                  if source_level and windows[k] is not None and windows[k].domain == "time"]
+    # one push and one plan for every method
+    factor, out_dofs, etas = _apply_pipeline(
+        steps, in_dofs, mode_names, covariance_factor(schmidt, process), time_modes
+    )
+    plan = DetectionPlan(schmidt, process, factor, _window_masks(windows, out_dofs), detectors)
+    if source_level:
+        step = _source_step(plan, etas, schmidt, process, method, detectors, cutoffs)
     else:
-        order = detection_cfg.get("series_order", 8) if method == "log_series" else None
-        if order is not None:
-            order = _number(order, "detection.series_order", int, at_least=1)
-        step = _schmidt_step(steps, schmidt, process, detection_cfg, order, mode_names)
+        step = _schmidt_step(plan, schmidt, order if method == "log_series" else None, cutoffs)
 
     targets = [source_mu] if mus == [None] else mus
     gains = [gain] if targets == [None] else gain_for_mean_pairs(schmidt, targets, process).tolist()
@@ -446,7 +470,7 @@ def _detectors(detection_cfg, m_total: int):
     return detectors, cutoffs * count if len(cutoffs) == 1 else cutoffs
 
 
-# Each *_step function plans one detection method and returns
+# Each *_step function takes the run's plan and returns
 # step(gain, sq, with_pnd), which evaluates one sweep point as
 # (p_vac, bounds, pnd or None).
 
@@ -461,13 +485,8 @@ def _shared_detector(stats):
     return det.PhotonStatistics(p, 1.0 - float(np.sum(p)))
 
 
-def _detected_factor(steps, windows, schmidt, process, names=(), time_modes=()):
-    """The Schmidt factor s V pushed through the pipeline `steps` and the
-    Fourier steps of `time_modes` (`_apply_pipeline`), with each output
-    mode's mask of `windows`."""
-    sv, out_dofs, _ = _apply_pipeline(
-        steps, source_dofs(schmidt, process), names, covariance_factor(schmidt, process), time_modes
-    )
+def _window_masks(windows, out_dofs) -> list:
+    """Each output mode's mask of its window; errors name `detection.windows[k]`."""
     masks = []
     for k, window in enumerate(windows):
         try:
@@ -476,63 +495,15 @@ def _detected_factor(steps, windows, schmidt, process, names=(), time_modes=()):
             )
         except ValueError as exc:
             raise type(exc)(f"detection.windows[{k}]: {exc}") from None
-    return sv, masks
+    return masks
 
 
-def _single_pair(steps, windows, schmidt, process) -> det.PoissonParams:
-    """Bivariate-Poisson parameters at unit gain: the single-pair click
-    probabilities of the Schmidt factor pushed through the loss-only
-    pipeline `steps` and detected in `windows`, a mode whose window is
-    bounded in the time domain taking its Fourier kernel before masking.
-
-    The pair sum_j c_j u_j v_j^T sits in the first 2K columns of the factor,
-    the u group (signal, or type-0/I annihilation, rows) and then the v group
-    (idler creation rows); for type-II they are the first conjugate sector.
-    With H_uu and H_vv the grams of their detected rows, p_s = sum_j c_j^2
-    (H_uu)_jj, p_i = sum_j c_j^2 (H_vv)_jj and p_si = c^T (H_uu o conj H_vv) c.
-    Type-0/I has one mode, window and loss, so p_i is p_s.
-    """
-    time_modes = [
-        k for k, w in enumerate(windows)
-        if w is not None and w.domain == "time" and (w.lo, w.hi) != (-math.inf, math.inf)
-    ]
-    sv, masks = _detected_factor(steps, windows, schmidt, process, time_modes=time_modes)
-    c = schmidt.coefficients
-    k = c.size
-    detected = sv[np.concatenate(masks * 2) > 0, :2 * k]
-    h_uu, h_vv = (a.conj().T @ a for a in (detected[:, :k], detected[:, k:]))
-    p_s, p_i = (float(np.real(np.diag(h)) @ (c * c)) for h in (h_uu, h_vv))
-    p_si = float(np.real(c @ (h_uu * h_vv.conj()) @ c))
-    # mu = gain^2 / 2 (type-0/I) or gain^2 / 4 (type-II)
-    if process is ProcessType.TYPE_0I:
-        return det.PoissonParams(0.5, p_s, p_s, p_si)
-    return det.PoissonParams(0.25, p_s, p_i, p_si)
-
-
-def _source_step(steps, schmidt, process, method, detection_cfg, mode_names):
-    """Source-level methods: per-mode transmittivities of a loss-only pipeline
-    (which reaches no ancilla, so `mode_names` may name the source modes
-    only), one detector per source mode or every mode on detector 0, and
-    detection windows for `poisson` and `linear` only, a bounded time window
-    taking its mode's Fourier kernel."""
-    if any(not isinstance(e, dict) or e.get("type") != "loss" for e in steps):
-        raise ConfigError("pipeline: source-level methods support loss-only pipelines")
-    _, out_dofs, etas = _apply_pipeline(steps, source_dofs(schmidt, process))
-    n_dofs = len(out_dofs)
-    if len(mode_names) > n_dofs:
-        raise ConfigError(
-            f"modes: source-level methods take no ancilla modes; list the {n_dofs} "
-            f"source modes only"
-        )
-    if method == "quadratic" and len(set(etas)) > 1:
-        raise ConfigError("pipeline: the quadratic method needs a uniform loss")
-    windows = _detection_windows(detection_cfg, n_dofs).windows
-    bounded = any(w is None or (w.lo, w.hi) != (-math.inf, math.inf) for w in windows)
-    if method in ("hermite", "quadratic") and bounded:
-        raise ConfigError(f"detection.windows: method '{method}' applies no windows; use 'poisson'")
-    if method in ("poisson", "linear"):
-        unit = _single_pair(steps, windows, schmidt, process)
-    detectors, cutoffs = _detectors(detection_cfg, n_dofs)
+def _source_step(plan, etas, schmidt, process, method, detectors, cutoffs):
+    """Source-level methods: per-mode transmittivities `etas` of a loss-only
+    pipeline, one detector per source mode or every mode on detector 0, and
+    detection windows for `poisson` and `linear` only, which read the
+    single-pair probabilities off the plan."""
+    n_dofs = len(detectors)
     shared = all(d == 0 for d in detectors)
     if not shared and detectors != list(range(n_dofs)):
         raise ConfigError(
@@ -543,6 +514,10 @@ def _source_step(steps, schmidt, process, method, detection_cfg, mode_names):
         raise ConfigError(
             f"detection.pnd_cutoffs: method '{method}' gives no photon-number distribution"
         )
+    if method == "quadratic" and len(set(etas)) > 1:
+        raise ConfigError("pipeline: the quadratic method needs a uniform loss")
+    if method in ("poisson", "linear"):
+        unit = plan.single_pair
     eta_best2 = max(e * e for e in etas)
     k_number = spectral.schmidt_number(schmidt)
 
@@ -579,119 +554,30 @@ def _source_step(steps, schmidt, process, method, detection_cfg, mode_names):
     return step
 
 
-def _schmidt_step(steps, schmidt, process, detection_cfg, order, mode_names):
-    """Detection over an arbitrary pipeline, on the Schmidt basis.
-
-    The covariance factors as V M V^dag (V fixed, the r x r core M
-    gain-dependent).  The pipeline steps act once, one by one, on the row
-    blocks of V (`_apply_pipeline`), vacuum ancillas starting as zero
-    blocks, which gives s V for the whole pipeline s; masking its rows to
-    the detection windows gives the r x r detected gram
-    H = (P s V)^dag (P s V), and Tr[(s^dag P s Gamma)^n] = Tr[(M H)^n], so
-    no operator over the grid is ever formed.  With `order`
-    the vacuum is the log series of that order, with None the exact r x r
-    log-determinant.  The loss factor of both determinant bounds is
-    lambda_max(H): the nonzero eigenvalues of s^dag P s Gamma are those of
-    H^1/2 M H^1/2, which by Ostrowski's theorem are theta_k lambda_k(M) with
-    0 <= theta_k <= lambda_max(H), however the pipeline mixes modes.
-
-    A type-II run works on one conjugate sector when it can.  The factor's
-    columns [0, 2K) are u and v (rows a_s and a_i^dag), [2K, 4K) conj v and
-    conj u (rows a_i and a_s^dag), and M = diag(M_1, M_1) with
-    M_1 = [[C, S], [S, C]].  Every pipeline step is passive, T (+) conj(T),
-    and the masks are real and equal on annihilation and creation rows, so
-    the second column half of P s V is the conjugate of the first with its
-    row halves and its u/v column groups (Pi) swapped.  If no detected row
-    is nonzero in both halves, the cross gram is exactly zero: H and every
-    H_d are diag(H_1, Pi conj(H_1) Pi), and M H = diag(M_1 H_1,
-    Pi conj(M_1 H_1) Pi).  Then log det(1 + M H) = 2 log det(1 + M_1 H_1),
-    each real trace moment is twice the half's, and lambda_max(H) =
-    lambda_max(H_1), so the run uses the r/2 columns of the first sector
-    with multiplicity 2.  Otherwise (a beam splitter joining signal and
-    idler, or type-0/I, whose M couples the halves) it uses all r columns
-    with multiplicity 1.
-    """
-    m_total = len(mode_names)
-    windows = _detection_windows(detection_cfg, m_total).windows
-    sv, masks = _detected_factor(steps, windows, schmidt, process, mode_names)
-    # one conjugate sector when no detected row couples the column halves
-    half = sv.shape[1] // 2
-    nonzero = sv[np.concatenate(masks * 2) > 0] != 0
-    if process is ProcessType.TYPE_II and not np.any(
-        nonzero[:, :half].any(axis=1) & nonzero[:, half:].any(axis=1)
-    ):
-        sector, multiplicity = slice(0, half), 2
-    else:
-        sector, multiplicity = slice(None), 1
-    sv = sv[:, sector]
-
-    def gram(keep):
-        """H over the detected rows of the output modes k with keep(k)."""
-        rows = np.concatenate([m if keep(k) else 0 * m for k, m in enumerate(masks)] * 2)
-        a = sv[rows > 0]
-        return a.conj().T @ a
-
-    def vacuum(h):
-        """sq -> -1/2 multiplicity log det(1 + M h): exact, or the series of
-        `order` from the eigenvalues of the Hermitian B diag(lam) B^dag with
-        B = h^1/2 P, since every core is M = P diag(lam) P^T, P the fixed
-        rotation of each (C, S) column pair and lam = (e^+-sigma - 1)/2."""
-        if order is None:
-
-            def exact(sq):
-                k = covariance_core(sq)[sector, sector] @ h
-                sign, logdet = np.linalg.slogdet(np.eye(k.shape[0]) + k)
-                if sign == 0:
-                    raise np.linalg.LinAlgError("1 + K is singular")
-                return -0.5 * multiplicity * logdet
-
-            return exact
-        modes = schmidt.coefficients.size
-        pairs = h.shape[0] // (2 * modes)
-        vals, vecs = np.linalg.eigh(h)
-        rotation = np.kron(np.eye(pairs), np.kron([[1, 1], [1, -1]], np.eye(modes)))
-        root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T @ rotation / math.sqrt(2)
-
-        def series(sq):
-            lam = np.tile(np.concatenate([np.expm1(sq.sigmas), np.expm1(-sq.sigmas)]) / 2, pairs)
-            mu = np.linalg.eigvalsh((root * lam) @ root.conj().T)
-            return -0.5 * multiplicity * det.log_series_power_sum(mu, order)
-
-        return series
-
-    h_total = gram(lambda k: True)
-    eta2 = float(np.linalg.eigvalsh(h_total)[-1])
-    log_vacuum = vacuum(h_total)
-    detectors, cutoffs = _detectors(detection_cfg, m_total)
-    if cutoffs:
-        h_parts = [gram(lambda k: detectors[k] == d) for d in range(len(cutoffs))]
-        degree = sum(cutoffs)
-        # the PND vacuum is that of the detected modes; it is p_vac's unless
-        # a windowed mode has no detector
-        undetected = [m for m, d in zip(masks, detectors) if d is None]
-        pnd_vacuum = vacuum(sum(h_parts)) if any(m.any() for m in undetected) else log_vacuum
+def _schmidt_step(plan, schmidt, order, cutoffs):
+    """Detection over an arbitrary pipeline, on the Schmidt basis: with
+    `order` the vacuum is the log series of that order and the rows carry
+    both determinant bounds, whose loss factor is lambda_max(H); with None it
+    is the exact r x r log-determinant."""
 
     def step(gain, sq, with_pnd):
-        log_vac = log_vacuum(sq)
+        log_vac = plan.log_vacuum(sq, order)
         if order is None:
             bounds = {"truncation_tail": schmidt.truncation_tail}
         else:
             nrm = norms(sq)
             bounds = {
                 "det_trunc_eigen": bounds_mod.det_truncation_bound_eigen(
-                    covariance_eigenvalues(sq), eta2, order
+                    covariance_eigenvalues(sq), plan.loss_factor, order
                 ).value,
                 "det_trunc_hs": bounds_mod.det_truncation_bound_hs(
-                    nrm.largest_abs_eigenvalue, nrm.hs_norm**2, eta2, order
+                    nrm.largest_abs_eigenvalue, nrm.hs_norm**2, plan.loss_factor, order
                 ).value,
             }
         pnd = None
         if with_pnd and cutoffs:
-            log_pnd = log_vac if pnd_vacuum is log_vacuum else pnd_vacuum(sq)
-            core = covariance_core(sq)[sector, sector]
-            gf = det.vacuum_point_gf([core @ h for h in h_parts], log_pnd, degree, multiplicity)
             try:
-                pnd = det.pnd(gf, cutoffs)
+                pnd = plan.pnd(sq, cutoffs, order, log_vac)
             except det.InvalidDistributionError as exc:
                 if order is None:
                     raise
@@ -929,13 +815,20 @@ def _cmd_run(args) -> int:
             config = json.load(fh)
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{args.config}: not UTF-8 text ({exc})") from None
-    result = run_scenario(config)
-    out_cfg = _object(config, "output")
+    # read before the source is built; a table that detection.pnd_cutoffs
+    # asks for needs a pnd_csv_path
+    out_cfg = _object(config, "output") if isinstance(config, dict) else {}
     csv_path = _path(out_cfg.get("csv_path", "scenario.csv"), "output.csv_path")
     pnd_path = out_cfg.get("pnd_csv_path")
     pnd_path = None if pnd_path is None else _path(pnd_path, "output.pnd_csv_path")
+    detection_cfg = config.get("detection") if isinstance(config, dict) else None
+    cutoffs = detection_cfg.get("pnd_cutoffs") if isinstance(detection_cfg, dict) else None
+    if pnd_path is None and isinstance(cutoffs, list) and cutoffs:
+        raise ConfigError("output.pnd_csv_path: missing; detection.pnd_cutoffs asks for a "
+                          "photon-number table")
+    result = run_scenario(config)
     _write_csv(csv_path, result["columns"], result["rows"])
-    if result.get("pnd") is not None and pnd_path is not None:
+    if result["pnd"] is not None:
         det.save_pnd_csv(result["pnd"], pnd_path)
     print(csv_path)
     return 0

@@ -3,11 +3,11 @@
 The covariance of the generated state is exp(2 Z) with the pair-creation
 generator Z built from the JSA kernel; the renormalized covariance
 (exp(2 Z) - 1)/2 is assembled from the Schmidt modes, or factored as
-V M V^dag with a gain-independent basis V and an r x r core M, which `run`
-uses.  Rows follow the standard mode ordering (annihilation rows for every
-discrete mode first, then the creation rows).  Nonzero eigenvalues are
-(exp(+-sigma_j) - 1)/2 with the per-mode squeezing parameters sigma_j; for
-type-II sources every eigenvalue comes twice.
+V M V^dag with a gain-independent basis V and an r x r core M, on which
+`DetectionPlan` works.  Rows follow the standard mode ordering
+(annihilation rows for every discrete mode first, then the creation rows).
+Nonzero eigenvalues are (exp(+-sigma_j) - 1)/2 with the per-mode squeezing
+parameters sigma_j; for type-II sources every eigenvalue comes twice.
 """
 from __future__ import annotations
 

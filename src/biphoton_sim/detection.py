@@ -15,11 +15,11 @@ by 1 - x_i and p_si by both).
 
 The truncated log-determinant series has one evaluator,
 `log_series_power_sum`, a power sum over the eigenvalues of the operand with
-an exact spectral-radius check; `log_det_series` and the scenario runner both
-call it.
+an exact spectral-radius check; `DetectionPlan` calls it, and so does the
+dense reference `oracle.log_det_series`.
 
 Nothing here sees a JSA or a grid: the single-pair probabilities that
-`PoissonParams` holds come from the scenario runner's masked Schmidt factor,
+`PoissonParams` holds come from `DetectionPlan.single_pair`, at unit gain,
 and their dense reference over the sampled JSA is
 `oracle.poisson_params_reference`.
 """
@@ -44,7 +44,6 @@ __all__ = [
     "VacuumPointGf",
     "PhotonStatistics",
     "hermite_params",
-    "log_det_series",
     "log_series_power_sum",
     "log_series_gf",
     "vacuum_point_gf",
@@ -174,18 +173,6 @@ def log_series_power_sum(eigenvalues, order: int) -> float:
                       "may converge slowly or diverge", SpectralRadiusWarning, stacklevel=2)
     n = np.arange(1, order + 1)
     return float(np.real(np.sum(mu[:, None] ** n, axis=0) @ ((-1.0) ** (n + 1) / n)))
-
-
-def log_det_series(mat: np.ndarray, order: int) -> float:
-    """Truncated log det(1 + K) = sum_{n=1..N} (-1)^(n+1) Tr(K^n) / n, K square,
-    as the power sum of the eigenvalues of K (`log_series_power_sum`), which
-    warns when the spectral radius of K exceeds 0.95.
-    """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if not (isinstance(mat, np.ndarray) and mat.ndim == 2 and mat.shape[0] == mat.shape[1]):
-        raise TypeError("operand must be a square 2-D array")
-    return log_series_power_sum(np.linalg.eigvals(mat), order)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +500,8 @@ def vacuum_probability(params, method: str) -> float:
 
     method: 'exact' (SqueezingSpectrum or ExactProductGf), 'poisson' /
     'linear' (PoissonParams) or 'hermite' (HermiteParams).  The truncated
-    log-determinant series is `log_det_series` and the two-pair truncation
-    `quadratic_vacuum`.  The linear value may be negative for large mu and
+    log-determinant series of a pipeline is `DetectionPlan.log_vacuum` and
+    the two-pair truncation `quadratic_vacuum`.  The linear value may be negative for large mu and
     is returned raw with a warning.
     """
     if method == "exact" and isinstance(params, SqueezingSpectrum):

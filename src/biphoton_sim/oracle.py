@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import ProcessType, SqueezingSpectrum, mean_pairs, source_dofs
-from .detection import PoissonParams
+from .detection import PoissonParams, log_series_power_sum
 from .transforms import _window_mask, fourier_kernel, output_dofs, projection_masks
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "dense_covariance_series",
     "dense_sandwich",
     "dense_log_det",
+    "log_det_series",
     "dense_projection_eigs",
     "detector_parts_compressed",
     "detector_parts_from_covariance",
@@ -135,6 +136,18 @@ def dense_log_det(operand) -> float:
     if sign == 0:
         raise np.linalg.LinAlgError("1 + K is singular")
     return float(logdet)
+
+
+def log_det_series(mat: np.ndarray, order: int) -> float:
+    """Truncated log det(1 + K) = sum_{n=1..N} (-1)^(n+1) Tr(K^n) / n, K square,
+    as the power sum of the eigenvalues of K (`log_series_power_sum`), which
+    warns when the spectral radius of K exceeds 0.95.
+    """
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    if not (isinstance(mat, np.ndarray) and mat.ndim == 2 and mat.shape[0] == mat.shape[1]):
+        raise TypeError("operand must be a square 2-D array")
+    return log_series_power_sum(np.linalg.eigvals(mat), order)
 
 
 def dense_projection_eigs(state, mask) -> np.ndarray:

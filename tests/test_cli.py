@@ -782,6 +782,9 @@ class TestPlanningErrors:
     """Config mistakes found while planning exit 2 and name the field."""
 
     def _run(self, tmp_path, capsys, cfg):
+        # with both output paths, a PND request reaches the planning checks
+        cfg.setdefault("output", {"csv_path": str(tmp_path / "plan.csv"),
+                                  "pnd_csv_path": str(tmp_path / "plan_pnd.csv")})
         cfg_path = tmp_path / "plan.json"
         cfg_path.write_text(json.dumps(cfg))
         code = main(["run", str(cfg_path)])
@@ -1986,3 +1989,78 @@ class TestPoissonClaimAsWritten:
         exact, poisson, linear = (float(p_vac[m]) for m in ("exact", "poisson", "linear"))
         assert linear <= poisson <= exact
         assert abs(exact - poisson) <= abs(exact - linear)
+
+
+class TestCheckedBeforeTheRun:
+    """`detection.series_order` is checked for every method, and `output` is
+    checked before the source is built, so a bad path or a PND table with no
+    path to go to exits 2 without an SVD."""
+
+    @staticmethod
+    def _run(tmp_path, capsys, monkeypatch, cfg):
+        from biphoton_sim import spectral
+
+        decomposed = []
+
+        def recorded(*args, _svd=spectral.schmidt_decompose, **kwargs):
+            decomposed.append(True)
+            return _svd(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "schmidt_decompose", recorded)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code = main(["run", "cfg.json"])
+        return code, capsys.readouterr().err, bool(decomposed)
+
+    @pytest.mark.parametrize("method, order", [
+        ("exact", "abc"), ("exact", -3), ("exact", None), ("poisson", [1]),
+        ("linear", 0), ("hermite", 2.5), ("quadratic", True), ("log_series", 1.5),
+    ])
+    def test_malformed_series_order_exits_2(self, tmp_path, capsys, monkeypatch, method, order):
+        cfg = base_config(detection={"method": method, "series_order": order})
+        code, err, _ = self._run(tmp_path, capsys, monkeypatch, cfg)
+        assert code == 2
+        assert "detection.series_order" in err
+        assert not (tmp_path / "scenario.csv").exists()
+
+    @pytest.mark.parametrize("method", ["exact", "poisson", "hermite"])
+    def test_valid_series_order_is_accepted_and_unused(self, tmp_path, capsys, monkeypatch,
+                                                        method):
+        cfg = base_config(detection={"method": method})
+        assert self._run(tmp_path, capsys, monkeypatch, cfg)[0] == 0
+        plain = (tmp_path / "scenario.csv").read_text()
+        cfg["detection"]["series_order"] = 3
+        assert self._run(tmp_path, capsys, monkeypatch, cfg)[0] == 0
+        assert (tmp_path / "scenario.csv").read_text() == plain
+
+    @pytest.mark.parametrize("method", ["exact", "log_series", "poisson", "hermite"])
+    def test_pnd_cutoffs_need_a_pnd_csv_path(self, tmp_path, capsys, monkeypatch, method):
+        cfg = base_config(detection={"method": method, "pnd_cutoffs": [2, 2]},
+                          output={"csv_path": "out.csv"})
+        code, err, decomposed = self._run(tmp_path, capsys, monkeypatch, cfg)
+        assert code == 2
+        assert err.startswith("configuration error: output.pnd_csv_path")
+        assert not decomposed
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+        # the library still returns the table
+        assert run_scenario(cfg)["pnd"].probabilities.shape == (3, 3)
+
+    @pytest.mark.parametrize("output, field", [
+        ({"csv_path": 5}, "output.csv_path"),
+        ({"csv_path": ""}, "output.csv_path"),
+        ({"pnd_csv_path": []}, "output.pnd_csv_path"),
+        ("out.csv", "output"),
+    ])
+    def test_bad_output_exits_2_before_the_svd(self, tmp_path, capsys, monkeypatch, output,
+                                               field):
+        cfg = base_config(output=output)
+        code, err, decomposed = self._run(tmp_path, capsys, monkeypatch, cfg)
+        assert code == 2
+        assert err.startswith(f"configuration error: {field}:")
+        assert not decomposed
+
+    def test_pnd_csv_path_without_cutoffs_writes_no_table(self, tmp_path, capsys, monkeypatch):
+        cfg = base_config(output={"csv_path": "out.csv", "pnd_csv_path": "pnd.csv"})
+        code, _, decomposed = self._run(tmp_path, capsys, monkeypatch, cfg)
+        assert code == 0 and decomposed
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out.csv"]

@@ -25,7 +25,6 @@ from biphoton_sim import (
     default_grids,
     gain_for_mean_pairs,
     hermite_params,
-    log_det_series,
     log_series_gf,
     pnd,
     quadratic_vacuum,
@@ -45,6 +44,7 @@ from biphoton_sim.oracle import (
     dense_log_det,
     dense_sandwich,
     detector_parts_from_covariance,
+    log_det_series,
     poisson_params_reference,
     tmsv_statistics,
 )
@@ -427,11 +427,20 @@ def gaussian_jsa(aspect=3.0, **kwargs):
 def single_pair(jsa, etas, windows, gain, process):
     """The PoissonParams that `run --method poisson` evaluates at `gain` for
     `jsa` behind per-mode field transmittivities `etas` and `windows`: the
-    single-pair probabilities of the pushed, masked Schmidt factor."""
-    from biphoton_sim.cli import _single_pair
+    single-pair probabilities of the pushed, masked Schmidt factor's plan, a
+    bounded time window taking its mode's Fourier kernel."""
+    from biphoton_sim import DetectionPlan
+    from biphoton_sim.cli import _apply_pipeline, _window_masks
+    from biphoton_sim.covariance import covariance_factor, source_dofs
 
+    schmidt = schmidt_decompose(jsa)
     steps = [{"type": "loss", "eta": {str(k): eta for k, eta in enumerate(etas)}}]
-    unit = _single_pair(steps, windows.windows, schmidt_decompose(jsa), process)
+    time_modes = [k for k, w in enumerate(windows.windows) if w is not None
+                  and w.domain == "time" and (w.lo, w.hi) != (-math.inf, math.inf)]
+    factor, dofs, _ = _apply_pipeline(steps, source_dofs(schmidt, process), (),
+                                      covariance_factor(schmidt, process), time_modes)
+    masks = _window_masks(windows.windows, dofs)
+    unit = DetectionPlan(schmidt, process, factor, masks, range(len(masks))).single_pair
     return PoissonParams(unit.mu * gain * gain, unit.p_s, unit.p_i, unit.p_si)
 
 
@@ -1303,7 +1312,6 @@ class TestConjugateSectors:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        recorded(detection, "log_det_series")
         recorded(detection, "log_series_gf")
         recorded(np.linalg, "slogdet")
         return widths

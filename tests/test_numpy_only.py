@@ -1,4 +1,6 @@
-"""The package runs on numpy alone: scipy is a test dependency only."""
+"""The package runs on numpy alone: scipy is a test dependency only, and
+the dense references of `oracle` are for tests only."""
+import ast
 import json
 import os
 import re
@@ -17,6 +19,36 @@ def test_no_scipy_import_in_source():
         for match in pattern.finditer(path.read_text())
     ]
     assert found == []
+
+
+def _imports(source: str) -> set:
+    """The modules that `source` imports, package modules by their name
+    inside the package (`from . import oracle` gives 'oracle')."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.removeprefix("biphoton_sim.") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.split(".")[0] == "biphoton_sim":
+                module = module.removeprefix("biphoton_sim").lstrip(".")
+                found.update([module] if module else [alias.name for alias in node.names])
+            else:
+                found.add(module)
+    return found
+
+
+def test_import_layering():
+    # no production module imports the dense references, and the plan is a
+    # library layer below the command line
+    spellings = ["from . import oracle", "from .oracle import x", "import biphoton_sim.oracle",
+                 "from biphoton_sim import oracle", "from biphoton_sim.oracle import x"]
+    assert [_imports(line) for line in spellings] == [{"oracle"}] * len(spellings)
+    imports = {path.stem: _imports(path.read_text())
+               for path in sorted((SRC / "biphoton_sim").glob("*.py"))}
+    assert {"covariance", "detection", "numpy"} <= imports["plan"]
+    assert [name for name, found in imports.items() if "oracle" in found] == []
+    assert "cli" not in imports["plan"]
 
 
 def _readme_scenario(tmp_path):
@@ -89,10 +121,10 @@ def test_log_series_run_takes_no_random_power_iteration(tmp_path):
         "import json, sys\n"
         "import numpy as np\n"
         "import biphoton_sim.cli as cli\n"
-        "from biphoton_sim import detection\n"
+        "from biphoton_sim import oracle\n"
         "assert cli.main(['run', 'scenario.json']) == 0\n"
         "k = np.array([[0.2, 0.5], [0.0, -0.3]])\n"
-        "assert abs(detection.log_det_series(k, 40) - np.log(1.2 * 0.7)) < 1e-12\n"
+        "assert abs(oracle.log_det_series(k, 40) - np.log(1.2 * 0.7)) < 1e-12\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('numpy.random'))))\n"
     )
     loaded = _run_script(tmp_path, script)
