@@ -3,9 +3,10 @@
 `biphoton-sim run <config.json>` executes a source -> transforms -> detection
 pipeline described by a JSON document and writes CSV results, attaching the
 applicable error-bound columns so every approximate number ships with its
-certificate.  This module checks the config, pushes the Schmidt factor
-through the pipeline once and hands it to one `DetectionPlan`, which does
-the detection numerics of every method.  `biphoton-sim figure <name>`
+certificate.  This module checks the config, all that needs no Schmidt
+spectrum before the SVD, pushes the Schmidt factor through the pipeline
+once and hands it to one `DetectionPlan`, which does the detection
+numerics of every method.  `biphoton-sim figure <name>`
 regenerates the four reference datasets (determinant-truncation bound,
 covariance-truncation bound, vacuum probability closed forms, approximation
 errors).  `biphoton-sim schmidt` prints the Schmidt spectrum of a JSA stored
@@ -155,9 +156,9 @@ def _process(tag: str, path: str) -> ProcessType:
 
 
 def _build_source(cfg: dict):
-    """Source construction: the Schmidt spectrum of the JSA, the gain or the
-    mean pair number (neither under a sweep, which sets the mean pair
-    numbers) and the process."""
+    """Source construction: a function that builds the JSA and returns its
+    Schmidt spectrum (the SVD), the gain or the mean pair number (neither
+    under a sweep, which sets the mean pair numbers) and the process."""
     source = _require(cfg, "source", dict)
     process = _process(_require(cfg, "source.process", str), "source.process")
     jsa_cfg = _require(cfg, "source.jsa", dict)
@@ -185,13 +186,16 @@ def _build_source(cfg: dict):
                 grid_cfg.get("points_per_width", 8.0), "grid.points_per_width", above=0
             ),
         )
-        schmidt = spectral.schmidt_decompose(spectral.build_gaussian_jsa(model, grid_s, grid_i))
+
+        def decompose():
+            return spectral.schmidt_decompose(spectral.build_gaussian_jsa(model, grid_s, grid_i))
     elif "csv" in jsa_cfg:
         csv_path = _path(jsa_cfg["csv"], "source.jsa.csv")
         if "grid" in cfg:
             raise ConfigError("grid: a CSV JSA brings its own grid; only the Gaussian model takes one")
-        # no name holds the JSA, so its values are freed before the SVD
-        schmidt = spectral.schmidt_decompose(spectral.load_jsa_csv(csv_path))
+
+        def decompose():  # no name holds the JSA, so its values are freed before the SVD
+            return spectral.schmidt_decompose(spectral.load_jsa_csv(csv_path))
     else:
         raise ConfigError("source.jsa: provide either 'gaussian' or 'csv'")
     if "gain" in source and "mu" in source:
@@ -204,7 +208,7 @@ def _build_source(cfg: dict):
         raise ConfigError("source: missing 'gain' or 'mu'")
     else:  # a source.mu sweep sets every point's mu
         gain = mu = None
-    return schmidt, gain, mu, process
+    return decompose, gain, mu, process
 
 
 _SOURCE_METHODS = ("poisson", "hermite", "linear", "quadratic")
@@ -322,15 +326,13 @@ def _sweep_mus(config) -> list:
     return [_number(v, f"sweep.values[{k}]", at_least=0) for k, v in enumerate(values)]
 
 
-def _mode_names(config, in_dofs) -> list:
-    """The names of all modes, source modes first: `modes`, or the source modes'."""
-    names = config.get("modes")
-    if names is None:
-        return [d.name for d in in_dofs]
+def _mode_names(config, sources) -> list:
+    """The names of all modes, source modes first: `modes`, or `sources`."""
+    names = config.get("modes", sources)
     ok = isinstance(names, list) and all(isinstance(n, str) for n in names)
-    if not ok or len(names) < len(in_dofs):
+    if not ok or len(names) < len(sources):
         raise ConfigError(
-            f"modes: expected a list of mode names, at least the {len(in_dofs)} source modes"
+            f"modes: expected a list of mode names, at least the {len(sources)} source modes"
         )
     return names
 
@@ -342,6 +344,13 @@ def run_scenario(config: dict) -> dict:
     from one Newton inversion; each sweep point then does only the
     gain-dependent work.  The PND table belongs to the first sweep point.
     """
+    return _checked_scenario(config)[1]()
+
+
+def _checked_scenario(config):
+    """Check every part of `config` that needs no Schmidt spectrum; returns
+    the PND cutoffs it asks for ([] for none) and a function that builds the
+    source, the SVD, and runs the scenario."""
     if not isinstance(config, dict):
         raise ConfigError("config: expected a JSON object")
     for prefix, fields in _FIELDS.items():  # outer objects first
@@ -349,7 +358,7 @@ def run_scenario(config: dict) -> dict:
         for key in prefix.split(".")[:-1]:
             node = node.get(key) if isinstance(node, dict) else None
         _unknown_fields(node, prefix, fields)
-    schmidt, gain, source_mu, process = _build_source(config)
+    decompose, gain, source_mu, process = _build_source(config)
     steps = _pipeline(config)
     detection_cfg = _require(config, "detection", dict)
     method = detection_cfg.get("method", "log_series")
@@ -361,59 +370,72 @@ def run_scenario(config: dict) -> dict:
     # every method checks the series order; only log_series reads it
     order = _number(detection_cfg.get("series_order", 8), "detection.series_order", int,
                     at_least=1)
-    in_dofs = source_dofs(schmidt, process)
-    mode_names = _mode_names(config, in_dofs)
+    # the source modes, as `source_dofs` names them
+    sources = ["mode"] if process is ProcessType.TYPE_0I else ["signal", "idler"]
+    mode_names = _mode_names(config, sources)
     source_level = method in _SOURCE_METHODS
     if source_level and any(not isinstance(e, dict) or e.get("type") != "loss" for e in steps):
         raise ConfigError("pipeline: source-level methods support loss-only pipelines")
-    if source_level and len(mode_names) > len(in_dofs):
+    if source_level and len(mode_names) > len(sources):
         raise ConfigError(f"modes: source-level methods take no ancilla modes; list the "
-                          f"{len(in_dofs)} source modes only")
+                          f"{len(sources)} source modes only")
     windows = _detection_windows(detection_cfg, len(mode_names)).windows
     bounded = [k for k, w in enumerate(windows)
                if w is None or (w.lo, w.hi) != (-math.inf, math.inf)]
     if method in ("hermite", "quadratic") and bounded:
         raise ConfigError(f"detection.windows: method '{method}' applies no windows; use 'poisson'")
     detectors, cutoffs = _detectors(detection_cfg, len(mode_names))
+    if source_level and detectors != list(range(len(sources))) and any(d != 0 for d in detectors):
+        raise ConfigError(
+            f"detection.detectors: source-level methods take one detector per source "
+            f"mode {list(range(len(sources)))} or every mode on detector 0"
+        )
+    if cutoffs and method in ("linear", "quadratic"):
+        raise ConfigError(
+            f"detection.pnd_cutoffs: method '{method}' gives no photon-number distribution"
+        )
     # a source-level method takes no fourier step: a window bounded in the
     # time domain applies its mode's Fourier kernel before masking
     time_modes = [k for k in bounded
                   if source_level and windows[k] is not None and windows[k].domain == "time"]
-    # one push and one plan for every method
-    factor, out_dofs, etas = _apply_pipeline(
-        steps, in_dofs, mode_names, covariance_factor(schmidt, process), time_modes
-    )
-    plan = DetectionPlan(schmidt, process, factor, _window_masks(windows, out_dofs), detectors)
-    if source_level:
-        step = _source_step(plan, etas, schmidt, process, method, detectors, cutoffs)
-    else:
-        step = _schmidt_step(plan, schmidt, order if method == "log_series" else None, cutoffs)
 
-    targets = [source_mu] if mus == [None] else mus
-    gains = [gain] if targets == [None] else gain_for_mean_pairs(schmidt, targets, process).tolist()
-    results = []
-    for k, point_gain in enumerate(gains):
-        sq = SqueezingSpectrum.from_schmidt(schmidt, point_gain, process)
-        p_vac, bounds, pnd = step(point_gain, sq, with_pnd=k == 0)
-        point_mu = mean_pairs(sq)
-        upper, lower = bounds_mod.vacuum_range(point_mu, process)
-        bounds.update(vacuum_range_upper=upper, vacuum_range_lower=lower)
-        results.append(
-            {"mu": point_mu, "gain": point_gain, "p_vac": p_vac, "bounds": bounds, "pnd": pnd}
-        )
+    def run():
+        schmidt = decompose()
+        # one push and one plan for every method
+        factor, out_dofs, etas = _apply_pipeline(steps, source_dofs(schmidt, process), mode_names,
+                                                 covariance_factor(schmidt, process), time_modes)
+        plan = DetectionPlan(schmidt, process, factor, _window_masks(windows, out_dofs), detectors)
+        if source_level:
+            step = _source_step(plan, etas, method, cutoffs)
+        else:
+            step = _schmidt_step(plan, order if method == "log_series" else None, cutoffs)
+        targets = [source_mu] if mus == [None] else mus
+        gains = ([gain] if targets == [None]
+                 else gain_for_mean_pairs(schmidt, targets, process).tolist())
+        results = []
+        for k, point_gain in enumerate(gains):
+            sq = SqueezingSpectrum.from_schmidt(schmidt, point_gain, process)
+            p_vac, bounds, pnd = step(point_gain, sq, with_pnd=k == 0)
+            point_mu = mean_pairs(sq)
+            upper, lower = bounds_mod.vacuum_range(point_mu, process)
+            bounds.update(vacuum_range_upper=upper, vacuum_range_lower=lower)
+            results.append(
+                {"mu": point_mu, "gain": point_gain, "p_vac": p_vac, "bounds": bounds, "pnd": pnd}
+            )
+        bound_names = sorted(results[0]["bounds"])
+        rows = [
+            [_fmt(res["mu"] if mu is None else mu), _fmt(res["gain"]), method, _fmt(res["p_vac"])]
+            + [_fmt(res["bounds"][name]) for name in bound_names]
+            for mu, res in zip(mus, results)
+        ]
+        return {
+            "columns": ["mu", "gain", "method", "p_vac"] + bound_names,
+            "rows": rows,
+            "pnd": results[0]["pnd"],
+            "raw": results,
+        }
 
-    bound_names = sorted(results[0]["bounds"])
-    rows = [
-        [_fmt(res["mu"] if mu is None else mu), _fmt(res["gain"]), method, _fmt(res["p_vac"])]
-        + [_fmt(res["bounds"][name]) for name in bound_names]
-        for mu, res in zip(mus, results)
-    ]
-    return {
-        "columns": ["mu", "gain", "method", "p_vac"] + bound_names,
-        "rows": rows,
-        "pnd": results[0]["pnd"],
-        "raw": results,
-    }
+    return cutoffs, run
 
 
 def _detection_windows(detection_cfg, n_dofs, path="detection.windows"):
@@ -498,22 +520,13 @@ def _window_masks(windows, out_dofs) -> list:
     return masks
 
 
-def _source_step(plan, etas, schmidt, process, method, detectors, cutoffs):
+def _source_step(plan, etas, method, cutoffs):
     """Source-level methods: per-mode transmittivities `etas` of a loss-only
     pipeline, one detector per source mode or every mode on detector 0, and
     detection windows for `poisson` and `linear` only, which read the
     single-pair probabilities off the plan."""
-    n_dofs = len(detectors)
-    shared = all(d == 0 for d in detectors)
-    if not shared and detectors != list(range(n_dofs)):
-        raise ConfigError(
-            f"detection.detectors: source-level methods take one detector per source "
-            f"mode {list(range(n_dofs))} or every mode on detector 0"
-        )
-    if cutoffs and method in ("linear", "quadratic"):
-        raise ConfigError(
-            f"detection.pnd_cutoffs: method '{method}' gives no photon-number distribution"
-        )
+    schmidt, process, n_dofs = plan.schmidt, plan.process, len(plan.detectors)
+    shared = all(d == 0 for d in plan.detectors)
     if method == "quadratic" and len(set(etas)) > 1:
         raise ConfigError("pipeline: the quadratic method needs a uniform loss")
     if method in ("poisson", "linear"):
@@ -554,7 +567,7 @@ def _source_step(plan, etas, schmidt, process, method, detectors, cutoffs):
     return step
 
 
-def _schmidt_step(plan, schmidt, order, cutoffs):
+def _schmidt_step(plan, order, cutoffs):
     """Detection over an arbitrary pipeline, on the Schmidt basis: with
     `order` the vacuum is the log series of that order and the rows carry
     both determinant bounds, whose loss factor is lambda_max(H); with None it
@@ -563,7 +576,7 @@ def _schmidt_step(plan, schmidt, order, cutoffs):
     def step(gain, sq, with_pnd):
         log_vac = plan.log_vacuum(sq, order)
         if order is None:
-            bounds = {"truncation_tail": schmidt.truncation_tail}
+            bounds = {"truncation_tail": plan.schmidt.truncation_tail}
         else:
             nrm = norms(sq)
             bounds = {
@@ -577,7 +590,7 @@ def _schmidt_step(plan, schmidt, order, cutoffs):
         pnd = None
         if with_pnd and cutoffs:
             try:
-                pnd = plan.pnd(sq, cutoffs, order, log_vac)
+                pnd = plan.pnd(sq, cutoffs, order)
             except det.InvalidDistributionError as exc:
                 if order is None:
                     raise
@@ -815,18 +828,16 @@ def _cmd_run(args) -> int:
             config = json.load(fh)
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{args.config}: not UTF-8 text ({exc})") from None
-    # read before the source is built; a table that detection.pnd_cutoffs
-    # asks for needs a pnd_csv_path
-    out_cfg = _object(config, "output") if isinstance(config, dict) else {}
+    cutoffs, run = _checked_scenario(config)
+    # checked before the source is built; a photon-number table needs a path
+    out_cfg = _object(config, "output")
     csv_path = _path(out_cfg.get("csv_path", "scenario.csv"), "output.csv_path")
     pnd_path = out_cfg.get("pnd_csv_path")
-    pnd_path = None if pnd_path is None else _path(pnd_path, "output.pnd_csv_path")
-    detection_cfg = config.get("detection") if isinstance(config, dict) else None
-    cutoffs = detection_cfg.get("pnd_cutoffs") if isinstance(detection_cfg, dict) else None
-    if pnd_path is None and isinstance(cutoffs, list) and cutoffs:
+    if pnd_path is None and cutoffs:
         raise ConfigError("output.pnd_csv_path: missing; detection.pnd_cutoffs asks for a "
                           "photon-number table")
-    result = run_scenario(config)
+    pnd_path = None if pnd_path is None else _path(pnd_path, "output.pnd_csv_path")
+    result = run()
     _write_csv(csv_path, result["columns"], result["rows"])
     if result["pnd"] is not None:
         det.save_pnd_csv(result["pnd"], pnd_path)

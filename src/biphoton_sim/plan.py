@@ -46,19 +46,22 @@ class DetectionPlan:
     process)` pushed through a passive pipeline s: rows over the output
     modes, the annihilation rows of every mode and then the creation rows.
     `masks[k]` is output mode k's window mask on its grid and `detectors[k]`
-    its detector index or None.  The grams
-    and the series' square roots are formed on first use and kept, so a
-    sweep forms them once.
+    its detector index or None.  The package exports no pipeline push: a
+    caller builds s V itself (a uniform field loss t is t V), as `run` does
+    for its `pipeline`.  The grams and the series' square roots are formed
+    on first use and kept, so a sweep forms them once.
     """
 
     def __init__(self, schmidt, process: ProcessType, factor, masks, detectors):
-        self.coefficients = schmidt.coefficients
+        self.schmidt = schmidt
         self.process = process
         self.masks = list(masks)
         self.detectors = list(detectors)
+        if len(self.detectors) != len(self.masks) or self.detectors.count(None) == len(self.masks):
+            raise ValueError("expected a detector index or None per mask, and one detector at least")
         rows = np.concatenate(self.masks * 2) > 0
         groups = 4 if process is ProcessType.TYPE_II else 2
-        if factor.shape != (rows.size, groups * self.coefficients.size):
+        if factor.shape != (rows.size, groups * schmidt.coefficients.size):
             raise ValueError(f"factor of shape {factor.shape} does not match the masks or modes")
         # one conjugate sector when no detected row couples the column halves
         half = factor.shape[1] // 2
@@ -103,7 +106,9 @@ class DetectionPlan:
         blocks of H, p_s = sum_j c_j^2 (H_uu)_jj, p_i = sum_j c_j^2 (H_vv)_jj
         and p_si = c^T (H_uu o conj H_vv) c; type-0/I has one mode, window and
         loss, so p_i is p_s.  mu = gain^2 / 2 (type-0/I) or gain^2 / 4."""
-        c = self.coefficients
+        if self.process is ProcessType.TYPE_II and self.multiplicity == 1:
+            raise ValueError("single_pair: this pipeline joins signal and idler")
+        c = self.schmidt.coefficients
         k = c.size
         h_uu, h_vv = self.gram[:k, :k], self.gram[k:2 * k, k:2 * k]
         p_s, p_i = (float(np.real(np.diag(h)) @ (c * c)) for h in (h_uu, h_vv))
@@ -112,14 +117,17 @@ class DetectionPlan:
             return det.PoissonParams(0.5, p_s, p_s, p_si)
         return det.PoissonParams(0.25, p_s, p_i, p_si)
 
-    def log_vacuum(self, sq, order: int | None = None, detected_only: bool = False) -> float:
-        """-1/2 log det(1 + M H) at the squeezing spectrum `sq`, H the gram of
-        every detected row or, with `detected_only`, of the rows that have a
-        detector: exact with `order` None, else the log series of that order,
-        from the eigenvalues of the Hermitian B diag(lam) B^dag with
-        B = H^1/2 P, since every core is M = P diag(lam) P^T, P the fixed
-        rotation of each (C, S) column pair and lam = (e^+-sigma - 1)/2.  B is
-        formed once per gram; the series warns past spectral radius 0.95."""
+    def log_vacuum(self, sq, order: int | None = None) -> float:
+        """-1/2 log det(1 + M H) at the squeezing spectrum `sq`: exact with
+        `order` None, else the log series of that order, from the eigenvalues
+        of the Hermitian B diag(lam) B^dag with B = H^1/2 P, since every core
+        is M = P diag(lam) P^T, P the fixed rotation of each (C, S) column
+        pair and lam = (e^+-sigma - 1)/2.  B is formed once per gram; the
+        series warns past spectral radius 0.95."""
+        return self._log_vacuum(sq, order, detected_only=False)
+
+    def _log_vacuum(self, sq, order, detected_only):
+        """`log_vacuum`, of the rows that have a detector with `detected_only`."""
         h = sum(self.detector_grams) if detected_only else self.gram
         if order is None:
             k = covariance_core(sq)[self.sector, self.sector] @ h
@@ -127,7 +135,7 @@ class DetectionPlan:
             if sign == 0:
                 raise np.linalg.LinAlgError("1 + K is singular")
             return -0.5 * self.multiplicity * logdet
-        modes = self.coefficients.size
+        modes = self.schmidt.coefficients.size
         pairs = h.shape[0] // (2 * modes)
         if detected_only not in self._roots:
             vals, vecs = np.linalg.eigh(h)
@@ -139,17 +147,15 @@ class DetectionPlan:
         mu = np.linalg.eigvalsh((root * lam) @ root.conj().T)
         return -0.5 * self.multiplicity * det.log_series_power_sum(mu, order)
 
-    def pnd(self, sq, cutoffs, order: int | None = None, log_vacuum=None):
+    def pnd(self, sq, cutoffs, order: int | None = None):
         """The photon-number table at `sq` up to `cutoffs`, one per detector,
         exact in every moment (`vacuum_point_gf` over the M H_d).  Its
-        constant is `log_vacuum(sq, order)`, which a caller holding it passes
-        as `log_vacuum`, or `log_vacuum(sq, order, detected_only=True)` when a
-        windowed mode has no detector."""
+        constant is the vacuum of the rows that have a detector, exact or the
+        series of `order`: `log_vacuum(sq, order)` unless a windowed mode has
+        no detector."""
         undetected = any(m.any() for m, d in zip(self.masks, self.detectors) if d is None)
-        if undetected or log_vacuum is None:
-            log_vacuum = self.log_vacuum(sq, order, undetected)
         core = covariance_core(sq)[self.sector, self.sector]
-        gf = det.vacuum_point_gf(
-            [core @ h for h in self.detector_grams], log_vacuum, sum(cutoffs), self.multiplicity
-        )
+        gf = det.vacuum_point_gf([core @ h for h in self.detector_grams],
+                                 self._log_vacuum(sq, order, undetected), sum(cutoffs),
+                                 self.multiplicity)
         return det.pnd(gf, cutoffs)

@@ -782,9 +782,6 @@ class TestPlanningErrors:
     """Config mistakes found while planning exit 2 and name the field."""
 
     def _run(self, tmp_path, capsys, cfg):
-        # with both output paths, a PND request reaches the planning checks
-        cfg.setdefault("output", {"csv_path": str(tmp_path / "plan.csv"),
-                                  "pnd_csv_path": str(tmp_path / "plan_pnd.csv")})
         cfg_path = tmp_path / "plan.json"
         cfg_path.write_text(json.dumps(cfg))
         code = main(["run", str(cfg_path)])
@@ -1581,7 +1578,8 @@ def block_reference(cfg):
     from biphoton_sim.cli import _build_source
     from biphoton_sim.transforms import output_dofs
 
-    schmidt, gain, _, process = _build_source(cfg)
+    decompose, gain, _, process = _build_source(cfg)
+    schmidt = decompose()
     gamma = build_covariance_exact(schmidt, gain, process)
     m_total = len(cfg["modes"])
     grids = [d.grid for d in gamma.dofs] + [gamma.dofs[0].grid] * (m_total - gamma.n_dofs)
@@ -1652,7 +1650,8 @@ class TestFactorPath:
         order = 3
         cfg["detection"] = {"method": "log_series", "series_order": order, **detection}
         row = first_row(run_scenario(cfg))
-        schmidt, gain, _, proc = _build_source(cfg)
+        decompose, gain, _, proc = _build_source(cfg)
+        schmidt = decompose()
         v = covariance_factor(schmidt, proc)
         gram = detected_gram(s, proj, out_dofs).to_dense()
         eta2 = float(np.linalg.eigvalsh(v.conj().T @ gram @ v)[-1])
@@ -1977,7 +1976,8 @@ class TestPoissonClaimAsWritten:
         # mu below the edge of det_trunc_eigen_n2, where the largest
         # covariance eigenvalue (e^sigma_1 - 1)/2 reaches 1 and `poisson`
         # exits 3: sigma_1 = ln 3, and sigma_1 is linear in the gain
-        schmidt, _, _, kind = _build_source(cfg)
+        decompose, _, _, kind = _build_source(cfg)
+        schmidt = decompose()
         sigma_1 = SqueezingSpectrum.from_schmidt(schmidt, 1.0, kind).sigmas[0]
         edge = mean_pairs(SqueezingSpectrum.from_schmidt(schmidt, math.log(3.0) / sigma_1, kind))
         del cfg["source"]["gain"]
@@ -2044,6 +2044,31 @@ class TestCheckedBeforeTheRun:
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
         # the library still returns the table
         assert run_scenario(cfg)["pnd"].probabilities.shape == (3, 3)
+
+    @pytest.mark.parametrize("detection, message", [
+        ({"method": "linear", "pnd_cutoffs": [2, 2]},
+         "detection.pnd_cutoffs: method 'linear' gives no photon-number distribution"),
+        ({"method": "quadratic", "pnd_cutoffs": [2]},
+         "detection.pnd_cutoffs: method 'quadratic' gives no photon-number distribution"),
+        ({"method": "exact", "pnd_cutoffs": [2, 2, 2]},
+         "detection.pnd_cutoffs: expected one cutoff per detector (2)"),
+        ({"method": "poisson", "detectors": [1, 0], "pnd_cutoffs": [2, 2]},
+         "detection.detectors: source-level methods take one detector per source mode"),
+    ])
+    def test_a_table_that_cannot_be_made_is_named_before_the_path(
+            self, tmp_path, capsys, monkeypatch, detection, message):
+        # with no pnd_csv_path, the fault in the request itself is reported
+        cfg = base_config(detection=detection, output={"csv_path": "out.csv"})
+        code, err, decomposed = self._run(tmp_path, capsys, monkeypatch, cfg)
+        assert code == 2
+        assert err.startswith(f"configuration error: {message}")
+        assert not decomposed
+
+    def test_empty_cutoffs_ask_for_no_table(self, tmp_path, capsys, monkeypatch):
+        cfg = base_config(detection={"pnd_cutoffs": []}, output={"csv_path": "out.csv"})
+        code, _, decomposed = self._run(tmp_path, capsys, monkeypatch, cfg)
+        assert code == 0 and decomposed
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out.csv"]
 
     @pytest.mark.parametrize("output, field", [
         ({"csv_path": 5}, "output.csv_path"),

@@ -119,17 +119,56 @@ class TestPlanAgainstDenseOperand:
         ref = pnd(vacuum_point_gf(parts, log_vac, sum(cutoffs)), cutoffs)
         got = plan.pnd(sq, cutoffs)
         assert np.allclose(got.probabilities, ref.probabilities, rtol=1e-11, atol=1e-15)
-        # the table's vacuum entry is the vacuum of the modes with a detector,
-        # p_vac unless a windowed mode has none
-        # (np.exp, as `pnd` takes it)
-        log_vac = plan.log_vacuum(sq)
+        # the table's vacuum entry is the vacuum of the modes with a detector:
+        # p_vac to the bit (np.exp, as `pnd` takes it) unless a windowed mode
+        # has none
         undetected = None in plan.detectors
-        assert got.probabilities.flat[0] == np.exp(plan.log_vacuum(sq, detected_only=undetected))
-        assert (got.probabilities.flat[0] == np.exp(log_vac)) != undetected
-        # a caller's own log vacuum is the constant unless a windowed mode
-        # has no detector
-        again = plan.pnd(sq, cutoffs, log_vacuum=log_vac).probabilities
-        assert np.array_equal(again, got.probabilities)
+        assert (got.probabilities.flat[0] == np.exp(plan.log_vacuum(sq))) != undetected
+        assert got.probabilities.flat[0] == pytest.approx(ref.probabilities.flat[0], rel=1e-12)
+
+
+def test_single_pair_needs_signal_and_idler_apart():
+    plan = _case("type2_two_sectors", 0.05)[0]
+    with pytest.raises(ValueError, match="joins signal and idler"):
+        plan.single_pair
+    assert _case("type2_one_sector", 0.05)[0].single_pair.p_s > 0
+
+
+@pytest.mark.parametrize("detectors", [[None, None], [0], [0, 1, None]])
+def test_one_detector_per_mask_and_at_least_one(detectors):
+    model = GaussianJsaModel(1.0, 3.0)
+    jsa = build_gaussian_jsa(model, *default_grids(model, extent_sigmas=5.2, points_per_width=2.0))
+    schmidt = schmidt_decompose(jsa)
+    process = ProcessType.TYPE_II
+    masks = [np.ones(jsa.grid_signal.n), np.ones(jsa.grid_idler.n)]
+    with pytest.raises(ValueError, match="one detector at least"):
+        DetectionPlan(schmidt, process, covariance_factor(schmidt, process), masks, detectors)
+
+
+def test_series_pnd_warns_once(tmp_path):
+    # the table recomputes the vacuum it shares with p_vac, at spectral
+    # radius 0.972 here: the warning of a log-series run still prints once
+    import json
+    import os
+    import subprocess
+    import sys
+
+    config = {
+        "source": {"process": "type2", "mu": 0.42,
+                   "jsa": {"gaussian": {"delta_plus_rad_s": 1.0, "delta_minus_rad_s": 3.0}}},
+        "grid": {"extent_sigmas": 5.2, "points_per_width": 2.0},
+        "detection": {"method": "log_series", "series_order": 300, "pnd_cutoffs": [2, 2]},
+        "output": {"csv_path": "out.csv", "pnd_csv_path": "pnd.csv"},
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "biphoton_sim.cli", "run", "cfg.json"],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "pnd.csv").exists()
+    assert done.stderr.count("SpectralRadiusWarning") == 1, done.stderr
 
 
 def test_readme_sketch_plan_matches_hand_built_core():
