@@ -5,7 +5,7 @@ pipeline described by a JSON document and writes CSV results, attaching the
 applicable error-bound columns so every approximate number ships with its
 certificate.  This module checks the config, all that needs no Schmidt
 spectrum before the SVD, pushes the Schmidt factor through the pipeline
-once and hands it to one `DetectionPlan`, which does the detection
+(`_plan`) and hands it to one `DetectionPlan`, which does the detection
 numerics of every method.  `biphoton-sim figure <name>`
 regenerates the four reference datasets (determinant-truncation bound,
 covariance-truncation bound, vacuum probability closed forms, approximation
@@ -30,13 +30,12 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import detection as det
-from . import spectral, transforms
+from . import covariance, spectral, transforms
 from .covariance import (
     Dof,
     ProcessType,
     SqueezingSpectrum,
     covariance_eigenvalues,
-    covariance_factor,
     gain_for_mean_pairs,
     mean_pairs,
     norms,
@@ -86,11 +85,11 @@ def _limits_text(at_least=None, above=None, at_most=None) -> str:
 
 
 def _number(value, path: str, kind=float, at_least=None, above=None, at_most=None):
-    """`value` as a finite float, or as an int when `kind` is int, that is
-    at least `at_least`, above `above` and at most `at_most`; otherwise a
-    ConfigError naming `path`."""
+    """`value`, a JSON number (never a string or bool), as a finite float, or
+    as an int when `kind` is int, that is at least `at_least`, above `above`
+    and at most `at_most`; otherwise a ConfigError naming `path`."""
     try:
-        x = kind(value)
+        x = kind(value) if isinstance(value, (int, float)) else math.nan  # JSON numbers only
         ok = not isinstance(value, bool) and math.isfinite(x) and x == float(value)
     except (TypeError, ValueError, OverflowError):
         ok = False
@@ -302,8 +301,9 @@ def _apply_pipeline(steps, in_dofs, names, factor, time_modes=()):
                 second *= t_coef
                 second -= r_coef * kept
         else:  # loss
-            scale = {  # one factor per mode, the last given
-                _mode_index(key, f"{path}.eta", m_total): _number(val, f"{path}.eta", **_UNIT)
+            scale = {  # one factor per mode, the last given; a JSON key is a string
+                _mode_index(int(key) if str(key).isdecimal() else key, f"{path}.eta", m_total):
+                _number(val, f"{path}.eta", **_UNIT)
                 for key, val in _object(entry, "eta", f"{path}.eta").items()
             }
             for idx, val in scale.items():
@@ -311,6 +311,19 @@ def _apply_pipeline(steps, in_dofs, names, factor, time_modes=()):
                 rows[idx] *= val
                 rows[m_total + idx] *= val
     return out, tuple(dofs), etas
+
+
+def _plan(steps, schmidt, process, names, time_modes, windows, detectors):
+    """`run`'s plan and per-mode loss: s V_1 (type-0/I: s V), and s V_2 too when the sectors
+    couple, pushed on its own since conj(s V_1) need not match it to the bit."""
+    first = covariance._first_sector(schmidt, process)
+    in_dofs = source_dofs(schmidt, process)
+    factor, out_dofs, etas = _apply_pipeline(steps, in_dofs, names, first, time_modes)
+    masks = _window_masks(windows, out_dofs)
+    if process is ProcessType.TYPE_II and covariance._couples(factor, masks):
+        second = _apply_pipeline(steps, in_dofs, names, covariance._mirror(first), time_modes)[0]
+        factor = np.hstack([factor, second])
+    return DetectionPlan(schmidt, process, factor, masks, detectors), etas
 
 
 def _sweep_mus(config) -> list:
@@ -401,10 +414,7 @@ def _checked_scenario(config):
 
     def run():
         schmidt = decompose()
-        # one push and one plan for every method
-        factor, out_dofs, etas = _apply_pipeline(steps, source_dofs(schmidt, process), mode_names,
-                                                 covariance_factor(schmidt, process), time_modes)
-        plan = DetectionPlan(schmidt, process, factor, _window_masks(windows, out_dofs), detectors)
+        plan, etas = _plan(steps, schmidt, process, mode_names, time_modes, windows, detectors)
         if source_level:
             step = _source_step(plan, etas, method, cutoffs)
         else:

@@ -141,10 +141,6 @@ class RenormalizedCovariance:
         return len(self.dofs)
 
 
-def _grid_sizes(dofs) -> tuple:
-    return tuple(d.grid.n for d in dofs) * 2
-
-
 def source_dofs(source, process: ProcessType) -> tuple:
     """The source modes of a JSA or Schmidt spectrum, named and ordered as in
     its covariance."""
@@ -181,7 +177,7 @@ def build_covariance_exact(
         return (left * diag) @ right.conj().T
 
     dofs = source_dofs(spectrum, process)
-    sizes = _grid_sizes(dofs)
+    sizes = tuple(d.grid.n for d in dofs) * 2
     if process is ProcessType.TYPE_0I:
         blocks = (
             (sandwich(u, c, u), sandwich(u, s, v)),
@@ -205,20 +201,36 @@ def covariance_factor(spectrum: SchmidtSpectrum, process: ProcessType) -> np.nda
 
     The columns are the weighted u, v (type-0/I) or u, v, conj(v), conj(u)
     (type-II) Schmidt modes, each in the block rows where the covariance
-    holds it, so r is 2 or 4 times the number of Schmidt modes.  V is real
-    when the modes are.
+    holds it, so r is 2 or 4 times the number K of Schmidt modes.  V is real
+    when the modes are.  A type-II V is [V_1, `_mirror`(V_1)], 2K each.
     """
+    first = _first_sector(spectrum, process)
+    return first if process is ProcessType.TYPE_0I else np.hstack([first, _mirror(first)])
+
+
+def _first_sector(spectrum: SchmidtSpectrum, process: ProcessType) -> np.ndarray:
+    """The first 2K columns of `covariance_factor`: all of a type-0/I V."""
     u, v = _weighted_modes(spectrum)
-    if process is ProcessType.TYPE_0I:
-        placed = ((0, u), (1, v))
-    else:
-        placed = ((0, u), (3, v), (1, v.conj()), (2, u.conj()))
-    offsets = np.cumsum((0,) + _grid_sizes(source_dofs(spectrum, process)))
-    k = u.shape[1]
-    basis = np.zeros((offsets[-1], k * len(placed)), dtype=u.dtype)
-    for j, (row, modes) in enumerate(placed):
-        basis[offsets[row]:offsets[row + 1], j * k:(j + 1) * k] = modes
+    k, pairs = u.shape[1], 2 if process is ProcessType.TYPE_II else 1
+    basis = np.zeros((pairs * (u.shape[0] + v.shape[0]), 2 * k), dtype=u.dtype)
+    basis[:u.shape[0], :k], basis[-v.shape[0]:, k:] = u, v
     return basis
+
+
+def _mirror(first: np.ndarray) -> np.ndarray:
+    """V_2 of a type-II factor [V_1, V_2] from V_1, 2K columns each: V_1
+    conjugated, its row halves and u/v column groups swapped, zeros keeping
+    their sign."""
+    second = np.roll(first, (first.shape[0] // 2, first.shape[1] // 2), axis=(0, 1))
+    return np.conjugate(second, out=second, where=second != 0)
+
+
+def _couples(first, masks) -> bool:
+    """Whether a detected row of a pushed type-II factor couples its sectors:
+    by `_mirror`, when its first sector is nonzero at the row and its partner."""
+    rows = np.concatenate(list(masks) * 2) > 0
+    nonzero = rows & (first != 0).any(axis=1)
+    return bool(np.any(nonzero & np.roll(nonzero, rows.size // 2)))
 
 
 def covariance_core(sq: SqueezingSpectrum) -> np.ndarray:

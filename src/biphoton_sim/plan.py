@@ -17,8 +17,10 @@ conj u (rows a_i and a_s^dag), and M = diag(M_1, M_1) with
 M_1 = [[C, S], [S, C]].  Every pipeline step is passive, T (+) conj(T), and
 the masks are real and equal on annihilation and creation rows, so the
 second column half of P s V is the conjugate of the first with its row
-halves and its u/v column groups (Pi) swapped.  If no detected row is
-nonzero in both halves, the cross gram is exactly zero: H and every H_d are
+halves and its u/v column groups (Pi) swapped (`covariance._mirror`).  So
+a detected row is nonzero in both halves exactly when the first half is
+nonzero at it and at its annihilation/creation partner (`_couples`).  If
+none is, the cross gram is exactly zero: H and every H_d are
 diag(H_1, Pi conj(H_1) Pi), and M H = diag(M_1 H_1, Pi conj(M_1 H_1) Pi).
 Then log det(1 + M H) = 2 log det(1 + M_1 H_1), each real trace moment is
 twice the half's, and lambda_max(H) = lambda_max(H_1), so the plan uses the
@@ -34,7 +36,7 @@ import math
 import numpy as np
 
 from . import detection as det
-from .covariance import ProcessType, covariance_core
+from .covariance import ProcessType, _couples, covariance_core
 
 __all__ = ["DetectionPlan"]
 
@@ -45,11 +47,13 @@ class DetectionPlan:
     `factor` is s V, the covariance factor V = `covariance_factor(schmidt,
     process)` pushed through a passive pipeline s: rows over the output
     modes, the annihilation rows of every mode and then the creation rows.
-    `masks[k]` is output mode k's window mask on its grid and `detectors[k]`
-    its detector index or None.  The package exports no pipeline push: a
-    caller builds s V itself (a uniform field loss t is t V), as `run` does
-    for its `pipeline`.  The grams and the series' square roots are formed
-    on first use and kept, so a sweep forms them once.
+    A type-II factor may be its first sector s V_1 alone (2K of 4K columns)
+    unless a detected row couples the sectors, that is s V_1 is nonzero at it
+    and at its annihilation/creation partner (a ValueError).  `masks[k]` is
+    output mode k's window mask and `detectors[k]` its detector index or
+    None.  The package exports no pipeline push: a caller builds s V itself
+    (a uniform field loss t is t V), as `run` does.  The grams and square
+    roots are formed on first use and kept, so a sweep forms them once.
     """
 
     def __init__(self, schmidt, process: ProcessType, factor, masks, detectors):
@@ -59,17 +63,14 @@ class DetectionPlan:
         self.detectors = list(detectors)
         if len(self.detectors) != len(self.masks) or self.detectors.count(None) == len(self.masks):
             raise ValueError("expected a detector index or None per mask, and one detector at least")
-        rows = np.concatenate(self.masks * 2) > 0
-        groups = 4 if process is ProcessType.TYPE_II else 2
-        if factor.shape != (rows.size, groups * schmidt.coefficients.size):
+        half = 2 * schmidt.coefficients.size
+        widths = (half, 2 * half) if process is ProcessType.TYPE_II else (half,)
+        if factor.shape[0] != 2 * sum(m.size for m in self.masks) or factor.shape[1] not in widths:
             raise ValueError(f"factor of shape {factor.shape} does not match the masks or modes")
-        # one conjugate sector when no detected row couples the column halves
-        half = factor.shape[1] // 2
-        nonzero = factor[rows] != 0
-        if process is ProcessType.TYPE_II and not np.any(
-            nonzero[:, :half].any(axis=1) & nonzero[:, half:].any(axis=1)
-        ):
+        if process is ProcessType.TYPE_II and not _couples(factor[:, :half], self.masks):
             self.sector, self.multiplicity = slice(0, half), 2
+        elif process is ProcessType.TYPE_II and factor.shape[1] == half:
+            raise ValueError("a detected row couples the conjugate sectors: both are needed")
         else:
             self.sector, self.multiplicity = slice(None), 1
         self._factor = factor[:, self.sector]

@@ -2089,3 +2089,91 @@ class TestCheckedBeforeTheRun:
         code, _, decomposed = self._run(tmp_path, capsys, monkeypatch, cfg)
         assert code == 0 and decomposed
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out.csv"]
+
+
+def _with(cfg, path, value):
+    """`cfg` with the field at the dotted `path` (list indices as digits) set."""
+    cfg = json.loads(json.dumps(cfg))
+    *outer, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+    node = cfg
+    for key in outer:
+        node = node[key]
+    node[last] = value
+    return cfg
+
+
+class TestNumbersOnly:
+    """A numeric field takes a JSON number: a numeric string, which int() or
+    float() would convert, exits 2 and names the field."""
+
+    _PIPELINE = [
+        {"type": "beam_splitter", "dofs": [0, 2], "transmittance": 0.9},
+        {"type": "phase", "dof": 0, "phi0_rad": 0.0, "tau_s": 1.2, "beta_l_s2": 0.0},
+        {"type": "fourier", "dof": 0},
+        {"type": "loss", "eta": {"1": 0.85}},
+    ]
+
+    def _config(self):
+        return base_config(
+            modes=["signal", "idler", "anc"], pipeline=self._PIPELINE,
+            detection={"method": "log_series", "series_order": 4, "domain": "time",
+                       "windows": [[-3.0, 3.0], None, "empty"], "pnd_cutoffs": [2, 2],
+                       "detectors": [0, 1, None]},
+            output={"csv_path": "out.csv", "pnd_csv_path": "pnd.csv"})
+
+    @pytest.mark.parametrize("path, value, field", [
+        ("detection.series_order", "8", "detection.series_order"),
+        ("source.gain", "0.4", "source.gain"),
+        ("grid.points_per_width", "2", "grid.points_per_width"),
+        ("grid.extent_sigmas", "5.2", "grid.extent_sigmas"),
+        ("source.jsa.gaussian.delta_plus_rad_s", "1.0", "source.jsa.gaussian.delta_plus_rad_s"),
+        ("source.jsa.gaussian.delta_minus_rad_s", "3", "source.jsa.gaussian.delta_minus_rad_s"),
+        ("source.jsa.gaussian.center_idler_rad_s", "0", "source.jsa.gaussian.center_idler_rad_s"),
+        ("pipeline.0.transmittance", "0.9", "pipeline[0].transmittance"),
+        ("pipeline.0.dofs", ["0", 2], "pipeline[0].dofs"),
+        ("pipeline.1.dof", "0", "pipeline[1].dof"),
+        ("pipeline.1.tau_s", "1.2", "pipeline[1].tau_s"),
+        ("pipeline.3.eta", {"1": "0.85"}, "pipeline[3].eta"),
+        ("detection.windows.0", ["-3", 3.0], "detection.windows[0]"),
+        ("detection.pnd_cutoffs", ["2", 2], "detection.pnd_cutoffs"),
+    ])
+    def test_numeric_string_exits_2(self, tmp_path, capsys, monkeypatch, path, value, field):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(_with(self._config(), path, value)))
+        assert main(["run", "cfg.json"]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {field}: expected")
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("source, field", [
+        ({"mu": "0.1"}, "source.mu"),
+        ({"sweep": ["0.1"]}, "sweep.values[0]"),
+    ])
+    def test_numeric_string_mu_exits_2(self, tmp_path, capsys, monkeypatch, source, field):
+        cfg = self._config()
+        del cfg["source"]["gain"]
+        if "mu" in source:
+            cfg["source"]["mu"] = source["mu"]
+        else:
+            cfg["sweep"] = {"parameter": "source.mu", "values": source["sweep"]}
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["run", "cfg.json"]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {field}: expected")
+
+    def test_numbers_and_decimal_mode_keys_still_run(self, tmp_path, monkeypatch):
+        # a loss names its modes by JSON object keys, which are strings
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(self._config()))
+        assert main(["run", "cfg.json"]) == 0
+
+    @pytest.mark.parametrize("name, overrides, field", [
+        ("fig3", {"mu_max": "2.0"}, "--overrides.mu_max"),
+        ("fig1", {"order": "2"}, "--overrides.order"),
+        ("fig1", {"mus": ["0.01"]}, "--overrides.mus[0]"),
+        ("fig4", {"eta": "1"}, "--overrides.eta"),
+    ])
+    def test_numeric_string_override_exits_2(self, tmp_path, capsys, name, overrides, field):
+        argv = ["figure", name, "--out", str(tmp_path), "--overrides", json.dumps(overrides)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {field}: expected")
+        assert not (tmp_path / f"{name}.csv").exists()

@@ -135,6 +135,34 @@ class TestFactor:
             assert np.max(np.abs(basis @ core @ basis.conj().T - exact)) < 1e-14
 
 
+    @pytest.mark.parametrize("complex_modes", [False, True])
+    def test_second_sector_mirrors_the_first_to_the_bit(self, rng, complex_modes):
+        # V_2 is V_1 conjugated, its row halves and u/v column groups swapped:
+        # the same bytes, signed zeros included, as placing every block
+        import dataclasses
+
+        from biphoton_sim.covariance import _first_sector, _mirror, covariance_factor
+
+        schmidt = random_schmidt(rng, n_modes=3)
+        if complex_modes:
+            phases = np.exp(1j * rng.uniform(0, 6, (2, schmidt.grid_signal.n, 1)))
+            schmidt = dataclasses.replace(schmidt, modes_signal=schmidt.modes_signal * phases[0],
+                                          modes_idler=schmidt.modes_idler * phases[1])
+        w = np.sqrt(schmidt.grid_signal.weights)[:, None]
+        u, v = schmidt.modes_signal * w, schmidt.modes_idler * w
+        n, k = u.shape
+        placed = np.zeros((4 * n, 4 * k), dtype=u.dtype)
+        placed[:n, :k], placed[3 * n:, k:2 * k] = u, v
+        placed[n:2 * n, 2 * k:3 * k], placed[2 * n:3 * n, 3 * k:] = v.conj(), u.conj()
+        first = _first_sector(schmidt, ProcessType.TYPE_II)
+        assert first.tobytes() == placed[:, :2 * k].tobytes()
+        assert _mirror(first).tobytes() == placed[:, 2 * k:].tobytes()
+        assert covariance_factor(schmidt, ProcessType.TYPE_II).tobytes() == placed.tobytes()
+        # a type-0/I factor is its first sector: u on a, v on a^dag
+        assert covariance_factor(schmidt, ProcessType.TYPE_0I).tobytes() == np.block(
+            [[u, np.zeros_like(v)], [np.zeros_like(u), v]]).tobytes()
+
+
 class TestSeries:
     """The dense series reference of `oracle` against the exact covariance."""
 

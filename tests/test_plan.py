@@ -214,3 +214,159 @@ def test_one_push_per_run(monkeypatch, method):
     result = cli.run_scenario(config)
     assert len(result["rows"]) == 2
     assert calls == [method]
+
+
+# The sector path of `run`: s V_1 pushed alone, s V_2 only when a detected row
+# couples the sectors.  name -> (process, modes, pipeline, windows, detectors,
+# PND cutoffs).
+_SECTOR_SCENARIOS = {
+    # the benchmark's scenario: a beam splitter into an ancilla, then phase,
+    # fourier, per-arm loss and time windows
+    "uncoupled": ("type2", ["signal", "idler", "anc"], [
+        {"type": "beam_splitter", "dofs": [0, 2], "transmittance": 0.9},
+        {"type": "phase", "dof": 0, "phi0_rad": 0.0, "tau_s": 1.2, "beta_l_s2": 0.0},
+        {"type": "fourier", "dof": 0},
+        {"type": "loss", "eta": {"0": 0.95, "1": 0.85}},
+    ], [[-3.0, 3.0], None, "empty"], [0, 1, None], [3, 3]),
+    # a signal-idler beam splitter joins the sectors
+    "coupled": ("type2", ["signal", "idler", "anc"], [
+        {"type": "beam_splitter", "dofs": [0, 1], "transmittance": 0.8},
+        {"type": "beam_splitter", "dofs": [0, 2], "transmittance": 0.9},
+        {"type": "phase", "dof": 0, "phi0_rad": 0.3, "tau_s": 1.2, "beta_l_s2": 0.0},
+        {"type": "fourier", "dof": 0},
+        {"type": "fourier", "dof": 1},
+        {"type": "loss", "eta": {"1": 0.85}},
+    ], [[-3.0, 3.0], [-2.0, 2.5], "empty"], [0, 1, None], [3, 3]),
+    "type0i": ("type0i", ["mode", "anc"], [
+        {"type": "beam_splitter", "dofs": [0, 1], "transmittance": 0.8},
+        {"type": "phase", "dof": 0, "phi0_rad": 0.3, "tau_s": 0.7, "beta_l_s2": 0.1},
+        {"type": "fourier", "dof": 0},
+    ], [[-2.5, 3.0], "empty"], [0, None], [4]),
+}
+
+
+def _sector_config(name, method, delta_minus=5.0):
+    process, modes, pipeline, windows, detectors, cutoffs = _SECTOR_SCENARIOS[name]
+    detection = {"method": method, "domain": "time", "windows": windows,
+                 "detectors": detectors, "pnd_cutoffs": cutoffs}
+    if method == "log_series":
+        detection["series_order"] = 12
+    return {
+        "source": {"process": process, "jsa": {"gaussian": {
+            "delta_plus_rad_s": 1.0, "delta_minus_rad_s": delta_minus}}},
+        "grid": {"extent_sigmas": 5.2, "points_per_width": 2.0},
+        "modes": modes,
+        "pipeline": pipeline,
+        "detection": detection,
+        "sweep": {"parameter": "source.mu", "values": [0.05, 0.2]},
+    }
+
+
+def _full_plan(steps, schmidt, process, names, time_modes, windows, detectors):
+    """The reference for `cli._plan`: the plan of the full factor, both
+    sectors pushed at once."""
+    from biphoton_sim import cli
+    from biphoton_sim.covariance import source_dofs
+
+    factor, out_dofs, etas = cli._apply_pipeline(
+        steps, source_dofs(schmidt, process), names, covariance_factor(schmidt, process),
+        time_modes)
+    masks = cli._window_masks(windows, out_dofs)
+    return DetectionPlan(schmidt, process, factor, masks, detectors), etas
+
+
+def _run_both(monkeypatch, config):
+    """`run`'s rows and PND table through the sector path, then through a plan
+    of the full pushed factor."""
+    from biphoton_sim import cli
+
+    sector = cli.run_scenario(config)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_plan", _full_plan)
+        full = cli.run_scenario(config)
+    return sector, full
+
+
+@pytest.mark.parametrize("name", list(_SECTOR_SCENARIOS))
+@pytest.mark.parametrize("method", ["exact", "log_series"])
+def test_sector_path_matches_full_factor_to_the_bit(monkeypatch, name, method):
+    # 40 Schmidt modes: each sector's 2K = 80 columns pass the same BLAS
+    # kernels in a push of their own as in the 4K push of both (see the
+    # odd count below)
+    sector, full = _run_both(monkeypatch, _sector_config(name, method))
+    assert sector["columns"] == full["columns"]
+    # 17 significant digits: the same strings are the same doubles
+    assert sector["rows"] == full["rows"]
+    assert sector["pnd"].probabilities.tobytes() == full["pnd"].probabilities.tobytes()
+
+
+@pytest.mark.parametrize("method", ["exact", "log_series"])
+def test_coupled_sector_path_with_an_odd_mode_count(monkeypatch, method):
+    # 33 Schmidt modes: a sector's 2K = 66 columns can end in a column block
+    # that the BLAS multiplies apart from the others in the Fourier step's
+    # complex product, while 4K = 132 columns do not; that block may move
+    # by an ulp, so the rows agree within a few ulp, not to the bit.  A
+    # log-series bound goes as lambda_max(H)^order, so it moves order times
+    # as much (measured up to 1.7e-14 at order 20)
+    from biphoton_sim import cli
+
+    config = _sector_config("coupled", method, delta_minus=4.0)
+    assert cli._build_source(config)[0]().coefficients.size == 33
+    sector, full = _run_both(monkeypatch, config)
+    for got, want in zip(sector["rows"], full["rows"]):
+        assert got[2] == want[2]
+        assert [float(x) for x in got[3:]] == pytest.approx(
+            [float(x) for x in want[3:]], rel=1e-13, abs=0)
+    assert np.allclose(sector["pnd"].probabilities, full["pnd"].probabilities,
+                       rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("name, sectors", [("uncoupled", 1), ("coupled", 2), ("type0i", 1)])
+def test_run_pushes_sectors_of_2k_columns(monkeypatch, name, sectors):
+    # an uncoupled type-II run never holds a pushed N x 4K factor
+    from biphoton_sim import cli
+
+    widths = []
+
+    def spied(steps, in_dofs, names, factor, time_modes=(), _apply=cli._apply_pipeline):
+        widths.append(factor.shape[1])
+        return _apply(steps, in_dofs, names, factor, time_modes)
+
+    monkeypatch.setattr(cli, "_apply_pipeline", spied)
+    config = _sector_config(name, "exact")
+    cli.run_scenario(config)
+    modes = cli._build_source(config)[0]().coefficients.size
+    assert widths == [2 * modes] * sectors
+
+
+def test_plan_raises_for_a_coupled_first_sector():
+    plan, _, _ = _case("type2_two_sectors", 0.05)
+    half = 2 * plan.schmidt.coefficients.size
+    factor = plan._factor
+    with pytest.raises(ValueError, match="both are needed"):
+        DetectionPlan(plan.schmidt, plan.process, factor[:, :half], plan.masks, plan.detectors)
+    # an uncoupled first sector is the plan of the full factor
+    full = _case("type2_one_sector", 0.05)[0]
+    first = DetectionPlan(full.schmidt, full.process, full._factor, full.masks, full.detectors)
+    assert first.multiplicity == 2
+    assert first.gram.tobytes() == full.gram.tobytes()
+
+
+@pytest.mark.parametrize("name", [n for n, case in _CASES.items()
+                                  if case[0] is ProcessType.TYPE_II])
+def test_row_test_reads_the_first_sector_only(name):
+    # a detected row of s V is nonzero in both column halves exactly when
+    # the first half is nonzero at it and at its annihilation/creation partner
+    from biphoton_sim.covariance import _couples
+
+    plan = _case(name, 0.05)[0]
+    process, transmittance, *_ = _CASES[name]
+    schmidt = plan.schmidt
+    t = transmittance(schmidt.grid_signal.n)
+    s = np.block([[t, np.zeros_like(t)], [np.zeros_like(t), t.conj()]])
+    factor = s @ covariance_factor(schmidt, process)
+    rows = np.concatenate(plan.masks * 2) > 0
+    half = factor.shape[1] // 2
+    nonzero = factor[rows] != 0
+    both = np.any(nonzero[:, :half].any(axis=1) & nonzero[:, half:].any(axis=1))
+    assert _couples(factor[:, :half], plan.masks) == both == (plan.multiplicity == 1)
