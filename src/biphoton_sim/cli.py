@@ -3,14 +3,13 @@
 `biphoton-sim run <config.json>` executes a source -> transforms -> detection
 pipeline described by a JSON document and writes CSV results, attaching the
 applicable error-bound columns so every approximate number ships with its
-certificate.  This module checks the config, all that needs no Schmidt
-spectrum before the SVD, pushes the Schmidt factor through the pipeline
-(`_plan`) and hands it to one `DetectionPlan`, which does the detection
-numerics of every method.  `biphoton-sim figure <name>`
-regenerates the four reference datasets (determinant-truncation bound,
-covariance-truncation bound, vacuum probability closed forms, approximation
-errors).  `biphoton-sim schmidt` prints the Schmidt spectrum of a JSA stored
-as CSV.
+certificate.  This module parses and checks the config, pipeline included,
+before the SVD, pushes the Schmidt factor through the parsed steps (`_plan`)
+and hands it to one `DetectionPlan`, which does the detection numerics of
+every method.  `biphoton-sim figure <name>` regenerates the four reference
+datasets (determinant-truncation bound, covariance-truncation bound, vacuum
+probability closed forms, approximation errors).  `biphoton-sim schmidt`
+prints the Schmidt spectrum of a JSA stored as CSV.
 
 CSV output is RFC 4180 with '.' decimals and 17 significant digits; figure
 metadata goes to a JSON sidecar.  Exit codes: 0 success, 2 configuration
@@ -214,79 +213,39 @@ _SOURCE_METHODS = ("poisson", "hermite", "linear", "quadratic")
 _METHODS = ("exact", "log_series") + _SOURCE_METHODS
 
 
-def _pipeline(config) -> list:
-    """The pipeline steps; [] when `pipeline` is absent or null."""
-    steps = config.get("pipeline")
-    if steps is None:
-        return []
-    if not isinstance(steps, list):
+def _parse_pipeline(config, names, windows, source_level) -> list:
+    """`pipeline` as checked steps (path, kind, mode or mode pair, numbers) over
+    the output modes `names`, first applied first; the numbers are a phase's
+    (phi0, tau, beta_l), a beam splitter's (T, R) or a loss's eta, one step per
+    mode.  A source-level method takes no fourier step: each window bounded in
+    time adds its mode's.  Every bounded window must match its mode's domain."""
+    entries = config.get("pipeline")
+    if entries is not None and not isinstance(entries, list):
         raise ConfigError("pipeline: expected a list of steps")
-    return steps
-
-
-def _apply_pipeline(steps, in_dofs, names, factor, time_modes=()):
-    """Push `factor` (rows over the source modes `in_dofs`, annihilation rows
-    first) through the pipeline `steps`, first applied first.
-
-    Vacuum ancillas, up to the length of `names`, take the first source
-    mode's grid and start as zero row blocks, which is the column
-    compression of the vacuum modes.  Each step updates row blocks in place:
-    a phase multiplies a mode's rows, a Fourier step applies its kernel and
-    moves the mode to the time domain, a beam splitter mixes two modes' rows
-    and a loss scales them.  Each mode k of `time_modes` then takes one more
-    Fourier step, whose errors name `detection.windows[k]`.  Returns the
-    rows over all modes (complex if a step is a phase or Fourier step, else
-    of the dtype of `factor`), the output modes and the per-mode product of
-    the loss transmittivities.
-    """
-    dofs = list(in_dofs) + [Dof(name, in_dofs[0].grid) for name in names[len(in_dofs):]]
-    m_total = len(dofs)
-    sizes = [d.grid.n for d in dofs]
-    n_source = sum(sizes[: len(in_dofs)])
-    labelled = [(f"pipeline[{k}]", entry) for k, entry in enumerate(steps)]
-    labelled += [(f"detection.windows[{k}]", {"type": "fourier", "dof": k}) for k in time_modes]
-    phased = any(isinstance(e, dict) and e.get("type") in ("phase", "fourier") for _, e in labelled)
-    out = np.zeros((2 * sum(sizes), factor.shape[1]), dtype=complex if phased else factor.dtype)
-    out[:n_source] = factor[:n_source]
-    out[sum(sizes):sum(sizes) + n_source] = factor[n_source:]
-    rows = np.split(out, np.cumsum(sizes * 2)[:-1])  # views: a_0, a_1, ..., c_0, c_1, ...
-    etas = [1.0] * m_total
-    for path, entry in labelled:
+    m_total, steps = len(names), []
+    for k, entry in enumerate(entries or ()):
+        path = f"pipeline[{k}]"
         if not isinstance(entry, dict) or "type" not in entry:
             raise ConfigError(f"{path}: each entry needs a 'type'")
         kind = entry["type"]
         if not isinstance(kind, str) or kind not in _STEP_FIELDS:
             raise ConfigError(f"{path}.type: unknown transform '{kind}'")
         _unknown_fields(entry, f"{path}.", _STEP_FIELDS[kind])
-        if kind in ("phase", "fourier"):
+        if kind in ("phase", "fourier"):  # the numbers: the fields after "type" and "dof"
             dof = _mode_index(entry.get("dof", 0), f"{path}.dof", m_total)
-            a, c = rows[dof], rows[m_total + dof]
-            if kind == "phase":
-                phase = transforms.phase_factor(
-                    *(_number(entry.get(key, 0.0), f"{path}.{key}")
-                      for key in ("phi0_rad", "tau_s", "beta_l_s2")),
-                    dofs[dof].grid,
-                )
-                a *= phase[:, None]
-                c *= phase.conj()[:, None]
-            elif dofs[dof].domain == "time":
+            if kind == "fourier" and (kind, dof) in [step[1:3] for step in steps]:
                 raise ConfigError(f"{path}.dof: mode {dof} is already in the time domain; "
                                   f"a mode takes at most one 'fourier' step")
-            else:
-                try:
-                    kernel, time_grid = transforms.fourier_kernel(dofs[dof].grid)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: mode {dof} ('{dofs[dof].name}'): {exc}") from None
-                a[...], c[...] = kernel @ a, kernel.conj() @ c
-                dofs[dof] = Dof(dofs[dof].name, time_grid, "time")
+            steps.append((path, kind, dof, tuple(_number(entry.get(key, 0.0), f"{path}.{key}")
+                                                 for key in _STEP_FIELDS[kind][2:])))
         elif kind == "beam_splitter":
             pair = entry.get("dofs")
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ConfigError(f"{path}.dofs: expected a pair of mode indices")
             d1, d2 = (_mode_index(d, f"{path}.dofs", m_total) for d in pair)
-            if d1 == d2 or sizes[d1] != sizes[d2]:
+            if d1 == d2:
                 raise ConfigError(f"{path}.dofs: expected two distinct modes of one grid size, "
-                                  f"got modes {d1} and {d2} of sizes {sizes[d1]} and {sizes[d2]}")
+                                  f"got modes {d1} and {d2}")
             t_coef = _number(entry.get("transmittance"), f"{path}.transmittance")
             r_coef = _number(entry.get("reflectance", math.sqrt(max(0.0, 1.0 - t_coef**2))),
                              f"{path}.reflectance")
@@ -294,6 +253,66 @@ def _apply_pipeline(steps, in_dofs, names, factor, time_modes=()):
                 transforms.check_mixing(t_coef, r_coef)
             except ValueError as exc:
                 raise ConfigError(f"{path}: {exc}") from None
+            steps.append((path, kind, (d1, d2), (t_coef, r_coef)))
+        else:  # loss: one factor per mode, the last given; a JSON key is a string
+            steps += [(path, kind, idx, eta) for idx, eta in {
+                _mode_index(int(key) if str(key).isdecimal() else key, f"{path}.eta", m_total):
+                _number(val, f"{path}.eta", **_UNIT)
+                for key, val in _object(entry, "eta", f"{path}.eta").items()
+            }.items()]
+    if source_level and any(step[1] != "loss" for step in steps):
+        raise ConfigError("pipeline: source-level methods support loss-only pipelines")
+    for k, w in enumerate(windows):
+        if w is None or (w.lo, w.hi) == (-math.inf, math.inf):
+            continue
+        if source_level and w.domain == "time":
+            steps.append((f"detection.windows[{k}]", "fourier", k, ()))
+        domain = "time" if ("fourier", k) in [step[1:3] for step in steps] else "frequency"
+        if w.domain != domain:
+            raise transforms.DomainMismatchError(
+                f"detection.windows[{k}]: window domain '{w.domain}' does not match state "
+                f"domain '{domain}' on '{names[k]}'")
+    return steps
+
+
+def _push_pipeline(steps, in_dofs, names, factor):
+    """Push `factor` (rows over the source modes `in_dofs`, annihilation rows
+    first) through the `_parse_pipeline` steps, checking only what needs a
+    grid: a beam splitter's grid sizes and a Fourier step's uniform grid.
+
+    Vacuum ancillas, up to the length of `names`, take the first source
+    mode's grid and start as zero row blocks, which is the column
+    compression of the vacuum modes.  Each step updates row blocks in place.
+    Returns the rows over all modes (complex if a step is a phase or Fourier
+    step, else of the dtype of `factor`) and the output modes.
+    """
+    dofs = list(in_dofs) + [Dof(name, in_dofs[0].grid) for name in names[len(in_dofs):]]
+    m_total = len(dofs)
+    sizes = [d.grid.n for d in dofs]
+    n_source = sum(sizes[: len(in_dofs)])
+    phased = any(step[1] in ("phase", "fourier") for step in steps)
+    out = np.zeros((2 * sum(sizes), factor.shape[1]), dtype=complex if phased else factor.dtype)
+    out[:n_source] = factor[:n_source]
+    out[sum(sizes):sum(sizes) + n_source] = factor[n_source:]
+    rows = np.split(out, np.cumsum(sizes * 2)[:-1])  # views: a_0, a_1, ..., c_0, c_1, ...
+    for path, kind, dof, args in steps:
+        if kind == "phase":
+            phase = transforms.phase_factor(*args, dofs[dof].grid)
+            rows[dof] *= phase[:, None]
+            rows[m_total + dof] *= phase.conj()[:, None]
+        elif kind == "fourier":
+            try:
+                kernel, time_grid = transforms.fourier_kernel(dofs[dof].grid)
+            except ValueError as exc:
+                raise ValueError(f"{path}: mode {dof} ('{dofs[dof].name}'): {exc}") from None
+            a, c = rows[dof], rows[m_total + dof]
+            a[...], c[...] = kernel @ a, kernel.conj() @ c
+            dofs[dof] = Dof(dofs[dof].name, time_grid, "time")
+        elif kind == "beam_splitter":
+            (d1, d2), (t_coef, r_coef) = dof, args
+            if sizes[d1] != sizes[d2]:
+                raise ConfigError(f"{path}.dofs: expected two distinct modes of one grid size, "
+                                  f"got modes {d1} and {d2} of sizes {sizes[d1]} and {sizes[d2]}")
             for first, second in ((rows[d1], rows[d2]), (rows[m_total + d1], rows[m_total + d2])):
                 kept = first.copy()
                 first *= t_coef
@@ -301,29 +320,22 @@ def _apply_pipeline(steps, in_dofs, names, factor, time_modes=()):
                 second *= t_coef
                 second -= r_coef * kept
         else:  # loss
-            scale = {  # one factor per mode, the last given; a JSON key is a string
-                _mode_index(int(key) if str(key).isdecimal() else key, f"{path}.eta", m_total):
-                _number(val, f"{path}.eta", **_UNIT)
-                for key, val in _object(entry, "eta", f"{path}.eta").items()
-            }
-            for idx, val in scale.items():
-                etas[idx] = val * etas[idx]
-                rows[idx] *= val
-                rows[m_total + idx] *= val
-    return out, tuple(dofs), etas
+            rows[dof] *= args
+            rows[m_total + dof] *= args
+    return out, tuple(dofs)
 
 
-def _plan(steps, schmidt, process, names, time_modes, windows, detectors):
-    """`run`'s plan and per-mode loss: s V_1 (type-0/I: s V), and s V_2 too when the sectors
-    couple, pushed on its own since conj(s V_1) need not match it to the bit."""
+def _plan(steps, schmidt, process, names, windows, detectors):
+    """`run`'s plan: s V_1 (type-0/I: s V), and s V_2 too when the sectors couple,
+    pushed on its own since conj(s V_1) need not match it to the bit."""
     first = covariance._first_sector(schmidt, process)
     in_dofs = source_dofs(schmidt, process)
-    factor, out_dofs, etas = _apply_pipeline(steps, in_dofs, names, first, time_modes)
+    factor, out_dofs = _push_pipeline(steps, in_dofs, names, first)
     masks = _window_masks(windows, out_dofs)
     if process is ProcessType.TYPE_II and covariance._couples(factor, masks):
-        second = _apply_pipeline(steps, in_dofs, names, covariance._mirror(first), time_modes)[0]
+        second = _push_pipeline(steps, in_dofs, names, covariance._mirror(first))[0]
         factor = np.hstack([factor, second])
-    return DetectionPlan(schmidt, process, factor, masks, detectors), etas
+    return DetectionPlan(schmidt, process, factor, masks, detectors)
 
 
 def _sweep_mus(config) -> list:
@@ -361,9 +373,9 @@ def run_scenario(config: dict) -> dict:
 
 
 def _checked_scenario(config):
-    """Check every part of `config` that needs no Schmidt spectrum; returns
-    the PND cutoffs it asks for ([] for none) and a function that builds the
-    source, the SVD, and runs the scenario."""
+    """Check every part of `config` that needs neither a grid nor the Schmidt
+    spectrum, parsing the pipeline once; returns the PND cutoffs ([] for none)
+    and a function that builds the source, the SVD, and runs the scenario."""
     if not isinstance(config, dict):
         raise ConfigError("config: expected a JSON object")
     for prefix, fields in _FIELDS.items():  # outer objects first
@@ -372,7 +384,6 @@ def _checked_scenario(config):
             node = node.get(key) if isinstance(node, dict) else None
         _unknown_fields(node, prefix, fields)
     decompose, gain, source_mu, process = _build_source(config)
-    steps = _pipeline(config)
     detection_cfg = _require(config, "detection", dict)
     method = detection_cfg.get("method", "log_series")
     if method not in _METHODS:
@@ -387,15 +398,12 @@ def _checked_scenario(config):
     sources = ["mode"] if process is ProcessType.TYPE_0I else ["signal", "idler"]
     mode_names = _mode_names(config, sources)
     source_level = method in _SOURCE_METHODS
-    if source_level and any(not isinstance(e, dict) or e.get("type") != "loss" for e in steps):
-        raise ConfigError("pipeline: source-level methods support loss-only pipelines")
     if source_level and len(mode_names) > len(sources):
         raise ConfigError(f"modes: source-level methods take no ancilla modes; list the "
                           f"{len(sources)} source modes only")
     windows = _detection_windows(detection_cfg, len(mode_names)).windows
-    bounded = [k for k, w in enumerate(windows)
-               if w is None or (w.lo, w.hi) != (-math.inf, math.inf)]
-    if method in ("hermite", "quadratic") and bounded:
+    if method in ("hermite", "quadratic") and any(
+            w is None or (w.lo, w.hi) != (-math.inf, math.inf) for w in windows):
         raise ConfigError(f"detection.windows: method '{method}' applies no windows; use 'poisson'")
     detectors, cutoffs = _detectors(detection_cfg, len(mode_names))
     if source_level and detectors != list(range(len(sources))) and any(d != 0 for d in detectors):
@@ -407,14 +415,15 @@ def _checked_scenario(config):
         raise ConfigError(
             f"detection.pnd_cutoffs: method '{method}' gives no photon-number distribution"
         )
-    # a source-level method takes no fourier step: a window bounded in the
-    # time domain applies its mode's Fourier kernel before masking
-    time_modes = [k for k in bounded
-                  if source_level and windows[k] is not None and windows[k].domain == "time"]
+    steps = _parse_pipeline(config, sources + mode_names[len(sources):], windows, source_level)
+    etas = [math.prod([step[3] for step in steps if step[1:3] == ("loss", k)], start=1.0)
+            for k in range(len(mode_names))]  # each mode's loss product
+    if method == "quadratic" and len(set(etas)) > 1:
+        raise ConfigError("pipeline: the quadratic method needs a uniform loss")
 
     def run():
         schmidt = decompose()
-        plan, etas = _plan(steps, schmidt, process, mode_names, time_modes, windows, detectors)
+        plan = _plan(steps, schmidt, process, mode_names, windows, detectors)
         if source_level:
             step = _source_step(plan, etas, method, cutoffs)
         else:
@@ -537,8 +546,6 @@ def _source_step(plan, etas, method, cutoffs):
     single-pair probabilities off the plan."""
     schmidt, process, n_dofs = plan.schmidt, plan.process, len(plan.detectors)
     shared = all(d == 0 for d in plan.detectors)
-    if method == "quadratic" and len(set(etas)) > 1:
-        raise ConfigError("pipeline: the quadratic method needs a uniform loss")
     if method in ("poisson", "linear"):
         unit = plan.single_pair
     eta_best2 = max(e * e for e in etas)

@@ -8,17 +8,26 @@ suite, and not only a benchmark run.
 import json
 from pathlib import Path
 
-from biphoton_sim.cli import main
+from biphoton_sim import cli
 from test_detection import _readme_config
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
-def test_check_scenario_accepts_readme_scenario(tmp_path, monkeypatch, capsys):
+def _check(tmp_path, monkeypatch, capsys, config):
+    """The problems `check_scenario` finds in what `run` writes for the README
+    scenario's source and detection behind `config`'s pipeline, and the
+    column count of each push of the Schmidt factor."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import checks
 
-    config = _readme_config("log_series")
+    widths = []
+
+    def counted(steps, in_dofs, names, factor, _push=cli._push_pipeline):
+        widths.append(factor.shape[1])
+        return _push(steps, in_dofs, names, factor)
+
+    monkeypatch.setattr(cli, "_push_pipeline", counted)
     config["detection"]["series_order"] = 20
     config["source"]["mu"] = 0.05
     config["sweep"]["values"] = [0.05, 0.2]
@@ -26,6 +35,22 @@ def test_check_scenario_accepts_readme_scenario(tmp_path, monkeypatch, capsys):
                         "pnd_csv_path": str(tmp_path / "readme_pnd.csv")}
     path = tmp_path / "readme.json"
     path.write_text(json.dumps(config))
-    assert main(["run", str(path)]) == 0
+    assert cli.main(["run", str(path)]) == 0
     capsys.readouterr()
-    assert checks.check_scenario({"check": {"kind": "scenario", "config": str(path)}}) == []
+    return checks.check_scenario({"check": {"kind": "scenario", "config": str(path)}}), widths
+
+
+def test_check_scenario_accepts_readme_scenario(tmp_path, monkeypatch, capsys):
+    problems, widths = _check(tmp_path, monkeypatch, capsys, _readme_config("log_series"))
+    assert problems == []
+    assert len(widths) == 1
+
+
+def test_check_scenario_accepts_coupled_scenario(tmp_path, monkeypatch, capsys):
+    # a signal-idler beam splitter first couples the type-II sectors, so the
+    # run pushes each on its own and the dense reference checks both
+    config = _readme_config("log_series")
+    config["pipeline"].insert(0, {"type": "beam_splitter", "dofs": [0, 1], "transmittance": 0.8})
+    problems, widths = _check(tmp_path, monkeypatch, capsys, config)
+    assert problems == []
+    assert len(widths) == 2 and widths[0] == widths[1]

@@ -1829,12 +1829,12 @@ class TestRealJsa:
         cfg["detection"].update(domain="frequency", series_order=12)
         dtypes = []
 
-        def recorded(*args, _apply=cli._apply_pipeline):
-            out = _apply(*args)
+        def recorded(*args, _push=cli._push_pipeline):
+            out = _push(*args)
             dtypes.append(out[0].dtype)
             return out
 
-        monkeypatch.setattr(cli, "_apply_pipeline", recorded)
+        monkeypatch.setattr(cli, "_push_pipeline", recorded)
         real = run_scenario(cfg)
         assert dtypes == [dtype]
         self._complex_twins(monkeypatch)
@@ -2089,6 +2089,54 @@ class TestCheckedBeforeTheRun:
         code, _, decomposed = self._run(tmp_path, capsys, monkeypatch, cfg)
         assert code == 0 and decomposed
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out.csv"]
+
+    @pytest.mark.parametrize("pipeline, detection, code, message", [
+        ([{"type": "mirror"}], {}, 2, "pipeline[0].type: unknown transform 'mirror'"),
+        ([{"type": "loss", "eta": {"0": 0.9}, "etta": 0.9}], {}, 2,
+         "pipeline[0].etta: unknown field"),
+        ([{"type": "phase", "dof": 2}], {}, 2, "pipeline[0].dof: mode index 2 out of range"),
+        ([{"type": "beam_splitter", "dofs": [0, 1], "transmittance": 0.9, "reflectance": 0.9}],
+         {}, 2, "pipeline[0]: transmittance and reflectance must satisfy T^2 + R^2 = 1"),
+        ([{"type": "beam_splitter", "dofs": [1, 1], "transmittance": 0.9}], {}, 2,
+         "pipeline[0].dofs: expected two distinct modes of one grid size, got modes 1 and 1"),
+        ([{"type": "fourier", "dof": 0}, {"type": "fourier", "dof": 0}],
+         {"domain": "time", "windows": [[-1.0, 1.0], None]}, 2,
+         "pipeline[1].dof: mode 0 is already in the time domain; "
+         "a mode takes at most one 'fourier' step"),
+        ([{"type": "loss", "eta": {"1": 1.5}}], {}, 2,
+         "pipeline[0].eta: expected a number >= 0 and <= 1"),
+        ([], {"domain": "time", "windows": [[-1.0, 1.0], None]}, 3,
+         "detection.windows[0]: window domain 'time' does not match state domain "
+         "'frequency' on 'signal'"),
+        ([{"type": "fourier", "dof": 1}], {"windows": [None, [-1.0, 1.0]]}, 3,
+         "detection.windows[1]: window domain 'frequency' does not match state domain "
+         "'time' on 'idler'"),
+        ([{"type": "loss", "eta": {"0": 0.9}}], {"method": "quadratic"}, 2,
+         "pipeline: the quadratic method needs a uniform loss"),
+    ], ids=["unknown-type", "unknown-field", "dof-range", "mixing", "same-mode-splitter",
+            "second-fourier", "loss-above-1", "time-window-on-frequency",
+            "frequency-window-on-time", "quadratic-non-uniform-loss"])
+    def test_pipeline_and_window_errors_exit_before_the_svd(
+            self, tmp_path, capsys, monkeypatch, pipeline, detection, code, message):
+        # the pipeline is parsed once, before the source is built; only the
+        # checks that need a grid wait for it
+        cfg = base_config(pipeline=pipeline, detection={"method": "exact", **detection})
+        got, err, decomposed = self._run(tmp_path, capsys, monkeypatch, cfg)
+        assert got == code
+        kind = "configuration error" if code == 2 else "numeric domain error"
+        assert err.startswith(f"{kind}: {message}")
+        assert not decomposed
+
+    def test_ancilla_window_domain_names_the_ancilla(self, tmp_path, capsys, monkeypatch):
+        cfg = base_config(modes=["signal", "idler", "anc"],
+                          pipeline=[{"type": "beam_splitter", "dofs": [0, 2], "transmittance": 0.9}],
+                          detection={"method": "exact", "domain": "time",
+                                     "windows": [None, None, [-1.0, 1.0]]})
+        code, err, decomposed = self._run(tmp_path, capsys, monkeypatch, cfg)
+        assert code == 3
+        assert err.startswith("numeric domain error: detection.windows[2]: window domain 'time' "
+                              "does not match state domain 'frequency' on 'anc'")
+        assert not decomposed
 
 
 def _with(cfg, path, value):

@@ -430,15 +430,14 @@ def single_pair(jsa, etas, windows, gain, process):
     single-pair probabilities of the pushed, masked Schmidt factor's plan, a
     bounded time window taking its mode's Fourier kernel."""
     from biphoton_sim import DetectionPlan
-    from biphoton_sim.cli import _apply_pipeline, _window_masks
+    from biphoton_sim.cli import _parse_pipeline, _push_pipeline, _window_masks
     from biphoton_sim.covariance import covariance_factor, source_dofs
 
     schmidt = schmidt_decompose(jsa)
-    steps = [{"type": "loss", "eta": {str(k): eta for k, eta in enumerate(etas)}}]
-    time_modes = [k for k, w in enumerate(windows.windows) if w is not None
-                  and w.domain == "time" and (w.lo, w.hi) != (-math.inf, math.inf)]
-    factor, dofs, _ = _apply_pipeline(steps, source_dofs(schmidt, process), (),
-                                      covariance_factor(schmidt, process), time_modes)
+    in_dofs = source_dofs(schmidt, process)
+    config = {"pipeline": [{"type": "loss", "eta": {str(k): eta for k, eta in enumerate(etas)}}]}
+    steps = _parse_pipeline(config, [d.name for d in in_dofs], windows.windows, source_level=True)
+    factor, dofs = _push_pipeline(steps, in_dofs, (), covariance_factor(schmidt, process))
     masks = _window_masks(windows.windows, dofs)
     unit = DetectionPlan(schmidt, process, factor, masks, range(len(masks))).single_pair
     return PoissonParams(unit.mu * gain * gain, unit.p_s, unit.p_i, unit.p_si)
@@ -1372,14 +1371,15 @@ def _schmidt_side_gram(config, schmidt, sector, keep=lambda k: True):
     """The r x r gram H of `run`: the covariance factor through the
     pipeline, masked to the windows of the modes k with keep(k), and
     restricted to the columns `sector`."""
-    from biphoton_sim.cli import _apply_pipeline, _detection_windows
+    from biphoton_sim.cli import _detection_windows, _parse_pipeline, _push_pipeline
     from biphoton_sim.covariance import covariance_factor, source_dofs
     from biphoton_sim.transforms import projection_masks
 
     kind = ProcessType(config["source"]["process"])
-    sv, dofs, _ = _apply_pipeline(config["pipeline"], source_dofs(schmidt, kind), config["modes"],
-                                  covariance_factor(schmidt, kind))
-    windows = _detection_windows(config["detection"], len(dofs))
+    windows = _detection_windows(config["detection"], len(config["modes"]))
+    steps = _parse_pipeline(config, config["modes"], windows.windows, source_level=False)
+    sv, dofs = _push_pipeline(steps, source_dofs(schmidt, kind), config["modes"],
+                              covariance_factor(schmidt, kind))
     masks = [m if keep(k) else 0 * m for k, m in enumerate(projection_masks(windows, dofs))]
     a = sv[:, sector][np.concatenate(masks * 2) > 0]
     return a.conj().T @ a

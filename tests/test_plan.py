@@ -198,11 +198,11 @@ def test_one_push_per_run(monkeypatch, method):
 
     calls = []
 
-    def counted(*args, _apply=cli._apply_pipeline):
+    def counted(*args, _push=cli._push_pipeline):
         calls.append(method)
-        return _apply(*args)
+        return _push(*args)
 
-    monkeypatch.setattr(cli, "_apply_pipeline", counted)
+    monkeypatch.setattr(cli, "_push_pipeline", counted)
     config = {
         "source": {"process": "type2", "mu": 0.1,
                    "jsa": {"gaussian": {"delta_plus_rad_s": 1.0, "delta_minus_rad_s": 3.0}}},
@@ -262,17 +262,16 @@ def _sector_config(name, method, delta_minus=5.0):
     }
 
 
-def _full_plan(steps, schmidt, process, names, time_modes, windows, detectors):
+def _full_plan(steps, schmidt, process, names, windows, detectors):
     """The reference for `cli._plan`: the plan of the full factor, both
     sectors pushed at once."""
     from biphoton_sim import cli
     from biphoton_sim.covariance import source_dofs
 
-    factor, out_dofs, etas = cli._apply_pipeline(
-        steps, source_dofs(schmidt, process), names, covariance_factor(schmidt, process),
-        time_modes)
+    factor, out_dofs = cli._push_pipeline(
+        steps, source_dofs(schmidt, process), names, covariance_factor(schmidt, process))
     masks = cli._window_masks(windows, out_dofs)
-    return DetectionPlan(schmidt, process, factor, masks, detectors), etas
+    return DetectionPlan(schmidt, process, factor, masks, detectors)
 
 
 def _run_both(monkeypatch, config):
@@ -328,11 +327,11 @@ def test_run_pushes_sectors_of_2k_columns(monkeypatch, name, sectors):
 
     widths = []
 
-    def spied(steps, in_dofs, names, factor, time_modes=(), _apply=cli._apply_pipeline):
+    def spied(steps, in_dofs, names, factor, _push=cli._push_pipeline):
         widths.append(factor.shape[1])
-        return _apply(steps, in_dofs, names, factor, time_modes)
+        return _push(steps, in_dofs, names, factor)
 
-    monkeypatch.setattr(cli, "_apply_pipeline", spied)
+    monkeypatch.setattr(cli, "_push_pipeline", spied)
     config = _sector_config(name, "exact")
     cli.run_scenario(config)
     modes = cli._build_source(config)[0]().coefficients.size
