@@ -4,8 +4,8 @@
 pipeline described by a JSON document and writes CSV results, attaching the
 applicable error-bound columns so every approximate number ships with its
 certificate.  This module parses and checks the config, pipeline included,
-before the SVD, pushes the Schmidt factor through the parsed steps (`_plan`)
-and hands it to one `DetectionPlan`, which does the detection numerics of
+before the SVD, and builds one `DetectionPlan` from the parsed steps, which
+pushes the Schmidt factor through them and does the detection numerics of
 every method.  `biphoton-sim figure <name>` regenerates the four reference
 datasets (determinant-truncation bound, covariance-truncation bound, vacuum
 probability closed forms, approximation errors).  `biphoton-sim schmidt`
@@ -29,9 +29,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import detection as det
-from . import covariance, spectral, transforms
+from . import spectral, transforms
 from .covariance import (
-    Dof,
     ProcessType,
     SqueezingSpectrum,
     covariance_eigenvalues,
@@ -214,11 +213,11 @@ _METHODS = ("exact", "log_series") + _SOURCE_METHODS
 
 
 def _parse_pipeline(config, names, windows, source_level) -> list:
-    """`pipeline` as checked steps (path, kind, mode or mode pair, numbers) over
-    the output modes `names`, first applied first; the numbers are a phase's
-    (phi0, tau, beta_l), a beam splitter's (T, R) or a loss's eta, one step per
-    mode.  A source-level method takes no fourier step: each window bounded in
-    time adds its mode's.  Every bounded window must match its mode's domain."""
+    """`pipeline` as checked `DetectionPlan` steps (path, kind, mode or mode
+    pair, numbers) over the output modes `names`, first applied first, one
+    loss step per mode.  A source-level method takes no fourier step: each
+    window bounded in time adds its mode's.  Every bounded window must match
+    its mode's domain."""
     entries = config.get("pipeline")
     if entries is not None and not isinstance(entries, list):
         raise ConfigError("pipeline: expected a list of steps")
@@ -273,69 +272,6 @@ def _parse_pipeline(config, names, windows, source_level) -> list:
                 f"detection.windows[{k}]: window domain '{w.domain}' does not match state "
                 f"domain '{domain}' on '{names[k]}'")
     return steps
-
-
-def _push_pipeline(steps, in_dofs, names, factor):
-    """Push `factor` (rows over the source modes `in_dofs`, annihilation rows
-    first) through the `_parse_pipeline` steps, checking only what needs a
-    grid: a beam splitter's grid sizes and a Fourier step's uniform grid.
-
-    Vacuum ancillas, up to the length of `names`, take the first source
-    mode's grid and start as zero row blocks, which is the column
-    compression of the vacuum modes.  Each step updates row blocks in place.
-    Returns the rows over all modes (complex if a step is a phase or Fourier
-    step, else of the dtype of `factor`) and the output modes.
-    """
-    dofs = list(in_dofs) + [Dof(name, in_dofs[0].grid) for name in names[len(in_dofs):]]
-    m_total = len(dofs)
-    sizes = [d.grid.n for d in dofs]
-    n_source = sum(sizes[: len(in_dofs)])
-    phased = any(step[1] in ("phase", "fourier") for step in steps)
-    out = np.zeros((2 * sum(sizes), factor.shape[1]), dtype=complex if phased else factor.dtype)
-    out[:n_source] = factor[:n_source]
-    out[sum(sizes):sum(sizes) + n_source] = factor[n_source:]
-    rows = np.split(out, np.cumsum(sizes * 2)[:-1])  # views: a_0, a_1, ..., c_0, c_1, ...
-    for path, kind, dof, args in steps:
-        if kind == "phase":
-            phase = transforms.phase_factor(*args, dofs[dof].grid)
-            rows[dof] *= phase[:, None]
-            rows[m_total + dof] *= phase.conj()[:, None]
-        elif kind == "fourier":
-            try:
-                kernel, time_grid = transforms.fourier_kernel(dofs[dof].grid)
-            except ValueError as exc:
-                raise ValueError(f"{path}: mode {dof} ('{dofs[dof].name}'): {exc}") from None
-            a, c = rows[dof], rows[m_total + dof]
-            a[...], c[...] = kernel @ a, kernel.conj() @ c
-            dofs[dof] = Dof(dofs[dof].name, time_grid, "time")
-        elif kind == "beam_splitter":
-            (d1, d2), (t_coef, r_coef) = dof, args
-            if sizes[d1] != sizes[d2]:
-                raise ConfigError(f"{path}.dofs: expected two distinct modes of one grid size, "
-                                  f"got modes {d1} and {d2} of sizes {sizes[d1]} and {sizes[d2]}")
-            for first, second in ((rows[d1], rows[d2]), (rows[m_total + d1], rows[m_total + d2])):
-                kept = first.copy()
-                first *= t_coef
-                first += r_coef * second
-                second *= t_coef
-                second -= r_coef * kept
-        else:  # loss
-            rows[dof] *= args
-            rows[m_total + dof] *= args
-    return out, tuple(dofs)
-
-
-def _plan(steps, schmidt, process, names, windows, detectors):
-    """`run`'s plan: s V_1 (type-0/I: s V), and s V_2 too when the sectors couple,
-    pushed on its own since conj(s V_1) need not match it to the bit."""
-    first = covariance._first_sector(schmidt, process)
-    in_dofs = source_dofs(schmidt, process)
-    factor, out_dofs = _push_pipeline(steps, in_dofs, names, first)
-    masks = _window_masks(windows, out_dofs)
-    if process is ProcessType.TYPE_II and covariance._couples(factor, masks):
-        second = _push_pipeline(steps, in_dofs, names, covariance._mirror(first))[0]
-        factor = np.hstack([factor, second])
-    return DetectionPlan(schmidt, process, factor, masks, detectors)
 
 
 def _sweep_mus(config) -> list:
@@ -401,7 +337,7 @@ def _checked_scenario(config):
     if source_level and len(mode_names) > len(sources):
         raise ConfigError(f"modes: source-level methods take no ancilla modes; list the "
                           f"{len(sources)} source modes only")
-    windows = _detection_windows(detection_cfg, len(mode_names)).windows
+    windows = _detection_windows(detection_cfg, len(mode_names))
     if method in ("hermite", "quadratic") and any(
             w is None or (w.lo, w.hi) != (-math.inf, math.inf) for w in windows):
         raise ConfigError(f"detection.windows: method '{method}' applies no windows; use 'poisson'")
@@ -415,7 +351,7 @@ def _checked_scenario(config):
         raise ConfigError(
             f"detection.pnd_cutoffs: method '{method}' gives no photon-number distribution"
         )
-    steps = _parse_pipeline(config, sources + mode_names[len(sources):], windows, source_level)
+    steps = _parse_pipeline(config, mode_names, windows, source_level)
     etas = [math.prod([step[3] for step in steps if step[1:3] == ("loss", k)], start=1.0)
             for k in range(len(mode_names))]  # each mode's loss product
     if method == "quadratic" and len(set(etas)) > 1:
@@ -423,7 +359,13 @@ def _checked_scenario(config):
 
     def run():
         schmidt = decompose()
-        plan = _plan(steps, schmidt, process, mode_names, windows, detectors)
+        sizes = [d.grid.n for d in source_dofs(schmidt, process)]
+        sizes += sizes[:1] * (len(mode_names) - len(sizes))  # an ancilla takes the first grid
+        for path, _, (d1, d2), _ in [step for step in steps if step[1] == "beam_splitter"]:
+            if sizes[d1] != sizes[d2]:
+                raise ConfigError(f"{path}.dofs: expected two distinct modes of one grid size, "
+                                  f"got modes {d1} and {d2} of sizes {sizes[d1]} and {sizes[d2]}")
+        plan = DetectionPlan(schmidt, process, steps, windows, detectors, mode_names)
         if source_level:
             step = _source_step(plan, etas, method, cutoffs)
         else:
@@ -457,15 +399,16 @@ def _checked_scenario(config):
     return cutoffs, run
 
 
-def _detection_windows(detection_cfg, n_dofs, path="detection.windows"):
+def _detection_windows(detection_cfg, n_dofs) -> tuple:
+    """Each mode's `DetectionWindow`, or None for an 'empty' one."""
     domain = detection_cfg.get("domain", "frequency")
     if domain not in ("frequency", "time"):
         raise ConfigError("detection.domain: must be 'frequency' or 'time'")
     windows_cfg = detection_cfg.get("windows")
     if windows_cfg is None:
-        return transforms.DetectionProjection.full(n_dofs)
+        return (transforms.DetectionWindow.unbounded(),) * n_dofs
     if not isinstance(windows_cfg, list) or len(windows_cfg) != n_dofs:
-        raise ConfigError(f"{path}: expected one entry per detected mode ({n_dofs})")
+        raise ConfigError(f"detection.windows: expected one entry per detected mode ({n_dofs})")
     out = []
     for k, w in enumerate(windows_cfg):
         if w is None:
@@ -474,16 +417,16 @@ def _detection_windows(detection_cfg, n_dofs, path="detection.windows"):
             out.append(None)
         elif isinstance(w, list) and len(w) == 2:
             lo, hi = (
-                bound if edge is None else _number(edge, f"{path}[{k}]")
+                bound if edge is None else _number(edge, f"detection.windows[{k}]")
                 for edge, bound in zip(w, (-math.inf, math.inf))
             )
             try:
                 out.append(transforms.DetectionWindow(lo, hi, domain))
             except ValueError as exc:
-                raise ConfigError(f"{path}[{k}]: {exc}") from None
+                raise ConfigError(f"detection.windows[{k}]: {exc}") from None
         else:
-            raise ConfigError(f"{path}[{k}]: expected null, 'empty' or [lo, hi]")
-    return transforms.DetectionProjection(tuple(out))
+            raise ConfigError(f"detection.windows[{k}]: expected null, 'empty' or [lo, hi]")
+    return tuple(out)
 
 
 def _detectors(detection_cfg, m_total: int):
@@ -524,19 +467,6 @@ def _shared_detector(stats):
     c = len(flipped) - 1
     p = np.array([np.trace(flipped, offset=n - c) for n in range(c + 1)])
     return det.PhotonStatistics(p, 1.0 - float(np.sum(p)))
-
-
-def _window_masks(windows, out_dofs) -> list:
-    """Each output mode's mask of its window; errors name `detection.windows[k]`."""
-    masks = []
-    for k, window in enumerate(windows):
-        try:
-            masks += transforms.projection_masks(
-                transforms.DetectionProjection((window,)), out_dofs[k:k + 1]
-            )
-        except ValueError as exc:
-            raise type(exc)(f"detection.windows[{k}]: {exc}") from None
-    return masks
 
 
 def _source_step(plan, etas, method, cutoffs):

@@ -225,14 +225,6 @@ def _mirror(first: np.ndarray) -> np.ndarray:
     return np.conjugate(second, out=second, where=second != 0)
 
 
-def _couples(first, masks) -> bool:
-    """Whether a detected row of a pushed type-II factor couples its sectors:
-    by `_mirror`, when its first sector is nonzero at the row and its partner."""
-    rows = np.concatenate(list(masks) * 2) > 0
-    nonzero = rows & (first != 0).any(axis=1)
-    return bool(np.any(nonzero & np.roll(nonzero, rows.size // 2)))
-
-
 def covariance_core(sq: SqueezingSpectrum) -> np.ndarray:
     """The r x r core M of `covariance_factor`: [[C, S], [S, C]] per pair of
     column groups, C = diag(cosh sigma - 1)/2 and S = diag(sinh sigma)/2."""

@@ -1,9 +1,10 @@
 """Detection on the Schmidt basis: the r x r route of every detection method.
 
 The covariance factors as V M V^dag (V fixed, the r x r core M
-gain-dependent; `covariance_factor`, `covariance_core`).  A pipeline s acts
-on the rows of V, vacuum ancillas starting as zero rows, and masking the
-rows of s V to the detection windows gives the r x r detected gram
+gain-dependent; `covariance_factor`, `covariance_core`).  The plan pushes V
+through a passive pipeline s, one step at a time on the rows of V, vacuum
+ancillas starting as zero rows, and masking the rows of s V to the
+detection windows gives the r x r detected gram
 H = (P s V)^dag (P s V).  Tr[(s^dag P s Gamma)^n] = Tr[(M H)^n], so no
 operator over the grid is ever formed.  The loss factor of both
 determinant bounds is lambda_max(H): the nonzero eigenvalues of
@@ -23,10 +24,12 @@ nonzero at it and at its annihilation/creation partner (`_couples`).  If
 none is, the cross gram is exactly zero: H and every H_d are
 diag(H_1, Pi conj(H_1) Pi), and M H = diag(M_1 H_1, Pi conj(M_1 H_1) Pi).
 Then log det(1 + M H) = 2 log det(1 + M_1 H_1), each real trace moment is
-twice the half's, and lambda_max(H) = lambda_max(H_1), so the plan uses the
-r/2 columns of the first sector with multiplicity 2.  Otherwise (a beam
-splitter joining signal and idler, or type-0/I, whose M couples the halves)
-it uses all r columns with multiplicity 1.
+twice the half's, and lambda_max(H) = lambda_max(H_1), so the plan pushes
+the r/2 columns of the first sector alone and uses them with multiplicity
+2.  Otherwise (a beam splitter joining signal and idler, or type-0/I, whose
+M couples the halves) it uses all r columns with multiplicity 1, a type-II
+second sector pushed on its own, since conj(s V_1) need not match it to the
+bit.
 """
 from __future__ import annotations
 
@@ -36,44 +39,111 @@ import math
 import numpy as np
 
 from . import detection as det
-from .covariance import ProcessType, _couples, covariance_core
+from . import transforms
+from .covariance import Dof, ProcessType, _first_sector, _mirror, covariance_core, source_dofs
 
 __all__ = ["DetectionPlan"]
 
 
-class DetectionPlan:
-    """The detection of one pushed, masked Schmidt factor.
+def _push_pipeline(steps, in_dofs, factor):
+    """Push `factor` (rows over the leading modes of `in_dofs`, annihilation
+    rows first) through `steps`, checking only a Fourier step's uniform grid.
 
-    `factor` is s V, the covariance factor V = `covariance_factor(schmidt,
-    process)` pushed through a passive pipeline s: rows over the output
-    modes, the annihilation rows of every mode and then the creation rows.
-    A type-II factor may be its first sector s V_1 alone (2K of 4K columns)
-    unless a detected row couples the sectors, that is s V_1 is nonzero at it
-    and at its annihilation/creation partner (a ValueError).  `masks[k]` is
-    output mode k's window mask and `detectors[k]` its detector index or
-    None.  The package exports no pipeline push: a caller builds s V itself
-    (a uniform field loss t is t V), as `run` does.  The grams and square
-    roots are formed on first use and kept, so a sweep forms them once.
+    The modes of `in_dofs` past the factor's rows are vacuum ancillas: they
+    start as zero row blocks, which is the column compression of the vacuum
+    modes.  Each step updates row blocks in place.  Returns the rows over all
+    modes (complex if a step is a phase or Fourier step, else of the dtype of
+    `factor`) and the output modes.
+    """
+    dofs = list(in_dofs)
+    m_total = len(dofs)
+    sizes = [d.grid.n for d in dofs]
+    n_source = factor.shape[0] // 2
+    phased = any(step[1] in ("phase", "fourier") for step in steps)
+    out = np.zeros((2 * sum(sizes), factor.shape[1]), dtype=complex if phased else factor.dtype)
+    out[:n_source] = factor[:n_source]
+    out[sum(sizes):sum(sizes) + n_source] = factor[n_source:]
+    rows = np.split(out, np.cumsum(sizes * 2)[:-1])  # views: a_0, a_1, ..., c_0, c_1, ...
+    for path, kind, dof, args in steps:
+        if kind == "phase":
+            phase = transforms.phase_factor(*args, dofs[dof].grid)
+            rows[dof] *= phase[:, None]
+            rows[m_total + dof] *= phase.conj()[:, None]
+        elif kind == "fourier":
+            try:
+                kernel, time_grid = transforms.fourier_kernel(dofs[dof].grid)
+            except ValueError as exc:
+                raise ValueError(f"{path}: mode {dof} ('{dofs[dof].name}'): {exc}") from None
+            a, c = rows[dof], rows[m_total + dof]
+            a[...], c[...] = kernel @ a, kernel.conj() @ c
+            dofs[dof] = Dof(dofs[dof].name, time_grid, "time")
+        elif kind == "beam_splitter":
+            (d1, d2), (t_coef, r_coef) = dof, args
+            for first, second in ((rows[d1], rows[d2]), (rows[m_total + d1], rows[m_total + d2])):
+                kept = first.copy()
+                first *= t_coef
+                first += r_coef * second
+                second *= t_coef
+                second -= r_coef * kept
+        else:  # loss
+            rows[dof] *= args
+            rows[m_total + dof] *= args
+    return out, tuple(dofs)
+
+
+def _window_masks(windows, dofs) -> list:
+    """Each output mode's mask of its window; errors name `detection.windows[k]`."""
+    masks = []
+    for k, (window, dof) in enumerate(zip(windows, dofs)):
+        try:
+            masks += transforms.projection_masks(transforms.DetectionProjection((window,)), [dof])
+        except ValueError as exc:
+            raise type(exc)(f"detection.windows[{k}]: {exc}") from None
+    return masks
+
+
+def _couples(first, masks) -> bool:
+    """Whether a detected row of a pushed type-II factor couples its sectors:
+    by `_mirror`, when its first sector is nonzero at the row and its partner."""
+    rows = np.concatenate(list(masks) * 2) > 0
+    nonzero = rows & (first != 0).any(axis=1)
+    return bool(np.any(nonzero & np.roll(nonzero, rows.size // 2)))
+
+
+class DetectionPlan:
+    """The detection of the Schmidt factor behind a passive pipeline.
+
+    `steps` are (label, kind, mode, numbers) tuples over the output modes
+    `names`, first applied first: a "phase" with numbers (phi0, tau, beta_l),
+    a "fourier" step with (), a "beam_splitter" on a pair of modes of one
+    grid size with (T, R), and a "loss" with its field transmittivity eta.
+    Labels only name errors.  The output modes are the source modes, ordered
+    as `source_dofs` orders them, then vacuum ancillas, which take the first
+    source mode's grid.  `windows[k]` is output mode k's `DetectionWindow`,
+    in the mode's domain after the steps when bounded, or None to discard the
+    mode, and `detectors[k]` its detector index or None.  The grams and
+    square roots are formed on first use and kept, so a sweep forms them once.
     """
 
-    def __init__(self, schmidt, process: ProcessType, factor, masks, detectors):
+    def __init__(self, schmidt, process: ProcessType, steps, windows, detectors, names):
         self.schmidt = schmidt
         self.process = process
-        self.masks = list(masks)
         self.detectors = list(detectors)
-        if len(self.detectors) != len(self.masks) or self.detectors.count(None) == len(self.masks):
-            raise ValueError("expected a detector index or None per mask, and one detector at least")
-        half = 2 * schmidt.coefficients.size
-        widths = (half, 2 * half) if process is ProcessType.TYPE_II else (half,)
-        if factor.shape[0] != 2 * sum(m.size for m in self.masks) or factor.shape[1] not in widths:
-            raise ValueError(f"factor of shape {factor.shape} does not match the masks or modes")
-        if process is ProcessType.TYPE_II and not _couples(factor[:, :half], self.masks):
-            self.sector, self.multiplicity = slice(0, half), 2
-        elif process is ProcessType.TYPE_II and factor.shape[1] == half:
-            raise ValueError("a detected row couples the conjugate sectors: both are needed")
-        else:
-            self.sector, self.multiplicity = slice(None), 1
-        self._factor = factor[:, self.sector]
+        grids = [d.grid for d in source_dofs(schmidt, process)]
+        if (not len(windows) == len(self.detectors) == len(names) >= len(grids)
+                or self.detectors.count(None) == len(names)):
+            raise ValueError("expected a window, a detector index or None and a name per output "
+                             "mode, the source modes first, and one detector at least")
+        grids += grids[:1] * (len(names) - len(grids))
+        in_dofs = [Dof(name, grid) for name, grid in zip(names, grids)]
+        first = _first_sector(schmidt, process)
+        factor, dofs = _push_pipeline(steps, in_dofs, first)
+        self.masks = _window_masks(windows, dofs)
+        self.multiplicity = 2 if process is ProcessType.TYPE_II else 1  # unless sectors couple
+        if self.multiplicity == 2 and _couples(factor, self.masks):
+            factor = np.hstack([factor, _push_pipeline(steps, in_dofs, _mirror(first))[0]])
+            self.multiplicity = 1
+        self._factor, self.sector = factor, slice(0, factor.shape[1])
         self._roots = {}
 
     def _gram(self, keep) -> np.ndarray:

@@ -9,6 +9,7 @@ import json
 from pathlib import Path
 
 from biphoton_sim import cli
+from biphoton_sim import plan as plan_module
 from test_detection import _readme_config
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
@@ -23,11 +24,11 @@ def _check(tmp_path, monkeypatch, capsys, config):
 
     widths = []
 
-    def counted(steps, in_dofs, names, factor, _push=cli._push_pipeline):
+    def counted(steps, in_dofs, factor, _push=plan_module._push_pipeline):
         widths.append(factor.shape[1])
-        return _push(steps, in_dofs, names, factor)
+        return _push(steps, in_dofs, factor)
 
-    monkeypatch.setattr(cli, "_push_pipeline", counted)
+    monkeypatch.setattr(plan_module, "_push_pipeline", counted)
     config["detection"]["series_order"] = 20
     config["source"]["mu"] = 0.05
     config["sweep"]["values"] = [0.05, 0.2]

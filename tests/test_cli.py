@@ -1781,6 +1781,29 @@ class TestPipelineDomains:
         assert code == 3
         assert "detection.windows[1]: mode 1 ('idler'): grid is not uniform" in err
 
+    @pytest.mark.parametrize("modes", [None, ["s", "i"]])
+    def test_messages_name_modes_as_the_config_does(self, tmp_path, capsys, modes):
+        # a source mode takes its name from `modes`; without it, 'signal' and
+        # 'idler' as before
+        signal, idler = modes or ("signal", "idler")
+        source = {"process": "type2", "gain": 0.3, "jsa": {"csv": self._uneven_csv(tmp_path)}}
+        cases = [
+            (base_config(detection={"method": "exact", "domain": "time",
+                                    "windows": [[-1.0, 1.0], None]}),
+             f"detection.windows[0]: window domain 'time' does not match state domain "
+             f"'frequency' on '{signal}'"),
+            ({"source": source, "pipeline": [{"type": "fourier", "dof": 0}],
+              "detection": {"method": "exact"}},
+             f"pipeline[0]: mode 0 ('{signal}'): grid is not uniform"),
+            ({"source": source, "detection": {"method": "poisson", "domain": "time",
+                                              "windows": [None, [-1.0, 1.0]]}},
+             f"detection.windows[1]: mode 1 ('{idler}'): grid is not uniform"),
+        ]
+        for cfg, message in cases:
+            if modes is not None:
+                cfg["modes"] = modes
+            assert self._run(tmp_path, capsys, cfg) == (3, f"numeric domain error: {message}\n")
+
 
 class TestRealJsa:
     """A real JSA runs on real Schmidt modes; its complex twin (the same
@@ -1822,19 +1845,19 @@ class TestRealJsa:
     def test_factor_real_until_phase(self, monkeypatch, method, steps, dtype):
         # a beam splitter and a loss keep a real factor real, so the grams,
         # eigvalsh and slogdet are real; a phase makes it complex
-        from biphoton_sim import cli
+        from biphoton_sim import plan as plan_module
 
         cfg = _readme_config(method)
         cfg["pipeline"] = [cfg["pipeline"][k] for k in steps]
         cfg["detection"].update(domain="frequency", series_order=12)
         dtypes = []
 
-        def recorded(*args, _push=cli._push_pipeline):
+        def recorded(*args, _push=plan_module._push_pipeline):
             out = _push(*args)
             dtypes.append(out[0].dtype)
             return out
 
-        monkeypatch.setattr(cli, "_push_pipeline", recorded)
+        monkeypatch.setattr(plan_module, "_push_pipeline", recorded)
         real = run_scenario(cfg)
         assert dtypes == [dtype]
         self._complex_twins(monkeypatch)

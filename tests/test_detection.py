@@ -427,19 +427,18 @@ def gaussian_jsa(aspect=3.0, **kwargs):
 def single_pair(jsa, etas, windows, gain, process):
     """The PoissonParams that `run --method poisson` evaluates at `gain` for
     `jsa` behind per-mode field transmittivities `etas` and `windows`: the
-    single-pair probabilities of the pushed, masked Schmidt factor's plan, a
+    single-pair probabilities of the plan of one loss step per mode, a
     bounded time window taking its mode's Fourier kernel."""
     from biphoton_sim import DetectionPlan
-    from biphoton_sim.cli import _parse_pipeline, _push_pipeline, _window_masks
-    from biphoton_sim.covariance import covariance_factor, source_dofs
+    from biphoton_sim.covariance import source_dofs
 
     schmidt = schmidt_decompose(jsa)
-    in_dofs = source_dofs(schmidt, process)
-    config = {"pipeline": [{"type": "loss", "eta": {str(k): eta for k, eta in enumerate(etas)}}]}
-    steps = _parse_pipeline(config, [d.name for d in in_dofs], windows.windows, source_level=True)
-    factor, dofs = _push_pipeline(steps, in_dofs, (), covariance_factor(schmidt, process))
-    masks = _window_masks(windows.windows, dofs)
-    unit = DetectionPlan(schmidt, process, factor, masks, range(len(masks))).single_pair
+    names = [d.name for d in source_dofs(schmidt, process)]
+    steps = [("loss", "loss", k, eta) for k, eta in enumerate(etas)]
+    steps += [("fourier", "fourier", k, ()) for k, w in enumerate(windows.windows)
+              if w is not None and w.domain == "time" and (w.lo, w.hi) != (-math.inf, math.inf)]
+    plan = DetectionPlan(schmidt, process, steps, windows.windows, range(len(names)), names)
+    unit = plan.single_pair
     return PoissonParams(unit.mu * gain * gain, unit.p_s, unit.p_i, unit.p_si)
 
 
@@ -1368,20 +1367,31 @@ def _spectral_config(process, pipeline, order):
 
 
 def _schmidt_side_gram(config, schmidt, sector, keep=lambda k: True):
-    """The r x r gram H of `run`: the covariance factor through the
-    pipeline, masked to the windows of the modes k with keep(k), and
-    restricted to the columns `sector`."""
-    from biphoton_sim.cli import _detection_windows, _parse_pipeline, _push_pipeline
-    from biphoton_sim.covariance import covariance_factor, source_dofs
-    from biphoton_sim.transforms import projection_masks
+    """The r x r gram H of `run`: the pushed factor of the plan of `config`,
+    its pipeline and windows written out as plan steps and windows, masked to
+    the windows of the modes k with keep(k) and restricted to the columns
+    `sector`."""
+    from biphoton_sim import DetectionPlan
 
-    kind = ProcessType(config["source"]["process"])
-    windows = _detection_windows(config["detection"], len(config["modes"]))
-    steps = _parse_pipeline(config, config["modes"], windows.windows, source_level=False)
-    sv, dofs = _push_pipeline(steps, source_dofs(schmidt, kind), config["modes"],
-                              covariance_factor(schmidt, kind))
-    masks = [m if keep(k) else 0 * m for k, m in enumerate(projection_masks(windows, dofs))]
-    a = sv[:, sector][np.concatenate(masks * 2) > 0]
+    steps = []
+    for k, entry in enumerate(config["pipeline"]):
+        label, kind = f"pipeline[{k}]", entry["type"]
+        if kind == "loss":
+            steps += [(label, kind, int(mode), eta) for mode, eta in entry["eta"].items()]
+        elif kind == "beam_splitter":
+            t = entry["transmittance"]
+            steps.append((label, kind, tuple(entry["dofs"]), (t, math.sqrt(1.0 - t**2))))
+        else:
+            numbers = (entry[key] for key in ("phi0_rad", "tau_s", "beta_l_s2") if key in entry)
+            steps.append((label, kind, entry["dof"], tuple(numbers)))
+    detection = config["detection"]
+    windows = [None if w == "empty" else DetectionWindow(*(w or (-math.inf, math.inf)),
+                                                         detection["domain"])
+               for w in detection["windows"]]
+    plan = DetectionPlan(schmidt, ProcessType(config["source"]["process"]), steps, windows,
+                         detection["detectors"], config["modes"])
+    masks = [m if keep(k) else 0 * m for k, m in enumerate(plan.masks)]
+    a = plan._factor[:, sector][np.concatenate(masks * 2) > 0]
     return a.conj().T @ a
 
 

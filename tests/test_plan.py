@@ -7,6 +7,7 @@ import pytest
 
 from biphoton_sim import (
     DetectionPlan,
+    DetectionWindow,
     GaussianJsaModel,
     ProcessType,
     SqueezingSpectrum,
@@ -29,36 +30,37 @@ from biphoton_sim.oracle import (
 README = Path(__file__).parents[1] / "README.md"
 
 
-def _window(grid, lo, hi):
-    return ((grid.points >= lo) & (grid.points <= hi)).astype(float)
-
-
-# name -> (process, field transmittance T from the annihilation rows of the
-# source modes to those of the output modes, as a function of the grid size
-# n, window of each output mode, detector of each output mode, expected
-# multiplicity)
+# name -> (process, pipeline steps, their field transmittance T from the
+# annihilation rows of the source modes to those of the output modes, as a
+# function of the grid size n, frequency window of each output mode (None:
+# unbounded), detector of each output mode, expected multiplicity)
 _CASES = {
     # loss and a window: no detected row sees both type-II sectors
     "type2_one_sector": (
         ProcessType.TYPE_II,
+        [("loss", "loss", 0, 0.9), ("loss", "loss", 1, 0.8)],
         lambda n: np.kron(np.diag([0.9, 0.8]), np.eye(n)),
         [(-1.0, 2.5), None], [0, 1], 2,
     ),
     # a beam splitter joining signal and idler: both sectors
     "type2_two_sectors": (
         ProcessType.TYPE_II,
+        [("bs", "beam_splitter", (0, 1), (0.8, 0.6)),
+         ("loss", "loss", 0, 0.95), ("loss", "loss", 1, 0.85)],
         lambda n: np.kron(np.diag([0.95, 0.85]) @ np.array([[0.8, 0.6], [-0.6, 0.8]]), np.eye(n)),
         [(-1.5, 1.5), None], [0, 1], 1,
     ),
     # a beam splitter into a vacuum ancilla whose window has no detector
     "type2_undetected": (
         ProcessType.TYPE_II,
+        [("bs", "beam_splitter", (0, 2), (0.8, 0.6)), ("loss", "loss", 1, 0.9)],
         lambda n: np.kron(np.array([[0.8, 0.0], [0.0, 0.9], [-0.6, 0.0]]), np.eye(n)),
         [(-1.0, 2.5), None, (-2.0, 2.0)], [0, 1, None], 2,
     ),
     # one mode, whose core couples the two column halves
     "type0i": (
         ProcessType.TYPE_0I,
+        [("loss", "loss", 0, 0.9)],
         lambda n: 0.9 * np.eye(n),
         [(-2.0, 1.0)], [0], 1,
     ),
@@ -68,24 +70,22 @@ _CASES = {
 def _case(name, mu):
     """The plan of one case, its squeezing spectrum at mean pair number `mu`,
     and the dense masked operand D s Gamma s^dag D over the grid, with
-    Gamma = V M V^dag formed densely."""
-    process, transmittance, windows, detectors, multiplicity = _CASES[name]
+    Gamma = V M V^dag formed densely and s = T (+) conj(T)."""
+    process, steps, transmittance, windows, detectors, multiplicity = _CASES[name]
     model = GaussianJsaModel(1.0, 3.0)
     jsa = build_gaussian_jsa(model, *default_grids(model, extent_sigmas=5.2, points_per_width=2.0))
     schmidt = schmidt_decompose(jsa)
-    # an ancilla takes the signal grid
-    grids = ([jsa.grid_signal, jsa.grid_idler, jsa.grid_signal][:len(windows)]
-             if process is ProcessType.TYPE_II else [jsa.grid_signal])
-    t = transmittance(grids[0].n)
-    s = np.block([[t, np.zeros_like(t)], [np.zeros_like(t), t.conj()]])
-    masks = [np.ones(g.n) if w is None else _window(g, *w) for g, w in zip(grids, windows)]
-    plan = DetectionPlan(schmidt, process, s @ covariance_factor(schmidt, process), masks, detectors)
+    names = ["signal", "idler", "anc"] if process is ProcessType.TYPE_II else ["mode"]
+    windows = [DetectionWindow.unbounded() if w is None else DetectionWindow(*w) for w in windows]
+    plan = DetectionPlan(schmidt, process, steps, windows, detectors, names[:len(windows)])
     assert plan.multiplicity == multiplicity
+    t = transmittance(jsa.grid_signal.n)  # an ancilla takes the signal grid
+    s = np.block([[t, np.zeros_like(t)], [np.zeros_like(t), t.conj()]])
     gain = gain_for_mean_pairs(schmidt, mu, process)
     sq = SqueezingSpectrum.from_schmidt(schmidt, gain, process)
     v = covariance_factor(schmidt, process)
     gamma = v @ covariance_core(sq) @ v.conj().T
-    rows = np.concatenate(masks * 2)
+    rows = np.concatenate(plan.masks * 2)
     operand = rows[:, None] * (s @ gamma @ s.conj().T) * rows[None, :]
     return plan, sq, operand
 
@@ -134,15 +134,19 @@ def test_single_pair_needs_signal_and_idler_apart():
     assert _case("type2_one_sector", 0.05)[0].single_pair.p_s > 0
 
 
-@pytest.mark.parametrize("detectors", [[None, None], [0], [0, 1, None]])
-def test_one_detector_per_mask_and_at_least_one(detectors):
+# (window count, detectors, name count): a short or long list would drop
+# or shift a mode's mask
+@pytest.mark.parametrize("windows, detectors, names", [
+    (2, [None, None], 2), (2, [0], 2), (2, [0, 1, None], 2),
+    (1, [0, 1], 2), (3, [0, 1], 2), (2, [0, 1], 3), (3, [0, 1, None], 2), (1, [0], 1),
+])
+def test_one_detector_per_mask_and_at_least_one(windows, detectors, names):
     model = GaussianJsaModel(1.0, 3.0)
     jsa = build_gaussian_jsa(model, *default_grids(model, extent_sigmas=5.2, points_per_width=2.0))
     schmidt = schmidt_decompose(jsa)
-    process = ProcessType.TYPE_II
-    masks = [np.ones(jsa.grid_signal.n), np.ones(jsa.grid_idler.n)]
-    with pytest.raises(ValueError, match="one detector at least"):
-        DetectionPlan(schmidt, process, covariance_factor(schmidt, process), masks, detectors)
+    with pytest.raises(ValueError, match="a name per output mode, .* one detector at least"):
+        DetectionPlan(schmidt, ProcessType.TYPE_II, [], [DetectionWindow.unbounded()] * windows,
+                      detectors, ["signal", "idler", "anc"][:names])
 
 
 def test_series_pnd_warns_once(tmp_path):
@@ -195,14 +199,15 @@ _METHOD_CONFIGS = {
 def test_one_push_per_run(monkeypatch, method):
     # every method reads one pushed factor: the pipeline runs once per run
     from biphoton_sim import cli
+    from biphoton_sim import plan as plan_module
 
     calls = []
 
-    def counted(*args, _push=cli._push_pipeline):
+    def counted(*args, _push=plan_module._push_pipeline):
         calls.append(method)
         return _push(*args)
 
-    monkeypatch.setattr(cli, "_push_pipeline", counted)
+    monkeypatch.setattr(plan_module, "_push_pipeline", counted)
     config = {
         "source": {"process": "type2", "mu": 0.1,
                    "jsa": {"gaussian": {"delta_plus_rad_s": 1.0, "delta_minus_rad_s": 3.0}}},
@@ -262,26 +267,28 @@ def _sector_config(name, method, delta_minus=5.0):
     }
 
 
-def _full_plan(steps, schmidt, process, names, windows, detectors):
-    """The reference for `cli._plan`: the plan of the full factor, both
-    sectors pushed at once."""
-    from biphoton_sim import cli
-    from biphoton_sim.covariance import source_dofs
-
-    factor, out_dofs = cli._push_pipeline(
-        steps, source_dofs(schmidt, process), names, covariance_factor(schmidt, process))
-    masks = cli._window_masks(windows, out_dofs)
-    return DetectionPlan(schmidt, process, factor, masks, detectors)
-
-
 def _run_both(monkeypatch, config):
-    """`run`'s rows and PND table through the sector path, then through a plan
-    of the full pushed factor."""
+    """`run`'s rows and PND table through the sector path, then with each
+    type-II sector the plan pushes cut from the full factor
+    `covariance_factor` = [V_1, V_2], pushed at once."""
     from biphoton_sim import cli
+    from biphoton_sim import plan as plan_module
+    from biphoton_sim.covariance import _mirror
 
     sector = cli.run_scenario(config)
+    pushed = []
+
+    def whole(steps, in_dofs, factor, _push=plan_module._push_pipeline):
+        if config["source"]["process"] == "type0i":  # V_1 is all of V
+            return _push(steps, in_dofs, factor)
+        first = pushed[0] if pushed else factor  # the plan pushes V_1, then V_2
+        pushed.append(factor)
+        out, dofs = _push(steps, in_dofs, np.hstack([first, _mirror(first)]))
+        half = factor.shape[1]
+        return out[:, half:] if len(pushed) == 2 else out[:, :half], dofs
+
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_plan", _full_plan)
+        patch.setattr(plan_module, "_push_pipeline", whole)
         full = cli.run_scenario(config)
     return sector, full
 
@@ -324,31 +331,19 @@ def test_coupled_sector_path_with_an_odd_mode_count(monkeypatch, method):
 def test_run_pushes_sectors_of_2k_columns(monkeypatch, name, sectors):
     # an uncoupled type-II run never holds a pushed N x 4K factor
     from biphoton_sim import cli
+    from biphoton_sim import plan as plan_module
 
     widths = []
 
-    def spied(steps, in_dofs, names, factor, _push=cli._push_pipeline):
+    def spied(steps, in_dofs, factor, _push=plan_module._push_pipeline):
         widths.append(factor.shape[1])
-        return _push(steps, in_dofs, names, factor)
+        return _push(steps, in_dofs, factor)
 
-    monkeypatch.setattr(cli, "_push_pipeline", spied)
+    monkeypatch.setattr(plan_module, "_push_pipeline", spied)
     config = _sector_config(name, "exact")
     cli.run_scenario(config)
     modes = cli._build_source(config)[0]().coefficients.size
     assert widths == [2 * modes] * sectors
-
-
-def test_plan_raises_for_a_coupled_first_sector():
-    plan, _, _ = _case("type2_two_sectors", 0.05)
-    half = 2 * plan.schmidt.coefficients.size
-    factor = plan._factor
-    with pytest.raises(ValueError, match="both are needed"):
-        DetectionPlan(plan.schmidt, plan.process, factor[:, :half], plan.masks, plan.detectors)
-    # an uncoupled first sector is the plan of the full factor
-    full = _case("type2_one_sector", 0.05)[0]
-    first = DetectionPlan(full.schmidt, full.process, full._factor, full.masks, full.detectors)
-    assert first.multiplicity == 2
-    assert first.gram.tobytes() == full.gram.tobytes()
 
 
 @pytest.mark.parametrize("name", [n for n, case in _CASES.items()
@@ -356,10 +351,10 @@ def test_plan_raises_for_a_coupled_first_sector():
 def test_row_test_reads_the_first_sector_only(name):
     # a detected row of s V is nonzero in both column halves exactly when
     # the first half is nonzero at it and at its annihilation/creation partner
-    from biphoton_sim.covariance import _couples
+    from biphoton_sim.plan import _couples
 
     plan = _case(name, 0.05)[0]
-    process, transmittance, *_ = _CASES[name]
+    process, _, transmittance, *_ = _CASES[name]
     schmidt = plan.schmidt
     t = transmittance(schmidt.grid_signal.n)
     s = np.block([[t, np.zeros_like(t)], [np.zeros_like(t), t.conj()]])
