@@ -57,6 +57,7 @@ from .spectral import (
     analytic_gaussian_schmidt,
     build_gaussian_jsa,
     default_grids,
+    gaussian_relative_power_sums,
     gaussian_schmidt_number,
     load_jsa_csv,
     marginals,

@@ -61,35 +61,32 @@ def _logsumexp(xs) -> float:
     return float(np.log1p(s) + np.log(float(m)) + a_max)
 
 
-def _log_exp_tail(x: float, order: int, odd: bool) -> float:
-    """log of sum_{n > order, n odd/even} x^n / n!, computed term by term."""
-    if x <= 0:
-        return -math.inf
-    n0 = order + 1
-    parity = 1 if odd else 0
-    if n0 % 2 != parity:
-        n0 += 1
-    logx = math.log(x)
-    logs = []
-    n = n0
-    best = -math.inf
-    while True:
-        lt = n * logx - math.lgamma(n + 1)
-        logs.append(lt)
-        best = max(best, lt)
-        # terms decay once n > x; stop when far below the running peak
-        if n > x and lt < best - 60.0:
-            break
-        n += 2
-        if n > n0 + 100000:  # pragma: no cover - defensive cap
-            break
-    return _logsumexp(logs)
+def _log_exp_tail(x, order: int) -> np.ndarray:
+    """log of sum_{n = order+1, order+3, ...} x^n / n!, the remainder beyond
+    `order` of the series of sinh x (even order) or cosh x (odd order), for
+    each x of an array; -inf at x = 0.  The terms are summed in log space, so
+    overflow-scale x stay finite, up to n = order + x + 12 sqrt(x) + 80 for
+    the largest x: past the peak, as a Poisson tail, they have fallen below
+    e^-60 of it there."""
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, -np.inf)
+    pos = x > 0
+    if pos.any():
+        top = float(x[pos].max())
+        n = np.arange(order + 1, order + top + 12.0 * math.sqrt(top) + 82.0, 2)
+        # libm's log, as n multiplies its rounding
+        logx = np.array([math.log(v) for v in x[pos].tolist()])
+        terms = n * logx[:, None] - np.array([math.lgamma(v + 1) for v in n.tolist()])
+        peak = terms.max(axis=1)
+        out[pos] = peak + np.log(np.sum(np.exp(terms - peak[:, None]), axis=1))
+    return out
 
 
-def _log_sinh(x: float) -> float:
-    if x <= 0:
-        return -math.inf
-    return x + math.log(-math.expm1(-2.0 * x)) - math.log(2.0)
+def _log_sinh(x) -> np.ndarray:
+    """log sinh x for each x of an array; -inf at x = 0."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        return x + np.log(-np.expm1(-2.0 * x)) - math.log(2.0)
 
 
 def covariance_truncation_bound(sigmas, order: int) -> BoundReport:
@@ -106,9 +103,8 @@ def covariance_truncation_bound(sigmas, order: int) -> BoundReport:
         raise ValueError("at least one squeezing parameter must be positive")
     if order < 0:
         raise ValueError("order must be non-negative")
-    odd_tail = order % 2 == 0
-    log_num = _logsumexp([_log_exp_tail(s, order, odd=odd_tail) for s in sig])
-    log_den = _logsumexp([_log_sinh(s) for s in sig])
+    log_num = _logsumexp(_log_exp_tail(sig, order))
+    log_den = _logsumexp(_log_sinh(sig))
     value = float(np.exp(log_num - log_den))
     return BoundReport(
         value,
@@ -176,15 +172,30 @@ def det_truncation_bound_hs(
         "lambda1": float(lambda1),
         "hs_norm2": float(hs_norm2),
     }
-    a = eta2 * lambda1
-    if lambda1 == 0 or a == 0:
-        return BoundReport(0.0, "DET_TRUNC_HS", inputs)
-    if a >= 1:
-        raise OutOfDomainError(f"eta^2 |Lambda_1| = {float(a)!r} >= 1")
+    return BoundReport(float(_hs_bound_values(lambda1, hs_norm2, eta2, order)), "DET_TRUNC_HS",
+                       inputs)
+
+
+def _hs_bound_values(lambda1, hs_norm2, eta2, order: int) -> np.ndarray:
+    """The values of `det_truncation_bound_hs` over arrays of its inputs,
+    broadcast together.  The OutOfDomainError of an entry with
+    eta^2 |Lambda_1| >= 1 carries the flat `index` of the first such entry."""
+    lam1, hs2, e2 = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                          for v in (lambda1, hs_norm2, eta2)))
+    a = e2 * lam1
+    live = (lam1 != 0) & (a != 0)  # else nothing is truncated: the bound is 0
+    big = np.flatnonzero(live & (a >= 1))
+    if big.size:
+        exc = OutOfDomainError(f"eta^2 |Lambda_1| = {float(a.flat[big[0]])!r} >= 1")
+        exc.index = int(big[0])
+        raise exc
+    out = np.zeros(a.shape)
     # tail of -ln(1-a): all terms positive, no cancellation
-    tail = -_log_series_tail([-a], order)[0]
-    value = float(np.expm1(tail * hs_norm2 / (2.0 * lambda1**2)))
-    return BoundReport(value, "DET_TRUNC_HS", inputs)
+    tail = -_log_series_tail(-a[live], order)
+    # each value in scalar arithmetic, as numpy's array expm1 may round differently
+    out[live] = [np.expm1(t * h / (2.0 * m**2))
+                 for t, h, m in zip(tail, hs2[live].tolist(), lam1[live].tolist())]
+    return out
 
 
 def poisson_vs_n2_bound(

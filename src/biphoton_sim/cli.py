@@ -208,6 +208,10 @@ def _build_source(cfg: dict):
     return decompose, gain, mu, process
 
 
+# ln of the largest float: a larger squeezing parameter overflows e^sigma,
+# so the core, the eigenvalues and the mean pair number of its point
+_SIGMA_MAX = math.log(sys.float_info.max)
+
 _SOURCE_METHODS = ("poisson", "hermite", "linear", "quadratic")
 _METHODS = ("exact", "log_series") + _SOURCE_METHODS
 
@@ -376,6 +380,13 @@ def _checked_scenario(config):
         results = []
         for k, point_gain in enumerate(gains):
             sq = SqueezingSpectrum.from_schmidt(schmidt, point_gain, process)
+            if not sq.sigmas[0] <= _SIGMA_MAX:
+                field, value = (("source.gain", gain) if gain is not None
+                                else ("source.mu", source_mu) if mus == [None]
+                                else (f"sweep.values[{k}]", mus[k]))
+                raise ValueError(f"{field} = {float(value)!r}: the largest squeezing parameter "
+                                 f"{float(sq.sigmas[0])!r} exceeds {_SIGMA_MAX!r}, past which "
+                                 f"the covariance eigenvalue (e^sigma - 1)/2 is not a finite float")
             p_vac, bounds, pnd = step(point_gain, sq, with_pnd=k == 0)
             point_mu = mean_pairs(sq)
             upper, lower = bounds_mod.vacuum_range(point_mu, process)
@@ -557,7 +568,7 @@ def _schmidt_step(plan, order, cutoffs):
 # ---------------------------------------------------------------------------
 
 
-# relative weight z^j at which the figures' analytic Schmidt spectrum stops
+# relative weight z^j at which fig4's analytic Schmidt spectrum stops
 _J_MAX_FLOOR = 1e-16
 
 
@@ -574,33 +585,95 @@ def _gaussian_spectra(aspect: float, mus):
     ]
 
 
-def _aspect_sweep(points, aspect_max, mus, summary, curves, bound):
-    """Rows over the aspect ratios geomspace(1, aspect_max, points): the ratio,
-    then bound(c, s) for each curve parameter c and each s = summary(sq) of
-    the type-II Gaussian source's spectrum sq at a mean pair number of `mus`."""
-    rows = []
-    for aspect in np.geomspace(1.0, aspect_max, points):
-        per_mu = [summary(sq) for sq in _gaussian_spectra(aspect, mus)[2]]
-        rows.append([aspect] + [bound(c, s) for c in curves for s in per_mu])
-    return rows
+def _even_terms(x, count: int, scale=1.0) -> np.ndarray:
+    """scale x^2k / (2k)! for k = 1..count along a last axis, x a 1-D array."""
+    k = np.arange(1, count + 1)
+    ratios = (x * x)[:, None] / ((2 * k - 1) * (2 * k))
+    ratios[:, 0] *= scale
+    return np.multiply.accumulate(ratios, axis=1)
+
+
+def _gaussian_sweep(points, aspect_max, mus):
+    """The ratios geomspace(1, aspect_max, points) and, at each (rows) and
+    each mean pair number of `mus` (columns), the largest squeezing parameter
+    sigma_1 = g c_1 of the type-II Gaussian source and the squared HS norm of
+    its covariance, over the untruncated spectrum.
+
+    A sum over the modes of an even function of g c_j is a series in the
+    power sums S_k = a_k lambda_1^k (`spectral.gaussian_relative_power_sums`):
+    mu = sum_k sigma_1^2k a_k / (2 (2k)!) and
+    ||Gamma||_HS^2 = sum_k (4^k - 2) sigma_1^2k a_k / (2k)!.  The terms are
+    scaled by 1/a_1 and, past sigma_1 = 600, by e^(600 - sigma_1), to stay in
+    range, and run until they fall below e^-60 of their peak at 2 sigma_1 (a
+    Poisson tail; a_k only decreases).  mu(sigma_1) is increasing and convex,
+    so Newton's method from the right falls onto the root, from the smaller
+    of the single-mode root, as in `gain_for_mean_pairs`, and the first
+    term's; a point stops when its iterate no longer falls (mu = 0 gives 0)."""
+    aspects = np.geomspace(1.0, aspect_max, points)
+    mus = np.asarray(mus, dtype=float)
+    single = 2.0 * np.arcsinh(np.sqrt(mus))  # more modes only add pairs
+    top = 2.0 * float(single.max())
+    k = np.arange(1, int(top / 2 + 6 * math.sqrt(top)) + 42)
+    a = spectral.gaussian_relative_power_sums(aspects[:, None], k)
+    coef = np.repeat(a / a[:, :1], mus.size, axis=0)  # a row per (aspect, mu) point
+    target = (mus / a[:, :1]).ravel()  # mu lambda_1
+    sigma = np.minimum(np.tile(single, points), 2.0 * np.sqrt(target))
+    active = np.flatnonzero(target > 0)
+    while active.size:
+        x = sigma[active]
+        scale = np.exp(-np.maximum(x - 600.0, 0.0))
+        terms = _even_terms(x, k.size, scale) * coef[active]
+        step = x - x * (0.5 * np.sum(terms, axis=1) - scale * target[active]) / (terms @ k)
+        falls = step < x
+        sigma[active[falls]] = step[falls]
+        active = active[falls]
+    # (4^k - 2) sigma^2k = (1 - 2^(1 - 2k)) (2 sigma)^2k; past sigma_1 ~ 355
+    # the norm leaves the float range
+    with np.errstate(over="ignore"):
+        hs2 = (_even_terms(2.0 * sigma, k.size) * coef) @ (1.0 - 2.0 ** (1 - 2 * k))
+        hs2 *= np.repeat(a[:, 0], mus.size)
+    return aspects, sigma.reshape(points, -1), hs2.reshape(points, -1)
+
+
+def _aspect_rows(aspects, columns, values):
+    """Rows of the ratio and the columns' values, every value a certified
+    bound: finite and non-negative."""
+    values = values.reshape(aspects.size, -1)
+    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
+    if bad.size:
+        row, col = divmod(int(bad[0]), values.shape[1])
+        raise ValueError(f"{columns[col + 1]}: bound value {float(values[row, col])!r} is not "
+                         f"finite and non-negative at aspect_ratio {float(aspects[row])!r}")
+    return np.column_stack([aspects, values]).tolist()
 
 
 def _fig1(points, aspect_max, eta2s, mus, order):
+    """`det_truncation_bound_hs` at Lambda_1 = (e^sigma_1 - 1)/2, the
+    covariance's largest eigenvalue, and its squared HS norm, from
+    `_gaussian_sweep`, for each eta2 of `eta2s` and mu of `mus`."""
     columns = ["aspect_ratio"] + [f"bound_eta2_{e:g}_mu_{mu:g}" for e in eta2s for mu in mus]
-    return columns, _aspect_sweep(
-        points, aspect_max, mus, norms, eta2s,
-        lambda eta2, nrm: bounds_mod.det_truncation_bound_hs(
-            nrm.largest_abs_eigenvalue, nrm.hs_norm**2, eta2, order
-        ).value,
-    )
+    aspects, sigma1, hs2 = _gaussian_sweep(points, aspect_max, mus)
+    lam1 = np.expm1(sigma1) / 2.0
+    try:
+        values = bounds_mod._hs_bound_values(lam1[:, None, :], hs2[:, None, :],
+                                             np.asarray(eta2s, dtype=float)[:, None], order)
+    except bounds_mod.OutOfDomainError as exc:
+        row, col = divmod(exc.index, len(columns) - 1)
+        raise bounds_mod.OutOfDomainError(
+            f"{columns[col + 1]}: {exc} at aspect_ratio {float(aspects[row])!r}") from None
+    return columns, _aspect_rows(aspects, columns, values)
 
 
 def _fig2(points, aspect_max, orders, mus):
+    """`covariance_truncation_bound([sigma_1], n)` for each order n of
+    `orders` and sigma_1 of `_gaussian_sweep` at each mu of `mus`: the
+    log-sum-exp of one value is that value."""
     columns = ["aspect_ratio"] + [f"bound_n_{n}_mu_{mu:g}" for n in orders for mu in mus]
-    return columns, _aspect_sweep(
-        points, aspect_max, mus, lambda sq: float(sq.sigmas[0]), orders,
-        lambda order, sigma1: bounds_mod.covariance_truncation_bound([sigma1], order).value,
-    )
+    aspects, sigma1, _ = _gaussian_sweep(points, aspect_max, mus)
+    log_sinh = bounds_mod._log_sinh(sigma1)
+    values = np.stack([np.exp(bounds_mod._log_exp_tail(sigma1, n) - log_sinh) for n in orders],
+                      axis=1)
+    return columns, _aspect_rows(aspects, columns, values)
 
 
 def _fig3(points, mu_max):

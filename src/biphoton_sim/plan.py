@@ -47,7 +47,9 @@ __all__ = ["DetectionPlan"]
 
 def _push_pipeline(steps, in_dofs, factor):
     """Push `factor` (rows over the leading modes of `in_dofs`, annihilation
-    rows first) through `steps`, checking only a Fourier step's uniform grid.
+    rows first) through `steps`, checking the grid sizes of each beam
+    splitter's modes before any row is touched, and a Fourier step's uniform
+    grid.
 
     The modes of `in_dofs` past the factor's rows are vacuum ancillas: they
     start as zero row blocks, which is the column compression of the vacuum
@@ -58,6 +60,11 @@ def _push_pipeline(steps, in_dofs, factor):
     dofs = list(in_dofs)
     m_total = len(dofs)
     sizes = [d.grid.n for d in dofs]
+    for path, _, (d1, d2), _ in [step for step in steps if step[1] == "beam_splitter"]:
+        if sizes[d1] != sizes[d2]:
+            raise ValueError(f"{path}: a beam splitter joins modes of one grid size; mode {d1} "
+                             f"('{dofs[d1].name}') has {sizes[d1]} points and mode {d2} "
+                             f"('{dofs[d2].name}') {sizes[d2]}")
     n_source = factor.shape[0] // 2
     phased = any(step[1] in ("phase", "fourier") for step in steps)
     out = np.zeros((2 * sum(sizes), factor.shape[1]), dtype=complex if phased else factor.dtype)

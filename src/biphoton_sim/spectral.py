@@ -23,6 +23,7 @@ __all__ = [
     "default_grids",
     "build_gaussian_jsa",
     "analytic_gaussian_schmidt",
+    "gaussian_relative_power_sums",
     "gaussian_schmidt_number",
     "schmidt_decompose",
     "marginals",
@@ -273,6 +274,27 @@ def analytic_gaussian_schmidt(aspect_ratio: float, j_max: int) -> SchmidtSpectru
     j = np.arange(j_max, dtype=float)
     lam = (1.0 - z) * np.power(z, j)
     return SchmidtSpectrum(np.sqrt(lam), truncation_tail=float(z**j_max))
+
+
+def gaussian_relative_power_sums(aspect_ratio, k) -> np.ndarray:
+    """Power sums S_k = sum_j lambda_j^k of the Gaussian model's untruncated
+    spectrum in units of lambda_1^k: sum_j z^(k (j - 1)) = 1 / (1 - z^k), for
+    orders k >= 1 and aspect ratios, broadcast against each other.
+
+    S_k = (1 - z)^k / (1 - z^k) (Law, Walmsley and Eberly, PRL 84 (2000)
+    5304) is this times lambda_1^k = (4 r / (r + 1)^2)^k, which underflows
+    where the ratio does not.  1 - z^k is -expm1(k ln z) with
+    ln z = 2 log1p(-2 min(r, 1) / (r + 1)), so no step cancels.
+    """
+    r = np.asarray(aspect_ratio, dtype=float)
+    k = np.asarray(k)
+    if not np.all(r > 0):
+        raise ValueError("aspect_ratio must be positive")
+    if np.any(k < 1):
+        raise ValueError("the orders k must be at least 1")
+    with np.errstate(divide="ignore"):  # r = 1: z = 0
+        log_z = 2.0 * np.log1p(-2.0 * np.minimum(r, 1.0) / (r + 1.0))
+    return -1.0 / np.expm1(k * log_z)
 
 
 def gaussian_schmidt_number(aspect_ratio: float) -> float:

@@ -179,6 +179,30 @@ class TestDetTruncationBounds:
         with pytest.raises(OutOfDomainError, match=r"= 1.5 >= 1"):
             _log_series_tail([0.5, 0.0, -1.5, 2.0], 3)
 
+    def test_hs_array_values_are_the_scalar_bounds_to_the_bit(self, rng):
+        # the array form behind fig1 rounds every entry as the scalar bound,
+        # and that as the closed form evaluated one value at a time
+        from biphoton_sim.bounds import _hs_bound_values
+
+        lam1 = 10.0 ** rng.uniform(-8, 2, 400)
+        hs2 = lam1**2 * rng.uniform(1, 50, 400)
+        eta2 = rng.uniform(0, 0.99, 400) / np.maximum(lam1, 1.0)
+        eta2[::7] = 0.0
+        for order in (0, 2, 6, 27):
+            got = _hs_bound_values(lam1, hs2, eta2, order).tolist()
+            scalar = [det_truncation_bound_hs(m, h, e, order).value
+                      for m, h, e in zip(lam1.tolist(), hs2.tolist(), eta2.tolist())]
+            closed = [float(np.expm1(-_log_series_tail([-e * m], order)[0] * h / (2.0 * m**2)))
+                      if e else 0.0 for m, h, e in zip(lam1.tolist(), hs2.tolist(), eta2.tolist())]
+            assert got == scalar == closed
+
+    def test_hs_array_domain_error_names_the_first_entry(self):
+        from biphoton_sim.bounds import _hs_bound_values
+
+        with pytest.raises(OutOfDomainError, match=r"= 1.5 >= 1") as err:
+            _hs_bound_values([[0.5, 1.5], [3.0, 0.1]], 1.0, [1.0, 1.0], 2)
+        assert err.value.index == 1
+
     def test_hs_zero_transmission_is_positive_zero(self):
         value = det_truncation_bound_hs(0.5, 0.3, 0.0, 2).value
         assert value == 0.0 and math.copysign(1.0, value) == 1.0

@@ -684,6 +684,37 @@ class TestCommandLine:
         assert main(["run", str(cfg_path)]) == 3
         assert "bound value nan is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, source", [
+        # the README pipeline at gain 1000: sigma_1 = 800
+        ("source.gain", "1000.0", {"gain": 1000.0}),
+        # an aspect-ratio-1 source, one Schmidt mode: sigma_1 = 2 asinh(1e154)
+        ("sweep.values[1]", "1e+308", {"delta": 1.0, "sweep": [0.1, 1e308]}),
+    ])
+    def test_run_command_overflowing_point_names_its_field(self, tmp_path, capsys, field,
+                                                           value, source):
+        import warnings
+
+        cfg = _readme_config("log_series")
+        del cfg["source"]["mu"]
+        if "gain" in source:
+            cfg["source"]["gain"] = source["gain"]
+            del cfg["sweep"]
+        else:
+            cfg["source"]["jsa"]["gaussian"]["delta_minus_rad_s"] = source["delta"]
+            cfg["sweep"]["values"] = source["sweep"]
+        cfg["output"] = {"csv_path": str(tmp_path / "out.csv"),
+                         "pnd_csv_path": str(tmp_path / "pnd.csv")}
+        cfg_path = tmp_path / "overflow.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric domain error: {field} = {value}: the largest "
+                              f"squeezing parameter ")
+        assert "is not a finite float" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_run_command_window_outside_grid_exit_code(self, tmp_path):
         cfg = base_config(
             detection={"method": "poisson", "windows": [[500.0, 600.0], None]}

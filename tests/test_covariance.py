@@ -280,7 +280,7 @@ class TestEigenvaluesAndMoments:
         # Newton and the bisection reference stop on different sides of the
         # float root, so they agree within GAIN_ULPS, not to the bit; the
         # single mode starts Newton on its root, and aspect 1000 with 9,300
-        # modes is the largest spectrum of fig1/fig2
+        # modes is the largest spectrum of the per-mode fig1/fig2 reference
         spectra = [
             analytic_gaussian_schmidt(r, 400) for r in np.geomspace(1.0, 1e3, 13)
         ]

@@ -149,6 +149,24 @@ def test_one_detector_per_mask_and_at_least_one(windows, detectors, names):
                       detectors, ["signal", "idler", "anc"][:names])
 
 
+def test_beam_splitter_across_grid_sizes_names_the_step(tmp_path, monkeypatch):
+    # a 21 x 17 CSV source: signal and idler have different grid sizes, so a
+    # beam splitter joining them fails before any row of the factor is touched
+    from biphoton_sim import FrequencyGrid, load_jsa_csv, save_jsa_csv
+    from biphoton_sim import plan as plan_mod
+
+    model = GaussianJsaModel(1.0, 3.0)
+    grids = FrequencyGrid.uniform(-15.0, 15.0, 21), FrequencyGrid.uniform(-15.0, 15.0, 17)
+    save_jsa_csv(build_gaussian_jsa(model, *grids), tmp_path / "jsa.csv")
+    schmidt = schmidt_decompose(load_jsa_csv(tmp_path / "jsa.csv"))
+    monkeypatch.setattr(plan_mod.np, "split", lambda *a, **k: pytest.fail("rows were touched"))
+    with pytest.raises(ValueError) as err:
+        DetectionPlan(schmidt, ProcessType.TYPE_II, [("bs", "beam_splitter", (0, 1), (0.8, 0.6))],
+                      [DetectionWindow.unbounded()] * 2, [0, 1], ["signal", "idler"])
+    assert str(err.value) == ("bs: a beam splitter joins modes of one grid size; mode 0 "
+                              "('signal') has 21 points and mode 1 ('idler') 17")
+
+
 def test_series_pnd_warns_once(tmp_path):
     # the table recomputes the vacuum it shares with p_vac, at spectral
     # radius 0.972 here: the warning of a log-series run still prints once

@@ -1,5 +1,6 @@
 """Tests for grids, Gaussian JSA construction and Schmidt analysis."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from biphoton_sim import (
     analytic_gaussian_schmidt,
     build_gaussian_jsa,
     default_grids,
+    gaussian_relative_power_sums,
     gaussian_schmidt_number,
     load_jsa_csv,
     marginals,
@@ -108,6 +110,45 @@ class TestAnalyticSchmidt:
         ratios = np.linspace(1.0, 10.0, 40)
         ks = [gaussian_schmidt_number(r) for r in ratios]
         assert np.all(np.diff(ks) >= 0)
+
+
+class TestGaussianPowerSums:
+    """S_k = sum_j lambda_j^k = (1 - z)^k / (1 - z^k) against exact rationals
+    at the float aspect ratio's own value, so the only error is the
+    function's rounding."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("aspect", [1.0, 1 / 100, 3 / 2, 3.0, 30.0, 1000.0, 1e5])
+    def test_matches_exact_fractions(self, aspect):
+        r = Fraction(aspect)
+        z = ((r - 1) / (r + 1)) ** 2
+        lam1 = 4 * r / (r + 1) ** 2  # 1 - z
+        orders = [1, 2, 3, 7, 50, 400]
+        got = gaussian_relative_power_sums(aspect, orders)
+        for k, ratio in zip(orders, got.tolist()):
+            exact = 1 / (1 - z**k)
+            assert abs(Fraction(ratio) - exact) <= 4 * self.EPS * exact, (aspect, k)
+            # S_k itself, as lambda_1^k times the ratio, wherever it is normal
+            s_k = lam1**k * exact
+            if s_k > 1e-300:
+                value = (4 * aspect / (aspect + 1) ** 2) ** k * ratio
+                assert abs(Fraction(value) - s_k) <= (k + 6) * self.EPS * s_k, (aspect, k)
+
+    def test_first_sum_is_the_norm(self):
+        # S_1 = sum_j lambda_j = 1 at every aspect ratio
+        aspects = np.geomspace(1e-5, 1e5, 41)
+        ratio = gaussian_relative_power_sums(aspects, 1)
+        lam1 = 4 * aspects / (aspects + 1) ** 2
+        assert np.allclose(ratio * lam1, 1.0, rtol=4 * self.EPS, atol=0)
+
+    def test_broadcasts_and_checks_its_arguments(self):
+        got = gaussian_relative_power_sums(np.array([[3.0], [1 / 3]]), np.arange(1, 5))
+        assert got.shape == (2, 4) and np.allclose(got[0], got[1], rtol=1e-15)
+        with pytest.raises(ValueError, match="aspect_ratio"):
+            gaussian_relative_power_sums(0.0, 1)
+        with pytest.raises(ValueError, match="at least 1"):
+            gaussian_relative_power_sums(3.0, [0, 1])
 
 
 class TestSchmidtDecompose:
