@@ -48,6 +48,7 @@ from .detection import (
     vacuum_probability,
 )
 from .plan import DetectionPlan
+from .scenario import Scenario
 from .spectral import (
     DiscretizedJsa,
     FrequencyGrid,

@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import spectral
 from ._blocks import BlockMatrix
 from .spectral import FrequencyGrid, SchmidtSpectrum
 
@@ -120,6 +121,72 @@ def gain_for_mean_pairs(schmidt: SchmidtSpectrum, mu, process: ProcessType):
         gains[active[falls]] = step[falls]
         active = active[falls]
     return float(gains[0]) if np.ndim(mu) == 0 else gains
+
+
+# relative weight z^j at which fig4's analytic Schmidt spectrum stops
+_J_MAX_FLOOR = 1e-16
+
+
+def _gaussian_spectra(aspect: float, mus):
+    """Analytic Schmidt spectrum of a type-II Gaussian source, and its gains
+    and squeezing spectra at the mean pair numbers `mus`."""
+    log_z = float(spectral._gaussian_log_z(aspect))
+    j_max = 1 if log_z == -math.inf else max(1, math.ceil(math.log(_J_MAX_FLOOR) / log_z) + 1)
+    schmidt = spectral.analytic_gaussian_schmidt(aspect, j_max)
+    gains = gain_for_mean_pairs(schmidt, mus, ProcessType.TYPE_II).tolist()
+    return schmidt, gains, [
+        SqueezingSpectrum.from_schmidt(schmidt, g, ProcessType.TYPE_II) for g in gains
+    ]
+
+
+def _even_terms(x, count: int, scale=1.0) -> np.ndarray:
+    """scale x^2k / (2k)! for k = 1..count along a last axis, x a 1-D array."""
+    k = np.arange(1, count + 1)
+    ratios = (x * x)[:, None] / ((2 * k - 1) * (2 * k))
+    ratios[:, 0] *= scale
+    return np.multiply.accumulate(ratios, axis=1)
+
+
+def _gaussian_sweep(points, aspect_max, mus):
+    """The ratios geomspace(1, aspect_max, points) and, at each (rows) and
+    each mean pair number of `mus` (columns), the largest squeezing parameter
+    sigma_1 = g c_1 of the type-II Gaussian source and the squared HS norm of
+    its covariance, over the untruncated spectrum.
+
+    A sum over the modes of an even function of g c_j is a series in the
+    power sums S_k = a_k lambda_1^k (`spectral.gaussian_relative_power_sums`):
+    mu = sum_k sigma_1^2k a_k / (2 (2k)!) and
+    ||Gamma||_HS^2 = sum_k (4^k - 2) sigma_1^2k a_k / (2k)!.  The terms are
+    scaled by 1/a_1 and, past sigma_1 = 600, by e^(600 - sigma_1), to stay in
+    range, and run until they fall below e^-60 of their peak at 2 sigma_1 (a
+    Poisson tail; a_k only decreases).  mu(sigma_1) is increasing and convex,
+    so Newton's method from the right falls onto the root, from the smaller
+    of the single-mode root, as in `gain_for_mean_pairs`, and the first
+    term's; a point stops when its iterate no longer falls (mu = 0 gives 0)."""
+    aspects = np.geomspace(1.0, aspect_max, points)
+    mus = np.asarray(mus, dtype=float)
+    single = 2.0 * np.arcsinh(np.sqrt(mus))  # more modes only add pairs
+    top = 2.0 * float(single.max())
+    k = np.arange(1, int(top / 2 + 6 * math.sqrt(top)) + 42)
+    a = spectral.gaussian_relative_power_sums(aspects[:, None], k)
+    coef = np.repeat(a / a[:, :1], mus.size, axis=0)  # a row per (aspect, mu) point
+    target = (mus / a[:, :1]).ravel()  # mu lambda_1
+    sigma = np.minimum(np.tile(single, points), 2.0 * np.sqrt(target))
+    active = np.flatnonzero(target > 0)
+    while active.size:
+        x = sigma[active]
+        scale = np.exp(-np.maximum(x - 600.0, 0.0))
+        terms = _even_terms(x, k.size, scale) * coef[active]
+        step = x - x * (0.5 * np.sum(terms, axis=1) - scale * target[active]) / (terms @ k)
+        falls = step < x
+        sigma[active[falls]] = step[falls]
+        active = active[falls]
+    # (4^k - 2) sigma^2k = (1 - 2^(1 - 2k)) (2 sigma)^2k; past sigma_1 ~ 355
+    # the norm leaves the float range
+    with np.errstate(over="ignore"):
+        hs2 = (_even_terms(2.0 * sigma, k.size) * coef) @ (1.0 - 2.0 ** (1 - 2 * k))
+        hs2 *= np.repeat(a[:, 0], mus.size)
+    return aspects, sigma.reshape(points, -1), hs2.reshape(points, -1)
 
 
 @dataclass(frozen=True)

@@ -42,14 +42,18 @@ from . import detection as det
 from . import transforms
 from .covariance import Dof, ProcessType, _first_sector, _mirror, covariance_core, source_dofs
 
-__all__ = ["DetectionPlan"]
+__all__ = ["ConfigError", "DetectionPlan"]
+
+
+class ConfigError(ValueError):
+    """Invalid scenario configuration; the message carries the field path."""
 
 
 def _push_pipeline(steps, in_dofs, factor):
     """Push `factor` (rows over the leading modes of `in_dofs`, annihilation
     rows first) through `steps`, checking the grid sizes of each beam
-    splitter's modes before any row is touched, and a Fourier step's uniform
-    grid.
+    splitter's modes before any row is touched (a `ConfigError` naming the
+    step), and a Fourier step's uniform grid.
 
     The modes of `in_dofs` past the factor's rows are vacuum ancillas: they
     start as zero row blocks, which is the column compression of the vacuum
@@ -62,9 +66,9 @@ def _push_pipeline(steps, in_dofs, factor):
     sizes = [d.grid.n for d in dofs]
     for path, _, (d1, d2), _ in [step for step in steps if step[1] == "beam_splitter"]:
         if sizes[d1] != sizes[d2]:
-            raise ValueError(f"{path}: a beam splitter joins modes of one grid size; mode {d1} "
-                             f"('{dofs[d1].name}') has {sizes[d1]} points and mode {d2} "
-                             f"('{dofs[d2].name}') {sizes[d2]}")
+            raise ConfigError(f"{path}: a beam splitter joins modes of one grid size; mode {d1} "
+                              f"('{dofs[d1].name}') has {sizes[d1]} points and mode {d2} "
+                              f"('{dofs[d2].name}') {sizes[d2]}")
     n_source = factor.shape[0] // 2
     phased = any(step[1] in ("phase", "fourier") for step in steps)
     out = np.zeros((2 * sum(sizes), factor.shape[1]), dtype=complex if phased else factor.dtype)
@@ -123,13 +127,14 @@ class DetectionPlan:
     `steps` are (label, kind, mode, numbers) tuples over the output modes
     `names`, first applied first: a "phase" with numbers (phi0, tau, beta_l),
     a "fourier" step with (), a "beam_splitter" on a pair of modes of one
-    grid size with (T, R), and a "loss" with its field transmittivity eta.
-    Labels only name errors.  The output modes are the source modes, ordered
-    as `source_dofs` orders them, then vacuum ancillas, which take the first
-    source mode's grid.  `windows[k]` is output mode k's `DetectionWindow`,
-    in the mode's domain after the steps when bounded, or None to discard the
-    mode, and `detectors[k]` its detector index or None.  The grams and
-    square roots are formed on first use and kept, so a sweep forms them once.
+    grid size (else a `ConfigError`) with (T, R), and a "loss" with its
+    field transmittivity eta.  Labels only name errors.  The output modes are
+    the source modes, ordered as `source_dofs` orders them, then vacuum
+    ancillas, which take the first source mode's grid.  `windows[k]` is
+    output mode k's `DetectionWindow`, in the mode's domain after the steps
+    when bounded, or None to discard the mode, and `detectors[k]` its
+    detector index or None.  The grams and square roots are formed on first
+    use and kept, so a sweep forms them once.
     """
 
     def __init__(self, schmidt, process: ProcessType, steps, windows, detectors, names):

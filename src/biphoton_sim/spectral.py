@@ -258,22 +258,31 @@ def build_gaussian_jsa(
     return DiscretizedJsa(grid_s, grid_i, vals)
 
 
+def _gaussian_log_z(aspect_ratio):
+    """ln z of the Gaussian model, z = ((r - 1)/(r + 1))^2, as
+    2 log1p(-2 min(r, 1) / (r + 1)), so that 1 - z never cancels (-inf at
+    r = 1); ratios broadcast."""
+    r = np.asarray(aspect_ratio, dtype=float)
+    with np.errstate(divide="ignore"):  # r = 1: z = 0
+        return 2.0 * np.log1p(-2.0 * np.minimum(r, 1.0) / (r + 1.0))
+
+
 def analytic_gaussian_schmidt(aspect_ratio: float, j_max: int) -> SchmidtSpectrum:
     """Closed-form Schmidt spectrum of the 2D Gaussian model.
 
     lambda_j = (1 - z) z^(j-1) with z = ((r - 1)/(r + 1))^2; the spectrum is
     invariant under r -> 1/r.  The tail of the geometric series beyond j_max
-    is returned as truncation_tail.
+    is returned as truncation_tail.  1 - z = 4 r / (r + 1)^2 and z^j is
+    exp(j ln z) (`_gaussian_log_z`), so no weight cancels at any ratio.
     """
     if aspect_ratio <= 0:
         raise ValueError("aspect_ratio must be positive")
     if j_max < 1:
         raise ValueError("j_max must be at least 1")
-    zeta = (aspect_ratio - 1.0) / (aspect_ratio + 1.0)
-    z = zeta * zeta
-    j = np.arange(j_max, dtype=float)
-    lam = (1.0 - z) * np.power(z, j)
-    return SchmidtSpectrum(np.sqrt(lam), truncation_tail=float(z**j_max))
+    log_z = float(_gaussian_log_z(aspect_ratio))
+    powers = np.concatenate([[1.0], np.exp(np.arange(1, j_max) * log_z)])
+    lam = 4.0 * aspect_ratio / (aspect_ratio + 1.0) ** 2 * powers
+    return SchmidtSpectrum(np.sqrt(lam), truncation_tail=math.exp(j_max * log_z))
 
 
 def gaussian_relative_power_sums(aspect_ratio, k) -> np.ndarray:
@@ -283,8 +292,7 @@ def gaussian_relative_power_sums(aspect_ratio, k) -> np.ndarray:
 
     S_k = (1 - z)^k / (1 - z^k) (Law, Walmsley and Eberly, PRL 84 (2000)
     5304) is this times lambda_1^k = (4 r / (r + 1)^2)^k, which underflows
-    where the ratio does not.  1 - z^k is -expm1(k ln z) with
-    ln z = 2 log1p(-2 min(r, 1) / (r + 1)), so no step cancels.
+    where the ratio does not.  1 - z^k is -expm1(k ln z), so no step cancels.
     """
     r = np.asarray(aspect_ratio, dtype=float)
     k = np.asarray(k)
@@ -292,16 +300,12 @@ def gaussian_relative_power_sums(aspect_ratio, k) -> np.ndarray:
         raise ValueError("aspect_ratio must be positive")
     if np.any(k < 1):
         raise ValueError("the orders k must be at least 1")
-    with np.errstate(divide="ignore"):  # r = 1: z = 0
-        log_z = 2.0 * np.log1p(-2.0 * np.minimum(r, 1.0) / (r + 1.0))
-    return -1.0 / np.expm1(k * log_z)
+    return -1.0 / np.expm1(k * _gaussian_log_z(r))
 
 
 def gaussian_schmidt_number(aspect_ratio: float) -> float:
-    """Closed-form Schmidt number (1 + z)/(1 - z) of the Gaussian model."""
-    zeta = (aspect_ratio - 1.0) / (aspect_ratio + 1.0)
-    z = zeta * zeta
-    return (1.0 + z) / (1.0 - z)
+    """Closed-form Schmidt number (1 + z)/(1 - z) = (r + 1/r)/2 of the Gaussian model."""
+    return (aspect_ratio + 1.0 / aspect_ratio) / 2.0
 
 
 def schmidt_decompose(

@@ -1,5 +1,5 @@
 """fig1 and fig2 from the Schmidt power sums of the untruncated Gaussian
-spectrum (`cli._gaussian_sweep`), against per-mode evaluations over the
+spectrum (`covariance._gaussian_sweep`), against per-mode evaluations over the
 truncated spectrum and against a 50-digit reference."""
 import json
 import math
@@ -10,54 +10,41 @@ import pytest
 
 from biphoton_sim import (
     ProcessType,
-    SchmidtSpectrum,
-    SqueezingSpectrum,
     analytic_gaussian_schmidt,
     covariance_truncation_bound,
     det_truncation_bound_hs,
     gain_for_mean_pairs,
     norms,
 )
-from biphoton_sim import cli, covariance, spectral
-from biphoton_sim.cli import FIGURES, _gaussian_spectra, _gaussian_sweep, figure_data, main
+from biphoton_sim import cli, covariance, scenario, spectral
+from biphoton_sim.cli import FIGURES, figure_data, main
+from biphoton_sim.covariance import _gaussian_spectra, _gaussian_sweep
 
 EPS = np.finfo(float).eps
 
 
 def _j_max(aspect):
     """The mode count of the per-mode figures: down to relative weight 1e-16."""
-    z = ((aspect - 1.0) / (aspect + 1.0)) ** 2
-    return 1 if z == 0 else max(1, int(math.ceil(math.log(1e-16) / math.log(z))) + 1)
+    log_z = float(spectral._gaussian_log_z(aspect))
+    return 1 if log_z == -math.inf else max(1, math.ceil(math.log(1e-16) / log_z) + 1)
 
 
 def _accurate_spectrum(aspect):
     """The Gaussian spectrum to the figure floor, each weight formed without
-    cancellation: lambda_j = 4 r / (r + 1)^2 z^(j - 1) with
-    ln z = 2 log1p(-2 min(r, 1) / (r + 1)).  `analytic_gaussian_schmidt`
-    rounds z = zeta^2 first, which moves 1 - z by up to about 4 eps z / (1 - z)
-    relative, so its weights are those of a slightly different ratio."""
-    j = np.arange(_j_max(aspect), dtype=float)
-    lam1 = 4.0 * aspect / (aspect + 1.0) ** 2
-    if aspect == 1.0:
-        return SchmidtSpectrum(np.sqrt(np.where(j == 0, lam1, 0.0)))
-    log_z = 2.0 * math.log1p(-2.0 * min(aspect, 1.0) / (aspect + 1.0))
-    return SchmidtSpectrum(np.sqrt(lam1 * np.exp(j * log_z)))
+    cancellation (`analytic_gaussian_schmidt`)."""
+    return analytic_gaussian_schmidt(aspect, _j_max(aspect))
 
 
-def _per_mode_rows(name, points, overrides, accurate):
-    """fig1/fig2 rows as sums over the modes of the truncated spectrum: the
-    gains from `gain_for_mean_pairs`, fig1 from `norms` and fig2 from the
-    largest squeezing parameter, each value from the public bound."""
+def _per_mode_rows(name, points, overrides):
+    """fig1/fig2 rows as sums over the modes of the truncated spectrum of
+    `_gaussian_spectra`, whose gains come from `gain_for_mean_pairs`: fig1
+    from `norms` and fig2 from the largest squeezing parameter, each value
+    from the public bound."""
     parameters = FIGURES[name][2]
     p = {key: overrides.get(key, default) for key, (default, _) in parameters.items()}
     rows = []
     for aspect in np.geomspace(1.0, p["aspect_max"], points):
-        if accurate:
-            schmidt = _accurate_spectrum(float(aspect))
-            gains = gain_for_mean_pairs(schmidt, p["mus"], ProcessType.TYPE_II).tolist()
-            sqs = [SqueezingSpectrum.from_schmidt(schmidt, g, ProcessType.TYPE_II) for g in gains]
-        else:
-            sqs = _gaussian_spectra(float(aspect), p["mus"])[2]
+        sqs = _gaussian_spectra(float(aspect), p["mus"])[2]
         if name == "fig1":
             with np.errstate(over="ignore"):  # the HS norm of mu = 1e300 overflows
                 nrms = [norms(sq) for sq in sqs]
@@ -116,15 +103,12 @@ class TestSweepSigma:
     @pytest.mark.parametrize("aspect", [*np.geomspace(1.0, 1e3, 7).tolist(), 1 / 30, 1e5])
     def test_matches_gain_for_mean_pairs_at_the_figure_floor(self, aspect):
         """sigma_1 = g c_1 of `gain_for_mean_pairs` on `analytic_gaussian_schmidt`
-        to the figure floor, the per-mode route, within
-        8 eps + 2 eps z / (1 - z): Newton's 4 ulp, the sweep's own rounding,
-        and the z = zeta^2 rounding of the per-mode spectrum, of which sigma_1
-        takes at most half, as mu falls as 1 - z to the power -1 or less."""
+        to the figure floor, the per-mode route, within 8 eps: Newton's 4 ulp
+        and the sweep's own rounding."""
         mus = [0.0, 1e-6, 0.01, 1.0, 10.0]
-        schmidt = analytic_gaussian_schmidt(aspect, _j_max(aspect))
+        schmidt = _accurate_spectrum(aspect)
         gains = gain_for_mean_pairs(schmidt, mus, ProcessType.TYPE_II)
-        z = ((aspect - 1.0) / (aspect + 1.0)) ** 2
-        bound = 8 * EPS + 2 * EPS * z / (1.0 - z)
+        bound = 8 * EPS
         sigma = _gaussian_sweep(2, aspect, mus)[1][-1]  # the last ratio is aspect_max
         assert sigma[0] == gains[0] == 0.0  # mu = 0: no squeezing, exactly
         ref = gains[1:] * schmidt.coefficients[0]
@@ -142,11 +126,10 @@ _DEFAULTS = [
 
 @pytest.mark.parametrize("name, overrides", _DEFAULTS)
 def test_rows_match_the_per_mode_figures(name, overrides):
-    """Against the per-mode route of `_gaussian_spectra` itself, z rounding
-    included: within 1e-13 up to aspect ratio 1000."""
+    """Against the per-mode route: within 1e-13 up to aspect ratio 1000."""
     _, rows, _ = figure_data(name, overrides=overrides)
     points = FIGURES[name][1]
-    assert _relative_gap(rows, _per_mode_rows(name, points, overrides, False)) <= 1e-13
+    assert _relative_gap(rows, _per_mode_rows(name, points, overrides)) <= 1e-13
 
 
 # (figure, point count, overrides, tolerance)
@@ -171,13 +154,11 @@ _OVERRIDES = [
 @pytest.mark.parametrize("name, points, overrides, tolerance", _OVERRIDES,
                          ids=[f"{n}-{json.dumps(o)}" for n, _, o, _ in _OVERRIDES])
 def test_override_rows_match_a_per_mode_evaluation(name, points, overrides, tolerance):
-    """Against the per-mode route over weights formed without cancellation.
-    The `_gaussian_spectra` route differs from these rows by its z rounding:
-    1.6e-14 in sigma_1 at ratio 1000 and 4.5e-13 at 1e5, which a high
-    series order or an expm1 of a large argument amplifies."""
+    """Against the per-mode route at the overrides: a high series order or
+    an expm1 of a large argument amplifies any rounding of the weights."""
     points = points or FIGURES[name][1]
     _, rows, _ = figure_data(name, points=points, overrides=overrides)
-    assert _relative_gap(rows, _per_mode_rows(name, points, overrides, True)) <= tolerance
+    assert _relative_gap(rows, _per_mode_rows(name, points, overrides)) <= tolerance
 
 
 def test_fig1_at_zero_mean_pairs_writes_zeros():
@@ -193,9 +174,9 @@ def test_sweeps_build_no_spectrum(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("per-mode path called")
 
-    for module, name in [(spectral, "analytic_gaussian_schmidt"), (cli, "gain_for_mean_pairs"),
-                         (covariance, "gain_for_mean_pairs"), (cli, "SqueezingSpectrum"),
-                         (covariance, "SqueezingSpectrum")]:
+    for module, name in [(spectral, "analytic_gaussian_schmidt"),
+                         (scenario, "gain_for_mean_pairs"), (covariance, "gain_for_mean_pairs"),
+                         (cli, "SqueezingSpectrum"), (covariance, "SqueezingSpectrum")]:
         monkeypatch.setattr(module, name, refuse)
     for name in ("fig1", "fig2"):
         _, rows, _ = figure_data(name, overrides={"aspect_max": 1e5})

@@ -10,15 +10,9 @@ from hypothesis import strategies as st
 
 from pathlib import Path
 
-from biphoton_sim.cli import (
-    FIGURES,
-    ConfigError,
-    _gaussian_spectra,
-    _limits_text,
-    figure_data,
-    main,
-    run_scenario,
-)
+from biphoton_sim.cli import FIGURES, ConfigError, figure_data, main, run_scenario
+from biphoton_sim.covariance import _gaussian_spectra
+from biphoton_sim.scenario import _limits_text
 from conftest import reference_covariance_bound
 from test_detection import _readme_config
 
@@ -715,6 +709,42 @@ class TestCommandLine:
         assert "is not a finite float" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("field, value, source", [
+        ("source.gain", "5.0", {"gain": 5.0}),
+        # past sigma_1 ~ 355 the series' powers and the HS norm overflow
+        ("source.gain", "300.0", {"gain": 300.0}),
+        ("source.gain", "500.0", {"gain": 500.0}),
+        ("sweep.values[1]", "1000000.0", {"sweep": [0.1, 1e6]}),
+    ])
+    def test_run_command_point_outside_the_series_domain_names_its_field(
+            self, tmp_path, capsys, field, value, source):
+        """`det_trunc_eigen` checks the series' domain before the series or
+        the norms run, so the point exits 3 naming its field, with no numpy
+        overflow or spectral-radius warning printed first."""
+        import warnings
+
+        from biphoton_sim import SpectralRadiusWarning
+
+        cfg = _readme_config("log_series")
+        del cfg["source"]["mu"]
+        if "gain" in source:
+            cfg["source"]["gain"] = source["gain"]
+            del cfg["sweep"]
+        else:
+            cfg["sweep"]["values"] = source["sweep"]
+        cfg["output"] = {"csv_path": str(tmp_path / "out.csv"),
+                         "pnd_csv_path": str(tmp_path / "pnd.csv")}
+        cfg_path = tmp_path / "domain.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric domain error: {field} = {value}: |eta^2 lambda| = ")
+        assert err.endswith(" >= 1\n")
+        assert not [w for w in caught
+                    if issubclass(w.category, (RuntimeWarning, SpectralRadiusWarning))]
+
     def test_run_command_window_outside_grid_exit_code(self, tmp_path):
         cfg = base_config(
             detection={"method": "poisson", "windows": [[500.0, 600.0], None]}
@@ -1262,8 +1292,24 @@ class TestRectangularSource:
             "pipeline": [{"type": "beam_splitter", "dofs": [0, 1], "transmittance": 0.8}],
             "detection": {"method": "log_series"},
         }
-        with pytest.raises(ConfigError, match=r"pipeline\[0\]\.dofs"):
+        with pytest.raises(ConfigError, match=r"pipeline\[0\]: a beam splitter joins modes"):
             run_scenario(cfg)
+
+    def test_run_exits_2_naming_step_modes_and_sizes(self, tmp_path, capsys):
+        """The plan's grid-size check is the only one; `run` reports it as a
+        configuration error."""
+        path = _rectangular_csv(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({
+            "source": {"process": "type2", "gain": 0.5, "jsa": {"csv": str(path)}},
+            "pipeline": [{"type": "beam_splitter", "dofs": [0, 1], "transmittance": 0.8}],
+            "detection": {"method": "exact"},
+            "output": {"csv_path": str(tmp_path / "out.csv")},
+        }))
+        assert main(["run", str(tmp_path / "cfg.json")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: pipeline[0]: a beam splitter joins modes of one grid size; "
+            "mode 0 ('signal') has 41 points and mode 1 ('idler') 31\n")
+        assert not (tmp_path / "out.csv").exists()
 
 
 def vacuum_point_config(mu, order, eta0=None, mus=None):
@@ -1606,7 +1652,7 @@ def block_reference(cfg):
         fourier,
         phase_shift,
     )
-    from biphoton_sim.cli import _build_source
+    from biphoton_sim.scenario import _build_source
     from biphoton_sim.transforms import output_dofs
 
     decompose, gain, _, process = _build_source(cfg)
@@ -1653,7 +1699,7 @@ class TestFactorPath:
             covariance_eigenvalues,
             det_truncation_bound_eigen,
         )
-        from biphoton_sim.cli import _build_source
+        from biphoton_sim.scenario import _build_source
         from biphoton_sim.covariance import covariance_factor
         from biphoton_sim.oracle import dense_log_det
         from biphoton_sim.transforms import detected_gram
@@ -1952,7 +1998,7 @@ class TestSinglePairFactor:
             pnd,
             vacuum_probability,
         )
-        from biphoton_sim.cli import _shared_detector
+        from biphoton_sim.scenario import _shared_detector
         from biphoton_sim.oracle import poisson_params_reference
 
         model = GaussianJsaModel(1.0, 3.0)
@@ -2021,7 +2067,7 @@ class TestPoissonClaimAsWritten:
            fraction=st.floats(0.01, 0.95))
     def test_linear_poisson_exact_ordering(self, process, aspect, fraction):
         from biphoton_sim import SqueezingSpectrum, mean_pairs
-        from biphoton_sim.cli import _build_source
+        from biphoton_sim.scenario import _build_source
 
         cfg = base_config(detection={"method": "exact"})
         cfg["source"]["jsa"]["gaussian"]["delta_minus_rad_s"] = aspect

@@ -332,10 +332,10 @@ def test_coupled_sector_path_with_an_odd_mode_count(monkeypatch, method):
     # by an ulp, so the rows agree within a few ulp, not to the bit.  A
     # log-series bound goes as lambda_max(H)^order, so it moves order times
     # as much (measured up to 1.7e-14 at order 20)
-    from biphoton_sim import cli
+    from biphoton_sim import scenario
 
     config = _sector_config("coupled", method, delta_minus=4.0)
-    assert cli._build_source(config)[0]().coefficients.size == 33
+    assert scenario._build_source(config)[0]().coefficients.size == 33
     sector, full = _run_both(monkeypatch, config)
     for got, want in zip(sector["rows"], full["rows"]):
         assert got[2] == want[2]
@@ -348,7 +348,7 @@ def test_coupled_sector_path_with_an_odd_mode_count(monkeypatch, method):
 @pytest.mark.parametrize("name, sectors", [("uncoupled", 1), ("coupled", 2), ("type0i", 1)])
 def test_run_pushes_sectors_of_2k_columns(monkeypatch, name, sectors):
     # an uncoupled type-II run never holds a pushed N x 4K factor
-    from biphoton_sim import cli
+    from biphoton_sim import cli, scenario
     from biphoton_sim import plan as plan_module
 
     widths = []
@@ -360,7 +360,7 @@ def test_run_pushes_sectors_of_2k_columns(monkeypatch, name, sectors):
     monkeypatch.setattr(plan_module, "_push_pipeline", spied)
     config = _sector_config(name, "exact")
     cli.run_scenario(config)
-    modes = cli._build_source(config)[0]().coefficients.size
+    modes = scenario._build_source(config)[0]().coefficients.size
     assert widths == [2 * modes] * sectors
 
 

@@ -16,3 +16,7 @@ def test_library_sketch_runs():
     p = namespace["stats"].probabilities
     by_total = [sum(p[i, n - i] for i in range(n + 1)) for n in range(p.shape[0])]
     assert np.allclose(namespace["series_stats"].probabilities, by_total, rtol=1e-10, atol=0)
+    # the scenario route builds the same source, plan and point
+    point = namespace["point"]
+    assert np.array_equal(point["pnd"].probabilities, namespace["series_stats"].probabilities)
+    assert point["p_vac"] == np.exp(namespace["log_vacuum"])

@@ -1,5 +1,6 @@
 """Tests for grids, Gaussian JSA construction and Schmidt analysis."""
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -110,6 +111,29 @@ class TestAnalyticSchmidt:
         ratios = np.linspace(1.0, 10.0, 40)
         ks = [gaussian_schmidt_number(r) for r in ratios]
         assert np.all(np.diff(ks) >= 0)
+
+    @pytest.mark.parametrize("aspect", [1.0, 1 / 30, 3.0, 1000.0, 1e5])
+    def test_weights_tail_and_number_match_50_digits(self, aspect):
+        """lambda_j = (1 - z) z^(j - 1), its tail z^j_max and K = (1 + z)/(1 - z)
+        at the float ratio's own value, with z exact: within the rounding of
+        exp(j ln z), |j ln z| eps, plus a few eps, at any ratio, as neither
+        1 - z nor any weight is formed by cancellation."""
+        eps = Decimal(np.finfo(float).eps)
+        j_max = 200
+        spec = analytic_gaussian_schmidt(aspect, j_max)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            r = Decimal(aspect)
+            z = ((r - 1) / (r + 1)) ** 2
+            log_z = abs(z.ln()) if z else Decimal(0)
+            for j in (1, 2, 3, 10, 100, 199, 200):
+                ref = (1 - z) * z ** (j - 1) if j > 1 else 1 - z
+                got = Decimal(float(spec.coefficients[j - 1])) ** 2
+                assert abs(got - ref) <= ((j - 1) * log_z + 6) * eps * ref, (aspect, j)
+            tail = z**j_max
+            assert abs(Decimal(spec.truncation_tail) - tail) <= (j_max * log_z + 2) * eps * tail
+            k_ref = (1 + z) / (1 - z)
+            assert abs(Decimal(gaussian_schmidt_number(aspect)) - k_ref) <= 2 * eps * k_ref
 
 
 class TestGaussianPowerSums:
