@@ -39,7 +39,6 @@ from .detection import (
     SpectralRadiusWarning,
     VacuumPointGf,
     hermite_params,
-    log_series_gf,
     log_series_power_sum,
     pnd,
     quadratic_vacuum,

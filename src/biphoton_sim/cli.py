@@ -95,6 +95,9 @@ def _fig3(points, mu_max):
 
 
 def _fig4(points, mu_min, mu_max, aspect_ratio, eta):
+    """|p / p_exact - 1| of the Poisson, Hermite and quadratic vacuum
+    probabilities, as |expm1(ln p - ln p_exact)| of their log vacua, which
+    keeps the digits that p - p_exact loses to cancellation."""
     columns = ["mu", "rel_err_poisson", "rel_err_hermite", "rel_err_quadratic"]
     eta2 = eta * eta
     mus = np.geomspace(mu_min, mu_max, points)
@@ -102,12 +105,13 @@ def _fig4(points, mu_min, mu_max, aspect_ratio, eta):
     k_number = spectral.schmidt_number(schmidt)
     rows = []
     for mu, gain, sq in zip(mus, gains, sqs):
-        exact = det.vacuum_probability(det.ExactProductGf(sq, eta2, eta2), "exact")
+        exact = det._vacuum_exponent(det.ExactProductGf(sq, eta2, eta2))
         pois = det.PoissonParams(gain * gain / 4.0, eta2, eta2, eta2 * eta2)
         hp = det.hermite_params(gain, k_number, ProcessType.TYPE_II, eta2, eta2)
-        approx = (det.vacuum_probability(pois, "poisson"), det.vacuum_probability(hp, "hermite"),
-                  det.quadratic_vacuum(schmidt, gain, eta, ProcessType.TYPE_II))
-        rows.append([mu] + [abs(p - exact) / exact for p in approx])
+        miss, one, two = det._pair_sums(schmidt, gain, eta, ProcessType.TYPE_II)
+        approx = (det._vacuum_exponent(pois), det._vacuum_exponent(hp),
+                  math.log1p(miss * one + miss * miss * two) - math.log1p(one + two))
+        rows.append([mu] + [abs(math.expm1(p - exact)) for p in approx])
     return columns, rows
 
 

@@ -26,7 +26,9 @@ and their dense reference over the sampled JSA is
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -45,7 +47,6 @@ __all__ = [
     "PhotonStatistics",
     "hermite_params",
     "log_series_power_sum",
-    "log_series_gf",
     "vacuum_point_gf",
     "pnd",
     "vacuum_probability",
@@ -103,9 +104,8 @@ class HermiteParams:
         if self.eps2 < 0:
             raise ValueError("eps2 must be non-negative")
         if self.mu < self.eps2:
-            raise InvalidDistributionError(
-                f"invalid distribution: mu = {self.mu!r} < eps2 = {self.eps2!r}"
-            )
+            raise InvalidDistributionError(f"invalid distribution: mu = {self.mu!r} "
+                                           f"< eps2 = {self.eps2!r}")
         for eta2 in (self.eta_s2, self.eta_i2):
             if not 0 <= eta2 <= 1:
                 raise ValueError("intensity transmissions must lie in [0, 1]")
@@ -128,21 +128,15 @@ class ExactProductGf:
 @dataclass(frozen=True)
 class VacuumPointGf:
     """log G = log_vacuum + 1/2 sum_n Tr[(sum_d x_d L_d)^n] / n, the
-    generating function expanded at the vacuum point x = 0; `moments[n-1]`
-    holds the coefficients of Tr[(sum_d x_d L_d)^n], an array of shape
-    (n+1,) * detector count (see `vacuum_point_gf`)."""
+    generating function expanded at the vacuum point x = 0, as its exponent
+    table over a cutoff box: `exponent[alpha]` is the coefficient of x^alpha
+    and `exponent[0, ..., 0]` is log_vacuum (see `vacuum_point_gf`)."""
 
-    moments: tuple
-    log_vacuum: float
+    exponent: np.ndarray
 
 
-def hermite_params(
-    gain: float,
-    schmidt_number: float,
-    process: ProcessType,
-    eta_s2: float = 1.0,
-    eta_i2: float = 1.0,
-) -> HermiteParams:
+def hermite_params(gain: float, schmidt_number: float, process: ProcessType,
+                   eta_s2: float = 1.0, eta_i2: float = 1.0) -> HermiteParams:
     """Pair mean and pair-pair correlation strength of the Hermite model."""
     c2 = gain * gain
     c4 = c2 * c2
@@ -243,12 +237,17 @@ def save_pnd_csv(stats: PhotonStatistics, path) -> None:
 
 
 def _cutoffs(n_max, d: int) -> tuple:
-    arr = np.atleast_1d(np.asarray(n_max, dtype=int))
-    if arr.size == 1:
-        arr = np.repeat(arr, d)
-    if arr.size != d or np.any(arr < 0):
-        raise ValueError("n_max must give a non-negative cutoff per detector")
-    return tuple(int(x) for x in arr)
+    """One non-negative int per detector, from a sequence or a single value
+    that stands for every detector."""
+    cutoffs = list(n_max) if np.ndim(n_max) else [n_max]
+    for c in cutoffs:
+        if isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 0:
+            raise ValueError(f"cutoff {c!r} is not a non-negative integer")
+    if len(cutoffs) == 1:
+        cutoffs *= d
+    if len(cutoffs) != d:
+        raise ValueError(f"expected one cutoff per detector ({d}), got {len(cutoffs)}")
+    return tuple(int(c) for c in cutoffs)
 
 
 def _exponent_poisson(params: PoissonParams, shape) -> np.ndarray:
@@ -340,28 +339,71 @@ def _exponent_exact(gf: ExactProductGf, shape) -> np.ndarray:
 
 
 def _exponent_vacuum_point(gf: VacuumPointGf, shape) -> np.ndarray:
-    degree = sum(s - 1 for s in shape)
-    if degree > len(gf.moments):
-        raise ValueError(
-            f"total cutoff degree {degree} exceeds the stored moment order {len(gf.moments)}"
-        )
-    e = np.zeros(shape)
-    for n, t_n in enumerate(gf.moments, start=1):
-        sl = tuple(slice(0, min(s, n + 1)) for s in shape)
-        e[sl] += t_n[sl] / (2.0 * n)
-    e[(0,) * len(shape)] = gf.log_vacuum
-    return e
+    # each entry depends on the L_d alone, so a leading sub-box is exact
+    if any(s > t for s, t in zip(shape, gf.exponent.shape)):
+        raise ValueError(f"cutoffs {[s - 1 for s in shape]} exceed the table's "
+                         f"{[t - 1 for t in gf.exponent.shape]}")
+    return gf.exponent[tuple(slice(0, s) for s in shape)]
+
+
+def vacuum_point_gf(parts, log_vacuum: float, cutoffs, multiplicity: int = 1) -> VacuumPointGf:
+    """Exponent table over the box of `cutoffs` of the photon-number
+    generating function of the parts K_d, one cutoff per part.
+
+    det(1 + K - sum_d x_d K_d) = det(1 + K) det(1 - sum_d x_d L_d) with
+    K = sum_d K_d and L_d = (1 + K)^-1 K_d, so entry alpha is
+    Re Tr W_alpha / (2|alpha|), W_alpha the sum of the products of the L_d
+    over the words of multidegree alpha, and every entry is exact; only the
+    constant `log_vacuum` = -1/2 log det(1 + K), supplied by the caller,
+    carries an error, and it scales all entries alike.  W_alpha =
+    sum_d W_(alpha - e_d) L_d is formed one total degree at a time and only
+    inside the box, so memory grows with the box's widest degree times the
+    operand size; oversized boxes fail before the solve.
+
+    The parts may be one of `multiplicity` diagonal blocks of the detected
+    operator whose blocks share their real trace moments (the conjugate
+    sectors of a type-II run); each entry is then that many times the
+    parts' own.
+    """
+    mats = [np.asarray(k) for k in parts]
+    if not mats:
+        raise ValueError("at least one detector part required")
+    cutoffs = _cutoffs(cutoffs, len(mats))
+    dim = mats[0].shape[0]
+    widths = functools.reduce(np.convolve, [np.ones(c + 1, dtype=int) for c in cutoffs])
+    if 2 * int(widths.max()) * dim * dim * 16 > 2 * 1024**3:
+        raise ValueError(f"moment recursion over cutoffs {list(cutoffs)} would need more than "
+                         "2 GiB; reduce the grid, the cutoffs, or the number of detectors")
+    solved = np.linalg.solve(np.eye(dim) + np.sum(mats, axis=0), np.hstack(mats))
+    ls = np.hsplit(solved, len(mats))
+    table = np.zeros(tuple(c + 1 for c in cutoffs))
+    level = {(0,) * len(ls): None}  # the empty word, W_0 = 1, never formed
+    for n in range(1, sum(cutoffs) + 1):
+        new_level = {}
+        for deg, mat in level.items():
+            for i, l_i in enumerate(ls):
+                if deg[i] == cutoffs[i]:
+                    continue
+                ndeg = tuple(v + (j == i) for j, v in enumerate(deg))
+                word = l_i if mat is None else mat @ l_i
+                if ndeg in new_level:
+                    new_level[ndeg] += word
+                else:
+                    new_level[ndeg] = word
+        for deg, mat in new_level.items():
+            table[deg] += multiplicity * np.real(np.trace(mat)) / (2.0 * n)
+        level = new_level
+    table[(0,) * len(ls)] = log_vacuum
+    return VacuumPointGf(table)
 
 
 # generating-function type -> (exponent builder, detector count)
 _PND_EXPONENTS = {
     PoissonParams: (_exponent_poisson, lambda gf: 2),
     HermiteParams: (_exponent_hermite, lambda gf: 2),
-    ExactProductGf: (
-        _exponent_exact,
-        lambda gf: 1 if gf.spectrum.process is ProcessType.TYPE_0I else 2,
-    ),
-    VacuumPointGf: (_exponent_vacuum_point, lambda gf: gf.moments[0].ndim),
+    ExactProductGf: (_exponent_exact,
+                     lambda gf: 1 if gf.spectrum.process is ProcessType.TYPE_0I else 2),
+    VacuumPointGf: (_exponent_vacuum_point, lambda gf: gf.exponent.ndim),
 }
 
 
@@ -381,80 +423,7 @@ def pnd(gf, n_max) -> PhotonStatistics:
         ) from None
     shape = tuple(c + 1 for c in _cutoffs(n_max, detector_count(gf)))
     probs = _poly_exp(exponent(gf, shape))
-    total = float(np.sum(probs))
-    return PhotonStatistics(probs, 1.0 - total)
-
-
-# ---------------------------------------------------------------------------
-# trace-moment polynomials
-# ---------------------------------------------------------------------------
-
-
-def log_series_gf(parts, order: int) -> tuple:
-    """Trace-moment polynomials t_n(w) = Tr[(sum_d w_d K_d)^n] up to order N,
-    as a tuple whose entry n-1 has shape (n+1,) * len(parts).
-
-    The recursion keeps one matrix per weight multidegree, so memory grows
-    with order^(D-1) times the operand size; oversized requests fail early.
-    Each level multiplies the previous one on the right by every part, and
-    entry n-1 holds the real parts of the traces of level n.
-    """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    mats = [np.asarray(k) for k in parts]
-    d = len(mats)
-    if d == 0:
-        raise ValueError("at least one detector part required")
-    dim = mats[0].shape[0]
-    est_bytes = 2 * (order + 1) ** max(d - 1, 1) * dim * dim * 16
-    if est_bytes > 2 * 1024**3:
-        raise ValueError(
-            "moment recursion would need more than 2 GiB; reduce the grid, "
-            "the order, or the number of detectors"
-        )
-    moments = []
-    level = {tuple(int(j == i) for j in range(d)): k for i, k in enumerate(mats)}
-    for n in range(1, order + 1):
-        if n > 1:
-            new_level = {}
-            for deg, mat in level.items():
-                for i, k in enumerate(mats):
-                    ndeg = tuple(v + (j == i) for j, v in enumerate(deg))
-                    if ndeg in new_level:
-                        new_level[ndeg] += mat @ k
-                    else:
-                        new_level[ndeg] = mat @ k
-            level = new_level
-        t_n = np.zeros((n + 1,) * d)
-        for deg, mat in level.items():
-            t_n[deg] = np.real(np.trace(mat))
-        moments.append(t_n)
-    return tuple(moments)
-
-
-def vacuum_point_gf(
-    parts, log_vacuum: float, degree: int, multiplicity: int = 1
-) -> VacuumPointGf:
-    """Photon-number generating function of the parts K_d, exact to `degree`.
-
-    det(1 + K - sum_d x_d K_d) = det(1 + K) det(1 - sum_d x_d L_d) with
-    K = sum_d K_d and L_d = (1 + K)^-1 K_d, and every coefficient of total
-    degree n in x comes from Tr[(sum_d x_d L_d)^n] alone.  So the moments up
-    to the table's total degree give every entry exactly; only the constant
-    `log_vacuum` = -1/2 log det(1 + K), supplied by the caller, carries an
-    error, and it scales all entries alike.
-
-    The parts may be one of `multiplicity` diagonal blocks of the detected
-    operator whose blocks share their real trace moments (the conjugate
-    sectors of a type-II run); each moment is then that many times the
-    parts' own.
-    """
-    mats = [np.asarray(k) for k in parts]
-    total = np.sum(mats, axis=0)
-    solved = np.linalg.solve(np.eye(total.shape[0]) + total, np.hstack(mats))
-    ls = np.hsplit(solved, len(mats))
-    moments = log_series_gf(ls, max(1, degree))
-    return VacuumPointGf(tuple(multiplicity * t for t in moments), float(log_vacuum))
+    return PhotonStatistics(probs, 1.0 - float(np.sum(probs)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +431,9 @@ def vacuum_point_gf(
 # ---------------------------------------------------------------------------
 
 
-def quadratic_vacuum(
-    spectrum: SchmidtSpectrum, gain: float, eta: float, process: ProcessType
-) -> float:
-    """Vacuum probability of the renormalized two-pair state truncation.
-
-    Valid for uniform (frequency-independent) loss and unbounded windows.
-    Pair-component amplitudes follow from normal-ordering the pair-creation
-    exponential: tanh of the per-mode squeezing for one pair, symmetrized
-    products for two pairs.
-    """
+def _pair_sums(spectrum: SchmidtSpectrum, gain: float, eta: float, process: ProcessType):
+    """The miss probability (1 - eta^2)^2 of a pair and the one- and two-pair
+    weights of `quadratic_vacuum`."""
     if not 0 <= eta <= 1:
         raise ValueError("eta must lie in [0, 1]")
     sq = SqueezingSpectrum.from_schmidt(spectrum, gain, process)
@@ -486,9 +448,20 @@ def quadratic_vacuum(
         one_pair = s2 / 2.0
         two_pair = (s2 * s2 + 2.0 * s4) / 8.0
     miss = (1.0 - eta * eta) ** 2  # both photons of a pair undetected
-    num = 1.0 + miss * one_pair + miss * miss * two_pair
-    den = 1.0 + one_pair + two_pair
-    return num / den
+    return miss, one_pair, two_pair
+
+
+def quadratic_vacuum(spectrum: SchmidtSpectrum, gain: float, eta: float,
+                     process: ProcessType) -> float:
+    """Vacuum probability of the renormalized two-pair state truncation.
+
+    Valid for uniform (frequency-independent) loss and unbounded windows.
+    Pair-component amplitudes follow from normal-ordering the pair-creation
+    exponential: tanh of the per-mode squeezing for one pair, symmetrized
+    products for two pairs.
+    """
+    miss, one_pair, two_pair = _pair_sums(spectrum, gain, eta, process)
+    return (1.0 + miss * one_pair + miss * miss * two_pair) / (1.0 + one_pair + two_pair)
 
 
 _VACUUM_TYPES = {"exact": ExactProductGf, "poisson": PoissonParams, "linear": PoissonParams,
@@ -514,12 +487,14 @@ def vacuum_probability(params, method: str) -> float:
     if method == "linear":
         value = 1.0 - params.mu * params.p_union
         if value < 0:
-            warnings.warn(
-                "single-pair vacuum probability is negative at this mu",
-                UserWarning,
-                stacklevel=2,
-            )
+            warnings.warn("single-pair vacuum probability is negative at this mu", UserWarning,
+                          stacklevel=2)
         return value
-    # exp of the constant that `pnd` expands, so that P[0, ..., 0] is this value
-    exponent, detector_count = _PND_EXPONENTS[gf_type]
-    return float(np.exp(exponent(params, (1,) * detector_count(params)).flat[0]))
+    return float(np.exp(_vacuum_exponent(params)))
+
+
+def _vacuum_exponent(gf) -> float:
+    """The constant of the exponent that `pnd` expands, so that P[0, ..., 0]
+    is exp of this value: the log vacuum probability of `gf`."""
+    exponent, detector_count = _PND_EXPONENTS[type(gf)]
+    return float(exponent(gf, (1,) * detector_count(gf)).flat[0])

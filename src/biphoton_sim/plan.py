@@ -239,6 +239,6 @@ class DetectionPlan:
         undetected = any(m.any() for m, d in zip(self.masks, self.detectors) if d is None)
         core = covariance_core(sq)[self.sector, self.sector]
         gf = det.vacuum_point_gf([core @ h for h in self.detector_grams],
-                                 self._log_vacuum(sq, order, undetected), sum(cutoffs),
+                                 self._log_vacuum(sq, order, undetected), cutoffs,
                                  self.multiplicity)
         return det.pnd(gf, cutoffs)

@@ -1,6 +1,7 @@
 """fig1 and fig2 from the Schmidt power sums of the untruncated Gaussian
 spectrum (`covariance._gaussian_sweep`), against per-mode evaluations over the
-truncated spectrum and against a 50-digit reference."""
+truncated spectrum and against a 50-digit reference; fig4 against a 50-digit
+reference."""
 import json
 import math
 from decimal import Decimal, localcontext
@@ -190,3 +191,43 @@ def test_fig1_out_of_domain_names_column_and_aspect(tmp_path, capsys):
         "numeric domain error: bound_eta2_0.1_mu_100: eta^2 |Lambda_1| = 20.049875621120893 "
         ">= 1 at aspect_ratio 1.0\n")
     assert not (tmp_path / "fig1.csv").exists()
+
+
+def _fig4_reference(points, mu_min, mu_max, aspect_ratio, eta):
+    """fig4's rows to 50 digits from the same float gains, sigma_j, Schmidt
+    number and eta^2: |p / p_exact - 1| of the Poisson, Hermite and quadratic
+    vacuum probabilities."""
+    mus = np.geomspace(mu_min, mu_max, points)
+    schmidt, gains, sqs = _gaussian_spectra(aspect_ratio, mus)
+    rows = []
+    with localcontext() as ctx:
+        ctx.prec = 50
+        k_number = Decimal(spectral.schmidt_number(schmidt))
+        eta2 = Decimal(eta * eta)
+        kept = 1 - (1 - eta2) ** 2  # a pair is seen unless both photons are lost
+        miss = (1 - eta2) ** 2
+        for gain, sq in zip(gains, sqs):
+            sinh2 = [((s.exp() + (-s).exp() - 2) / 4) for s in map(Decimal, sq.sigmas.tolist())]
+            ln_exact = -sum((1 + kept * x).ln() for x in sinh2)
+            c2 = Decimal(gain) ** 2
+            ln_poisson = -c2 / 4 * (2 * eta2 - eta2 * eta2)
+            mu, eps2 = c2 / 4 + c2 * c2 / (48 * k_number), c2 * c2 / (16 * k_number)
+            ln_hermite = (eps2 / 2 * (miss * miss - 1) + (mu - eps2) * (miss - 1))
+            tanh2 = [x / (1 + x) for x in sinh2]
+            one, two = sum(tanh2), (sum(tanh2) ** 2 + sum(t * t for t in tanh2)) / 2
+            ln_quadratic = ((1 + miss * one + miss * miss * two) / (1 + one + two)).ln()
+            rows.append([abs((v - ln_exact).exp() - 1)
+                         for v in (ln_poisson, ln_hermite, ln_quadratic)])
+    return rows
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.5])
+def test_fig4_matches_a_50_digit_reference(eta):
+    """Every relative error within 1e-9 of its own value: each is formed from
+    the log vacua, so no digit is lost to p - p_exact."""
+    defaults = {key: default for key, (default, _) in FIGURES["fig4"][2].items()}
+    _, rows, _ = figure_data("fig4", overrides={"eta": eta})
+    ref = _fig4_reference(FIGURES["fig4"][1], **dict(defaults, eta=eta))
+    for row, ref_row in zip(rows, ref, strict=True):
+        for got, want in zip(row[1:], ref_row, strict=True):
+            assert abs(Decimal(got) - want) <= Decimal("1e-9") * want, (row[0], got, want)

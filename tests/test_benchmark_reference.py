@@ -6,6 +6,7 @@ that check here means that deleting or changing a name it calls fails the
 suite, and not only a benchmark run.
 """
 import json
+import random
 from pathlib import Path
 
 from biphoton_sim import cli
@@ -55,3 +56,30 @@ def test_check_scenario_accepts_coupled_scenario(tmp_path, monkeypatch, capsys):
     problems, widths = _check(tmp_path, monkeypatch, capsys, config)
     assert problems == []
     assert len(widths) == 2 and widths[0] == widths[1]
+
+
+def test_traced_run_matches_untraced(tmp_path, monkeypatch, capsys):
+    """The benchmark's traced run (`perfbench/spans.py`) of its small PND call
+    writes what an untraced run writes and records a span of the table
+    builder, so that an API change that breaks a span hook fails the suite."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import workloads
+
+    results = {}
+    for traced in (False, True):
+        work = tmp_path / str(traced)
+        work.mkdir()
+        (call,) = workloads.PARTS["small_pnd"](random.Random("small_pnd:1"), str(work))
+        monkeypatch.chdir(work)
+        tracer = spans.Tracer()
+        if traced:
+            tracer.install()
+        try:
+            code = cli.main(call["argv"])
+        finally:
+            tracer.uninstall()
+        out, err = capsys.readouterr()
+        results[traced] = code, out, err, [(work / p).read_bytes() for p in call["outputs"]]
+    assert results[True] == results[False] and results[False][0] == 0
+    assert "detection.vacuum_point_gf" in {name for name, *_ in tracer.spans}

@@ -264,13 +264,13 @@ class TestRunScenario:
         single = run_scenario(cfg)["pnd"]
 
         calls = []
-        original = detection.log_series_gf
+        original = detection.vacuum_point_gf
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(detection, "log_series_gf", counting)
+        monkeypatch.setattr(detection, "vacuum_point_gf", counting)
         cfg["sweep"] = {"parameter": "source.mu", "values": [0.05, 0.1, 0.2]}
         swept = run_scenario(cfg)["pnd"]
         assert len(calls) == 1

@@ -1,5 +1,7 @@
 """Tests for generating functions, photon statistics and approximations."""
+import itertools
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +27,6 @@ from biphoton_sim import (
     default_grids,
     gain_for_mean_pairs,
     hermite_params,
-    log_series_gf,
     pnd,
     quadratic_vacuum,
     schmidt_decompose,
@@ -718,19 +719,18 @@ class TestPnd:
         )
         lossy = with_loss(schmidt_gamma, (eta, eta))
         parts = detector_parts(lossy, schmidt_gamma, (0, 1))
-        gf = vacuum_point_gf(parts, -0.5 * dense_log_det(sum(parts)), 10)
+        gf = vacuum_point_gf(parts, -0.5 * dense_log_det(sum(parts)), (5, 5))
         stats = pnd(gf, (5, 5))
         ref = tmsv_statistics(sigma, eta, 5)
         assert np.max(np.abs(stats.probabilities - ref)) < 1e-10
 
-    def test_log_series_cutoff_capped_by_order(self, rng):
+    def test_vacuum_point_cutoffs_capped_by_table(self, rng):
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_II, gain=0.3)
         parts = detector_parts(gamma.mat.to_dense(), gamma, (0, 1))
-        gf = vacuum_point_gf(parts, -0.5 * dense_log_det(sum(parts)), 4)
-        assert isinstance(gf.moments, tuple) and len(gf.moments) == 4
-        assert [t.shape for t in gf.moments] == [(n + 1, n + 1) for n in range(1, 5)]
+        gf = vacuum_point_gf(parts, -0.5 * dense_log_det(sum(parts)), (2, 2))
+        assert gf.exponent.shape == (3, 3)
         assert pnd(gf, (2, 2)).probabilities.shape == (3, 3)
-        with pytest.raises(ValueError, match="total cutoff degree 5 exceeds the stored moment order 4"):
+        with pytest.raises(ValueError, match=r"cutoffs \[3, 2\] exceed the table's \[2, 2\]"):
             pnd(gf, (3, 2))
 
     def test_splitter_to_discarded_ancilla_equals_loss(self, rng):
@@ -756,7 +756,7 @@ class TestPnd:
         )
         dofs_out = output_dofs(s, gamma.dofs)
         parts = detector_parts_compressed(s, windows, gamma, (0, 1, None), dofs_out)
-        stats = pnd(vacuum_point_gf(parts, -0.5 * dense_log_det(sum(parts)), 8), (4, 4))
+        stats = pnd(vacuum_point_gf(parts, -0.5 * dense_log_det(sum(parts)), (4, 4)), (4, 4))
         ref = pnd(ExactProductGf(spectrum, t_coef**2, 1.0), (4, 4))
         assert np.max(np.abs(stats.probabilities - ref.probabilities)) < 1e-10
 
@@ -784,6 +784,79 @@ class TestPnd:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "n1,n2,probability"
         assert len(rows) == 10
+
+
+def _psd_parts(rng, count, r, scale=0.1):
+    """`count` random complex positive semi-definite r x r parts."""
+    parts = []
+    for _ in range(count):
+        a = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+        parts.append(scale * (a @ a.conj().T))
+    return parts
+
+
+class TestVacuumPointBox:
+    """`vacuum_point_gf` builds its exponent table over the cutoff box alone."""
+
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    @pytest.mark.parametrize("multiplicity", [1, 2])
+    def test_entries_match_a_brute_force_word_sum(self, rng, r, multiplicity):
+        cutoffs = (2, 1, 2)
+        parts = _psd_parts(rng, 3, r)
+        total = sum(parts)
+        ls = [np.linalg.solve(np.eye(r) + total, k) for k in parts]
+        table = vacuum_point_gf(parts, -0.25, cutoffs, multiplicity).exponent
+        assert table.shape == (3, 2, 3) and table[0, 0, 0] == -0.25
+        for alpha in np.ndindex(*table.shape):
+            n = sum(alpha)
+            if n == 0:
+                continue
+            word_sum = sum(np.trace(np.linalg.multi_dot([np.eye(r), *(ls[d] for d in word)])).real
+                           for word in itertools.product(range(3), repeat=n)
+                           if all(word.count(d) == a for d, a in enumerate(alpha)))
+            ref = multiplicity * word_sum / (2 * n)
+            assert table[alpha] == pytest.approx(ref, rel=1e-12, abs=1e-15), alpha
+
+    def test_smaller_cutoffs_take_the_leading_block(self, rng):
+        parts = _psd_parts(rng, 2, 5)
+        log_vac = -0.5 * dense_log_det(sum(parts))
+        big = vacuum_point_gf(parts, log_vac, (4, 3))
+        small = vacuum_point_gf(parts, log_vac, (2, 3))
+        assert small.exponent.tobytes() == big.exponent[:3, :4].tobytes()
+        got = pnd(big, (2, 3)).probabilities
+        assert got.tobytes() == pnd(small, (2, 3)).probabilities.tobytes()
+        assert np.allclose(got, pnd(big, (4, 3)).probabilities[:3, :4], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("cutoffs, bad", [(2.7, 2.7), (-0.5, -0.5), (True, True),
+                                              ("3", "3"), (-1, -1), ([2, 2.0], 2.0)])
+    def test_rejects_cutoffs_that_are_not_non_negative_ints(self, cutoffs, bad):
+        message = f"cutoff {re.escape(repr(bad))} is not a non-negative integer"
+        with pytest.raises(ValueError, match=message):
+            pnd(PoissonParams(0.3, 0.9, 0.8, 0.75), cutoffs)
+        with pytest.raises(ValueError, match=message):
+            vacuum_point_gf([0.1 * np.eye(2)] * 2, 0.0, cutoffs)
+
+    def test_rejects_an_empty_part_list(self):
+        with pytest.raises(ValueError, match="at least one detector part required"):
+            vacuum_point_gf([], 0.0, [])
+
+    def test_one_detector_guard_bills_one_matrix_per_degree(self):
+        # a single detector holds two matrices at a time, whatever its cutoff
+        lam = 1e-3
+        gf = vacuum_point_gf([lam * np.eye(60)], 0.0, 19000)
+        assert gf.exponent.shape == (19001,)
+        ell = lam / (1.0 + lam)
+        n = np.arange(1, 6)
+        assert np.allclose(gf.exponent[1:6], 60 * ell**n / (2 * n), rtol=1e-13, atol=0)
+
+    def test_guard_refuses_an_oversized_box_before_the_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the guard")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        with pytest.raises(ValueError, match=r"cutoffs \[200, 200, 200\] would need more than "
+                                             "2 GiB"):
+            vacuum_point_gf([np.zeros((50, 50))] * 3, 0.0, [200, 200, 200])
 
 
 _real = st.floats(-1.0, 1.0)
@@ -979,7 +1052,7 @@ class TestSmallSideEngine:
                 parts = detector_parts_compressed(s, windows, gamma, detectors, dofs)
                 cutoffs = config["detection"]["pnd_cutoffs"]
                 log_vac = -0.5 * log_det_series(sum(parts), order)
-                ref = pnd(vacuum_point_gf(parts, log_vac, sum(cutoffs)), cutoffs)
+                ref = pnd(vacuum_point_gf(parts, log_vac, cutoffs), cutoffs)
                 got = point["pnd"].probabilities
                 assert np.allclose(got, ref.probabilities, rtol=1e-12, atol=1e-15)
 
@@ -1120,7 +1193,6 @@ class TestExactPipeline:
     def test_readme_pipeline_matches_dense_oracle(self):
         from biphoton_sim import build_covariance_exact, compressed_determinant_operand
         from biphoton_sim.cli import run_scenario
-        from biphoton_sim.detection import VacuumPointGf
         from biphoton_sim.oracle import detector_parts_compressed
 
         config = _readme_config("exact")
@@ -1136,9 +1208,7 @@ class TestExactPipeline:
             assert point["p_vac"] == pytest.approx(math.exp(log_vac), rel=1e-12, abs=0)
             if k == 0:
                 parts = detector_parts_compressed(s, windows, gamma, [0, 1, None], dofs)
-                total = sum(parts)
-                ls = [np.linalg.solve(np.eye(total.shape[0]) + total, p) for p in parts]
-                ref = pnd(VacuumPointGf(log_series_gf(ls, 6), log_vac), (3, 3))
+                ref = pnd(vacuum_point_gf(parts, log_vac, (3, 3)), (3, 3))
                 got = point["pnd"].probabilities
                 assert got[0, 0] == point["p_vac"]
                 assert np.allclose(got, ref.probabilities, rtol=1e-12, atol=1e-15)
@@ -1243,7 +1313,6 @@ class TestConjugateSectors:
         )
         from biphoton_sim.cli import run_scenario
         from biphoton_sim.covariance import covariance_core, covariance_factor
-        from biphoton_sim.detection import VacuumPointGf
         from biphoton_sim.transforms import detected_gram
 
         base = _random_passive_config(seed)
@@ -1288,8 +1357,7 @@ class TestConjugateSectors:
                 assert written["det_trunc_hs"] == pytest.approx(hs.value, rel=1e-12, abs=0)
                 error = abs(point["p_vac"] - p_exact) / p_exact
                 assert error <= min(eigen.value, hs.value) + 1e-12
-            ls = [np.linalg.solve(np.eye(total.shape[0]) + total, p) for p in parts]
-            ref = pnd(VacuumPointGf(log_series_gf(ls, sum(cutoffs)), log_pnd), cutoffs)
+            ref = pnd(vacuum_point_gf(parts, log_pnd, cutoffs), cutoffs)
             assert np.allclose(point["pnd"].probabilities, ref.probabilities, rtol=0, atol=1e-15)
 
     @staticmethod
@@ -1310,7 +1378,7 @@ class TestConjugateSectors:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        recorded(detection, "log_series_gf")
+        recorded(detection, "vacuum_point_gf")
         recorded(np.linalg, "slogdet")
         return widths
 
@@ -1487,7 +1555,7 @@ def _dispatch_case(kind, rng):
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_II, gain=0.5)
         parts = detector_parts(with_loss(gamma, (0.8, 0.7)), gamma, (0, 1))
         log_vac = -0.5 * log_det_series(sum(parts), 12)
-        return vacuum_point_gf(parts, log_vac, 6), math.exp(log_vac)
+        return vacuum_point_gf(parts, log_vac, 3), math.exp(log_vac)
     process = ProcessType.TYPE_II if kind == "exact_type2" else ProcessType.TYPE_0I
     _, spectrum, _ = random_covariance(rng, process=process, gain=0.7)
     gf = ExactProductGf(spectrum, 0.6, 0.7)
@@ -1524,11 +1592,9 @@ class TestPndDispatch:
             assert pnd(gf, 1).probabilities[0, 0] == vacuum_probability(gf, kind)
 
     def test_unsupported_type(self):
-        # the message names the supported types, so that bare trace moments
-        # point to their vacuum-point wrapper
-        for gf in (object(), log_series_gf([np.zeros((2, 2))] * 2, 1)):
-            with pytest.raises(TypeError, match="unsupported.*VacuumPointGf"):
-                pnd(gf, 2)
+        # the message names the supported types
+        with pytest.raises(TypeError, match="unsupported.*VacuumPointGf"):
+            pnd(object(), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ class TestPlanAgainstDenseOperand:
         parts = detector_parts_from_covariance(operand, sizes, plan.detectors)
         cutoffs = [2] * len(parts)
         log_vac = -0.5 * dense_log_det(sum(parts))
-        ref = pnd(vacuum_point_gf(parts, log_vac, sum(cutoffs)), cutoffs)
+        ref = pnd(vacuum_point_gf(parts, log_vac, cutoffs), cutoffs)
         got = plan.pnd(sq, cutoffs)
         assert np.allclose(got.probabilities, ref.probabilities, rtol=1e-11, atol=1e-15)
         # the table's vacuum entry is the vacuum of the modes with a detector:
@@ -202,7 +202,7 @@ def test_readme_sketch_plan_matches_hand_built_core():
     k = 0.49 * covariance_core(namespace["spectrum"])
     log_vacuum = -0.5 * log_det_series(k, 20)
     assert namespace["log_vacuum"] == pytest.approx(log_vacuum, rel=1e-14, abs=0)
-    old = pnd(vacuum_point_gf([k], log_vacuum, degree=6), n_max=6).probabilities
+    old = pnd(vacuum_point_gf([k], log_vacuum, 6), n_max=6).probabilities
     new = namespace["series_stats"].probabilities
     assert np.allclose(new, old, rtol=1e-14, atol=1e-14 * old.max())
 
