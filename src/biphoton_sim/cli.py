@@ -27,7 +27,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import detection as det
 from . import spectral
-from .covariance import ProcessType, SqueezingSpectrum, _gaussian_spectra, _gaussian_sweep
+from .covariance import ProcessType, _gaussian_spectra, _gaussian_sweep
 from .scenario import (_NON_NEGATIVE, _POSITIVE, _UNIT, ConfigError, Scenario, _fmt, _number,
                        _object, _path, run_scenario)
 
@@ -81,16 +81,15 @@ def _fig2(points, aspect_max, orders, mus):
 
 
 def _fig3(points, mu_max):
+    """`bounds.vacuum_range` of each process: its lower value exp(-mu) is the
+    Poisson vacuum and its upper value a single mode's; the linear vacuum is
+    1 - mu."""
     columns = ["mu", "poisson", "single_mode_type0i", "single_mode_type2", "linear"]
     rows = []
     for mu in np.linspace(0.0, mu_max, points):
-        poisson = det.vacuum_probability(det.PoissonParams(mu, 1.0, 1.0, 1.0), "poisson")
-        # one mode's sigma at mean pairs mu = sinh^2(sigma / 2), halved for type-0/I
-        exact = [det.vacuum_probability(SqueezingSpectrum(
-                     np.array([2.0 * math.asinh(math.sqrt(x))]), p, gain=1.0), "exact")
-                 if mu > 0 else 1.0
-                 for p, x in ((ProcessType.TYPE_0I, 2.0 * mu), (ProcessType.TYPE_II, mu))]
-        rows.append([mu, poisson, *exact, 1.0 - mu])
+        (type0i, poisson), (type2, _) = (bounds_mod.vacuum_range(mu, p)
+                                         for p in (ProcessType.TYPE_0I, ProcessType.TYPE_II))
+        rows.append([mu, poisson, type0i, type2, 1.0 - mu])
     return columns, rows
 
 

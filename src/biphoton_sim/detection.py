@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 import numbers
 import warnings
@@ -165,8 +166,15 @@ def log_series_power_sum(eigenvalues, order: int) -> float:
     if radius > 0.95:
         warnings.warn(f"operand spectral radius {radius:.6g} exceeds 0.95; the log series "
                       "may converge slowly or diverge", SpectralRadiusWarning, stacklevel=2)
-    n = np.arange(1, order + 1)
-    return float(np.real(np.sum(mu[:, None] ** n, axis=0) @ ((-1.0) ** (n + 1) / n)))
+    # a block of at most 2^16 powers at a time, so memory grows with `order`
+    # alone, not times the eigenvalue count; the bits are those of one array
+    sums, weights = np.empty(order, dtype=np.result_type(mu, int)), np.empty(order)
+    step = max(1, 2**16 // max(mu.size, 1))
+    for start in range(0, order, step):
+        n = np.arange(start + 1, min(start + step, order) + 1)
+        sums[start:start + n.size] = np.sum(mu[:, None] ** n, axis=0)
+        weights[start:start + n.size] = (-1.0) ** (n + 1) / n
+    return float(np.real(sums @ weights))
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +183,8 @@ def log_series_power_sum(eigenvalues, order: int) -> float:
 
 
 def _poly_mul(a: np.ndarray, b: np.ndarray, shape) -> np.ndarray:
-    """Truncated product a * b below `shape`: each nonzero coefficient of the
-    sparser factor adds the other factor, scaled and shifted to its degree."""
-    if np.count_nonzero(a) > np.count_nonzero(b):
-        a, b = b, a
+    """Truncated product a * b below `shape`: each nonzero coefficient of `a`,
+    the sparser factor, adds `b`, scaled and shifted to its degree."""
     out = np.zeros(shape, dtype=np.result_type(a, b))
     for idx in map(tuple, np.argwhere(a)):
         span = tuple(min(n, s - i) for n, s, i in zip(b.shape, shape, idx))
@@ -190,19 +196,20 @@ def _poly_mul(a: np.ndarray, b: np.ndarray, shape) -> np.ndarray:
 
 
 def _poly_exp(exponent: np.ndarray) -> np.ndarray:
-    """exp of a truncated polynomial; exact for the retained degrees.
+    """P = exp(E) of a truncated polynomial E; exact for the retained degrees.
 
-    Graded along axis 0: with exponent = sum_j h_j x^j, the coefficients E_k
-    of exp obey k E_k = sum_{j=1..k} j h_j * E_{k-j}, and E_0 = exp(h_0)
-    recurses on the remaining axes, down to np.exp of the constant term."""
-    if exponent.ndim == 0:
-        return np.exp(exponent)
+    The Euler operator theta = sum_d x_d d/dx_d obeys theta P = P theta E, so
+    P_0 = exp(E_0) and, in C order, |alpha| P_alpha = sum_(0 < beta <= alpha)
+    |beta| E_beta P_(alpha - beta), each entry one product of two slices."""
     out = np.zeros(exponent.shape, dtype=np.result_type(exponent, float))
-    out[0] = _poly_exp(exponent[0])
-    for k in range(1, exponent.shape[0]):
-        for j in range(1, k + 1):
-            out[k] += _poly_mul(j * exponent[j], out[k - j], out.shape[1:])
-        out[k] /= k
+    out.flat[0] = np.exp(exponent.flat[0])
+    weighted = np.array(exponent, dtype=out.dtype)
+    weighted.flat[0] = 0.0  # beta = 0 adds nothing, whatever E_0
+    weighted *= sum(np.indices(exponent.shape))  # |beta| E_beta
+    for alpha in itertools.islice(np.ndindex(exponent.shape), 1, None):
+        box = tuple(slice(0, a + 1) for a in alpha)
+        flipped = tuple(slice(a, None, -1) for a in alpha)  # P_(alpha - beta) over the box
+        out[alpha] = np.sum(weighted[box] * out[flipped]) / sum(alpha)
     return out
 
 
@@ -251,28 +258,18 @@ def _cutoffs(n_max, d: int) -> tuple:
 
 
 def _exponent_poisson(params: PoissonParams, shape) -> np.ndarray:
-    mu = params.mu
+    mu, p_s, p_i, p_si = params.mu, params.p_s, params.p_i, params.p_si
+    corner = np.array([[-mu * params.p_union, mu * (p_i - p_si)], [mu * (p_s - p_si), mu * p_si]])
     e = np.zeros(shape)
-    e[0, 0] = -mu * params.p_union
-    if shape[0] > 1:
-        e[1, 0] = mu * (params.p_s - params.p_si)
-    if shape[1] > 1:
-        e[0, 1] = mu * (params.p_i - params.p_si)
-    if shape[0] > 1 and shape[1] > 1:
-        e[1, 1] = mu * params.p_si
+    e[:2, :2] = corner[:shape[0], :shape[1]]
     return e
 
 
 def _lossy_argument(eta2: float, shape, axis: int) -> np.ndarray:
     """Generating-function argument after loss, (1 - eta2) + eta2 x_axis, as a
     degree-1 polynomial in the layout of `shape`."""
-    dims = [1] * len(shape)
-    dims[axis] = min(2, shape[axis])
-    y = np.zeros(dims)
-    y.flat[0] = 1.0 - eta2
-    if dims[axis] > 1:
-        y.flat[1] = eta2
-    return y
+    y = np.array([1.0 - eta2, eta2][:shape[axis]])
+    return y.reshape([-1 if d == axis else 1 for d in range(len(shape))])
 
 
 def _exponent_hermite(params: HermiteParams, shape) -> np.ndarray:
@@ -331,7 +328,7 @@ def _exponent_exact(gf: ExactProductGf, shape) -> np.ndarray:
         power = np.zeros(shape)
         power[zero] = 1.0
         for k in range(1, sum(s - 1 for s in shape) + 1):
-            power = _poly_mul(power, d, shape)
+            power = _poly_mul(d, power, shape)
             e += p * float(np.sum((a / scale) ** k)) / k * power
     # the vacuum exponent, so that P[0, ..., 0] is `vacuum_probability`'s value
     e[zero] = -p * float(np.sum(_ln_gf_factor(gf.spectrum.sigmas, one_minus_b0)))

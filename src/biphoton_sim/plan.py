@@ -28,8 +28,8 @@ twice the half's, and lambda_max(H) = lambda_max(H_1), so the plan pushes
 the r/2 columns of the first sector alone and uses them with multiplicity
 2.  Otherwise (a beam splitter joining signal and idler, or type-0/I, whose
 M couples the halves) it uses all r columns with multiplicity 1, a type-II
-second sector pushed on its own, since conj(s V_1) need not match it to the
-bit.
+second sector being the `_mirror` of the pushed first, so every plan pushes
+the 2K columns of one sector once.
 """
 from __future__ import annotations
 
@@ -148,12 +148,11 @@ class DetectionPlan:
                              "mode, the source modes first, and one detector at least")
         grids += grids[:1] * (len(names) - len(grids))
         in_dofs = [Dof(name, grid) for name, grid in zip(names, grids)]
-        first = _first_sector(schmidt, process)
-        factor, dofs = _push_pipeline(steps, in_dofs, first)
+        factor, dofs = _push_pipeline(steps, in_dofs, _first_sector(schmidt, process))
         self.masks = _window_masks(windows, dofs)
         self.multiplicity = 2 if process is ProcessType.TYPE_II else 1  # unless sectors couple
         if self.multiplicity == 2 and _couples(factor, self.masks):
-            factor = np.hstack([factor, _push_pipeline(steps, in_dofs, _mirror(first))[0]])
+            factor = np.hstack([factor, _mirror(factor)])
             self.multiplicity = 1
         self._factor, self.sector = factor, slice(0, factor.shape[1])
         self._roots = {}

@@ -17,7 +17,7 @@ from biphoton_sim import (
     gain_for_mean_pairs,
     norms,
 )
-from biphoton_sim import cli, covariance, scenario, spectral
+from biphoton_sim import covariance, detection, scenario, spectral
 from biphoton_sim.cli import FIGURES, figure_data, main
 from biphoton_sim.covariance import _gaussian_spectra, _gaussian_sweep
 
@@ -177,7 +177,7 @@ def test_sweeps_build_no_spectrum(monkeypatch):
 
     for module, name in [(spectral, "analytic_gaussian_schmidt"),
                          (scenario, "gain_for_mean_pairs"), (covariance, "gain_for_mean_pairs"),
-                         (cli, "SqueezingSpectrum"), (covariance, "SqueezingSpectrum")]:
+                         (detection, "SqueezingSpectrum"), (covariance, "SqueezingSpectrum")]:
         monkeypatch.setattr(module, name, refuse)
     for name in ("fig1", "fig2"):
         _, rows, _ = figure_data(name, overrides={"aspect_max": 1e5})

@@ -1,13 +1,16 @@
-"""The benchmark's scenario check accepts what `run` writes.
+"""The benchmark's checks accept what `run`, `figure` and `schmidt` write.
 
 `perfbench/checks.py` rebuilds each `run` output from a dense reference made
-of the transform constructors, the exact covariance and `oracle`.  Running
-that check here means that deleting or changing a name it calls fails the
-suite, and not only a benchmark run.
+of the transform constructors, the exact covariance and `oracle`, holds
+fig3 to its closed forms and a Schmidt summary to the Gaussian model's.
+Running those checks here means that deleting or changing a name they call,
+or breaking what they check, fails the suite, and not only a benchmark run.
 """
 import json
 import random
 from pathlib import Path
+
+import pytest
 
 from biphoton_sim import cli
 from biphoton_sim import plan as plan_module
@@ -50,12 +53,40 @@ def test_check_scenario_accepts_readme_scenario(tmp_path, monkeypatch, capsys):
 
 def test_check_scenario_accepts_coupled_scenario(tmp_path, monkeypatch, capsys):
     # a signal-idler beam splitter first couples the type-II sectors, so the
-    # run pushes each on its own and the dense reference checks both
+    # run pushes the first, mirrors it into the second, and the dense
+    # reference checks both
     config = _readme_config("log_series")
     config["pipeline"].insert(0, {"type": "beam_splitter", "dofs": [0, 1], "transmittance": 0.8})
     problems, widths = _check(tmp_path, monkeypatch, capsys, config)
     assert problems == []
-    assert len(widths) == 2 and widths[0] == widths[1]
+    assert len(widths) == 1
+
+
+def _part_calls(tmp_path, monkeypatch, part):
+    """The calls of the benchmark's `part` at seed 1, with their inputs written
+    to `tmp_path`, which becomes the working directory, and `checks`."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+    import workloads
+
+    monkeypatch.chdir(tmp_path)
+    return workloads.PARTS[part](random.Random(f"{part}:1"), str(tmp_path)), checks
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+def test_check_figure_accepts_figures_part(tmp_path, monkeypatch, capsys, name):
+    calls, checks = _part_calls(tmp_path, monkeypatch, "figures")
+    (call,) = [c for c in calls if c["check"]["name"] == name]
+    assert cli.main(call["argv"]) == 0
+    capsys.readouterr()
+    assert checks.check_figure(call) == []
+
+
+def test_check_schmidt_accepts_small_schmidt(tmp_path, monkeypatch, capsys):
+    (call,), checks = _part_calls(tmp_path, monkeypatch, "small_schmidt")
+    assert cli.main(call["argv"]) == 0
+    out, _ = capsys.readouterr()
+    assert checks.check_schmidt(call, out) == []
 
 
 def test_traced_run_matches_untraced(tmp_path, monkeypatch, capsys):

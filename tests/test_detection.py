@@ -33,12 +33,14 @@ from biphoton_sim import (
     schmidt_number,
     vacuum_point_gf,
     vacuum_probability,
+    vacuum_range,
 )
 from biphoton_sim.detection import (
     InvalidDistributionError,
     PhotonStatistics,
     _poly_exp,
     _poly_mul,
+    log_series_power_sum,
     save_pnd_csv,
 )
 from biphoton_sim.oracle import (
@@ -397,6 +399,23 @@ class TestLogDetSeries:
         assert value == pytest.approx(reference, rel=0, abs=1e-12)
         fired = [w for w in caught if issubclass(w.category, SpectralRadiusWarning)]
         assert len(fired) == int(np.max(np.abs(np.linalg.eigvals(k)), initial=0.0) > 0.95)
+
+    def test_power_sum_memory_stays_flat_in_the_order(self):
+        # the README scenario's r/2 = 70 eigenvalues at order 300,000: one
+        # eigenvalue-by-order array would take 168 MB
+        import tracemalloc
+
+        mu = np.random.default_rng(7).uniform(-0.9, 0.9, 70)
+        order = 300_000
+        tracemalloc.start()
+        try:
+            value = log_series_power_sum(mu, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 1024**2
+        n = np.arange(1, order + 1)
+        assert value == float(np.sum(mu[:, None] ** n, axis=0) @ ((-1.0) ** (n + 1) / n))
 
     def test_plain_matrices_only(self, rng):
         # a block operand is passed as `.mat.to_dense()`
@@ -877,7 +896,7 @@ def _jets(shapes):
 
 
 class TestJets:
-    """The graded truncated-series arithmetic against full n-D convolutions.
+    """The truncated-series arithmetic against full n-D convolutions.
 
     Both sides round each term they add, so the tolerance is 1e-14 of the
     largest entry of the same computation on the absolute values (for exp,
@@ -885,7 +904,7 @@ class TestJets:
     coefficients of mixed sign the entries cancel, and there the
     convolution reference strays furthest: with the exponent -1 everywhere
     on a 4 x 9 table it is 1.5e-14 of the largest entry off a 50-digit
-    value, the graded jets 4.3e-16."""
+    value, the Euler recurrence of `_poly_exp` 3.7e-16."""
 
     @settings(max_examples=60, deadline=None)
     @given(_jets(_jet_shapes()))
@@ -1607,6 +1626,19 @@ class TestVacuumProbability:
         mu = 1.0
         sq = single_mode_spectrum(2.0 * math.asinh(math.sqrt(mu)), ProcessType.TYPE_II)
         assert vacuum_probability(sq, "exact") == pytest.approx(0.5, rel=1e-12)
+
+    def test_single_mode_and_poisson_match_vacuum_range(self):
+        # fig3 writes `vacuum_range`'s closed forms: each process's upper
+        # value is one mode's exact vacuum, the lower one exp(-mu) the
+        # Poisson vacuum; here they meet the evaluators at fig3's mu values
+        for mu in np.linspace(0.0, 3.0, 301):
+            poisson = vacuum_probability(PoissonParams(mu, 1.0, 1.0, 1.0), "poisson")
+            for process, pairs in ((ProcessType.TYPE_0I, 2.0 * mu), (ProcessType.TYPE_II, mu)):
+                upper, lower = vacuum_range(mu, process)
+                # one mode's sigma at mean pairs x = sinh^2(sigma / 2)
+                sq = single_mode_spectrum(2.0 * math.asinh(math.sqrt(pairs)), process)
+                assert vacuum_probability(sq, "exact") == pytest.approx(upper, rel=0, abs=1e-12)
+                assert poisson == pytest.approx(lower, rel=0, abs=1e-12)
 
     def test_linear_negative_flagged(self):
         params = PoissonParams(2.0, 1.0, 1.0, 1.0)

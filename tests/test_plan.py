@@ -286,27 +286,27 @@ def _sector_config(name, method, delta_minus=5.0):
 
 
 def _run_both(monkeypatch, config):
-    """`run`'s rows and PND table through the sector path, then with each
-    type-II sector the plan pushes cut from the full factor
+    """`run`'s rows and PND table through the sector path, then with the
+    type-II sectors the plan pushes and mirrors cut from the full factor
     `covariance_factor` = [V_1, V_2], pushed at once."""
     from biphoton_sim import cli
     from biphoton_sim import plan as plan_module
     from biphoton_sim.covariance import _mirror
 
     sector = cli.run_scenario(config)
-    pushed = []
+    seconds = []
 
     def whole(steps, in_dofs, factor, _push=plan_module._push_pipeline):
         if config["source"]["process"] == "type0i":  # V_1 is all of V
             return _push(steps, in_dofs, factor)
-        first = pushed[0] if pushed else factor  # the plan pushes V_1, then V_2
-        pushed.append(factor)
-        out, dofs = _push(steps, in_dofs, np.hstack([first, _mirror(first)]))
+        out, dofs = _push(steps, in_dofs, np.hstack([factor, _mirror(factor)]))
         half = factor.shape[1]
-        return out[:, half:] if len(pushed) == 2 else out[:, :half], dofs
+        seconds.append(out[:, half:])
+        return out[:, :half], dofs
 
     with monkeypatch.context() as patch:
         patch.setattr(plan_module, "_push_pipeline", whole)
+        patch.setattr(plan_module, "_mirror", lambda first: seconds.pop())
         full = cli.run_scenario(config)
     return sector, full
 
@@ -345,9 +345,9 @@ def test_coupled_sector_path_with_an_odd_mode_count(monkeypatch, method):
                        rtol=1e-14, atol=0)
 
 
-@pytest.mark.parametrize("name, sectors", [("uncoupled", 1), ("coupled", 2), ("type0i", 1)])
-def test_run_pushes_sectors_of_2k_columns(monkeypatch, name, sectors):
-    # an uncoupled type-II run never holds a pushed N x 4K factor
+@pytest.mark.parametrize("name", ["uncoupled", "coupled", "type0i"])
+def test_run_pushes_sectors_of_2k_columns(monkeypatch, name):
+    # every run pushes one sector once; a coupled type-II run mirrors it
     from biphoton_sim import cli, scenario
     from biphoton_sim import plan as plan_module
 
@@ -361,7 +361,7 @@ def test_run_pushes_sectors_of_2k_columns(monkeypatch, name, sectors):
     config = _sector_config(name, "exact")
     cli.run_scenario(config)
     modes = scenario._build_source(config)[0]().coefficients.size
-    assert widths == [2 * modes] * sectors
+    assert widths == [2 * modes]
 
 
 @pytest.mark.parametrize("name", [n for n, case in _CASES.items()
