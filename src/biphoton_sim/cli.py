@@ -107,7 +107,7 @@ def _fig4(points, mu_min, mu_max, aspect_ratio, eta):
         exact = det._vacuum_exponent(det.ExactProductGf(sq, eta2, eta2))
         pois = det.PoissonParams(gain * gain / 4.0, eta2, eta2, eta2 * eta2)
         hp = det.hermite_params(gain, k_number, ProcessType.TYPE_II, eta2, eta2)
-        miss, one, two = det._pair_sums(schmidt, gain, eta, ProcessType.TYPE_II)
+        miss, one, two = det._pair_sums(sq, eta)
         approx = (det._vacuum_exponent(pois), det._vacuum_exponent(hp),
                   math.log1p(miss * one + miss * miss * two) - math.log1p(one + two))
         rows.append([mu] + [abs(math.expm1(p - exact)) for p in approx])

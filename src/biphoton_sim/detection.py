@@ -7,11 +7,11 @@ x_d = 0 extracts the no-click outcome.  Joint probabilities are the Taylor
 coefficients of exp(E), obtained exactly with truncated power-series
 arithmetic; no finite differences and no symbolic algebra are involved.
 
-Each model has one evaluator, its exponent table: `vacuum_probability` reads
-the table's constant and `pnd` its jet.  The generating function at argument
-x is the vacuum probability of the same model with every intensity
-transmission eta2 scaled by 1 - x (for `PoissonParams`: p_s by 1 - x_s, p_i
-by 1 - x_i and p_si by both).
+Each model has one evaluator, its exponent table, found by the model's type
+alone: `vacuum_probability(gf)` reads the table's constant and `pnd` its jet.
+The generating function at argument x is the vacuum probability of the same
+model with every intensity transmission eta2 scaled by 1 - x (for
+`PoissonParams`: p_s by 1 - x_s, p_i by 1 - x_i and p_si by both).
 
 The truncated log-determinant series has one evaluator,
 `log_series_power_sum`, a power sum over the eigenvalues of the operand with
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import ProcessType, SqueezingSpectrum
-from .spectral import SchmidtSpectrum
 
 __all__ = [
     "SpectralRadiusWarning",
@@ -404,13 +403,9 @@ _PND_EXPONENTS = {
 }
 
 
-def pnd(gf, n_max) -> PhotonStatistics:
-    """Joint photon-number distribution by exact series differentiation.
-
-    `gf` is one of PoissonParams, HermiteParams, ExactProductGf or
-    VacuumPointGf; `n_max` gives per-detector cutoffs (scalar or sequence).
-    Every exponent is expanded at the vacuum point x = 0.
-    """
+def _exponent_table(gf, n_max) -> np.ndarray:
+    """The exponent of `gf` over the box of the per-detector cutoffs `n_max`,
+    by `gf`'s type: the one dispatch of `pnd` and `vacuum_probability`."""
     try:
         exponent, detector_count = _PND_EXPONENTS[type(gf)]
     except KeyError:
@@ -418,8 +413,17 @@ def pnd(gf, n_max) -> PhotonStatistics:
         raise TypeError(
             f"unsupported generating-function spec: {type(gf)!r}; expected one of {supported}"
         ) from None
-    shape = tuple(c + 1 for c in _cutoffs(n_max, detector_count(gf)))
-    probs = _poly_exp(exponent(gf, shape))
+    return exponent(gf, tuple(c + 1 for c in _cutoffs(n_max, detector_count(gf))))
+
+
+def pnd(gf, n_max) -> PhotonStatistics:
+    """Joint photon-number distribution by exact series differentiation.
+
+    `gf` is one of PoissonParams, HermiteParams, ExactProductGf or
+    VacuumPointGf; `n_max` gives per-detector cutoffs (scalar or sequence).
+    Every exponent is expanded at the vacuum point x = 0.
+    """
+    probs = _poly_exp(_exponent_table(gf, n_max))
     return PhotonStatistics(probs, 1.0 - float(np.sum(probs)))
 
 
@@ -428,17 +432,16 @@ def pnd(gf, n_max) -> PhotonStatistics:
 # ---------------------------------------------------------------------------
 
 
-def _pair_sums(spectrum: SchmidtSpectrum, gain: float, eta: float, process: ProcessType):
+def _pair_sums(sq: SqueezingSpectrum, eta: float):
     """The miss probability (1 - eta^2)^2 of a pair and the one- and two-pair
     weights of `quadratic_vacuum`."""
     if not 0 <= eta <= 1:
         raise ValueError("eta must lie in [0, 1]")
-    sq = SqueezingSpectrum.from_schmidt(spectrum, gain, process)
     t = np.tanh(sq.sigmas / 2.0)
     t2 = t * t
     s2 = float(np.sum(t2))
     s4 = float(np.sum(t2 * t2))
-    if process is ProcessType.TYPE_II:
+    if sq.process is ProcessType.TYPE_II:
         one_pair = s2
         two_pair = (s2 * s2 + s4) / 2.0
     else:
@@ -448,50 +451,27 @@ def _pair_sums(spectrum: SchmidtSpectrum, gain: float, eta: float, process: Proc
     return miss, one_pair, two_pair
 
 
-def quadratic_vacuum(spectrum: SchmidtSpectrum, gain: float, eta: float,
-                     process: ProcessType) -> float:
-    """Vacuum probability of the renormalized two-pair state truncation.
+def quadratic_vacuum(sq: SqueezingSpectrum, eta: float) -> float:
+    """Vacuum probability of the renormalized two-pair state truncation of
+    `sq` at the uniform amplitude transmission `eta`, for unbounded windows.
 
-    Valid for uniform (frequency-independent) loss and unbounded windows.
     Pair-component amplitudes follow from normal-ordering the pair-creation
     exponential: tanh of the per-mode squeezing for one pair, symmetrized
-    products for two pairs.
+    products for two pairs.  A truncated state is no generating function.
     """
-    miss, one_pair, two_pair = _pair_sums(spectrum, gain, eta, process)
+    miss, one_pair, two_pair = _pair_sums(sq, eta)
     return (1.0 + miss * one_pair + miss * miss * two_pair) / (1.0 + one_pair + two_pair)
 
 
-_VACUUM_TYPES = {"exact": ExactProductGf, "poisson": PoissonParams, "linear": PoissonParams,
-                 "hermite": HermiteParams}
-
-
-def vacuum_probability(params, method: str) -> float:
-    """Vacuum (no-click) probability for the chosen approximation.
-
-    method: 'exact' (SqueezingSpectrum or ExactProductGf), 'poisson' /
-    'linear' (PoissonParams) or 'hermite' (HermiteParams).  The truncated
-    log-determinant series of a pipeline is `DetectionPlan.log_vacuum` and
-    the two-pair truncation `quadratic_vacuum`.  The linear value may be negative for large mu and
-    is returned raw with a warning.
-    """
-    if method == "exact" and isinstance(params, SqueezingSpectrum):
-        params = ExactProductGf(params)
-    if method not in _VACUUM_TYPES:
-        raise ValueError(f"unknown method {method!r}")
-    gf_type = _VACUUM_TYPES[method]
-    if not isinstance(params, gf_type):
-        raise TypeError(f"{method!r} expects {gf_type.__name__}")
-    if method == "linear":
-        value = 1.0 - params.mu * params.p_union
-        if value < 0:
-            warnings.warn("single-pair vacuum probability is negative at this mu", UserWarning,
-                          stacklevel=2)
-        return value
-    return float(np.exp(_vacuum_exponent(params)))
+def vacuum_probability(gf) -> float:
+    """Vacuum (no-click) probability of any generating function `pnd` takes,
+    its no-click entry to the bit.  The truncated log-determinant series of
+    a pipeline is `DetectionPlan.log_vacuum`, the two-pair truncation
+    `quadratic_vacuum` and the single-pair one `Scenario`'s `linear`."""
+    return float(np.exp(_vacuum_exponent(gf)))
 
 
 def _vacuum_exponent(gf) -> float:
     """The constant of the exponent that `pnd` expands, so that P[0, ..., 0]
     is exp of this value: the log vacuum probability of `gf`."""
-    exponent, detector_count = _PND_EXPONENTS[type(gf)]
-    return float(exponent(gf, (1,) * detector_count(gf)).flat[0])
+    return float(_exponent_table(gf, 0).flat[0])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+import warnings
 from typing import Callable
 
 import numpy as np
@@ -425,8 +426,8 @@ class Scenario:
     def point(self, plan: DetectionPlan, k: int, gain: float) -> dict:
         """Sweep point k at `gain` on `plan`: its mean pair number, gain,
         p_vac, bound columns and, at the first point, the PND table or None.
-        A squeezing parameter past ln(largest float), or a bound out of its
-        domain, raises an error that names the point's source field."""
+        An overflowing squeezing parameter, a bound out of its domain or an
+        invalid distribution raises an error naming the point's field."""
         field = f"{self.points[k][0]} = {float(self.points[k][1])!r}"
         sq = SqueezingSpectrum.from_schmidt(plan.schmidt, gain, self.process)
         if not sq.sigmas[0] <= _SIGMA_MAX:
@@ -438,6 +439,10 @@ class Scenario:
             p_vac, bounds, pnd = evaluate(plan, gain, sq, with_pnd=k == 0 and bool(self.cutoffs))
         except bounds_mod.OutOfDomainError as exc:
             raise bounds_mod.OutOfDomainError(f"{field}: {exc}") from None
+        except det.InvalidDistributionError as exc:
+            raise det.InvalidDistributionError(f"{field}: method '{self.method}': {exc}") from None
+        if p_vac < 0:  # only `linear`, the single-pair truncation, falls below 0
+            warnings.warn(f"{field}: single-pair vacuum probability {p_vac!r} < 0", stacklevel=2)
         point_mu = mean_pairs(sq)
         upper, lower = bounds_mod.vacuum_range(point_mu, self.process)
         bounds.update(vacuum_range_upper=upper, vacuum_range_lower=lower)
@@ -449,30 +454,30 @@ class Scenario:
         and detection windows for `poisson` and `linear` only, which read the
         single-pair probabilities off the plan."""
         method, etas = self.method, self.etas
+        k_number = spectral.schmidt_number(plan.schmidt)
         if method in ("poisson", "linear"):
             # only mu depends on the gain: the unit-gain mu (1/2 or 1/4) times
             # gain * gain rounds exactly as gain * gain / 2 or / 4 does
             unit = plan.single_pair
-            params = dataclasses.replace(unit, mu=unit.mu * gain * gain)
-        k_number = spectral.schmidt_number(plan.schmidt)
+            gf = dataclasses.replace(unit, mu=unit.mu * gain * gain)
+        elif method == "hermite":
+            gf = det.hermite_params(gain, k_number, self.process, etas[0] ** 2, etas[-1] ** 2)
+        if method == "linear":
+            p_vac = 1.0 - gf.mu * gf.p_union  # single-pair truncation: no generating function
+        elif method == "quadratic":
+            p_vac = det.quadratic_vacuum(sq, etas[0])
+        else:
+            p_vac = det.vacuum_probability(gf)
         eta_best2 = max(e * e for e in etas)
         bounds = {}
         if method == "poisson":
-            p_vac = det.vacuum_probability(params, "poisson")
             bounds["poisson_vs_n2"] = bounds_mod.poisson_vs_n2_bound(
                 gain, k_number, etas if len(etas) == 2 else etas[0], self.process).value
             bounds["det_trunc_eigen_n2"] = bounds_mod.det_truncation_bound_eigen(
                 covariance_eigenvalues(sq), eta_best2, 2).value
-            gf = params
-        elif method == "linear":
-            p_vac = det.vacuum_probability(params, "linear")
         elif method == "hermite":
-            gf = det.hermite_params(gain, k_number, self.process, etas[0] ** 2, etas[-1] ** 2)
-            p_vac = det.vacuum_probability(gf, "hermite")
             bounds["det_trunc_eigen_n4"] = bounds_mod.det_truncation_bound_eigen(
                 covariance_eigenvalues(sq), eta_best2, 4).value
-        else:
-            p_vac = det.quadratic_vacuum(plan.schmidt, gain, etas[0], self.process)
         pnd = None
         if with_pnd:
             cutoffs = self.cutoffs

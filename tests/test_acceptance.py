@@ -5,6 +5,7 @@ per criterion.
 """
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +51,7 @@ from biphoton_sim.oracle import (
 )
 from biphoton_sim.transforms import output_dofs, projection_masks
 from conftest import random_covariance, random_schmidt
+from test_numpy_only import _run_script
 
 
 def report(criterion, text):
@@ -289,7 +291,7 @@ def test_c07_approximation_ordering():
         for mu in np.linspace(0.05, 3.0, 25):
             gain = gain_for_mean_pairs(schmidt, mu, ProcessType.TYPE_II)
             sq = SqueezingSpectrum.from_schmidt(schmidt, gain, ProcessType.TYPE_II)
-            p_exact = vacuum_probability(sq, "exact")
+            p_exact = vacuum_probability(ExactProductGf(sq))
             assert abs(p_exact - math.exp(-mu)) <= abs(p_exact - (1.0 - mu)) + 1e-12
 
     # Hermite beats the quadratic two-pair expansion on the examined grid
@@ -299,11 +301,9 @@ def test_c07_approximation_ordering():
         for mu in np.geomspace(0.01, 1.0, 13):
             gain = gain_for_mean_pairs(schmidt, mu, ProcessType.TYPE_II)
             sq = SqueezingSpectrum.from_schmidt(schmidt, gain, ProcessType.TYPE_II)
-            p_exact = vacuum_probability(sq, "exact")
-            p_hermite = vacuum_probability(
-                hermite_params(gain, k, ProcessType.TYPE_II), "hermite"
-            )
-            p_quad = quadratic_vacuum(schmidt, gain, 1.0, ProcessType.TYPE_II)
+            p_exact = vacuum_probability(ExactProductGf(sq))
+            p_hermite = vacuum_probability(hermite_params(gain, k, ProcessType.TYPE_II))
+            p_quad = quadratic_vacuum(sq, 1.0)
             assert abs(p_hermite - p_exact) <= abs(p_quad - p_exact) + 1e-12
     report(7, "Poisson beats linear and Hermite beats quadratic on the full grids")
 
@@ -375,41 +375,9 @@ def test_c08_pnd_correctness():
     )
 
 
-def test_c09_compression_identity_and_speed(rng):
-    # identity on 50 randomized pipelines with 2..4 discrete modes
-    worst = 0.0
-    for trial in range(50):
-        gamma, _, _ = random_covariance(
-            rng, n=8, process=ProcessType.TYPE_II, gain=float(rng.uniform(0.2, 0.7))
-        )
-        n = gamma.dofs[0].grid.n
-        m_total = int(rng.integers(2, 5))
-        parts = [beam_splitter(np.sqrt(0.5), np.sqrt(0.5), (0, 1), m_total, n=n)]
-        if m_total >= 3:
-            parts.append(beam_splitter(0.6, 0.8, (0, 2), m_total, n=n))
-        parts.append(
-            phase_shift(
-                float(rng.uniform(0, 2)), float(rng.uniform(0, 1)), 0.0,
-                gamma.dofs[0].grid, 0, m_total, sizes=[n] * m_total,
-            )
-        )
-        s = compress(compose_all(parts), 2)
-        windows = tuple(
-            DetectionWindow(float(lo), float(lo + rng.uniform(0.5, 8.0)))
-            for lo in rng.uniform(-3.9, 0.0, m_total)
-        )
-        p = DetectionProjection(windows)
-        dofs_out = output_dofs(s, gamma.dofs)
-        operand = compressed_determinant_operand(s, p, gamma, dofs_out)
-        small = dense_log_det(operand.to_dense())
-        masks = projection_masks(p, dofs_out)
-        pd = np.diag(np.concatenate(masks * 2))
-        sd = s.mat.to_dense()
-        big = dense_log_det(pd @ sd @ gamma.mat.to_dense() @ sd.conj().T @ pd)
-        worst = max(worst, abs(small - big) / max(abs(big), 1e-300))
-    assert worst < 1e-10
-
-    # timing at M / M' = 4 on a 64-point grid
+def _compression_speedup():
+    """Best-of-7 dense / compressed time of one detection determinant at
+    M / M' = 4 on a 64-point grid, once both paths agree within 1e-10."""
     n = 64
     grid = FrequencyGrid.uniform(-7.2, 7.2, n)
     model = GaussianJsaModel(1.0, 1.0)
@@ -456,9 +424,57 @@ def test_c09_compression_identity_and_speed(rng):
             t0 = time.perf_counter()
             fn()
             best[fn] = min(best[fn], time.perf_counter() - t0)
-    speedup = best[dense_path] / best[compressed_path]
+    return best[dense_path] / best[compressed_path]
+
+
+def test_c09_compression_identity_and_speed(rng, tmp_path):
+    # identity on 50 randomized pipelines with 2..4 discrete modes
+    worst = 0.0
+    for trial in range(50):
+        gamma, _, _ = random_covariance(
+            rng, n=8, process=ProcessType.TYPE_II, gain=float(rng.uniform(0.2, 0.7))
+        )
+        n = gamma.dofs[0].grid.n
+        m_total = int(rng.integers(2, 5))
+        parts = [beam_splitter(np.sqrt(0.5), np.sqrt(0.5), (0, 1), m_total, n=n)]
+        if m_total >= 3:
+            parts.append(beam_splitter(0.6, 0.8, (0, 2), m_total, n=n))
+        parts.append(
+            phase_shift(
+                float(rng.uniform(0, 2)), float(rng.uniform(0, 1)), 0.0,
+                gamma.dofs[0].grid, 0, m_total, sizes=[n] * m_total,
+            )
+        )
+        s = compress(compose_all(parts), 2)
+        windows = tuple(
+            DetectionWindow(float(lo), float(lo + rng.uniform(0.5, 8.0)))
+            for lo in rng.uniform(-3.9, 0.0, m_total)
+        )
+        p = DetectionProjection(windows)
+        dofs_out = output_dofs(s, gamma.dofs)
+        operand = compressed_determinant_operand(s, p, gamma, dofs_out)
+        small = dense_log_det(operand.to_dense())
+        masks = projection_masks(p, dofs_out)
+        pd = np.diag(np.concatenate(masks * 2))
+        sd = s.mat.to_dense()
+        big = dense_log_det(pd @ sd @ gamma.mat.to_dense() @ sd.conj().T @ pd)
+        worst = max(worst, abs(small - big) / max(abs(big), 1e-300))
+    assert worst < 1e-10
+
+    # the timing runs in a fresh interpreter with one BLAS thread: under load
+    # from other processes, OpenBLAS's 2-thread gemm stalls in the compressed
+    # path's mid-size products, and the ratio then measures the load
+    script = (
+        "import os\n"
+        "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from test_acceptance import _compression_speedup\n"
+        "print(repr(_compression_speedup()))\n"
+    )
+    speedup = float(_run_script(tmp_path, script))
     assert speedup >= 5.0
-    report(9, f"compression identity err {worst:.2e}; speedup {speedup:.1f}x")
+    report(9, f"compression identity err {worst:.2e}; speedup {speedup:.1f}x (1 BLAS thread)")
 
 
 def test_c10_interlacing(rng):

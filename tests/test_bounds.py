@@ -18,7 +18,7 @@ from biphoton_sim import (
 )
 from biphoton_sim.bounds import BoundReport, _log_series_tail, _logsumexp
 from biphoton_sim.covariance import SqueezingSpectrum
-from biphoton_sim.detection import vacuum_probability
+from biphoton_sim.detection import ExactProductGf, vacuum_probability
 from conftest import reference_covariance_bound
 
 
@@ -327,5 +327,5 @@ class TestVacuumRange:
                 if process is ProcessType.TYPE_0I:
                     mu /= 2.0
                 upper, lower = vacuum_range(mu, process)
-                p = vacuum_probability(sq, "exact")
+                p = vacuum_probability(ExactProductGf(sq))
                 assert lower - 1e-10 <= p <= upper + 1e-10

@@ -1482,7 +1482,7 @@ class TestHermiteLoss:
         )
         k_number = schmidt_number(schmidt_decompose(jsa))
         hp = hermite_params(0.4, k_number, ProcessType(process))
-        expected = vacuum_probability(hp, "hermite")
+        expected = vacuum_probability(hp)
         assert first_row(run_scenario(cfg))["p_vac"] == f"{expected:.17g}"
 
 
@@ -1525,6 +1525,7 @@ class TestLowOrderPnd:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["run", str(cfg_path)]) == 3
         err = capsys.readouterr().err
+        assert err.startswith("numeric domain error: source.mu = 0.2: method 'log_series': ")
         assert "probabilities sum above 1" in err
         assert "detection.series_order 8" in err
         assert "exact" in err
@@ -1565,7 +1566,8 @@ class TestExactEngine:
         result = run_scenario(cfg)
         raw = result["raw"][0]
         sq = gaussian_spectrum(process, raw["gain"])
-        assert raw["p_vac"] == pytest.approx(vacuum_probability(sq, "exact"), rel=1e-12, abs=0)
+        assert raw["p_vac"] == pytest.approx(vacuum_probability(ExactProductGf(sq)), rel=1e-12,
+                                             abs=0)
         ref = pnd(ExactProductGf(sq), cutoffs).probabilities
         assert result["pnd"].probabilities.shape == ref.shape
         np.testing.assert_allclose(result["pnd"].probabilities, ref, rtol=0, atol=1e-15)
@@ -2025,7 +2027,8 @@ class TestSinglePairFactor:
             ])
             cfg["source"].update(process=process, gain=gain)
             result = run_scenario(cfg)
-            expected = vacuum_probability(reference, method)
+            expected = (vacuum_probability(reference) if method == "poisson"
+                        else 1.0 - reference.mu * reference.p_union)
             assert result["raw"][0]["p_vac"] == pytest.approx(expected, rel=1e-10, abs=0)
             if method == "poisson":
                 table = pnd(reference, [3, 3])

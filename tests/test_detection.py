@@ -201,7 +201,7 @@ class TestGfExact:
         mu = 1.0
         sigma = 2.0 * math.asinh(math.sqrt(mu))
         sq = single_mode_spectrum(sigma, ProcessType.TYPE_II)
-        assert vacuum_probability(ExactProductGf(sq), "exact") == pytest.approx(0.5, rel=1e-12)
+        assert vacuum_probability(ExactProductGf(sq)) == pytest.approx(0.5, rel=1e-12)
 
     def test_total_probability(self, rng):
         # x = 1 thins every transmission to 0, with or without loss
@@ -210,14 +210,14 @@ class TestGfExact:
             sq = SqueezingSpectrum(sig, process, 1.0)
             for eta2 in ((1.0, 1.0), (0.3, 0.8)):
                 gf = with_transmissions(ExactProductGf(sq, *eta2), 0.0, 0.0)
-                assert vacuum_probability(gf, "exact") == pytest.approx(1.0, abs=1e-12)
+                assert vacuum_probability(gf) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("process", list(ProcessType))
     @pytest.mark.parametrize("sigma", [1.0, 40.0, 700.0, 1500.0])
     def test_zero_transmission_is_the_vacuum(self, process, sigma):
         # no photon reaches a detector, so no click, at any squeezing
         gf = ExactProductGf(single_mode_spectrum(sigma, process), 0.0, 0.0)
-        assert vacuum_probability(gf, "exact") == 1.0
+        assert vacuum_probability(gf) == 1.0
         table = pnd(gf, 2).probabilities
         assert table.flat[0] == 1.0 and np.count_nonzero(table) == 1
 
@@ -227,7 +227,8 @@ class TestGfExact:
         j = 10_000
         sigma = 2.0 * math.asinh(math.sqrt(mu / j))
         sq = SqueezingSpectrum(np.full(j, sigma), ProcessType.TYPE_II, 1.0)
-        assert vacuum_probability(sq, "exact") == pytest.approx(math.exp(-mu), abs=1e-6)
+        assert vacuum_probability(ExactProductGf(sq)) == pytest.approx(math.exp(-mu),
+                                                                        abs=1e-6)
 
     def test_matches_dense_determinant(self, rng):
         gamma, spectrum, _ = random_covariance(rng, process=ProcessType.TYPE_II)
@@ -240,7 +241,7 @@ class TestGfExact:
             g_dense = math.exp(-0.5 * dense_log_det(w_diag[:, None] * gd))
             # the generating function at x = 1 - w: the vacuum at transmissions w
             gf = ExactProductGf(spectrum, w_s, w_i)
-            assert vacuum_probability(gf, "exact") == pytest.approx(g_dense, rel=1e-12)
+            assert vacuum_probability(gf) == pytest.approx(g_dense, rel=1e-12)
 
     def test_type0i_matches_dense(self, rng):
         gamma, spectrum, _ = random_covariance(
@@ -250,7 +251,7 @@ class TestGfExact:
         for w in (1.0, 0.55):
             g_dense = math.exp(-0.5 * dense_log_det(w * gd))
             gf = ExactProductGf(spectrum, w, w)
-            assert vacuum_probability(gf, "exact") == pytest.approx(g_dense, rel=1e-12)
+            assert vacuum_probability(gf) == pytest.approx(g_dense, rel=1e-12)
 
     def test_loss_matches_dense(self, rng):
         gamma, spectrum, _ = random_covariance(rng, process=ProcessType.TYPE_II)
@@ -258,7 +259,7 @@ class TestGfExact:
         lossy = with_loss(gamma, (math.sqrt(eta2_s), math.sqrt(eta2_i)))
         g_dense = math.exp(-0.5 * dense_log_det(lossy))
         gf = ExactProductGf(spectrum, eta2_s, eta2_i)
-        assert vacuum_probability(gf, "exact") == pytest.approx(g_dense, rel=1e-12)
+        assert vacuum_probability(gf) == pytest.approx(g_dense, rel=1e-12)
 
     def test_vanishing_transmission(self):
         # 1 - eta2 rounds to 1, yet sinh^2(20) ~ 6e16 scales 1 - X = 2 eta2
@@ -267,10 +268,10 @@ class TestGfExact:
         vacuum = 1.0 / (1.0 + one_minus_x * math.sinh(sigma / 2.0) ** 2)
         sq = single_mode_spectrum(sigma, ProcessType.TYPE_II)
         gf = ExactProductGf(sq, eta2, eta2)
-        assert vacuum_probability(gf, "exact") == pytest.approx(vacuum, rel=1e-12)
+        assert vacuum_probability(gf) == pytest.approx(vacuum, rel=1e-12)
         sq = single_mode_spectrum(sigma, ProcessType.TYPE_0I)
         gf = ExactProductGf(sq, eta2, eta2)
-        assert vacuum_probability(gf, "exact") == pytest.approx(math.sqrt(vacuum), rel=1e-12)
+        assert vacuum_probability(gf) == pytest.approx(math.sqrt(vacuum), rel=1e-12)
 
     def test_out_of_domain(self):
         # the argument x = -3 would thin to the transmission 4
@@ -314,7 +315,7 @@ class TestGeneratingPolynomial:
                 x_i = x_s
             x = (x_s, x_i)[: stats.probabilities.ndim]
             polynomial = generating_polynomial(stats.probabilities, x)
-            vacuum = vacuum_probability(with_transmissions(gf, 1.0 - x_s, 1.0 - x_i), method)
+            vacuum = vacuum_probability(with_transmissions(gf, 1.0 - x_s, 1.0 - x_i))
             assert -rounding <= vacuum - polynomial <= stats.normalization_deficit + rounding
 
 
@@ -570,18 +571,18 @@ class TestGfPoisson:
 
     def test_w_zero_total(self):
         params = PoissonParams(0.7, 0.6, 0.5, 0.4)
-        assert vacuum_probability(with_transmissions(params, 0.0, 0.0), "poisson") == 1.0
+        assert vacuum_probability(with_transmissions(params, 0.0, 0.0)) == 1.0
 
     def test_mu_zero(self):
         params = PoissonParams(0.0, 1.0, 1.0, 1.0)
-        assert vacuum_probability(with_transmissions(params, 0.7, 0.2), "poisson") == 1.0
+        assert vacuum_probability(with_transmissions(params, 0.7, 0.2)) == 1.0
 
     def test_vacuum_value(self):
         params = PoissonParams(0.1, 1.0, 1.0, 1.0)
-        assert vacuum_probability(params, "poisson") == pytest.approx(
+        assert vacuum_probability(params) == pytest.approx(
             math.exp(-0.1), rel=1e-12
         )
-        assert vacuum_probability(params, "poisson") == pytest.approx(
+        assert vacuum_probability(params) == pytest.approx(
             0.904837, abs=1e-6
         )
 
@@ -601,9 +602,9 @@ class TestGfHermite:
         poisson = PoissonParams(mu, eta_s2, eta_i2, eta_s2 * eta_i2)
         for w_s in np.linspace(0.0, 1.0, 7):
             for w_i in np.linspace(0.0, 1.0, 7):
-                value = vacuum_probability(with_transmissions(hermite, w_s, w_i), "hermite")
+                value = vacuum_probability(with_transmissions(hermite, w_s, w_i))
                 assert value == pytest.approx(
-                    vacuum_probability(with_transmissions(poisson, w_s, w_i), "poisson"),
+                    vacuum_probability(with_transmissions(poisson, w_s, w_i)),
                     abs=1e-14,
                 )
 
@@ -612,7 +613,7 @@ class TestGfHermite:
         params = HermiteParams(mu, eps2, 1.0, 0.0)
         for w in np.linspace(0.0, 1.0, 9):
             expected = math.exp(-(mu - eps2) * w - eps2 * (2 * w - w * w) / 2.0)
-            value = vacuum_probability(with_transmissions(params, w, 0.3), "hermite")
+            value = vacuum_probability(with_transmissions(params, w, 0.3))
             assert value == pytest.approx(expected, rel=1e-14)
 
     def test_g2_example(self):
@@ -1251,7 +1252,7 @@ class TestExactPipeline:
         schmidt = _gaussian_schmidt(2.0)
         sq = SqueezingSpectrum.from_schmidt(schmidt, point["gain"], ProcessType(process))
         gf = ExactProductGf(sq, 0.64, 1.0 if process == "type2" else 0.64)
-        assert point["p_vac"] == pytest.approx(vacuum_probability(gf, "exact"), rel=1e-12)
+        assert point["p_vac"] == pytest.approx(vacuum_probability(gf), rel=1e-12)
         ref = pnd(gf, cutoffs).probabilities
         got = point["pnd"].probabilities
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-15)
@@ -1566,10 +1567,10 @@ def _dispatch_case(kind, rng):
     `vacuum_probability`, or for the series by `log_det_series`."""
     if kind == "poisson":
         gf = PoissonParams(0.4, 0.7, 0.6, 0.5)
-        return gf, vacuum_probability(gf, "poisson")
+        return gf, vacuum_probability(gf)
     if kind == "hermite":
         gf = hermite_params(0.8, 3.0, ProcessType.TYPE_II, 0.6, 0.7)
-        return gf, vacuum_probability(gf, "hermite")
+        return gf, vacuum_probability(gf)
     if kind == "log_series":
         gamma, _, _ = random_covariance(rng, process=ProcessType.TYPE_II, gain=0.5)
         parts = detector_parts(with_loss(gamma, (0.8, 0.7)), gamma, (0, 1))
@@ -1578,7 +1579,7 @@ def _dispatch_case(kind, rng):
     process = ProcessType.TYPE_II if kind == "exact_type2" else ProcessType.TYPE_0I
     _, spectrum, _ = random_covariance(rng, process=process, gain=0.7)
     gf = ExactProductGf(spectrum, 0.6, 0.7)
-    return gf, vacuum_probability(gf, "exact")
+    return gf, vacuum_probability(gf)
 
 
 class TestPndDispatch:
@@ -1587,14 +1588,21 @@ class TestPndDispatch:
     to the bit for the exact, Poisson and Hermite generating functions."""
 
     @pytest.mark.parametrize(
-        "kind", ["poisson", "hermite", "exact_type2", "exact_type0i", "log_series"]
+        "kind", ["poisson", "hermite", "exact_type2", "exact_type0i", "log_series", "unsupported"]
     )
     def test_vacuum_entry_matches_vacuum_probability(self, rng, kind):
+        if kind == "unsupported":  # a squeezing spectrum is no generating function
+            _, spectrum, _ = random_covariance(rng, gain=0.7)
+            for evaluate in (lambda gf: pnd(gf, 3), vacuum_probability):
+                with pytest.raises(TypeError, match="unsupported generating-function spec"):
+                    evaluate(spectrum)
+            return
         gf, vacuum = _dispatch_case(kind, rng)
         probs = pnd(gf, 3).probabilities
         assert probs.ndim == (1 if kind == "exact_type0i" else 2)
         if kind == "log_series":
             assert probs[(0,) * probs.ndim] == pytest.approx(vacuum, rel=1e-12, abs=0)
+            assert probs[(0,) * probs.ndim] == vacuum_probability(gf)
         else:
             assert probs[(0,) * probs.ndim] == vacuum
 
@@ -1608,7 +1616,7 @@ class TestPndDispatch:
             else:
                 gf = hermite_params(rng.uniform(0.0, 1.5), rng.uniform(1.0, 30.0),
                                     ProcessType.TYPE_II, eta_s2, eta_i2)
-            assert pnd(gf, 1).probabilities[0, 0] == vacuum_probability(gf, kind)
+            assert pnd(gf, 1).probabilities[0, 0] == vacuum_probability(gf)
 
     def test_unsupported_type(self):
         # the message names the supported types
@@ -1625,37 +1633,28 @@ class TestVacuumProbability:
     def test_exact_dispatch(self):
         mu = 1.0
         sq = single_mode_spectrum(2.0 * math.asinh(math.sqrt(mu)), ProcessType.TYPE_II)
-        assert vacuum_probability(sq, "exact") == pytest.approx(0.5, rel=1e-12)
+        assert vacuum_probability(ExactProductGf(sq)) == pytest.approx(0.5, rel=1e-12)
 
     def test_single_mode_and_poisson_match_vacuum_range(self):
         # fig3 writes `vacuum_range`'s closed forms: each process's upper
         # value is one mode's exact vacuum, the lower one exp(-mu) the
         # Poisson vacuum; here they meet the evaluators at fig3's mu values
         for mu in np.linspace(0.0, 3.0, 301):
-            poisson = vacuum_probability(PoissonParams(mu, 1.0, 1.0, 1.0), "poisson")
+            poisson = vacuum_probability(PoissonParams(mu, 1.0, 1.0, 1.0))
             for process, pairs in ((ProcessType.TYPE_0I, 2.0 * mu), (ProcessType.TYPE_II, mu)):
                 upper, lower = vacuum_range(mu, process)
                 # one mode's sigma at mean pairs x = sinh^2(sigma / 2)
                 sq = single_mode_spectrum(2.0 * math.asinh(math.sqrt(pairs)), process)
-                assert vacuum_probability(sq, "exact") == pytest.approx(upper, rel=0, abs=1e-12)
+                assert vacuum_probability(ExactProductGf(sq)) == pytest.approx(upper, rel=0,
+                                                                                abs=1e-12)
                 assert poisson == pytest.approx(lower, rel=0, abs=1e-12)
-
-    def test_linear_negative_flagged(self):
-        params = PoissonParams(2.0, 1.0, 1.0, 1.0)
-        with pytest.warns(UserWarning, match="negative"):
-            value = vacuum_probability(params, "linear")
-        assert value == pytest.approx(-1.0)
 
     def test_log_det_series_matches_exact(self, rng):
         gamma, spectrum, _ = random_covariance(rng, process=ProcessType.TYPE_II,
                                                gain=0.3)
         p_series = math.exp(-0.5 * log_det_series(gamma.mat.to_dense(), 30))
-        p_exact = vacuum_probability(spectrum, "exact")
+        p_exact = vacuum_probability(ExactProductGf(spectrum))
         assert p_series == pytest.approx(p_exact, rel=1e-12)
-
-    def test_method_type_mismatch(self):
-        with pytest.raises(TypeError):
-            vacuum_probability(PoissonParams(0.1, 1, 1, 1), "hermite")
 
     def test_poisson_between_linear_and_exact(self):
         spectra = [
@@ -1667,7 +1666,7 @@ class TestVacuumProbability:
             for mu in np.linspace(0.05, 3.0, 12):
                 gain = gain_for_mean_pairs(schmidt, mu, ProcessType.TYPE_II)
                 sq = SqueezingSpectrum.from_schmidt(schmidt, gain, ProcessType.TYPE_II)
-                p_exact = vacuum_probability(sq, "exact")
+                p_exact = vacuum_probability(ExactProductGf(sq))
                 p_poisson = math.exp(-mu)
                 p_linear = 1.0 - mu
                 # infinite-entanglement limit is always the better approximation
@@ -1706,7 +1705,7 @@ class TestVacuumProbability:
         eta2_s, eta2_i = eta2 if process is ProcessType.TYPE_II else (eta2[0], eta2[0])
         gain = gain_for_mean_pairs(schmidt, mu, process)
         sq = SqueezingSpectrum.from_schmidt(schmidt, gain, process)
-        p_exact = vacuum_probability(ExactProductGf(sq, eta2_s, eta2_i), "exact")
+        p_exact = vacuum_probability(ExactProductGf(sq, eta2_s, eta2_i))
         seen = mu * (eta2_s + eta2_i - eta2_s * eta2_i)
         rounding = 4 * np.finfo(float).eps
         assert abs(p_exact - math.exp(-seen)) <= abs(p_exact - (1.0 - seen)) + rounding
@@ -1715,16 +1714,18 @@ class TestVacuumProbability:
 class TestQuadraticVacuum:
     def test_zero_gain(self):
         schmidt = analytic_gaussian_schmidt(3.0, 40)
-        assert quadratic_vacuum(schmidt, 0.0, 1.0, ProcessType.TYPE_II) == 1.0
+        sq = SqueezingSpectrum.from_schmidt(schmidt, 0.0, ProcessType.TYPE_II)
+        assert quadratic_vacuum(sq, 1.0) == 1.0
 
     def test_single_mode_matches_truncated_tmsv(self):
-        schmidt = analytic_gaussian_schmidt(1.0, 1)
         gain = 0.8
+        sq = SqueezingSpectrum.from_schmidt(analytic_gaussian_schmidt(1.0, 1), gain,
+                                            ProcessType.TYPE_II)
         for eta in (1.0, 0.7):
             t2 = math.tanh(gain / 2.0) ** 2
             miss = (1.0 - eta * eta) ** 2
             expected = (1.0 + miss * t2 + miss**2 * t2**2) / (1.0 + t2 + t2**2)
-            got = quadratic_vacuum(schmidt, gain, eta, ProcessType.TYPE_II)
+            got = quadratic_vacuum(sq, eta)
             assert got == pytest.approx(expected, rel=1e-12)
 
     def test_small_gain_order_c6(self):
@@ -1734,8 +1735,8 @@ class TestQuadraticVacuum:
         for c2 in (1e-3, 2e-3, 4e-3):
             gain = math.sqrt(c2)
             sq = SqueezingSpectrum.from_schmidt(schmidt, gain, ProcessType.TYPE_II)
-            p_exact = vacuum_probability(sq, "exact")
-            p_quad = quadratic_vacuum(schmidt, gain, 1.0, ProcessType.TYPE_II)
+            p_exact = vacuum_probability(ExactProductGf(sq))
+            p_quad = quadratic_vacuum(sq, 1.0)
             diffs.append(abs(p_quad - p_exact))
         assert diffs[0] < 1e-8
         assert diffs[1] / diffs[0] == pytest.approx(8.0, rel=0.25)
@@ -1744,8 +1745,8 @@ class TestQuadraticVacuum:
     def test_dispatch(self):
         # the two-pair truncation is called directly, not through vacuum_probability
         schmidt = analytic_gaussian_schmidt(2.0, 40)
-        with pytest.raises(ValueError, match="unknown method 'quadratic'"):
-            vacuum_probability(schmidt, "quadratic")
+        with pytest.raises(TypeError, match="unsupported generating-function spec"):
+            vacuum_probability(SqueezingSpectrum.from_schmidt(schmidt, 0.5, ProcessType.TYPE_II))
 
 
 class TestHermiteOrdering:
@@ -1757,8 +1758,8 @@ class TestHermiteOrdering:
             for mu in (0.05, 0.3, 1.0):
                 gain = gain_for_mean_pairs(schmidt, mu, ProcessType.TYPE_II)
                 sq = SqueezingSpectrum.from_schmidt(schmidt, gain, ProcessType.TYPE_II)
-                p_exact = vacuum_probability(sq, "exact")
+                p_exact = vacuum_probability(ExactProductGf(sq))
                 hp = hermite_params(gain, k, ProcessType.TYPE_II)
-                p_hermite = vacuum_probability(hp, "hermite")
-                p_quad = quadratic_vacuum(schmidt, gain, 1.0, ProcessType.TYPE_II)
+                p_hermite = vacuum_probability(hp)
+                p_quad = quadratic_vacuum(sq, 1.0)
                 assert abs(p_hermite - p_exact) <= abs(p_quad - p_exact) + 1e-12

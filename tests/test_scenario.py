@@ -1,11 +1,13 @@
 """`Scenario`: the checked config, its plan and its sweep points, step by step."""
 import copy
+import json
+import warnings
 
 import numpy as np
 import pytest
 
 from biphoton_sim import spectral
-from biphoton_sim.cli import ConfigError, run_scenario
+from biphoton_sim.cli import ConfigError, main, run_scenario
 from biphoton_sim.scenario import Scenario
 from test_detection import _readme_config
 
@@ -69,3 +71,43 @@ def test_config_faults_raise_before_any_svd(monkeypatch, name):
         Scenario.from_config(_faulty(change))
     assert str(err.value) == message
     Scenario.from_config(_readme_config("log_series"))  # a sound config: no SVD either
+
+
+def _source_level_config(method, values, pipeline=()):
+    """The README Gaussian source at `points_per_width` 2 under a
+    source-level method, swept over the mean pair numbers `values`."""
+    return {
+        "source": {"process": "type2",
+                   "jsa": {"gaussian": {"delta_plus_rad_s": 1.0, "delta_minus_rad_s": 4.0}}},
+        "grid": {"extent_sigmas": 6.0, "points_per_width": 2.0},
+        "pipeline": list(pipeline),
+        "detection": {"method": method},
+        "sweep": {"parameter": "source.mu", "values": values},
+    }
+
+
+def test_invalid_distribution_names_its_point_and_method(tmp_path, capsys):
+    # at the second point the lossy Hermite model has mu 5.39 < eps2 5.72
+    config = _source_level_config("hermite", [3.0, 6.0],
+                                  [{"type": "loss", "eta": {"0": 0.1, "1": 0.1}}])
+    config["output"] = {"csv_path": str(tmp_path / "out.csv")}
+    (tmp_path / "hermite.json").write_text(json.dumps(config))
+    assert main(["run", str(tmp_path / "hermite.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric domain error: sweep.values[1] = 6.0: method 'hermite': "
+                          "invalid distribution: mu = ")
+
+
+def test_negative_linear_point_warns_once_per_point_naming_it():
+    # Python's default filter shows a warning once per text and location, so
+    # each negative point needs its own text to be seen
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        rows = run_scenario(_source_level_config("linear", [0.1, 1.5, 3.0]))["rows"]
+    p_vacs = [float(row[3]) for row in rows]
+    assert p_vacs[0] > 0 > p_vacs[1] > p_vacs[2]
+    assert [str(w.message) for w in caught] == [
+        f"sweep.values[{k}] = {mu!r}: single-pair vacuum probability {p!r} < 0"
+        for k, mu, p in ((1, 1.5, p_vacs[1]), (2, 3.0, p_vacs[2]))
+    ]
+    assert all(w.category is UserWarning for w in caught)
